@@ -26,7 +26,7 @@ class SpectralError(LawsonError, RuntimeError):
 
 
 class EigensolverError(SpectralError):
-    """The sparse eigensolver failed to converge."""
+    """ARPACK failed to converge on a sector, or its eigenvalues do not bracket 2."""
 
     def __init__(self, message: str, grid_n: int | None = None):
         super().__init__(message)

@@ -178,10 +178,6 @@ class Triple:
             return False
         return self.a >= self.b if self.case is Case.LAWSON else self.a <= self.b
 
-    def swapped(self) -> "Triple":
-        """The same surface described with a and b interchanged."""
-        return Triple(self.case, self.b, self.a, self.c)
-
     def label(self) -> str:
         if self.case is Case.LAWSON:
             return f"tau_({self.a},{self.b})"

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lawson
 from lawson.cli import main
 
 EXIT_OK = 0
@@ -128,6 +132,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "0", "0", "1")
         assert code == EXIT_INVALID
         assert "LAWSON_GRID_N" in err
+
+    def test_grid_not_divisible_by_four(self, capsys, monkeypatch):
+        code, _, err = run(capsys, "spectrum", "0", "0", "1", "--grid", "1030")
+        assert code == EXIT_INVALID
+        assert "divisible by 4" in err
+        monkeypatch.setenv("LAWSON_GRID_N", "1030")
+        code, _, err = run(capsys, "verify", "0", "0", "1")
+        assert code == EXIT_INVALID
+        assert "divisible by 4" in err
 
     def test_failing_check_exits_2(self, capsys, monkeypatch):
         # force the unit-norm check to fail: exit code 2 and status "fail"
@@ -268,3 +281,15 @@ class TestLanden:
         env = json.loads(out)
         assert env["payload"]["points"] == 100
         assert env["payload"]["max_abs_gap"] <= 1e-10
+
+
+def test_import_and_closed_form_commands_load_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import lawson, lawson.cli; "
+        "lawson.cli.main(['classify', '1', '0', '2']); lawson.cli.main(['table']); "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')], "
+        "file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr.strip() == "[]"

@@ -129,6 +129,10 @@ class TestDiscreteSpectra:
         t = validate(Case.GENERALIZED, 0, 0, 1)
         with pytest.raises(ValueError):
             sl_spectrum(sl_problem(t, 0), 128)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            sl_spectrum(sl_problem(t, 0), 1030)
+        with pytest.raises(ValueError, match="divisible by 2"):
+            sl_spectrum(sl_problem(t, 0, Symmetry.EVEN_Y), 1029)
 
     def test_sector_union_reassembles_full_spectrum(self):
         """Subcase II sectors: pi-periodic + pi-antiperiodic = full periodic.
@@ -153,6 +157,42 @@ class TestDiscreteSpectra:
             odd = _spec(t, l, Symmetry.ODD_Y, n=512, count=8)
             merged = np.sort(np.concatenate([even, odd]))[: len(full)]
             assert merged == pytest.approx(full, abs=1e-6)
+
+
+def _dense_oracle(t, l, n, antiperiodic):
+    """Lowest 12 eigenvalues of the whole-domain matrix, assembled densely:
+    [0, 2 pi) with periodic corner entries, or [0, pi) with sign-flipped
+    (antiperiodic) corners, symmetrized with W^(-1/2)."""
+    p, q, w = sl_coefficients(t, l)
+    h = (math.pi if antiperiodic else 2 * math.pi) / n
+    pf = p(h * np.arange(n + 1))
+    nodes = h * (np.arange(n) + 0.5)
+    A = np.diag((pf[:-1] + pf[1:]) / h**2 + q(nodes))
+    i = np.arange(n - 1)
+    A[i, i + 1] = A[i + 1, i] = -pf[1:n] / h**2
+    A[0, n - 1] = A[n - 1, 0] = (1.0 if antiperiodic else -1.0) * pf[0] / h**2
+    d = 1.0 / np.sqrt(w(nodes))
+    return np.linalg.eigvalsh(d[:, None] * A * d[None, :])[:12]
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize(
+    "t",
+    [
+        validate(Case.GENERALIZED, 1, 2, 3),
+        validate(Case.GENERALIZED, 1, 1, 2),
+        validate(Case.GENERALIZED, 0, 1, 2),
+        validate(Case.LAWSON, 2, 1),
+    ],
+    ids=lambda t: t.label(),
+)
+def test_sectors_match_dense_whole_domain_matrix(t, n):
+    """The merged quarter-period sectors reproduce the dense eigenvalues of
+    the periodic and antiperiodic matrices they decompose."""
+    for l in sorted({0, 1, math.floor(t.c_real)}):
+        for sym, anti in ((Symmetry.FULL_PERIODIC, False), (Symmetry.PI_ANTIPERIODIC, True)):
+            ev = _spec(t, l, sym, n=n, count=12)
+            assert np.max(np.abs(ev - _dense_oracle(t, l, n, anti))) <= 1e-9
 
 
 class TestAnchors:
@@ -280,6 +320,12 @@ class TestCounting:
             count_N2(t, 1024)
         with pytest.raises(ValueError):
             count_N2(t, 2049)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            count_N2(t, 2050)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            anchor_check(t, 1030)
+        with pytest.raises(ValueError, match="divisible by 4"):
+            interlacing_check(t, 1030)
 
 
 class TestInterlacing:

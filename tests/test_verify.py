@@ -2,6 +2,7 @@
 
 import pytest
 
+import lawson.spectral as spectral
 from lawson import Case, run_verification, validate
 
 
@@ -47,3 +48,20 @@ class TestRunVerification:
         tolerances = report.tolerances()
         assert set(tolerances) == set(EXPECTED_CHECKS)
         assert "1e-10" in tolerances["separated_ode"]
+
+    def test_each_sector_solved_once_per_grid(self, monkeypatch):
+        """Anchors, count and interlacing share one table per grid: T_(5,7,13)
+        needs l = 0..14 in four sectors, once at grid_n and once at 2 grid_n."""
+        solve = spectral._sector_eigenvalues
+        calls = []
+
+        def counted(problem, grid_n, sector, k):
+            calls.append((grid_n, problem.l, sector))
+            return solve(problem, grid_n, sector, k)
+
+        monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
+        spectral._table.cache_clear()
+        report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
+        assert report.status == "ok"
+        assert len(calls) == len(set(calls)) == 2 * 4 * (13 + 2)
+        assert sum(1 for n, _, _ in calls if n == 2048) == 4 * (13 + 2)
