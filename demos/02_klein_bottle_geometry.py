@@ -9,6 +9,8 @@ surface is written out as a mesh.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 
@@ -55,7 +57,7 @@ for phi in Phi:
     print(f"  {phi.value}: {r:.3e} {verdict}")
 
 # A mesh for inspection: project onto coordinates 2, 3, 5 of R^6.
-path = "/tmp/klein_bottle_012.obj"
+path = os.path.join(tempfile.gettempdir(), "klein_bottle_012.obj")
 from lawson.cli import main
 
 main(["export", "0", "1", "2", "--nx", "96", "--ny", "96",

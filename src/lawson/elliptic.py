@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _AGM_MAX_ITER = 40
-_AGM_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -71,27 +70,9 @@ class Modulus:
         return cls(k2=float(k) * float(k))
 
 
-def agm(x: float, y: float) -> float:
-    """Common limit of the arithmetic-geometric mean iteration.
-
-    Quadratically convergent; reaches relative 1e-15 well inside the
-    40-iteration cap for any positive pair.
-    """
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"agm requires positive arguments, got ({x!r}, {y!r})")
-    a, b = float(x), float(y)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_RTOL * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
-def _agm_with_companion(k2: float) -> tuple[float, float]:
-    """AGM limit of (1, sqrt(1 - k^2)) and the companion sum for E."""
-    a, b = 1.0, math.sqrt(1.0 - k2)
-    s = 0.5 * k2
-    scale = 0.5
+def _agm(a: float, b: float, c0_sq: float) -> tuple[float, float]:
+    """AGM limit of (a, b), run until c_n = 0, and the companion sum of 2^(n-1) c_n^2."""
+    s, scale = 0.5 * c0_sq, 0.5
     for _ in range(_AGM_MAX_ITER):
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -102,6 +83,13 @@ def _agm_with_companion(k2: float) -> tuple[float, float]:
     return 0.5 * (a + b), s
 
 
+def agm(x: float, y: float) -> float:
+    """Common limit of the arithmetic-geometric mean iteration (quadratically convergent)."""
+    if not (x > 0.0 and y > 0.0):
+        raise ValueError(f"agm requires positive arguments, got ({x!r}, {y!r})")
+    return _agm(float(x), float(y), 0.0)[0]
+
+
 def complete_K(m: Modulus) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi/(2 agm(1, k')).
 
@@ -109,8 +97,7 @@ def complete_K(m: Modulus) -> float:
     """
     if m.k2 >= 1.0:
         raise ValueError(f"K(k) diverges for k^2 >= 1 (got k^2 = {m.k2!r})")
-    limit, _ = _agm_with_companion(m.k2)
-    return math.pi / (2.0 * limit)
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m.k2), m.k2)[0])
 
 
 def complete_E(m: Modulus) -> float:
@@ -123,7 +110,7 @@ def complete_E(m: Modulus) -> float:
         raise ValueError(f"E(k) leaves the real domain for k^2 > 1 (got k^2 = {m.k2!r})")
     if m.k2 == 1.0:
         return 1.0
-    limit, s = _agm_with_companion(m.k2)
+    limit, s = _agm(1.0, math.sqrt(1.0 - m.k2), m.k2)
     return (math.pi / (2.0 * limit)) * (1.0 - s)
 
 

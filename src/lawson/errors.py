@@ -28,10 +28,6 @@ class SpectralError(LawsonError, RuntimeError):
 class EigensolverError(SpectralError):
     """ARPACK failed to converge on a sector, or its eigenvalues do not bracket 2."""
 
-    def __init__(self, message: str, grid_n: int | None = None):
-        super().__init__(message)
-        self.grid_n = grid_n
-
 
 class IndeterminateCountError(SpectralError):
     """An eigenvalue sits inside the guard window around 2 where no anchor

@@ -47,7 +47,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -119,92 +118,90 @@ class SLProblem:
     triple: Triple
     l: float
     symmetry: Symmetry
-    p: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], np.ndarray]
-    w: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray  # ascending
-    grid_n: int
-    symmetry: Symmetry
 
 
-def sl_coefficients(t: Triple, l: float):
-    """Self-adjoint coefficient functions (p, q, w) for frequency l.
+def sl_coefficients(t: Triple, l: float, y: np.ndarray):
+    """Self-adjoint coefficients (p, q, w) for frequency l at the points y.
 
-    p(y) = sqrt(2P + Q) > 0, q(y) = 2 l^2 / sqrt(2P + Q) >= 0,
-    w(y) = 2P / sqrt(2P + Q) > 0; all pi-periodic and even in y.
+    p = sqrt(2P + Q) > 0, q = 2 l^2 / sqrt(2P + Q) >= 0,
+    w = 2P / sqrt(2P + Q) > 0; all pi-periodic and even in y.
     """
     if l < 0:
         raise ValueError(f"l must be non-negative, got {l}")
     co = coefficients(t)
-    l2 = float(l) * float(l)
-
-    def p(y):
-        return np.sqrt(2.0 * co.P(y) + co.q)
-
-    def q(y):
-        return 2.0 * l2 / np.sqrt(2.0 * co.P(y) + co.q)
-
-    def w(y):
-        py = co.P(y)
-        return 2.0 * py / np.sqrt(2.0 * py + co.q)
-
-    return p, q, w
+    P = co.P(y)
+    root = np.sqrt(2.0 * P + co.q)
+    return root, 2.0 * (float(l) * float(l)) / root, 2.0 * P / root
 
 
 def sl_problem(t: Triple, l: float, symmetry: Symmetry = Symmetry.FULL_PERIODIC) -> SLProblem:
-    p, q, w = sl_coefficients(t, l)
-    return SLProblem(triple=t, l=l, symmetry=symmetry, p=p, q=q, w=w)
+    if l < 0:
+        raise ValueError(f"l must be non-negative, got {l}")
+    return SLProblem(triple=t, l=l, symmetry=symmetry)
 
 
-def _sector_eigenvalues(problem: SLProblem, grid_n: int, sector: str, k: int) -> np.ndarray:
-    """Lowest ``k`` eigenvalues, ascending, of one sector on [0, pi/2] with the
-    cell width of ``grid_n`` cells on the problem's domain.  Symmetrized with
-    w^(-1/2); shift-invert at sigma = -1 < every eigenvalue finds the lowest."""
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-
-    sym = problem.symmetry
+def _sector_cells(grid_n: int, sym: Symmetry) -> int:
     parts = 4 if sym is Symmetry.FULL_PERIODIC else 2
     if grid_n < 256 or grid_n % parts:
         raise ValueError(
             f"grid_n must be >= 256 and divisible by {parts} on the {sym.value} domain "
             f"(y = pi/2 must be a cell face), got {grid_n}"
         )
-    m = grid_n // parts
+    return grid_n // parts
+
+
+def check_count_grid(grid_n: int) -> None:
+    """The grid rule of :func:`count_N2`: divisible by 4, at least 2048 cells."""
+    _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
+    if grid_n < 2048:
+        raise ValueError(f"grid_n must be >= 2048, got {grid_n}")
+
+
+def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> list[np.ndarray]:
+    """Lowest ``k`` eigenvalues, ascending, of each sector on [0, pi/2] at the cell width of
+    ``grid_n`` cells on the problem's domain, by shift-invert at sigma = -1 < all of them."""
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+    sym = problem.symmetry
+    m = _sector_cells(grid_n, sym)
     if k >= m:
         raise ValueError(f"count must be smaller than the sector size {m}, got {k}")
     h = sym.domain_length / grid_n
-    pf = problem.p(h * np.arange(m + 1))
-    nodes = h * (np.arange(m) + 0.5)
-    main = (pf[:-1] + pf[1:]) / h**2 + problem.q(nodes)
-    main[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
-    main[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
-    s = 1.0 / np.sqrt(problem.w(nodes))
+    # Faces at even, cell centres at odd indices of the half-grid.
+    p, q, w = sl_coefficients(problem.triple, problem.l, 0.5 * h * np.arange(2 * m + 1))
+    pf = p[::2]
+    main = (pf[:-1] + pf[1:]) / h**2 + q[1::2]
+    s = 1.0 / np.sqrt(w[1::2])  # w^(-1/2) symmetrizes; sectors differ only in the two ends
     off = -pf[1:m] / h**2 * s[:-1] * s[1:]
-    B = diags([off, main * s * s, off], [-1, 0, 1], format="csc")
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(m)
-    try:
-        ev = eigsh(B, k=k, sigma=-1.0, which="LM", v0=v0, return_eigenvectors=False)
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise EigensolverError(
-            f"eigensolver failed to converge at grid_n={grid_n} "
-            f"(l={problem.l}, {sym.value}, sector {sector})",
-            grid_n=grid_n,
-        ) from exc
-    return np.sort(ev)
+    spectra = []
+    for sector in sectors:
+        d = main.copy()
+        d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
+        d[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
+        B = diags([off, d * s * s, off], [-1, 0, 1], format="csc")
+        try:
+            ev = eigsh(B, k=k, sigma=-1.0, which="LM", v0=v0, return_eigenvectors=False)
+        except (ArpackNoConvergence, ArpackError) as exc:
+            raise EigensolverError(
+                f"eigensolver failed to converge at grid_n={grid_n} "
+                f"(l={problem.l}, {sym.value}, sector {sector})"
+            ) from exc
+        spectra.append(np.sort(ev))
+    return spectra
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
     """Lowest ``count`` eigenvalues of the discretized pencil, ascending:
     the merged quarter-period sectors of the problem's symmetry."""
-    ev = np.concatenate([
-        _sector_eigenvalues(problem, grid_n, s, count) for s in _SYMMETRY_SECTORS[problem.symmetry]
-    ])
-    return SpectrumResult(eigenvalues=np.sort(ev)[:count], grid_n=grid_n, symmetry=problem.symmetry)
+    ev = _sector_eigenvalues(problem, grid_n, _SYMMETRY_SECTORS[problem.symmetry], count)
+    return SpectrumResult(eigenvalues=np.sort(np.concatenate(ev))[:count])
 
 
 # One table per (canonical triple, grid): the anchors, the count and the
@@ -220,9 +217,8 @@ def _sectors(t: Triple, grid_n: int, l: float, sectors=_ALL_SECTORS) -> list[np.
     table = _table(t, grid_n)
     missing = [s for s in sectors if (l, s) not in table]
     if missing:
-        problem = sl_problem(t, l)
-        for s in missing:
-            table[l, s] = _sector_eigenvalues(problem, grid_n, s, _TABLE_COUNT)
+        solved = _sector_eigenvalues(sl_problem(t, l), grid_n, missing, _TABLE_COUNT)
+        table.update(((l, s), ev) for s, ev in zip(missing, solved))
     return [table[l, s] for s in sectors]
 
 
@@ -249,6 +245,19 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
     return float(r0), float(r1), float(r2)
 
 
+def _profile(which: int, amp: float, k2: float, y: np.ndarray):
+    """(phi, phi', phi'') of ``amp`` times the profile selected by ``which``:
+    1: sin y, 2: cos y, 3: sqrt(1 - k^2 sin^2 y)."""
+    s, c = np.sin(y), np.cos(y)
+    if which == 1:
+        return amp * s, amp * c, -amp * s
+    if which == 2:
+        return amp * c, -amp * s, -amp * c
+    u = np.sqrt(1.0 - k2 * s * s)
+    d2 = -amp * k2 * (np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u**3
+    return amp * u, -amp * k2 * s * c / u, d2
+
+
 def eq35_residual(t: Triple, which: int) -> float:
     """Residual of the separated ODE at lambda = 2 for one amplitude profile.
 
@@ -262,26 +271,14 @@ def eq35_residual(t: Triple, which: int) -> float:
     if which not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
     co = coefficients(t)
+    if which == 3 and co.c3_sq == 0.0:
+        return 0.0  # boundary case: the third profile vanishes identically
+    amp, l2 = ((co.c1, co.a_sq), (co.c2, co.b_sq), (co.c3, co.c_sq))[which - 1]
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    s, c = np.sin(y), np.cos(y)
-    if which == 1:
-        phi, dphi, d2phi = co.c1 * s, co.c1 * c, -co.c1 * s
-        l2 = float(co.a_sq)
-    elif which == 2:
-        phi, dphi, d2phi = co.c2 * c, -co.c2 * s, -co.c2 * c
-        l2 = float(co.b_sq)
-    else:
-        if co.c3_sq == 0.0:
-            return 0.0  # boundary case: the third profile vanishes identically
-        u = np.sqrt(1.0 - co.k2 * s * s)
-        phi = co.c3 * u
-        dphi = -co.c3 * co.k2 * s * c / u
-        d2phi = -co.c3 * co.k2 * (np.cos(2.0 * y) * u * u + co.k2 * s * s * c * c) / u**3
-        l2 = float(co.c_sq)
+    phi, dphi, d2phi = _profile(which, amp, co.k2, y)
     p = co.P(y)
-    res = (1.0 + co.q / (2.0 * p)) * d2phi + co.P_prime(y) / (2.0 * p) * dphi + (
-        2.0 - l2 / p
-    ) * phi
+    res = (1.0 + co.q / (2.0 * p)) * d2phi + co.P_prime(y) / (2.0 * p) * dphi
+    res += (2.0 - float(l2) / p) * phi
     return float(np.max(np.abs(res)))
 
 
@@ -300,17 +297,8 @@ def lame_residual(k2: float, h_index: int) -> float:
         raise ValueError(f"k^2 must be < 1, got {k2!r}")
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     s, c = np.sin(y), np.cos(y)
-    if h_index == 0:
-        u = np.sqrt(1.0 - k2 * s * s)
-        phi, dphi = u, -k2 * s * c / u
-        d2phi = -k2 * (np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u**3
-        h = k2
-    elif h_index == 1:
-        phi, dphi, d2phi = c, -s, -c
-        h = 1.0
-    else:
-        phi, dphi, d2phi = s, c, -s
-        h = 1.0 + k2
+    phi, dphi, d2phi = _profile(3 - h_index, 1.0, k2, y)
+    h = (k2, 1.0, 1.0 + k2)[h_index]
     res = (1.0 - k2 * s * s) * d2phi - k2 * s * c * dphi + (h - 2.0 * k2 * s * s) * phi
     return float(np.max(np.abs(res)))
 
@@ -388,8 +376,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     guard window at a frequency where no anchor lives raises
     :class:`IndeterminateCountError`.
     """
-    if grid_n < 2048:
-        raise ValueError(f"grid_n must be >= 2048, got {grid_n}")
+    check_count_grid(grid_n)
     t = canonicalize(t)
     j_closed, _, _ = extremal_index(t)
     by_parity = _COUNT_SECTORS[expected_symmetry(t)]
@@ -409,8 +396,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
         sectors = _sectors(t, grid_n, l, by_parity[l % 2])
         if any(ev[-1] <= 2.0 + eps for ev in sectors):
             raise EigensolverError(
-                f"{_TABLE_COUNT} eigenvalues per sector do not bracket 2 at l={l}",
-                grid_n=grid_n,
+                f"{_TABLE_COUNT} eigenvalues per sector do not bracket 2 at l={l}, grid_n={grid_n}"
             )
         ev = np.sort(np.concatenate(sectors))
         cnt = int(np.sum(ev < 2.0 - eps))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import SpectralError
 from .spectral import (
     anchor_check,
+    check_count_grid,
     count_N2,
     eq35_residual,
     interlacing_check,
@@ -208,7 +209,6 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
 
 
 def _interlacing_check(t: Triple, grid_n: int) -> CheckResult:
-    t = canonicalize(t)
     l_max = int(math.floor(t.c_real)) + 1
     ok = interlacing_check(t, grid_n, l_max)
     return CheckResult(
@@ -227,6 +227,7 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     on the doubled grid.  Raises :class:`SpectralError` subclasses only
     for non-convergence; an indeterminate count is reported in-band.
     """
+    check_count_grid(grid_n)
     t = canonicalize(t)
     report = VerificationReport(triple=t, grid_n=grid_n, deep=deep)
     report.checks.append(_unit_norm_check(t))

@@ -32,22 +32,29 @@ def _spec(t, l, sym=Symmetry.FULL_PERIODIC, n=1024, count=8):
 class TestSelfAdjointCoefficients:
     def test_clifford_constant_problem(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
-        p, q, w = sl_coefficients(t, 0)
         y = np.linspace(0, 2 * math.pi, 11)
-        assert p(y) == pytest.approx(np.full_like(y, math.sqrt(2.0)), abs=1e-15)
-        assert q(y) == pytest.approx(np.zeros_like(y), abs=0)
-        assert w(y) == pytest.approx(np.full_like(y, 1.0 / math.sqrt(2.0)), abs=1e-15)
+        p, q, w = sl_coefficients(t, 0, y)
+        assert p == pytest.approx(np.full_like(y, math.sqrt(2.0)), abs=1e-15)
+        assert q == pytest.approx(np.zeros_like(y), abs=0)
+        assert w == pytest.approx(np.full_like(y, 1.0 / math.sqrt(2.0)), abs=1e-15)
 
     @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
     def test_zero_frequency_has_no_potential(self, t):
-        _, q, _ = sl_coefficients(t, 0)
-        assert np.all(q(np.linspace(0, 7, 23)) == 0.0)
+        _, q, _ = sl_coefficients(t, 0, np.linspace(0, 7, 23))
+        assert np.all(q == 0.0)
 
     def test_lawson_weight_equals_stiffness(self):
         t = validate(Case.LAWSON, 3, 1)
-        p, _, w = sl_coefficients(t, 2)
         y = np.linspace(0, 2 * math.pi, 29)
-        assert p(y) == pytest.approx(w(y), rel=1e-15)
+        p, _, w = sl_coefficients(t, 2, y)
+        assert p == pytest.approx(w, rel=1e-15)
+
+    def test_negative_frequency_rejected(self):
+        t = validate(Case.GENERALIZED, 1, 2, 3)
+        with pytest.raises(ValueError):
+            sl_problem(t, -1)
+        with pytest.raises(ValueError):
+            sl_coefficients(t, -1, np.linspace(0, 2 * math.pi, 5))
 
     def test_reduction_is_algebraically_exact(self):
         """-(p phi')' + q phi - lambda w phi == -w * (separated ODE residual).
@@ -163,15 +170,15 @@ def _dense_oracle(t, l, n, antiperiodic):
     """Lowest 12 eigenvalues of the whole-domain matrix, assembled densely:
     [0, 2 pi) with periodic corner entries, or [0, pi) with sign-flipped
     (antiperiodic) corners, symmetrized with W^(-1/2)."""
-    p, q, w = sl_coefficients(t, l)
     h = (math.pi if antiperiodic else 2 * math.pi) / n
-    pf = p(h * np.arange(n + 1))
+    pf = sl_coefficients(t, l, h * np.arange(n + 1))[0]
     nodes = h * (np.arange(n) + 0.5)
-    A = np.diag((pf[:-1] + pf[1:]) / h**2 + q(nodes))
+    _, q, w = sl_coefficients(t, l, nodes)
+    A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
     i = np.arange(n - 1)
     A[i, i + 1] = A[i + 1, i] = -pf[1:n] / h**2
     A[0, n - 1] = A[n - 1, 0] = (1.0 if antiperiodic else -1.0) * pf[0] / h**2
-    d = 1.0 / np.sqrt(w(nodes))
+    d = 1.0 / np.sqrt(w)
     return np.linalg.eigvalsh(d[:, None] * A * d[None, :])[:12]
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 import lawson.spectral as spectral
+import lawson.verify as verify
 from lawson import Case, run_verification, validate
 
 
@@ -55,9 +56,9 @@ class TestRunVerification:
         solve = spectral._sector_eigenvalues
         calls = []
 
-        def counted(problem, grid_n, sector, k):
-            calls.append((grid_n, problem.l, sector))
-            return solve(problem, grid_n, sector, k)
+        def counted(problem, grid_n, sectors, k):
+            calls.extend((grid_n, problem.l, sector) for sector in sectors)
+            return solve(problem, grid_n, sectors, k)
 
         monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
         spectral._table.cache_clear()
@@ -65,3 +66,18 @@ class TestRunVerification:
         assert report.status == "ok"
         assert len(calls) == len(set(calls)) == 2 * 4 * (13 + 2)
         assert sum(1 for n, _, _ in calls if n == 2048) == 4 * (13 + 2)
+
+    @pytest.mark.parametrize("grid_n,rule", [(1024, ">= 2048"), (1030, "divisible by 4")])
+    def test_grid_rule_checked_before_any_check(self, monkeypatch, grid_n, rule):
+        """A grid the count rejects fails before the first check runs."""
+        immersion = verify.immersion
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return immersion(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "immersion", counted)
+        with pytest.raises(ValueError, match=rule):
+            run_verification(validate(Case.GENERALIZED, 0, 0, 1), grid_n)
+        assert calls == []
