@@ -26,7 +26,7 @@ class SpectralError(LawsonError, RuntimeError):
 
 
 class EigensolverError(SpectralError):
-    """ARPACK failed to converge on a sector, or its eigenvalues do not bracket 2."""
+    """B + I of a sector failed to factor, ARPACK did not converge, or 2 is not bracketed."""
 
 
 class IndeterminateCountError(SpectralError):

@@ -29,9 +29,10 @@ flux) or D (odd reflection, zero value):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Sectors are solved by shift-invert Lanczos (ARPACK): Sturm bisection
-(LAPACK stebz) was no faster on eigenvalue lists and less accurate at
-fine grids (5.9e-8 against 1.6e-10, Clifford torus, l = 0, grid 131072).
+Sectors are solved by shift-invert Lanczos (ARPACK) over a LAPACK L D L^T
+factor of B + I: Sturm bisection (LAPACK stebz) was no faster on eigenvalue
+lists and less accurate at fine grids (5.9e-8 against 1.6e-10, Clifford
+torus, l = 0, grid 131072).  The minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -164,9 +165,10 @@ def check_count_grid(grid_n: int) -> None:
 
 def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> list[np.ndarray]:
     """Lowest ``k`` eigenvalues, ascending, of each sector on [0, pi/2] at the cell width of
-    ``grid_n`` cells on the problem's domain, by shift-invert at sigma = -1 < all of them."""
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+    ``grid_n`` cells on the problem's domain, by shift-invert at sigma = -1 < all of them,
+    over an L D L^T factor of the SPD B + I; ARPACK's mode 3 reads ``op`` only for its shape."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     sym = problem.symmetry
     m = _sector_cells(grid_n, sym)
@@ -185,14 +187,15 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> lis
         d = main.copy()
         d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
         d[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
-        B = diags([off, d * s * s, off], [-1, 0, 1], format="csc")
+        ld, le, info = dpttrf(d * s * s + 1.0, off)
+        where = f"grid_n={grid_n} (l={problem.l}, {sym.value}, sector {sector})"
+        if info:
+            raise EigensolverError(f"B + I is not positive definite at {where}")
+        op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         try:
-            ev = eigsh(B, k=k, sigma=-1.0, which="LM", v0=v0, return_eigenvectors=False)
+            ev = eigsh(op, k, sigma=-1.0, which="LM", v0=v0, OPinv=op, return_eigenvectors=False)
         except (ArpackNoConvergence, ArpackError) as exc:
-            raise EigensolverError(
-                f"eigensolver failed to converge at grid_n={grid_n} "
-                f"(l={problem.l}, {sym.value}, sector {sector})"
-            ) from exc
+            raise EigensolverError(f"eigensolver failed to converge at {where}") from exc
         spectra.append(np.sort(ev))
     return spectra
 
@@ -306,35 +309,26 @@ def lame_residual(k2: float, h_index: int) -> float:
 def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
     """max |Delta_h F^i - 2 F^i| over a periodic grid_n x grid_n grid.
 
-    Assembles the Laplace-Beltrami operator of the induced metric in
-    coordinates (five-point stencil, conservative flux form in y) and
-    applies it to all six immersion components.  The continuum identity
-    Delta F = 2 F is exact, so the residual is pure second-order
-    truncation error: it drops by a factor of about 4 per mesh doubling.
+    The Laplace-Beltrami operator -(1/P) d_xx - (1/w) d_y p d_y (five-point
+    stencil, flux form in y) acts on the immersion components trig(l x) f(y),
+    l in {a, b, c}, with f3 = 0 where c is not an integer.  The periodic
+    x-difference of trig(l x) is exactly -L^2 trig(l x), L = 2 sin(l h/2)/h,
+    so a residual is trig(l x) R_l(y), R_l = (-(p f')' + q f)/w - 2 f the
+    pencil residual at frequency L, with grid maximum max |R_l| (cos = 1 at
+    x = 0): O(grid_n).  Delta F = 2 F is exact in the continuum, so the
+    residual is second-order truncation error, about 4x less per doubling.
     """
     if grid_n < 128:
         raise ValueError(f"grid_n must be >= 128, got {grid_n}")
-    co = coefficients(t)
     h = 2.0 * math.pi / grid_n
-    x = h * np.arange(grid_n)
-    y = h * np.arange(grid_n)
-    xg, yg = np.meshgrid(x, y, indexing="ij")
-    F = immersion(t, xg, yg)
-
-    p_nodes = co.P(y)
-    p_plus = co.P(y + 0.5 * h)
-    t_coef = np.sqrt(2.0 / (co.q + 2.0 * p_nodes))       # sqrt(g) g^xx
-    s_plus = np.sqrt((co.q + 2.0 * p_plus) / 2.0)        # sqrt(g) g^yy at upper faces
-    s_minus = np.roll(s_plus, 1)
-    inv_sqrt_g = np.sqrt((co.q + 2.0 * p_nodes) / 2.0) / p_nodes
-
-    d2x = (np.roll(F, -1, axis=1) - 2.0 * F + np.roll(F, 1, axis=1)) / h**2
-    flux_y = (
-        s_plus[None, None, :] * (np.roll(F, -1, axis=2) - F)
-        - s_minus[None, None, :] * (F - np.roll(F, 1, axis=2))
-    ) / h**2
-    lap = -inv_sqrt_g[None, None, :] * (t_coef[None, None, :] * d2x + flux_y)
-    return float(np.max(np.abs(lap - 2.0 * F)))
+    y = 0.5 * h * np.arange(2 * grid_n)  # nodes at even, faces y + h/2 at odd indices
+    worst = 0.0
+    for l, f in zip((t.a, t.b, t.c_real), immersion(t, 0.0, y[::2])[1::2]):  # cos rows: f1, f2, f3
+        p, q, w = sl_coefficients(t, 2.0 * abs(math.sin(0.5 * l * h)) / h, y)
+        pf = p[1::2]
+        flux = (pf * (np.roll(f, -1) - f) - np.roll(pf, 1) * (f - np.roll(f, 1))) / h**2
+        worst = max(worst, float(np.max(np.abs((q[::2] * f - flux) / w[::2] - 2.0 * f))))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -425,6 +419,11 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     )
 
 
+def interlacing_l_max(t: Triple) -> int:
+    """The default last frequency of :func:`interlacing_check`: one past c."""
+    return int(math.floor(t.c_real)) + 1
+
+
 def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None,
                       tol: float = 1e-6) -> bool:
     """Numerically confirm the two oscillation-theory eigenvalue orderings.
@@ -437,7 +436,7 @@ def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None,
     """
     t = canonicalize(t)
     if l_max is None:
-        l_max = int(math.floor(t.c_real)) + 1
+        l_max = interlacing_l_max(t)
     spectra = [_full(t, grid_n, l) for l in range(l_max + 1)]
     for ev in spectra:
         strict = (ev[1] - ev[0] > tol) and (ev[3] - ev[2] > tol)

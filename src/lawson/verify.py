@@ -22,6 +22,7 @@ from .spectral import (
     count_N2,
     eq35_residual,
     interlacing_check,
+    interlacing_l_max,
     lame_residual,
     takahashi_residual,
 )
@@ -209,7 +210,7 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
 
 
 def _interlacing_check(t: Triple, grid_n: int) -> CheckResult:
-    l_max = int(math.floor(t.c_real)) + 1
+    l_max = interlacing_l_max(t)
     ok = interlacing_check(t, grid_n, l_max)
     return CheckResult(
         name="interlacing",

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import lawson.spectral as spectral
 from lawson import (
     Case,
+    EigensolverError,
     IndeterminateCountError,
     Symmetry,
     Triple,
@@ -14,6 +16,7 @@ from lawson import (
     coefficients,
     count_N2,
     eq35_residual,
+    immersion,
     interlacing_check,
     lame_residual,
     sl_coefficients,
@@ -202,6 +205,40 @@ def test_sectors_match_dense_whole_domain_matrix(t, n):
             assert np.max(np.abs(ev - _dense_oracle(t, l, n, anti))) <= 1e-9
 
 
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize(
+    "sym,n,shift",
+    [(Symmetry.FULL_PERIODIC, 131072, 0.0), (Symmetry.PI_ANTIPERIODIC, 65536, 0.5)],
+    ids=["full", "anti"],
+)
+def test_clifford_closed_form_spectrum_at_fine_grid(sym, n, shift, l):
+    """T_(0,0,1) has constant coefficients, so the discrete spectrum is known in
+    closed form: 8 sin^2(pi k/n)/h^2 + 2 l^2, h = L/n, over integer k (periodic)
+    or half-integer k (antiperiodic).  Both grids have cell width 2 pi/131072
+    and sectors of 32768 cells, where LAPACK stebz missed by 3e-7."""
+    h = sym.domain_length / n
+    k = np.arange(-8, 8) + shift
+    exact = np.sort(8.0 * np.sin(math.pi * k / n) ** 2 / h**2 + 2.0 * l * l)[:8]
+    ev = _spec(validate(Case.GENERALIZED, 0, 0, 1), l, sym, n=n)
+    assert np.max(np.abs(ev - exact)) <= 1e-9
+
+
+def test_failed_factor_raises_before_iterating(monkeypatch):
+    """If B + I does not factor, the sector is reported and ARPACK never runs."""
+    import scipy.sparse.linalg
+
+    coefficients_of = spectral.sl_coefficients
+
+    def indefinite(t, l, y):
+        p, q, w = coefficients_of(t, l, y)
+        return p, q - 1e9, w
+
+    monkeypatch.setattr(spectral, "sl_coefficients", indefinite)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: pytest.fail("eigsh ran"))
+    with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
+        _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
+
+
 class TestAnchors:
     def test_clifford_ground_anchor_is_exact(self):
         # l = c = 1 with constant ground profile: the discretization is exact
@@ -288,6 +325,45 @@ class TestTakahashiResidual:
     def test_grid_precondition(self):
         with pytest.raises(ValueError):
             takahashi_residual(SUITE[0], 64)
+
+
+def _roll_stencil_residual(t, grid_n):
+    """The two-dimensional five-point residual max |Delta_h F - 2 F| on the
+    full grid_n x grid_n array of immersion values, by periodic rolls."""
+    co = coefficients(t)
+    h = 2.0 * math.pi / grid_n
+    x = h * np.arange(grid_n)
+    y = h * np.arange(grid_n)
+    xg, yg = np.meshgrid(x, y, indexing="ij")
+    F = immersion(t, xg, yg)
+    p_nodes = co.P(y)
+    p_plus = co.P(y + 0.5 * h)
+    t_coef = np.sqrt(2.0 / (co.q + 2.0 * p_nodes))  # sqrt(g) g^xx
+    s_plus = np.sqrt((co.q + 2.0 * p_plus) / 2.0)  # sqrt(g) g^yy at upper faces
+    s_minus = np.roll(s_plus, 1)
+    inv_sqrt_g = np.sqrt((co.q + 2.0 * p_nodes) / 2.0) / p_nodes
+    d2x = (np.roll(F, -1, axis=1) - 2.0 * F + np.roll(F, 1, axis=1)) / h**2
+    flux_y = (
+        s_plus[None, None, :] * (np.roll(F, -1, axis=2) - F)
+        - s_minus[None, None, :] * (F - np.roll(F, 1, axis=2))
+    ) / h**2
+    lap = -inv_sqrt_g[None, None, :] * (t_coef[None, None, :] * d2x + flux_y)
+    return float(np.max(np.abs(lap - 2.0 * F)))
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+@pytest.mark.parametrize(
+    "t", SUITE + [validate(Case.LAWSON, 3, 2)], ids=SUITE_IDS + ["tau_(3,2)"]
+)
+def test_separable_residual_matches_two_dimensional_stencil(t, n):
+    """The separable residual equals the 2-D stencil to 1e-9 relative, or to
+    the 2-D stencil's own rounding: its x-difference of float64 immersion
+    values of size <= 1 carries up to about 4 eps/h^2, which exceeds 1e-9
+    relative where the residual is ~1e-5 (T_(0,0,1) at 512: 1.3e-12)."""
+    h = 2.0 * math.pi / n
+    expected = _roll_stencil_residual(t, n)
+    got = takahashi_residual(t, n)
+    assert abs(got - expected) <= 1e-9 * expected + 4.0 * np.finfo(float).eps / h**2
 
 
 class TestCounting:

@@ -67,6 +67,20 @@ class TestRunVerification:
         assert len(calls) == len(set(calls)) == 2 * 4 * (13 + 2)
         assert sum(1 for n, _, _ in calls if n == 2048) == 4 * (13 + 2)
 
+    def test_interlacing_reports_the_l_max_it_used(self, monkeypatch):
+        """The reported l_max is the one interlacing_check ran with: one past c."""
+        check = verify.interlacing_check
+        used = []
+
+        def recorded(t, grid_n, l_max=None):
+            used.append(l_max)
+            return check(t, grid_n, l_max)
+
+        monkeypatch.setattr(verify, "interlacing_check", recorded)
+        report = run_verification(validate(Case.GENERALIZED, 1, 2, 3), grid_n=2048)
+        interlacing = next(c for c in report.checks if c.name == "interlacing")
+        assert used == [interlacing.values["l_max"]] == [4]
+
     @pytest.mark.parametrize("grid_n,rule", [(1024, ">= 2048"), (1030, "divisible by 4")])
     def test_grid_rule_checked_before_any_check(self, monkeypatch, grid_n, rule):
         """A grid the count rejects fails before the first check runs."""
