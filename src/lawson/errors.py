@@ -26,7 +26,7 @@ class SpectralError(LawsonError, RuntimeError):
 
 
 class EigensolverError(SpectralError):
-    """B + I of a sector failed to factor, ARPACK did not converge, or 2 is not bracketed."""
+    """B + I of a sector failed to factor, or ARPACK did not converge."""
 
 
 class IndeterminateCountError(SpectralError):

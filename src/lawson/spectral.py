@@ -29,10 +29,11 @@ flux) or D (odd reflection, zero value):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Sectors are solved by shift-invert Lanczos (ARPACK) over a LAPACK L D L^T
-factor of B + I: Sturm bisection (LAPACK stebz) was no faster on eigenvalue
-lists and less accurate at fine grids (5.9e-8 against 1.6e-10, Clifford
-torus, l = 0, grid 131072).  The minimality residual is separable, O(grid_n).
+Each sector is factored as B + I = L D L^T (LAPACK dpttrf).  Its inertia, the
+negative pivots of L D L^T - (x + 1) I by the stationary qds transform, counts
+N(2) as accurately as ARPACK finds eigenvalues; a Sturm count on B (LAPACK stebz)
+does not.  ARPACK shift-invert over the same factor gives the eigenvalues the
+checks read, 5 per sector.  The minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 _EIGSH_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
-_TABLE_COUNT = 8        # eigenvalues kept per (l, sector) for the verification checks
+_TABLE_COUNT = 5        # per (l, sector): interlacing reads up to lambda_4 of the union
 
 
 class Symmetry(enum.Enum):
@@ -163,17 +164,13 @@ def check_count_grid(grid_n: int) -> None:
         raise ValueError(f"grid_n must be >= 2048, got {grid_n}")
 
 
-def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> list[np.ndarray]:
-    """Lowest ``k`` eigenvalues, ascending, of each sector on [0, pi/2] at the cell width of
-    ``grid_n`` cells on the problem's domain, by shift-invert at sigma = -1 < all of them,
-    over an L D L^T factor of the SPD B + I; ARPACK's mode 3 reads ``op`` only for its shape."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+def _factors(problem: SLProblem, grid_n: int, sectors):
+    """Yield ``(where, d, e)`` per sector on [0, pi/2], cells as wide as ``grid_n`` on the domain:
+    dpttrf's B + I = L D L^T (pivots d, subdiagonal e of L), B the w^(-1/2)-symmetrized PSD matrix."""
+    from scipy.linalg.lapack import dpttrf
 
     sym = problem.symmetry
     m = _sector_cells(grid_n, sym)
-    if k >= m:
-        raise ValueError(f"count must be smaller than the sector size {m}, got {k}")
     h = sym.domain_length / grid_n
     # Faces at even, cell centres at odd indices of the half-grid.
     p, q, w = sl_coefficients(problem.triple, problem.l, 0.5 * h * np.arange(2 * m + 1))
@@ -181,8 +178,6 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> lis
     main = (pf[:-1] + pf[1:]) / h**2 + q[1::2]
     s = 1.0 / np.sqrt(w[1::2])  # w^(-1/2) symmetrizes; sectors differ only in the two ends
     off = -pf[1:m] / h**2 * s[:-1] * s[1:]
-    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(m)
-    spectra = []
     for sector in sectors:
         d = main.copy()
         d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
@@ -191,43 +186,67 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> lis
         where = f"grid_n={grid_n} (l={problem.l}, {sym.value}, sector {sector})"
         if info:
             raise EigensolverError(f"B + I is not positive definite at {where}")
+        yield where, ld, le
+
+
+def _count_below(d: np.ndarray, lld: np.ndarray, shifts) -> np.ndarray:
+    """Eigenvalues of B below each shift x, (shifts, columns), from factors of B + I in columns
+    (pivots d, lld = l_i^2 d_i): negative pivots of L D L^T - (x + 1) I by stationary qds, as in
+    LAPACK dlaneg.  A zero pivot makes s -inf; ``lowest`` keeps the next s / d+ at 1, not NaN."""
+    sigma = np.asarray(shifts, dtype=float)[:, None] + 1.0
+    s = np.repeat(-sigma, d.shape[1], axis=1)
+    neg = np.zeros(s.shape, dtype=int)
+    lowest = -np.finfo(float).max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d_i, lld_i in zip(d, lld):
+            dplus = d_i + s
+            neg += dplus < 0.0
+            s = np.maximum(s / dplus * lld_i - sigma, lowest)
+    return neg
+
+
+def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> np.ndarray:
+    """The lowest ``k`` eigenvalues of each sector, merged ascending: shift-invert at sigma = -1
+    over the factor of B + I (:func:`_factors`); ARPACK's mode 3 reads ``op`` only for its shape."""
+    from scipy.linalg.lapack import dpttrs
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+
+    m = _sector_cells(grid_n, problem.symmetry)
+    if k >= m:
+        raise ValueError(f"count must be smaller than the sector size {m}, got {k}")
+    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(m)
+    spectra = []
+    for where, ld, le in _factors(problem, grid_n, sectors):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         try:
             ev = eigsh(op, k, sigma=-1.0, which="LM", v0=v0, OPinv=op, return_eigenvectors=False)
         except (ArpackNoConvergence, ArpackError) as exc:
             raise EigensolverError(f"eigensolver failed to converge at {where}") from exc
-        spectra.append(np.sort(ev))
-    return spectra
+        spectra.append(ev)
+    return np.sort(np.concatenate(spectra))
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
     """Lowest ``count`` eigenvalues of the discretized pencil, ascending:
     the merged quarter-period sectors of the problem's symmetry."""
     ev = _sector_eigenvalues(problem, grid_n, _SYMMETRY_SECTORS[problem.symmetry], count)
-    return SpectrumResult(eigenvalues=np.sort(np.concatenate(ev))[:count])
+    return SpectrumResult(eigenvalues=ev[:count])
 
 
-# One table per (canonical triple, grid): the anchors, the count and the
-# interlacing check read it, and a deep verification keeps grid_n and 2 grid_n.
+# One table per (canonical triple, grid): the anchors, lambda_0 past the count's
+# cutoff and the interlacing check read it; a deep verification keeps grid_n and 2 grid_n.
 @functools.lru_cache(maxsize=2)
-def _table(t: Triple, grid_n: int) -> dict[tuple[float, str], np.ndarray]:
+def _table(t: Triple, grid_n: int) -> dict[float, np.ndarray]:
     return {}
 
 
-def _sectors(t: Triple, grid_n: int, l: float, sectors=_ALL_SECTORS) -> list[np.ndarray]:
-    """Lowest eigenvalues of the canonical triple's sectors at frequency l;
-    each (l, sector) is solved once per grid."""
-    table = _table(t, grid_n)
-    missing = [s for s in sectors if (l, s) not in table]
-    if missing:
-        solved = _sector_eigenvalues(sl_problem(t, l), grid_n, missing, _TABLE_COUNT)
-        table.update(((l, s), ev) for s, ev in zip(missing, solved))
-    return [table[l, s] for s in sectors]
-
-
 def _full(t: Triple, grid_n: int, l: float) -> np.ndarray:
-    """The full periodic spectrum of ``_sectors``, ascending."""
-    return np.sort(np.concatenate(_sectors(t, grid_n, l)))
+    """Lowest eigenvalues, ascending, of the canonical triple's full periodic spectrum
+    at frequency l: the four sectors, solved once per (l, grid)."""
+    table = _table(t, grid_n)
+    if l not in table:
+        table[l] = _sector_eigenvalues(sl_problem(t, l), grid_n, _ALL_SECTORS, _TABLE_COUNT)
+    return table[l]
 
 
 def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
@@ -366,7 +385,8 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     Counting is strict below 2 - epsilon with the guard epsilon
     calibrated at 10x the worst measured anchor residual (floor 1e-6),
     so the three continuum-exact eigenvalues straddling 2 under
-    discretization are never miscounted.  A spectrum value inside the
+    discretization are never miscounted.  Counts are the inertia of the
+    sectors' L D L^T factors at 2 -/+ epsilon; an eigenvalue inside the
     guard window at a frequency where no anchor lives raises
     :class:`IndeterminateCountError`.
     """
@@ -384,24 +404,22 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     if abs(c_real - round(c_real)) < 1e-12:
         anchor_freqs.add(int(round(c_real)))
 
-    total = 0
-    per_l = []
+    per = len(by_parity[0])
+    d = np.empty((grid_n // 4, (l_stop + 1) * per))  # one column per counted (l, sector)
+    lld = np.zeros_like(d)  # the last cell has no l_i
     for l in range(l_stop + 1):
-        sectors = _sectors(t, grid_n, l, by_parity[l % 2])
-        if any(ev[-1] <= 2.0 + eps for ev in sectors):
-            raise EigensolverError(
-                f"{_TABLE_COUNT} eigenvalues per sector do not bracket 2 at l={l}, grid_n={grid_n}"
-            )
-        ev = np.sort(np.concatenate(sectors))
-        cnt = int(np.sum(ev < 2.0 - eps))
-        in_window = ev[(ev >= 2.0 - eps) & (ev <= 2.0 + eps)]
-        if in_window.size and l not in anchor_freqs:
+        factors = _factors(sl_problem(t, l), grid_n, by_parity[l % 2])
+        for col, (_, ld, le) in enumerate(factors, l * per):
+            d[:, col], lld[:-1, col] = ld, le * le * ld[:-1]
+    below, upto = _count_below(d, lld, (2.0 - eps, 2.0 + eps)).reshape(2, -1, per).sum(axis=2)
+    for l in np.flatnonzero(upto > below):
+        if l not in anchor_freqs:
             raise IndeterminateCountError(
-                f"indeterminate count; refine grid (eigenvalue {in_window[0]:.9f} "
+                f"indeterminate count; refine grid ({upto[l] - below[l]} eigenvalue(s) "
                 f"within {eps:.2e} of 2 at non-anchor l={l}, grid_n={grid_n})"
             )
-        per_l.append((l, cnt))
-        total += cnt if l == 0 else 2 * cnt
+    per_l = tuple(enumerate(below.tolist()))
+    total = 2 * sum(below.tolist()) - per_l[0][1]
 
     beyond = float(_full(t, grid_n, l_stop + 1)[0])
     if beyond <= 2.0:
@@ -409,14 +427,8 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
             f"indeterminate count; refine grid (lambda_0({l_stop + 1}) = {beyond:.9f} "
             "did not clear the cutoff bound 2)"
         )
-    return CountReport(
-        n2=total,
-        per_l_counts=tuple(per_l),
-        epsilon=eps,
-        j_closed=j_closed,
-        agree=total == j_closed,
-        lambda0_beyond=beyond,
-    )
+    return CountReport(n2=total, per_l_counts=per_l, epsilon=eps, j_closed=j_closed,
+                       agree=total == j_closed, lambda0_beyond=beyond)
 
 
 def interlacing_l_max(t: Triple) -> int:
@@ -437,14 +449,7 @@ def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None,
     t = canonicalize(t)
     if l_max is None:
         l_max = interlacing_l_max(t)
-    spectra = [_full(t, grid_n, l) for l in range(l_max + 1)]
-    for ev in spectra:
-        strict = (ev[1] - ev[0] > tol) and (ev[3] - ev[2] > tol)
-        loose = (ev[2] - ev[1] > -tol) and (ev[4] - ev[3] > -tol)
-        if not (strict and loose):
-            return False
-    for i in range(4):
-        for l in range(l_max):
-            if not spectra[l + 1][i] - spectra[l][i] > tol:
-                return False
-    return True
+    ev = np.array([_full(t, grid_n, l)[:5] for l in range(l_max + 1)])
+    gap = np.diff(ev, axis=1)  # strict at lambda_1 - lambda_0 and lambda_3 - lambda_2
+    return bool(np.all(gap[:, 0::2] > tol) and np.all(gap[:, 1::2] > -tol)
+                and np.all(np.diff(ev[:, :4], axis=0) > tol))

@@ -101,12 +101,13 @@ class Phi(enum.Enum):
     PHI2 = "phi2"  # (x, y) -> (x + pi, -y)
     PHI3 = "phi3"  # (x, y) -> (x + pi, y + pi)
 
-    def apply(self, x, y):
+    def apply(self, x, y, half=math.pi):
+        """The map on points, or on grid indices with ``half`` the index of pi."""
         if self is Phi.PHI1:
-            return x + math.pi, math.pi - y
+            return x + half, half - y
         if self is Phi.PHI2:
-            return x + math.pi, -y
-        return x + math.pi, y + math.pi
+            return x + half, -y
+        return x + half, y + half
 
 
 @dataclass(frozen=True)
@@ -493,15 +494,19 @@ def symmetry_residual(t: Triple, phi: Phi, n: int = 32) -> float:
     """max over an n x n grid of |F(Phi(x, y)) - F(x, y)| in R^6.
 
     At most machine-zero when phi is the surface's identification,
-    order-one otherwise.
+    order-one otherwise.  With n even, Phi maps the grid onto itself, so F
+    is evaluated once, with each phase l x_i = 2 pi (l i mod n) / n reduced
+    exactly for integer l, and compared with its permutation.
     """
-    if n < 16:
-        raise ValueError(f"n must be >= 16, got {n}")
-    x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    y = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    xg, yg = np.meshgrid(x, y, indexing="ij")
-    xt, yt = phi.apply(xg, yg)
-    diff = immersion(t, xt, yt) - immersion(t, xg, yg)
+    if n < 16 or n % 2:
+        raise ValueError(f"n must be even and >= 16, got {n}")
+    i = np.arange(n)
+    profiles = immersion(t, 0.0, 2.0 * math.pi * i / n)[1::2]  # cos rows at x = 0: f1, f2, f3
+    phases = [2.0 * math.pi / n * (int(l) * i % n if float(l).is_integer() else l * i)
+              for l in (t.a, t.b, t.c_real)]
+    F = np.array([trig(x)[:, None] * f for x, f in zip(phases, profiles) for trig in (np.sin, np.cos)])
+    xi, yj = phi.apply(i, i, n // 2)
+    diff = F[:, xi % n][:, :, yj % n] - F
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
 
 

@@ -16,6 +16,7 @@ from lawson import (
     coefficients,
     count_N2,
     eq35_residual,
+    expected_symmetry,
     immersion,
     interlacing_check,
     lame_residual,
@@ -237,6 +238,99 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: pytest.fail("eigsh ran"))
     with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
+
+
+def _dense_sector(t, l, n, sector):
+    """The w^(-1/2)-symmetrized matrix of one quarter-period sector of the
+    full-periodic grid n, assembled densely: m = n/4 cells of width 2 pi/n on
+    [0, pi/2]; an N end reflects evenly (no flux), a D end oddly (twice it)."""
+    h, m = 2 * math.pi / n, n // 4
+    pf = sl_coefficients(t, l, h * np.arange(m + 1))[0]
+    _, q, w = sl_coefficients(t, l, h * (np.arange(m) + 0.5))
+    A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
+    A[0, 0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
+    A[-1, -1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
+    i = np.arange(m - 1)
+    A[i, i + 1] = A[i + 1, i] = -pf[1:m] / h**2
+    d = 1.0 / np.sqrt(w)
+    return d[:, None] * A * d[None, :]
+
+
+def _columns(factors):
+    """Pivots d and l_i^2 d_i of (where, d, e) factors as (cells, columns) arrays."""
+    d = np.array([ld for _, ld, _ in factors]).T
+    lld = np.zeros_like(d)
+    lld[:-1] = np.array([le * le * ld[:-1] for _, ld, le in factors]).T
+    return d, lld
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def test_inertia_count_matches_dense_eigenvalues(t, n):
+    """The qds count on the L D L^T factor of each sector (m = 64..256 cells)
+    equals the count of dense eigvalsh eigenvalues below the shift, at midpoints
+    of the spectrum, at 2, beyond both ends, and at the shift that makes the
+    first pivot exactly 0 (so s becomes -inf for the next cell)."""
+    for l in sorted({0, 1, math.floor(t.c_real)}):
+        factors = list(spectral._factors(sl_problem(t, l), n, spectral._ALL_SECTORS))
+        d, lld = _columns(factors)
+        for col, sector in enumerate(spectral._ALL_SECTORS):
+            ev = np.linalg.eigvalsh(_dense_sector(t, l, n, sector))
+            j = np.array([0, 1, 2, 3, len(ev) // 2, len(ev) - 2])
+            zero_pivot = d[0, col] - 1.0
+            assert zero_pivot + 1.0 == d[0, col]
+            shifts = np.concatenate([(ev[j] + ev[j + 1]) / 2,
+                                     [ev[0] - 1.0, ev[-1] + 1.0, 2.0, zero_pivot]])
+            got = spectral._count_below(d[:, [col]], lld[:, [col]], shifts)[:, 0]
+            assert got.tolist() == np.searchsorted(ev, shifts).tolist()
+
+
+def _list_counts(t, n, eps):
+    """The former count: per l, the eigenvalues below 2 - eps in ARPACK lists of
+    8 per counted sector, each list reaching past 2 + eps."""
+    by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
+    counts = []
+    for l in range(math.floor(t.c_real + 1e-9) + 1):
+        problem = sl_problem(t, l)
+        lists = [spectral._sector_eigenvalues(problem, n, (s,), 8) for s in by_parity[l % 2]]
+        assert all(ev[-1] > 2.0 + eps for ev in lists)
+        counts.append((l, sum(int(np.sum(ev < 2.0 - eps)) for ev in lists)))
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def test_inertia_counts_match_eigenvalue_lists(t, n):
+    report = count_N2(t, n)
+    assert report.per_l_counts == _list_counts(t, n, report.epsilon)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_clifford_inertia_count_at_fine_grid(l):
+    """T_(0,0,1) at full-periodic 131072 (sectors of 32768 cells): the count jumps
+    within 1e-9 of each closed-form eigenvalue 8 sin^2(pi k/n)/h^2 + 2 l^2, so
+    bisecting it recovers them to 1e-9.  A Sturm count on the symmetrized
+    matrix itself misses them by about 1.2e-7."""
+    n = 131072
+    h = 2 * math.pi / n
+    exact = np.sort(8.0 * np.sin(math.pi * np.arange(-4, 5) / n) ** 2 / h**2 + 2.0 * l * l)
+    values = exact[::2]  # k = 0, then one of each pair +-k
+    problem = sl_problem(validate(Case.GENERALIZED, 0, 0, 1), l)
+    d, lld = _columns(list(spectral._factors(problem, n, spectral._ALL_SECTORS)))
+    shifts = np.concatenate([values - 1e-9, values + 1e-9])
+    below, upto = spectral._count_below(d, lld, shifts).sum(axis=1).reshape(2, -1)
+    assert below.tolist() == [0, 1, 3, 5, 7]
+    assert upto.tolist() == [1, 3, 5, 7, 9]
+
+
+def test_indeterminate_window_at_non_anchor_frequency(monkeypatch):
+    """A guard wide enough to hold an eigenvalue at a frequency without an anchor
+    makes the count indeterminate and names that frequency and the grid:
+    T_(3,4,6) has lambda = 1.5054 at l = 1; its anchors live at l = 3, 4, 6."""
+    monkeypatch.setattr(spectral, "anchor_check", lambda t, grid_n: (0.05, 0.0, 0.0))
+    message = r"within 5\.00e-01 of 2 at non-anchor l=1, grid_n=2048"
+    with pytest.raises(IndeterminateCountError, match=message):
+        count_N2(validate(Case.GENERALIZED, 3, 4, 6), 2048)
 
 
 class TestAnchors:

@@ -393,8 +393,14 @@ class TestSymmetry:
     def test_expected_identification(self, case, params, phi):
         assert expected_symmetry(validate(case, *params)) is phi
 
-    @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+    @pytest.mark.parametrize(
+        "t",
+        SUITE + [validate(Case.GENERALIZED, 1, 2, 1500), validate(Case.GENERALIZED, 1, 4, 5000)],
+        ids=SUITE_IDS + ["T_(1,2,1500)", "T_(1,4,5000)"],
+    )
     def test_dichotomy(self, t):
+        """The match stays at roundoff for large c: unreduced phases c x lose
+        about c ulp (1.1e-12 at c = 1500, 2.7e-12 at c = 5000)."""
         expected = expected_symmetry(t)
         for phi in Phi:
             r = symmetry_residual(t, phi, 32)
@@ -406,6 +412,8 @@ class TestSymmetry:
     def test_grid_precondition(self):
         with pytest.raises(ValueError):
             symmetry_residual(SUITE[0], Phi.PHI1, 8)
+        with pytest.raises(ValueError, match="even"):
+            symmetry_residual(SUITE[0], Phi.PHI1, 33)
 
 
 class TestInjectivity:

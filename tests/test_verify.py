@@ -52,7 +52,8 @@ class TestRunVerification:
 
     def test_each_sector_solved_once_per_grid(self, monkeypatch):
         """Anchors, count and interlacing share one table per grid: T_(5,7,13)
-        needs l = 0..14 in four sectors, once at grid_n and once at 2 grid_n."""
+        needs l = 0..14 in four sectors at grid_n; the count at 2 grid_n reads
+        eigenvalues only at the anchors l = 5, 7, 13 and for lambda_0 at l = 14."""
         solve = spectral._sector_eigenvalues
         calls = []
 
@@ -64,8 +65,9 @@ class TestRunVerification:
         spectral._table.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
-        assert len(calls) == len(set(calls)) == 2 * 4 * (13 + 2)
+        assert len(calls) == len(set(calls)) == 4 * (13 + 2) + 4 * 4
         assert sum(1 for n, _, _ in calls if n == 2048) == 4 * (13 + 2)
+        assert {l for n, l, _ in calls if n == 4096} == {5, 7, 13, 14}
 
     def test_interlacing_reports_the_l_max_it_used(self, monkeypatch):
         """The reported l_max is the one interlacing_check ran with: one past c."""
