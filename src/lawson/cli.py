@@ -60,8 +60,7 @@ class _Parser(argparse.ArgumentParser):
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite float in output: {x!r}")
-    s = format(x, ".17g")
-    return s
+    return format(x, ".17g")
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -151,7 +150,7 @@ def _parse_triple(args) -> Triple:
 
 
 def _grid(args) -> int:
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         return args.grid
     env = os.environ.get("LAWSON_GRID_N")
     if env:
@@ -200,8 +199,7 @@ def cmd_verify(args) -> int:
             for c in report.checks
         ],
     }
-    env = _envelope("verify", t, payload, report.tolerances(), report.status)
-    _emit(env, args.format)
+    _emit(_envelope("verify", t, payload, report.tolerances(), report.status), args.format)
     if report.status == "indeterminate":
         return EXIT_NUMERIC
     return EXIT_OK if report.status == "ok" else EXIT_VERIFICATION_FAILED

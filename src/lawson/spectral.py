@@ -33,7 +33,8 @@ Each sector is factored as B + I = L D L^T (LAPACK dpttrf).  Its inertia, the
 negative pivots of L D L^T - (x + 1) I by the stationary qds transform, counts
 N(2) as accurately as ARPACK finds eigenvalues; a Sturm count on B (LAPACK stebz)
 does not.  ARPACK shift-invert over the same factor gives the eigenvalues the
-checks read, 5 per sector.  The minimality residual is separable, O(grid_n).
+checks read, 4 per sector, nondecreasing in l even in floating point, which
+brackets interlacing.  The minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -80,7 +81,8 @@ __all__ = [
 ]
 
 _EIGSH_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
-_TABLE_COUNT = 5        # per (l, sector): interlacing reads up to lambda_4 of the union
+_TABLE_COUNT = 4        # per (l, sector): interlacing reads up to lambda_3 of the union
+INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps and of the order across l
 
 
 class Symmetry(enum.Enum):
@@ -233,20 +235,10 @@ def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResu
     return SpectrumResult(eigenvalues=ev[:count])
 
 
-# One table per (canonical triple, grid): the anchors, lambda_0 past the count's
-# cutoff and the interlacing check read it; a deep verification keeps grid_n and 2 grid_n.
-@functools.lru_cache(maxsize=2)
-def _table(t: Triple, grid_n: int) -> dict[float, np.ndarray]:
-    return {}
-
-
+@functools.lru_cache
 def _full(t: Triple, grid_n: int, l: float) -> np.ndarray:
-    """Lowest eigenvalues, ascending, of the canonical triple's full periodic spectrum
-    at frequency l: the four sectors, solved once per (l, grid)."""
-    table = _table(t, grid_n)
-    if l not in table:
-        table[l] = _sector_eigenvalues(sl_problem(t, l), grid_n, _ALL_SECTORS, _TABLE_COUNT)
-    return table[l]
+    """Lowest eigenvalues, ascending, of the canonical triple's full periodic spectrum at l."""
+    return _sector_eigenvalues(sl_problem(t, l), grid_n, _ALL_SECTORS, _TABLE_COUNT)
 
 
 def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
@@ -436,20 +428,28 @@ def interlacing_l_max(t: Triple) -> int:
     return int(math.floor(t.c_real)) + 1
 
 
-def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None,
-                      tol: float = 1e-6) -> bool:
-    """Numerically confirm the two oscillation-theory eigenvalue orderings.
+def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -> bool:
+    """Confirm the oscillation orderings numerically for l = 0..l_max.
 
-    Within each full periodic spectrum: lambda_0 < lambda_1 <= lambda_2
-    < lambda_3 <= lambda_4; across frequencies, lambda_i(l) is strictly
-    increasing in l for i <= 3.  Strict inequalities are required to hold
-    with margin ``tol``; the possibly-degenerate pairs only up to -tol.
-    ``grid_n`` must be divisible by 4.
+    The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at
+    every l, and each lambda_i, i <= 3, rises by more than it between solved frequencies.
+    Every rounded step of the diagonal (2 l^2 / root, + main, +- end, (d s) s with s > 0,
+    + 1) is nondecreasing in l^2 and the off-diagonal does not depend on l, so by Weyl each
+    lambda_i is nondecreasing in l: on [l_a, l_b], lambda_1 - lambda_0 >= lambda_1(l_a) -
+    lambda_0(l_b), likewise lambda_3 - lambda_2.  Solving l = 0, l_max and the midpoints of
+    failed brackets solves every l whose gap fails; like a sweep of every l, the check
+    inherits the solver error of two eigenvalues.  ``grid_n`` must be divisible by 4.
     """
     t = canonicalize(t)
-    if l_max is None:
-        l_max = interlacing_l_max(t)
-    ev = np.array([_full(t, grid_n, l)[:5] for l in range(l_max + 1)])
-    gap = np.diff(ev, axis=1)  # strict at lambda_1 - lambda_0 and lambda_3 - lambda_2
-    return bool(np.all(gap[:, 0::2] > tol) and np.all(gap[:, 1::2] > -tol)
-                and np.all(np.diff(ev[:, :4], axis=0) > tol))
+    l_max = interlacing_l_max(t) if l_max is None else l_max
+    ev = {l: _full(t, grid_n, l)[:4] for l in (0, l_max)}
+    pending = [(0, l_max)]
+    while pending:
+        la, lb = pending.pop()
+        mid = (la + lb) // 2
+        if mid > la and min(ev[la][1::2] - ev[lb][0::2]) <= INTERLACING_TOL:
+            ev[mid] = _full(t, grid_n, mid)[:4]
+            pending += [(la, mid), (mid, lb)]
+    ev = np.array([ev[l] for l in sorted(ev)])
+    return bool(np.all(ev[:, 1::2] - ev[:, 0::2] > INTERLACING_TOL)
+                and np.all(np.diff(ev, axis=0) > INTERLACING_TOL))

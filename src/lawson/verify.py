@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import SpectralError
 from .spectral import (
+    INTERLACING_TOL,
     anchor_check,
     check_count_grid,
     count_N2,
@@ -216,7 +217,7 @@ def _interlacing_check(t: Triple, grid_n: int) -> CheckResult:
         name="interlacing",
         passed=ok,
         values={"l_max": l_max, "holds": ok},
-        tolerance="strict gaps > 1e-06",
+        tolerance=f"strict gaps > {INTERLACING_TOL:g}",
     )
 
 

@@ -142,6 +142,14 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "divisible by 4" in err
 
+    @pytest.mark.parametrize("command", [("verify", "1", "2", "3"), ("spectrum", "0", "0", "1")])
+    def test_explicit_grid_zero_rejected(self, capsys, command):
+        """An explicit --grid 0 fails the grid rule; it does not fall back to the default grid."""
+        code, out, err = run(capsys, *command, "--grid", "0")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "got 0" in err
+
     def test_failing_check_exits_2(self, capsys, monkeypatch):
         # force the unit-norm check to fail: exit code 2 and status "fail"
         import lawson.verify as verify_mod

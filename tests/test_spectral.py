@@ -514,3 +514,78 @@ class TestInterlacing:
 
     def test_subcase_ii_wide(self):
         assert interlacing_check(validate(Case.GENERALIZED, 1, 2, 4), 1024, l_max=6)
+
+    @pytest.mark.parametrize("params", [(1, 2, 1500), (1, 4, 5000)])
+    def test_high_frequency_triples(self, params):
+        """The step lambda_i(l+1) - lambda_i(l) is about (2l + 1)/max P, below 1e-6 for
+        c >~ 1415, so a sweep of every l fails there; the solved frequencies are far apart."""
+        assert interlacing_check(validate(Case.GENERALIZED, *params), 2048)
+
+
+@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
+    """The fact interlacing's brackets rest on: from l to l + 1 the diagonal that dpttrf
+    factors is elementwise nondecreasing and the off-diagonal is unchanged, in every sector."""
+    import scipy.linalg.lapack
+
+    dpttrf = scipy.linalg.lapack.dpttrf
+    seen = []
+
+    def recorded(d, e):
+        seen.append((d.copy(), e.copy()))
+        return dpttrf(d, e)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", recorded)
+    l_max = spectral.interlacing_l_max(t)
+    for l in range(l_max + 1):
+        list(spectral._factors(sl_problem(t, l), 2048, ("NN", "ND", "DN", "DD")))
+    assert len(seen) == 4 * (l_max + 1)
+    for (d0, e0), (d1, e1) in zip(seen, seen[4:]):
+        assert np.all(d1 >= d0)
+        assert np.array_equal(e1, e0)
+
+
+def _synthetic_full(l_star, offset, solved):
+    """A stand-in for ``_full``: lambda_0 = l/1000, lambda_1 = lambda_2 = lambda_0 + offset
+    + |l - l_star|/2000, lambda_3 = lambda_4 = lambda_2 + 1, each nondecreasing in l; with
+    offset 0 the only failing strict gap is lambda_1 - lambda_0 = 0 at l_star."""
+
+    def full(t, grid_n, l):
+        solved.append(l)
+        lam0 = l / 1000
+        lam1 = lam0 + offset + abs(l - l_star) / 2000
+        return np.array([lam0, lam1, lam1, lam1 + 1.0, lam1 + 1.0])
+
+    return full
+
+
+def _sweep_interlacing(full, t, grid_n, l_max, tol=1e-6):
+    """The former check, kept as the reference: every l = 0..l_max solved."""
+    ev = np.array([full(t, grid_n, l)[:5] for l in range(l_max + 1)])
+    gap = np.diff(ev, axis=1)  # strict at lambda_1 - lambda_0 and lambda_3 - lambda_2
+    return bool(np.all(gap[:, 0::2] > tol) and np.all(gap[:, 1::2] > -tol)
+                and np.all(np.diff(ev[:, :4], axis=0) > tol))
+
+
+@pytest.mark.parametrize("offset,holds", [(0.0, False), (1.0, True)])
+def test_brackets_find_an_interior_failure(monkeypatch, offset, holds):
+    """l_max = 151, the failing gap at l = 40: neither an end nor the first midpoint 75."""
+    t, solved = validate(Case.GENERALIZED, 1, 2, 150), []
+    full = _synthetic_full(40, offset, solved)
+    ev = np.array([full(t, 2048, l) for l in range(152)])
+    assert np.all(np.diff(ev, axis=0) >= 0.0)
+    assert _sweep_interlacing(full, t, 2048, 151) is holds
+    solved.clear()
+    monkeypatch.setattr(spectral, "_full", full)
+    assert interlacing_check(t, 2048) is holds
+    if holds:
+        assert len(solved) <= 3  # of 152 frequencies
+    else:
+        assert 40 in solved
+
+
+@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def test_brackets_agree_with_every_l_sweep(t):
+    """On the same eigenvalues, the brackets give the verdict of the sweep of every l."""
+    l_max = spectral.interlacing_l_max(t)
+    assert interlacing_check(t, 2048) == _sweep_interlacing(spectral._full, t, 2048, l_max)

@@ -51,9 +51,9 @@ class TestRunVerification:
         assert "1e-10" in tolerances["separated_ode"]
 
     def test_each_sector_solved_once_per_grid(self, monkeypatch):
-        """Anchors, count and interlacing share one table per grid: T_(5,7,13)
-        needs l = 0..14 in four sectors at grid_n; the count at 2 grid_n reads
-        eigenvalues only at the anchors l = 5, 7, 13 and for lambda_0 at l = 14."""
+        """Anchors, count and interlacing share one solve per (l, grid): T_(5,7,13) needs
+        the anchors l = 5, 7, 13 and lambda_0 at l = 14 at both grids, and interlacing's
+        brackets add l = 0 and 10 at grid_n."""
         solve = spectral._sector_eigenvalues
         calls = []
 
@@ -62,11 +62,11 @@ class TestRunVerification:
             return solve(problem, grid_n, sectors, k)
 
         monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
-        spectral._table.cache_clear()
+        spectral._full.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
-        assert len(calls) == len(set(calls)) == 4 * (13 + 2) + 4 * 4
-        assert sum(1 for n, _, _ in calls if n == 2048) == 4 * (13 + 2)
+        assert len(calls) == len(set(calls)) == 4 * 6 + 4 * 4
+        assert {l for n, l, _ in calls if n == 2048} == {0, 5, 7, 10, 13, 14}
         assert {l for n, l, _ in calls if n == 4096} == {5, 7, 13, 14}
 
     def test_interlacing_reports_the_l_max_it_used(self, monkeypatch):
