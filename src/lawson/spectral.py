@@ -33,8 +33,9 @@ Each sector is factored as B + I = L D L^T (LAPACK dpttrf).  Its inertia, the
 negative pivots of L D L^T - (x + 1) I by the stationary qds transform, counts
 N(2) as accurately as ARPACK finds eigenvalues; a Sturm count on B (LAPACK stebz)
 does not.  ARPACK shift-invert over the same factor gives the eigenvalues the
-checks read, 4 per sector, nondecreasing in l even in floating point, which
-brackets interlacing.  The minimality residual is separable, O(grid_n).
+checks read, the lowest 4 of the union, nondecreasing in l even in floating
+point, which brackets interlacing; each sector is asked only for the share of
+a list the merge can hold.  The minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -81,7 +82,7 @@ __all__ = [
 ]
 
 _EIGSH_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
-_TABLE_COUNT = 4        # per (l, sector): interlacing reads up to lambda_3 of the union
+_TABLE_COUNT = 4        # of the union per l: interlacing reads up to lambda_3
 INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps and of the order across l
 
 
@@ -207,32 +208,43 @@ def _count_below(d: np.ndarray, lld: np.ndarray, shifts) -> np.ndarray:
     return neg
 
 
-def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, k: int) -> np.ndarray:
-    """The lowest ``k`` eigenvalues of each sector, merged ascending: shift-invert at sigma = -1
-    over the factor of B + I (:func:`_factors`); ARPACK's mode 3 reads ``op`` only for its shape."""
+def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of the union of the sectors, ascending: shift-invert at
+    sigma = -1 over the factor of B + I (:func:`_factors`); ARPACK's mode 3 reads ``op`` only for
+    its shape.  Each sector is first asked for ceil(count / sectors) + 1 eigenvalues (ARPACK's
+    default ncv = 20 finds k <= 4 without a restart).  Let v be the count-th of their merge: a
+    sector whose largest computed eigenvalue is >= v has no uncomputed one below v, so only a
+    sector whose largest is < v is solved again for all ``count``."""
     from scipy.linalg.lapack import dpttrs
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     m = _sector_cells(grid_n, problem.symmetry)
-    if k >= m:
-        raise ValueError(f"count must be smaller than the sector size {m}, got {k}")
+    if not 1 <= count < m:
+        raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(m)
-    spectra = []
-    for where, ld, le in _factors(problem, grid_n, sectors):
+
+    def lowest(where, ld, le, k):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         try:
-            ev = eigsh(op, k, sigma=-1.0, which="LM", v0=v0, OPinv=op, return_eigenvectors=False)
+            return eigsh(op, k, sigma=-1.0, which="LM", v0=v0, OPinv=op, return_eigenvectors=False)
         except (ArpackNoConvergence, ArpackError) as exc:
             raise EigensolverError(f"eigensolver failed to converge at {where}") from exc
-        spectra.append(ev)
-    return np.sort(np.concatenate(spectra))
+
+    factors = list(_factors(problem, grid_n, sectors))
+    k = min(count, -(-count // len(sectors)) + 1)
+    spectra = [lowest(*f, k) for f in factors]
+    v = np.sort(np.concatenate(spectra))[count - 1]
+    spectra = [lowest(*f, count) if k < count and ev.max() < v else ev
+               for f, ev in zip(factors, spectra)]
+    return np.sort(np.concatenate(spectra))[:count]
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
-    """Lowest ``count`` eigenvalues of the discretized pencil, ascending:
-    the merged quarter-period sectors of the problem's symmetry."""
+    """Lowest ``count`` eigenvalues of the discretized pencil, ascending: the merged
+    quarter-period sectors of the problem's symmetry.  ``count`` must be at least 1 and
+    below the sector size."""
     ev = _sector_eigenvalues(problem, grid_n, _SYMMETRY_SECTORS[problem.symmetry], count)
-    return SpectrumResult(eigenvalues=ev[:count])
+    return SpectrumResult(eigenvalues=ev)
 
 
 @functools.lru_cache

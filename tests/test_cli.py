@@ -199,6 +199,14 @@ class TestSpectrum:
         assert ev[0] == pytest.approx(2.0, abs=1e-4)
         assert ev[1] == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_rejected(self, capsys, count):
+        """The eigenvalue count is checked before any solve, and the message names it."""
+        code, out, err = run(capsys, "spectrum", "1", "2", "3", "--count", count)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "count must be >= 1" in err and f"got {count}" in err
+
 
 class TestExport:
     def test_csv_rows_are_unit_norm(self, capsys, tmp_path):

@@ -170,18 +170,26 @@ class TestDiscreteSpectra:
             assert merged == pytest.approx(full, abs=1e-6)
 
 
-def _dense_oracle(t, l, n, antiperiodic):
-    """Lowest 12 eigenvalues of the whole-domain matrix, assembled densely:
-    [0, 2 pi) with periodic corner entries, or [0, pi) with sign-flipped
-    (antiperiodic) corners, symmetrized with W^(-1/2)."""
-    h = (math.pi if antiperiodic else 2 * math.pi) / n
+def _dense_oracle(t, l, n, sym):
+    """Lowest 12 eigenvalues of the whole-domain matrix of n cells, assembled densely:
+    [0, 2 pi) or [0, pi) with periodic corner entries, [0, pi) with sign-flipped
+    (antiperiodic) corners, or [0, pi] with zero flux (even-in-y: an end loses its
+    face) or zero value (odd-in-y: an end face doubles) at both ends, symmetrized
+    with W^(-1/2)."""
+    h = sym.domain_length / n
     pf = sl_coefficients(t, l, h * np.arange(n + 1))[0]
     nodes = h * (np.arange(n) + 0.5)
     _, q, w = sl_coefficients(t, l, nodes)
     A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
     i = np.arange(n - 1)
     A[i, i + 1] = A[i + 1, i] = -pf[1:n] / h**2
-    A[0, n - 1] = A[n - 1, 0] = (1.0 if antiperiodic else -1.0) * pf[0] / h**2
+    if sym in (Symmetry.EVEN_Y, Symmetry.ODD_Y):
+        end = 1.0 if sym is Symmetry.ODD_Y else -1.0
+        A[0, 0] += end * pf[0] / h**2
+        A[-1, -1] += end * pf[n] / h**2
+    else:
+        corner = 1.0 if sym is Symmetry.PI_ANTIPERIODIC else -1.0
+        A[0, n - 1] = A[n - 1, 0] = corner * pf[0] / h**2
     d = 1.0 / np.sqrt(w)
     return np.linalg.eigvalsh(d[:, None] * A * d[None, :])[:12]
 
@@ -198,12 +206,49 @@ def _dense_oracle(t, l, n, antiperiodic):
     ids=lambda t: t.label(),
 )
 def test_sectors_match_dense_whole_domain_matrix(t, n):
-    """The merged quarter-period sectors reproduce the dense eigenvalues of
-    the periodic and antiperiodic matrices they decompose."""
+    """The merged quarter-period sectors reproduce the dense eigenvalues of the
+    whole-domain matrices they decompose, for every symmetry.  A list of 12 asks
+    each of two sectors for 7 and each of four for 4."""
     for l in sorted({0, 1, math.floor(t.c_real)}):
-        for sym, anti in ((Symmetry.FULL_PERIODIC, False), (Symmetry.PI_ANTIPERIODIC, True)):
+        for sym in Symmetry:
             ev = _spec(t, l, sym, n=n, count=12)
-            assert np.max(np.abs(ev - _dense_oracle(t, l, n, anti))) <= 1e-9
+            assert np.max(np.abs(ev - _dense_oracle(t, l, n, sym))) <= 1e-9
+
+
+def _untrimmed_merge(problem, n, count):
+    """The reference list: every sector of the symmetry solved for all ``count``
+    eigenvalues by ARPACK shift-invert over its factor, merged, lowest ``count``."""
+    from scipy.linalg.lapack import dpttrs
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    m = spectral._sector_cells(n, problem.symmetry)
+    v0 = np.random.default_rng(spectral._EIGSH_SEED).standard_normal(m)
+    spectra = []
+    for _, ld, le in spectral._factors(problem, n, spectral._SYMMETRY_SECTORS[problem.symmetry]):
+        op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
+        spectra.append(eigsh(op, count, sigma=-1.0, which="LM", v0=v0, OPinv=op,
+                             return_eigenvectors=False))
+    return np.sort(np.concatenate(spectra))[:count]
+
+
+@pytest.mark.parametrize("sym,lowered", [(Symmetry.FULL_PERIODIC, "DN"), (Symmetry.EVEN_Y, "ND")],
+                         ids=["full", "even"])
+def test_sector_holding_the_whole_list_is_solved_again(monkeypatch, sym, lowered):
+    """One sector's factor is scaled to that of 1e-3 (B + I), so its spectrum 1e-3 (mu + 1) - 1
+    sits below -0.5 and holds all 8 values of the list, far more than the 3 (of four sectors)
+    or 5 (of two) first asked of it: the list equals the untrimmed merge only if that sector
+    is solved again."""
+    factors = spectral._factors
+
+    def lowered_factors(problem, grid_n, sectors):
+        for where, ld, le in factors(problem, grid_n, sectors):
+            yield where, ld * (1e-3 if where.endswith(f"sector {lowered})") else 1.0), le
+
+    monkeypatch.setattr(spectral, "_factors", lowered_factors)
+    problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), 1, sym)
+    ev = sl_spectrum(problem, 1024).eigenvalues
+    assert np.all(ev < -0.5)
+    assert np.max(np.abs(ev - _untrimmed_merge(problem, 1024, 8))) <= 1e-12
 
 
 @pytest.mark.parametrize("l", [0, 1])

@@ -53,21 +53,33 @@ class TestRunVerification:
     def test_each_sector_solved_once_per_grid(self, monkeypatch):
         """Anchors, count and interlacing share one solve per (l, grid): T_(5,7,13) needs
         the anchors l = 5, 7, 13 and lambda_0 at l = 14 at both grids, and interlacing's
-        brackets add l = 0 and 10 at grid_n."""
-        solve = spectral._sector_eigenvalues
-        calls = []
+        brackets add l = 0 and 10 at grid_n.  Each sector is asked once, for 2 of the 4
+        eigenvalues of the union, and never solved again."""
+        import scipy.sparse.linalg
 
-        def counted(problem, grid_n, sectors, k):
-            calls.extend((grid_n, problem.l, sector) for sector in sectors)
-            return solve(problem, grid_n, sectors, k)
+        solve, eigsh = spectral._sector_eigenvalues, scipy.sparse.linalg.eigsh
+        asked, calls = [], []
 
+        def recorded(op, k, **kwargs):
+            asked.append(k)
+            return eigsh(op, k, **kwargs)
+
+        def counted(problem, grid_n, sectors, count):
+            first = len(asked)
+            ev = solve(problem, grid_n, sectors, count)
+            calls.extend((grid_n, problem.l, sector, k)
+                         for sector, k in zip(sectors, asked[first:], strict=True))
+            return ev
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
         monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
         spectral._full.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
         assert len(calls) == len(set(calls)) == 4 * 6 + 4 * 4
-        assert {l for n, l, _ in calls if n == 2048} == {0, 5, 7, 10, 13, 14}
-        assert {l for n, l, _ in calls if n == 4096} == {5, 7, 13, 14}
+        assert {k for *_, k in calls} == {2}
+        assert {l for n, l, *_ in calls if n == 2048} == {0, 5, 7, 10, 13, 14}
+        assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13, 14}
 
     def test_interlacing_reports_the_l_max_it_used(self, monkeypatch):
         """The reported l_max is the one interlacing_check ran with: one past c."""
