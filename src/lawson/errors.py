@@ -26,7 +26,7 @@ class SpectralError(LawsonError, RuntimeError):
 
 
 class EigensolverError(SpectralError):
-    """B + I of a sector failed to factor, or ARPACK did not converge."""
+    """B + I of a sector failed to factor, or Lanczos broke down or hit its step cap (<= m)."""
 
 
 class IndeterminateCountError(SpectralError):

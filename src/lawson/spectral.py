@@ -31,11 +31,11 @@ flux) or D (odd reflection, zero value):
 
 Each sector is factored as B + I = L D L^T (LAPACK dpttrf).  Its inertia, the
 negative pivots of L D L^T - (x + 1) I by the stationary qds transform, counts
-N(2) as accurately as ARPACK finds eigenvalues; a Sturm count on B (LAPACK stebz)
-does not.  ARPACK shift-invert over the same factor gives the eigenvalues the
-checks read, the lowest 4 of the union, nondecreasing in l even in floating
-point, which brackets interlacing; each sector is asked only for the share of
-a list the merge can hold.  The minimality residual is separable, O(grid_n).
+N(2) as accurately as Lanczos finds eigenvalues; a Sturm count on B (LAPACK stebz)
+does not.  Lanczos on (B + I)^-1 over the same factor (dpttrs, dstev) gives the
+eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l even in
+floating point, which brackets interlacing; each sector is asked only for its
+share of a list.  The minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -50,6 +50,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ __all__ = [
     "takahashi_residual",
 ]
 
-_EIGSH_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
+_START_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
 _TABLE_COUNT = 4        # of the union per l: interlacing reads up to lambda_3
 INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps and of the order across l
 
@@ -208,33 +209,54 @@ def _count_below(d: np.ndarray, lld: np.ndarray, shifts) -> np.ndarray:
     return neg
 
 
-def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues of the union of the sectors, ascending: shift-invert at
-    sigma = -1 over the factor of B + I (:func:`_factors`); ARPACK's mode 3 reads ``op`` only for
-    its shape.  Each sector is first asked for ceil(count / sectors) + 1 eigenvalues (ARPACK's
-    default ncv = 20 finds k <= 4 without a restart).  Let v be the count-th of their merge: a
-    sector whose largest computed eigenvalue is >= v has no uncomputed one below v, so only a
-    sector whose largest is < v is solved again for all ``count``."""
-    from scipy.linalg.lapack import dpttrs
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, k: int, V: np.ndarray) -> np.ndarray:
+    """The ``k`` lowest eigenvalues of a sector's B from the factor of B + I: Lanczos on (B + I)^-1
+    from a seeded start, two classical Gram-Schmidt passes per step (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 13), Ritz values of T_s by dstev under ARPACK's test at tol = 0.  The
+    rows of ``V`` hold the basis and cap the steps.  Tests run from step 12 and thin out past 32
+    (dstev is O(s^3)); at m steps the basis spans the sector."""
+    from scipy.linalg import blas, lapack
+    steps, m = V.shape[0] - 1, len(ld)
+    V[0] = np.random.default_rng(_START_SEED).standard_normal(m)
+    V[0] /= blas.dnrm2(V[0])
+    alpha, beta = np.zeros(steps), np.empty(steps)
+    eps = np.finfo(float).eps
+    for s in range(1, steps + 1):
+        V[s] = V[s - 1]  # op v_(s-1) is solved into the next row, orthogonalized, normalized
+        lapack.dpttrs(ld, le, V[s], overwrite_b=1)
+        size, basis = blas.dnrm2(V[s]), V[:s].T
+        for _ in range(2):
+            h = blas.dgemv(1.0, basis, V[s], trans=1)
+            blas.dgemv(-1.0, basis, h, 1.0, V[s], overwrite_y=1)
+            alpha[s - 1] += h[-1]
+        beta[s - 1] = blas.dnrm2(V[s])
+        if s < m and beta[s - 1] <= math.sqrt(eps) * size:
+            raise EigensolverError(f"Lanczos broke down after {s} steps at {where}")
+        if s == steps or (s >= max(k, 12) and s % (1 + s // 32) == 0):
+            theta, z, _ = lapack.dstev(alpha[:s], beta[:s - 1])
+            if s == m or np.all(beta[s - 1] * abs(z[-1, -k:]) <= eps * theta[-k:]):
+                return 1.0 / theta[-k:] - 1.0
+        V[s] /= beta[s - 1]
+    raise EigensolverError(f"Lanczos did not converge within {steps} steps at {where}")
 
+
+def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) -> np.ndarray:
+    """The lowest ``count`` eigenvalues of the union of the sectors, ascending, by :func:`_lanczos`
+    on their factors (:func:`_factors`).  Each sector is first asked for ceil(count / sectors) + 1.
+    Let v be the count-th of the merge: a sector whose largest computed eigenvalue is >= v has no
+    uncomputed one below v, so only a sector whose largest is < v is solved again for ``count``."""
     m = _sector_cells(grid_n, problem.symmetry)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
-    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(m)
-
-    def lowest(where, ld, le, k):
-        op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
-        try:
-            return eigsh(op, k, sigma=-1.0, which="LM", v0=v0, OPinv=op, return_eigenvectors=False)
-        except (ArpackNoConvergence, ArpackError) as exc:
-            raise EigensolverError(f"eigensolver failed to converge at {where}") from exc
-
     factors = list(_factors(problem, grid_n, sectors))
+    # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing
+    # returns it (a heap would keep it).  count + 256 steps hold l up to ~10^4 (254 for 8).
+    rows = min(m, count + 256) + 1
+    V = np.frombuffer(mmap.mmap(-1, 8 * m * rows), dtype=float).reshape(rows, m)
     k = min(count, -(-count // len(sectors)) + 1)
-    spectra = [lowest(*f, k) for f in factors]
+    spectra = [_lanczos(*f, k, V) for f in factors]
     v = np.sort(np.concatenate(spectra))[count - 1]
-    spectra = [lowest(*f, count) if k < count and ev.max() < v else ev
+    spectra = [_lanczos(*f, count, V) if k < count and ev.max() < v else ev
                for f, ev in zip(factors, spectra)]
     return np.sort(np.concatenate(spectra))[:count]
 

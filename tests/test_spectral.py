@@ -1,6 +1,9 @@
 """Spectral layer: self-adjoint reduction, discrete spectra, residuals, counting."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,8 +173,8 @@ class TestDiscreteSpectra:
             assert merged == pytest.approx(full, abs=1e-6)
 
 
-def _dense_oracle(t, l, n, sym):
-    """Lowest 12 eigenvalues of the whole-domain matrix of n cells, assembled densely:
+def _dense_oracle(t, l, n, sym, count=12):
+    """Lowest ``count`` eigenvalues of the whole-domain matrix of n cells, assembled densely:
     [0, 2 pi) or [0, pi) with periodic corner entries, [0, pi) with sign-flipped
     (antiperiodic) corners, or [0, pi] with zero flux (even-in-y: an end loses its
     face) or zero value (odd-in-y: an end face doubles) at both ends, symmetrized
@@ -191,7 +194,7 @@ def _dense_oracle(t, l, n, sym):
         corner = 1.0 if sym is Symmetry.PI_ANTIPERIODIC else -1.0
         A[0, n - 1] = A[n - 1, 0] = corner * pf[0] / h**2
     d = 1.0 / np.sqrt(w)
-    return np.linalg.eigvalsh(d[:, None] * A * d[None, :])[:12]
+    return np.linalg.eigvalsh(d[:, None] * A * d[None, :])[:count]
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -222,13 +225,91 @@ def _untrimmed_merge(problem, n, count):
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     m = spectral._sector_cells(n, problem.symmetry)
-    v0 = np.random.default_rng(spectral._EIGSH_SEED).standard_normal(m)
+    v0 = np.random.default_rng(spectral._START_SEED).standard_normal(m)
     spectra = []
     for _, ld, le in spectral._factors(problem, n, spectral._SYMMETRY_SECTORS[problem.symmetry]):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         spectra.append(eigsh(op, count, sigma=-1.0, which="LM", v0=v0, OPinv=op,
                              return_eigenvectors=False))
     return np.sort(np.concatenate(spectra))[:count]
+
+
+@pytest.mark.parametrize("count", [8, 12])
+@pytest.mark.parametrize("n", [1024, 16384])
+@pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
+def test_lanczos_lists_match_arpack(sym, n, count):
+    """The Lanczos lists equal the ARPACK reference to 1e-11 (measured <= 6e-12): both resolve
+    theta = 1/(1 + lambda) to a few eps, about 2e-12 in lambda near 100."""
+    for abc, l in (((1, 2, 3), 1), ((5, 7, 13), 7)):
+        problem = sl_problem(validate(Case.GENERALIZED, *abc), l, sym)
+        ev = sl_spectrum(problem, n, count).eigenvalues
+        assert np.max(np.abs(ev - _untrimmed_merge(problem, n, count))) <= 1e-11
+
+
+@pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
+def test_list_of_all_but_one_eigenvalue(sym):
+    """count = m - 1 at grid 256 (sectors of m = 64 or 128 cells) against the dense matrix.
+    Shift-invert resolves theta = 1/(1 + lambda) to a multiple of eps, so lambda to about
+    eps (1 + lambda)^2; the bar 1e-10 (1 + lambda)^2 (measured <= 1e-11 (1 + lambda)^2) also
+    covers eigvalsh's eps ||B|| ~ 4e-12 at lambda ~ 0."""
+    t, m = validate(Case.GENERALIZED, 1, 2, 3), spectral._sector_cells(256, sym)
+    for l in (0, 1):
+        ev, dense = _spec(t, l, sym, n=256, count=m - 1), _dense_oracle(t, l, 256, sym, m - 1)
+        assert np.all(np.abs(ev - dense) <= 1e-10 * (1 + dense) ** 2)
+
+
+def test_sector_solved_to_its_size_spans_it(monkeypatch):
+    """A single sector asked for m - 1 = 63 of its 64 eigenvalues runs into the step cap m,
+    where the basis spans the sector and the Ritz values are its eigenvalues."""
+    import scipy.linalg.lapack
+
+    dpttrs, steps = scipy.linalg.lapack.dpttrs, []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return dpttrs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counted)
+    t = validate(Case.GENERALIZED, 1, 2, 3)
+    for sector in spectral._ALL_SECTORS:
+        steps.clear()
+        ev = spectral._sector_eigenvalues(sl_problem(t, 1), 256, (sector,), 63)
+        dense = np.linalg.eigvalsh(_dense_sector(t, 1, 256, sector))[:63]
+        assert len(steps) == 64
+        assert np.all(np.abs(ev - dense) <= 1e-11 * (1 + dense) ** 2)
+
+
+def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
+    """l = 10^5 at grid 2048 needs more than the step cap count + 256 = 264 of its sectors' 512
+    steps; a sector whose op is the identity (unit pivots, no coupling) makes the Krylov space
+    invariant at step 1.  Both errors name grid, l, symmetry and sector."""
+    t = validate(Case.GENERALIZED, 1, 2, 3)
+    where = r"grid_n=2048 \(l=100000, full-periodic, sector NN\)"
+    with pytest.raises(EigensolverError, match=r"did not converge within 264 steps at " + where):
+        _spec(t, 100000, n=2048)
+    factors = spectral._factors
+
+    def identity(problem, grid_n, sectors):
+        for where, ld, le in factors(problem, grid_n, sectors):
+            yield where, np.ones_like(ld), np.zeros_like(le)
+
+    monkeypatch.setattr(spectral, "_factors", identity)
+    message = r"broke down after 1 steps at grid_n=1024 \(l=2, odd-in-y, sector DD\)"
+    with pytest.raises(EigensolverError, match=message):
+        _spec(t, 2, Symmetry.ODD_Y, n=1024)
+
+
+def test_lists_load_no_sparse_solver():
+    """A verification and an eigenvalue list use LAPACK alone: scipy.sparse stays unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from lawson import *; "
+        "t = validate(Case.GENERALIZED, 5, 7, 13); run_verification(t, deep=True); "
+        "sl_spectrum(sl_problem(t, 3, Symmetry.EVEN_Y), 2048); "
+        "print([m for m in sys.modules if m.startswith('scipy.sparse')], file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr.strip() == "[]"
 
 
 @pytest.mark.parametrize("sym,lowered", [(Symmetry.FULL_PERIODIC, "DN"), (Symmetry.EVEN_Y, "ND")],
@@ -270,8 +351,8 @@ def test_clifford_closed_form_spectrum_at_fine_grid(sym, n, shift, l):
 
 
 def test_failed_factor_raises_before_iterating(monkeypatch):
-    """If B + I does not factor, the sector is reported and ARPACK never runs."""
-    import scipy.sparse.linalg
+    """If B + I does not factor, the sector is reported and no Lanczos step (dpttrs) runs."""
+    import scipy.linalg.lapack
 
     coefficients_of = spectral.sl_coefficients
 
@@ -280,7 +361,7 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
         return p, q - 1e9, w
 
     monkeypatch.setattr(spectral, "sl_coefficients", indefinite)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: pytest.fail("eigsh ran"))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
     with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
 

@@ -55,14 +55,12 @@ class TestRunVerification:
         the anchors l = 5, 7, 13 and lambda_0 at l = 14 at both grids, and interlacing's
         brackets add l = 0 and 10 at grid_n.  Each sector is asked once, for 2 of the 4
         eigenvalues of the union, and never solved again."""
-        import scipy.sparse.linalg
-
-        solve, eigsh = spectral._sector_eigenvalues, scipy.sparse.linalg.eigsh
+        solve, lanczos = spectral._sector_eigenvalues, spectral._lanczos
         asked, calls = [], []
 
-        def recorded(op, k, **kwargs):
+        def recorded(where, ld, le, k, basis):
             asked.append(k)
-            return eigsh(op, k, **kwargs)
+            return lanczos(where, ld, le, k, basis)
 
         def counted(problem, grid_n, sectors, count):
             first = len(asked)
@@ -71,7 +69,7 @@ class TestRunVerification:
                          for sector, k in zip(sectors, asked[first:], strict=True))
             return ev
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+        monkeypatch.setattr(spectral, "_lanczos", recorded)
         monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
         spectral._full.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)

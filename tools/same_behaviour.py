@@ -1,14 +1,23 @@
-"""Write every verification report of a fixed triple set as sorted JSONL.
+"""Write every verification report of a fixed triple set, or a fixed set of
+eigenvalue lists, as JSONL; compare two such files.
 
     PYTHONPATH=src python3 tools/same_behaviour.py --grid 2048 [--deep] > reports.jsonl
+    PYTHONPATH=src python3 tools/same_behaviour.py --lists > lists.jsonl
+    PYTHONPATH=src python3 tools/same_behaviour.py --compare old.jsonl new.jsonl
 
 The set has 1204 triples: the test suite's reference surfaces
 (``tests/conftest.py``), every third canonical generalized triple with
 c <= 30 and every other canonical Lawson pair with c <= 30.  Each line is
 one ``run_verification`` report: status, and per check its verdict, values
-and tolerance string (the count's values hold ``n2`` and ``per_l``).  Run it
-in two checkouts with the same arguments and ``diff`` the outputs: any
-changed status, verdict, count or value shows as a changed line.
+and tolerance string (the count's values hold ``n2`` and ``per_l``).
+``--lists`` writes one ``sl_spectrum`` list of 8 per line: T_(1,2,3) at l = 1
+and T_(5,7,13) at l = 7 in every symmetry at grids 16384, 65536 and 131072,
+and the eigenvalue-list queries of the benchmark's ``deep`` workload for
+seeds 101-104 (grids 16384-131072).  Run it in two checkouts with the same
+arguments, then ``--compare`` the outputs: every value that is not a float
+(status, verdicts, tolerance strings, ``n2``, ``per_l``, errors) must be
+equal, and the largest |difference| of each float field is printed.  The exit
+status is 1 when a record or a non-float value differs.
 """
 
 from __future__ import annotations
@@ -17,13 +26,24 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+sys.path.insert(0, ROOT)
 
 from conftest import build_suite  # noqa: E402
 
-from lawson import Case, SpectralError, run_verification, validate  # noqa: E402
+from lawson import (  # noqa: E402
+    Case,
+    SpectralError,
+    Symmetry,
+    run_verification,
+    sl_problem,
+    sl_spectrum,
+    validate,
+)
 
 
 def generalized_triples(c_max: int) -> list[tuple[int, int, int]]:
@@ -57,11 +77,86 @@ def record(t, grid_n: int, deep: bool) -> dict:
     return out
 
 
+def list_queries() -> list[tuple]:
+    """(triple, l, symmetry, grid_n) of every list ``--lists`` writes, in order."""
+    from perfbench.workloads import Deep
+
+    fixed = [(validate(Case.GENERALIZED, 1, 2, 3), 1), (validate(Case.GENERALIZED, 5, 7, 13), 7)]
+    queries = [(t, l, sym, n) for t, l in fixed for sym in Symmetry for n in (16384, 65536, 131072)]
+    for seed in range(101, 105):
+        for op in Deep(seed, os.devnull).queries:
+            a = op.args
+            queries.append((validate(Case.GENERALIZED, *a["triple"][1:]), a["l"],
+                            Symmetry(a["symmetry"]), a["grid_n"]))
+    return queries
+
+
+def list_record(t, l: int, sym: Symmetry, grid_n: int) -> dict:
+    out = {"triple": t.label(), "l": l, "symmetry": sym.value, "grid_n": grid_n}
+    try:
+        ev = sl_spectrum(sl_problem(t, l, sym), grid_n).eigenvalues
+    except SpectralError as exc:
+        return {**out, "error": f"{type(exc).__name__}: {exc}"}
+    return {**out, "eigenvalues": ev.tolist()}
+
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of a JSON value; list items are numbered."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _key(record: dict) -> tuple:
+    return tuple(record.get(k) for k in ("triple", "grid_n", "deep", "l", "symmetry"))
+
+
+def _records(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return {_key(r): r for r in map(json.loads, fh)}
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the differences of two outputs of this script; 1 if any non-float differs."""
+    old, new = _records(old_path), _records(new_path)
+    bad = [f"only in {old_path}: {k}" for k in old.keys() - new.keys()]
+    bad += [f"only in {new_path}: {k}" for k in new.keys() - old.keys()]
+    worst = {}
+    for key in sorted(old.keys() & new.keys(), key=str):
+        a, b = dict(_leaves(old[key])), dict(_leaves(new[key]))
+        for path in sorted(a.keys() | b.keys()):
+            x, y = a.get(path), b.get(path)
+            if type(x) is float and type(y) is float:
+                field = re.sub(r"\[\d+\]", "[]", path)
+                worst[field] = max(worst.get(field, 0.0), abs(x - y))
+            elif x != y or type(x) is not type(y):
+                bad.append(f"{key} {path}: {x!r} != {y!r}")
+    print(f"{len(old.keys() & new.keys())} records in both")
+    for field, delta in sorted(worst.items()):
+        print(f"max |delta| {delta:.3g}  {field}")
+    for line in bad:
+        print("DIFFERS", line)
+    return 1 if bad else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--grid", type=int, default=2048, help="grid_n of every verification")
     parser.add_argument("--deep", action="store_true", help="run the deep verifications")
+    parser.add_argument("--lists", action="store_true", help="write eigenvalue lists instead")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.lists:
+        for query in list_queries():
+            print(json.dumps(list_record(*query), sort_keys=True), flush=True)
+        return 0
     for t in triple_set():
         print(json.dumps(record(t, args.grid, args.deep), sort_keys=True), flush=True)
     return 0
