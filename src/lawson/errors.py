@@ -26,7 +26,7 @@ class SpectralError(LawsonError, RuntimeError):
 
 
 class EigensolverError(SpectralError):
-    """B + I of a sector failed to factor, or Lanczos broke down or hit its step cap (<= m)."""
+    """A sector's B - sigma I failed to factor, or Lanczos broke down or hit its step cap."""
 
 
 class IndeterminateCountError(SpectralError):

@@ -29,13 +29,15 @@ flux) or D (odd reflection, zero value):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Each sector is factored as B + I = L D L^T (LAPACK dpttrf).  Its inertia, the
-negative pivots of L D L^T - (x + 1) I by the stationary qds transform, counts
-N(2) as accurately as Lanczos finds eigenvalues; a Sturm count on B (LAPACK stebz)
-does not.  Lanczos on (B + I)^-1 over the same factor (dpttrs, dstev) gives the
-eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l even in
-floating point, which brackets interlacing; each sector is asked only for its
-share of a list.  The minimality residual is separable, O(grid_n).
+Each sector is factored as B - sigma I = L D L^T (LAPACK dpttrf), sigma + 1 the floor
+l^2 / max P of B rounded down to a multiple of 16, so the wanted eigenvalues sit within a
+few times l + 16 of sigma at any l.  Its inertia, the negative pivots of
+L D L^T - (x - sigma) I by the stationary qds transform, counts N(2) as accurately as
+Lanczos finds eigenvalues; a Sturm count on B (LAPACK stebz) does not.  Lanczos on
+(B - sigma I)^-1 over the same factor (dpttrs, dstev) gives the eigenvalues the checks
+read, the lowest 4 of the union, nondecreasing in l even in floating point, which brackets
+interlacing; each sector is asked only for its share of a list.  The minimality residual
+is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -169,8 +171,10 @@ def check_count_grid(grid_n: int) -> None:
 
 
 def _factors(problem: SLProblem, grid_n: int, sectors):
-    """Yield ``(where, d, e)`` per sector on [0, pi/2], cells as wide as ``grid_n`` on the domain:
-    dpttrf's B + I = L D L^T (pivots d, subdiagonal e of L), B the w^(-1/2)-symmetrized PSD matrix."""
+    """Yield ``(where, d, e, sigma)`` per sector on [0, pi/2], cells as wide as ``grid_n`` on the
+    domain: dpttrf's B - sigma I = L D L^T (pivots d, subdiagonal e of L), B the
+    w^(-1/2)-symmetrized matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to
+    a multiple of 16 (0 at l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I."""
     from scipy.linalg.lapack import dpttrf
 
     sym = problem.symmetry
@@ -182,39 +186,42 @@ def _factors(problem: SLProblem, grid_n: int, sectors):
     main = (pf[:-1] + pf[1:]) / h**2 + q[1::2]
     s = 1.0 / np.sqrt(w[1::2])  # w^(-1/2) symmetrizes; sectors differ only in the two ends
     off = -pf[1:m] / h**2 * s[:-1] * s[1:]
+    shift = 16.0 * np.floor(np.min(q[1::2] / w[1::2]) / 16.0)
     for sector in sectors:
         d = main.copy()
         d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
         d[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
-        ld, le, info = dpttrf(d * s * s + 1.0, off)
+        ld, le, info = dpttrf(d * s * s + 1.0 - shift, off)
         where = f"grid_n={grid_n} (l={problem.l}, {sym.value}, sector {sector})"
         if info:
-            raise EigensolverError(f"B + I is not positive definite at {where}")
-        yield where, ld, le
+            raise EigensolverError(f"B - sigma I is not positive definite at {where}")
+        yield where, ld, le, shift - 1.0
 
 
-def _count_below(d: np.ndarray, lld: np.ndarray, shifts) -> np.ndarray:
-    """Eigenvalues of B below each shift x, (shifts, columns), from factors of B + I in columns
-    (pivots d, lld = l_i^2 d_i): negative pivots of L D L^T - (x + 1) I by stationary qds, as in
-    LAPACK dlaneg.  A zero pivot makes s -inf; ``lowest`` keeps the next s / d+ at 1, not NaN."""
-    sigma = np.asarray(shifts, dtype=float)[:, None] + 1.0
-    s = np.repeat(-sigma, d.shape[1], axis=1)
+def _count_below(d: np.ndarray, lld: np.ndarray, sigma, shifts) -> np.ndarray:
+    """Eigenvalues of B below each shift x, (shifts, columns), from factors of B - sigma I in
+    columns (pivots d, lld = l_i^2 d_i, one sigma each): negative pivots of L D L^T - (x - sigma) I
+    by stationary qds, as in LAPACK dlaneg.  A zero pivot makes s -inf; ``lowest`` keeps the next
+    s / d+ at 1, not NaN."""
+    x = np.asarray(shifts, dtype=float)[:, None] - sigma  # each x - sigma
+    s = -x
     neg = np.zeros(s.shape, dtype=int)
     lowest = -np.finfo(float).max
     with np.errstate(divide="ignore", invalid="ignore"):
         for d_i, lld_i in zip(d, lld):
             dplus = d_i + s
             neg += dplus < 0.0
-            s = np.maximum(s / dplus * lld_i - sigma, lowest)
+            s = np.maximum(s / dplus * lld_i - x, lowest)
     return neg
 
 
-def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, k: int, V: np.ndarray) -> np.ndarray:
-    """The ``k`` lowest eigenvalues of a sector's B from the factor of B + I: Lanczos on (B + I)^-1
-    from a seeded start, two classical Gram-Schmidt passes per step (Parlett, *The Symmetric
-    Eigenvalue Problem*, ch. 13), Ritz values of T_s by dstev under ARPACK's test at tol = 0.  The
-    rows of ``V`` hold the basis and cap the steps.  Tests run from step 12 and thin out past 32
-    (dstev is O(s^3)); at m steps the basis spans the sector."""
+def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
+             V: np.ndarray) -> np.ndarray:
+    """The ``k`` lowest eigenvalues of a sector's B from the factor of B - sigma I: Lanczos on
+    (B - sigma I)^-1 from a seeded start, two classical Gram-Schmidt passes per step (Parlett,
+    *The Symmetric Eigenvalue Problem*, ch. 13), Ritz values of T_s by dstev under ARPACK's test
+    at tol = 0.  The rows of ``V`` hold the basis and cap the steps.  Tests run from step 12 and
+    thin out past 32 (dstev is O(s^3)); at m steps the basis spans the sector."""
     from scipy.linalg import blas, lapack
     steps, m = V.shape[0] - 1, len(ld)
     V[0] = np.random.default_rng(_START_SEED).standard_normal(m)
@@ -235,7 +242,7 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, k: int, V: np.ndarray) 
         if s == steps or (s >= max(k, 12) and s % (1 + s // 32) == 0):
             theta, z, _ = lapack.dstev(alpha[:s], beta[:s - 1])
             if s == m or np.all(beta[s - 1] * abs(z[-1, -k:]) <= eps * theta[-k:]):
-                return 1.0 / theta[-k:] - 1.0
+                return sigma + 1.0 / theta[-k:]
         V[s] /= beta[s - 1]
     raise EigensolverError(f"Lanczos did not converge within {steps} steps at {where}")
 
@@ -250,8 +257,8 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) ->
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
     factors = list(_factors(problem, grid_n, sectors))
     # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing
-    # returns it (a heap would keep it).  count + 256 steps hold l up to ~10^4 (254 for 8).
-    rows = min(m, count + 256) + 1
+    # returns it.  The steps grow with count, not l: measured <= 6.4 count + 10 for l <= 10^7.
+    rows = min(m, 8 * count + 64) + 1
     V = np.frombuffer(mmap.mmap(-1, 8 * m * rows), dtype=float).reshape(rows, m)
     k = min(count, -(-count // len(sectors)) + 1)
     spectra = [_lanczos(*f, k, V) for f in factors]
@@ -432,12 +439,12 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
 
     per = len(by_parity[0])
     d = np.empty((grid_n // 4, (l_stop + 1) * per))  # one column per counted (l, sector)
-    lld = np.zeros_like(d)  # the last cell has no l_i
+    lld, sigma = np.zeros_like(d), np.empty(d.shape[1])  # the last cell has no l_i
     for l in range(l_stop + 1):
         factors = _factors(sl_problem(t, l), grid_n, by_parity[l % 2])
-        for col, (_, ld, le) in enumerate(factors, l * per):
+        for col, (_, ld, le, sigma[col]) in enumerate(factors, l * per):
             d[:, col], lld[:-1, col] = ld, le * le * ld[:-1]
-    below, upto = _count_below(d, lld, (2.0 - eps, 2.0 + eps)).reshape(2, -1, per).sum(axis=2)
+    below, upto = _count_below(d, lld, sigma, (2.0 - eps, 2.0 + eps)).reshape(2, -1, per).sum(2)
     for l in np.flatnonzero(upto > below):
         if l not in anchor_freqs:
             raise IndeterminateCountError(
@@ -467,12 +474,13 @@ def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -
 
     The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at
     every l, and each lambda_i, i <= 3, rises by more than it between solved frequencies.
-    Every rounded step of the diagonal (2 l^2 / root, + main, +- end, (d s) s with s > 0,
-    + 1) is nondecreasing in l^2 and the off-diagonal does not depend on l, so by Weyl each
-    lambda_i is nondecreasing in l: on [l_a, l_b], lambda_1 - lambda_0 >= lambda_1(l_a) -
-    lambda_0(l_b), likewise lambda_3 - lambda_2.  Solving l = 0, l_max and the midpoints of
-    failed brackets solves every l whose gap fails; like a sweep of every l, the check
-    inherits the solver error of two eigenvalues.  ``grid_n`` must be divisible by 4.
+    Every rounded step of the diagonal of B + I (2 l^2 / root, + main, +- end, (d s) s with
+    s > 0, + 1) is nondecreasing in l^2, the off-diagonal does not depend on l and the factor
+    subtracts the integer sigma + 1 (0 at these l) exactly, so by Weyl each lambda_i is
+    nondecreasing in l: on [l_a, l_b], lambda_1 - lambda_0 >= lambda_1(l_a) - lambda_0(l_b),
+    likewise lambda_3 - lambda_2.  Solving l = 0, l_max and the midpoints of failed brackets
+    solves every l whose gap fails; like a sweep of every l, the check inherits the solver
+    error of two eigenvalues.  ``grid_n`` must be divisible by 4.
     """
     t = canonicalize(t)
     l_max = interlacing_l_max(t) if l_max is None else l_max

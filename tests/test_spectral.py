@@ -218,18 +218,19 @@ def test_sectors_match_dense_whole_domain_matrix(t, n):
             assert np.max(np.abs(ev - _dense_oracle(t, l, n, sym))) <= 1e-9
 
 
-def _untrimmed_merge(problem, n, count):
-    """The reference list: every sector of the symmetry solved for all ``count``
-    eigenvalues by ARPACK shift-invert over its factor, merged, lowest ``count``."""
+def _untrimmed_merge(problem, n, count, sectors=None):
+    """The reference list: every sector of the symmetry (or ``sectors``) solved for all
+    ``count`` eigenvalues by ARPACK shift-invert over its factor, merged, lowest ``count``."""
     from scipy.linalg.lapack import dpttrs
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     m = spectral._sector_cells(n, problem.symmetry)
     v0 = np.random.default_rng(spectral._START_SEED).standard_normal(m)
     spectra = []
-    for _, ld, le in spectral._factors(problem, n, spectral._SYMMETRY_SECTORS[problem.symmetry]):
+    for _, ld, le, sigma in spectral._factors(
+            problem, n, sectors or spectral._SYMMETRY_SECTORS[problem.symmetry]):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
-        spectra.append(eigsh(op, count, sigma=-1.0, which="LM", v0=v0, OPinv=op,
+        spectra.append(eigsh(op, count, sigma=sigma, which="LM", v0=v0, OPinv=op,
                              return_eigenvectors=False))
     return np.sort(np.concatenate(spectra))[:count]
 
@@ -279,19 +280,41 @@ def test_sector_solved_to_its_size_spans_it(monkeypatch):
         assert np.all(np.abs(ev - dense) <= 1e-11 * (1 + dense) ** 2)
 
 
+@pytest.mark.parametrize("l", [10**3, 10**5, 10**7])
+def test_lists_at_large_frequency_match_arpack(l):
+    """lambda ~ l^2 / max P: the shift to that floor, less at most 16, keeps the wanted
+    eigenvalues within a few times l + 16 of it, so Lanczos converges as fast as at small l;
+    relative to 1e-13 (measured 1.7e-16)."""
+    for sym in (Symmetry.FULL_PERIODIC, Symmetry.ODD_Y):
+        problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), l, sym)
+        ev, oracle = sl_spectrum(problem, 2048).eigenvalues, _untrimmed_merge(problem, 2048, 8)
+        assert np.max(np.abs(ev - oracle) / oracle) <= 1e-13
+
+
+def test_long_list_of_one_sector_within_the_step_cap():
+    """A sector of 4096 cells asked for 90 at l = 1000 takes 420-450 steps (with one or two
+    BLAS threads), more than count + 256 but within the cap 8 count + 64, and its list
+    matches ARPACK to 1e-11 relative."""
+    problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), 1000)
+    ev = spectral._sector_eigenvalues(problem, 16384, ("NN",), 90)
+    oracle = _untrimmed_merge(problem, 16384, 90, ("NN",))
+    assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11
+
+
 def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
-    """l = 10^5 at grid 2048 needs more than the step cap count + 256 = 264 of its sectors' 512
-    steps; a sector whose op is the identity (unit pivots, no coupling) makes the Krylov space
-    invariant at step 1.  Both errors name grid, l, symmetry and sector."""
+    """A basis of 4 rows allows 3 steps, too few for 2 eigenvalues of a 512-cell sector; a
+    sector whose op is the identity (unit pivots, no coupling) makes the Krylov space invariant
+    at step 1.  Both errors name grid, l, symmetry and sector."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    where = r"grid_n=2048 \(l=100000, full-periodic, sector NN\)"
-    with pytest.raises(EigensolverError, match=r"did not converge within 264 steps at " + where):
-        _spec(t, 100000, n=2048)
+    factor = next(spectral._factors(sl_problem(t, 2), 2048, ("DN",)))
+    message = r"did not converge within 3 steps at grid_n=2048 \(l=2, full-periodic, sector DN\)"
+    with pytest.raises(EigensolverError, match=message):
+        spectral._lanczos(*factor, 2, np.empty((4, 512)))
     factors = spectral._factors
 
     def identity(problem, grid_n, sectors):
-        for where, ld, le in factors(problem, grid_n, sectors):
-            yield where, np.ones_like(ld), np.zeros_like(le)
+        for where, ld, le, sigma in factors(problem, grid_n, sectors):
+            yield where, np.ones_like(ld), np.zeros_like(le), sigma
 
     monkeypatch.setattr(spectral, "_factors", identity)
     message = r"broke down after 1 steps at grid_n=1024 \(l=2, odd-in-y, sector DD\)"
@@ -315,15 +338,15 @@ def test_lists_load_no_sparse_solver():
 @pytest.mark.parametrize("sym,lowered", [(Symmetry.FULL_PERIODIC, "DN"), (Symmetry.EVEN_Y, "ND")],
                          ids=["full", "even"])
 def test_sector_holding_the_whole_list_is_solved_again(monkeypatch, sym, lowered):
-    """One sector's factor is scaled to that of 1e-3 (B + I), so its spectrum 1e-3 (mu + 1) - 1
-    sits below -0.5 and holds all 8 values of the list, far more than the 3 (of four sectors)
-    or 5 (of two) first asked of it: the list equals the untrimmed merge only if that sector
-    is solved again."""
+    """One sector's factor is scaled to that of 1e-3 (B + I) (sigma = -1 at l = 1), so its
+    spectrum 1e-3 (mu + 1) - 1 sits below -0.5 and holds all 8 values of the list, far more
+    than the 3 (of four sectors) or 5 (of two) first asked of it: the list equals the
+    untrimmed merge only if that sector is solved again."""
     factors = spectral._factors
 
     def lowered_factors(problem, grid_n, sectors):
-        for where, ld, le in factors(problem, grid_n, sectors):
-            yield where, ld * (1e-3 if where.endswith(f"sector {lowered})") else 1.0), le
+        for where, ld, le, sigma in factors(problem, grid_n, sectors):
+            yield where, ld * (1e-3 if where.endswith(f"sector {lowered})") else 1.0), le, sigma
 
     monkeypatch.setattr(spectral, "_factors", lowered_factors)
     problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), 1, sym)
@@ -351,14 +374,16 @@ def test_clifford_closed_form_spectrum_at_fine_grid(sym, n, shift, l):
 
 
 def test_failed_factor_raises_before_iterating(monkeypatch):
-    """If B + I does not factor, the sector is reported and no Lanczos step (dpttrs) runs."""
+    """If B - sigma I does not factor (a negated flux coefficient p makes B indefinite; a
+    negative q would lower sigma with it), the sector is reported and no Lanczos step (dpttrs)
+    runs."""
     import scipy.linalg.lapack
 
     coefficients_of = spectral.sl_coefficients
 
     def indefinite(t, l, y):
         p, q, w = coefficients_of(t, l, y)
-        return p, q - 1e9, w
+        return -p, q, w
 
     monkeypatch.setattr(spectral, "sl_coefficients", indefinite)
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
@@ -383,11 +408,12 @@ def _dense_sector(t, l, n, sector):
 
 
 def _columns(factors):
-    """Pivots d and l_i^2 d_i of (where, d, e) factors as (cells, columns) arrays."""
-    d = np.array([ld for _, ld, _ in factors]).T
+    """Pivots d and l_i^2 d_i of (where, d, e, sigma) factors as (cells, columns) arrays, and
+    their sigmas."""
+    d = np.array([ld for _, ld, _, _ in factors]).T
     lld = np.zeros_like(d)
-    lld[:-1] = np.array([le * le * ld[:-1] for _, ld, le in factors]).T
-    return d, lld
+    lld[:-1] = np.array([le * le * ld[:-1] for _, ld, le, _ in factors]).T
+    return d, lld, np.array([sigma for *_, sigma in factors])
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024])
@@ -396,18 +422,19 @@ def test_inertia_count_matches_dense_eigenvalues(t, n):
     """The qds count on the L D L^T factor of each sector (m = 64..256 cells)
     equals the count of dense eigvalsh eigenvalues below the shift, at midpoints
     of the spectrum, at 2, beyond both ends, and at the shift that makes the
-    first pivot exactly 0 (so s becomes -inf for the next cell)."""
-    for l in sorted({0, 1, math.floor(t.c_real)}):
+    first pivot exactly 0 (so s becomes -inf for the next cell).  At l = 4 (floor(c) + 1),
+    as max P <= c^2, the factors are of B + I lowered by a multiple of 16."""
+    for l in sorted({0, 1, math.floor(t.c_real), 4 * math.floor(t.c_real) + 4}):
         factors = list(spectral._factors(sl_problem(t, l), n, spectral._ALL_SECTORS))
-        d, lld = _columns(factors)
+        d, lld, sigma = _columns(factors)
         for col, sector in enumerate(spectral._ALL_SECTORS):
             ev = np.linalg.eigvalsh(_dense_sector(t, l, n, sector))
             j = np.array([0, 1, 2, 3, len(ev) // 2, len(ev) - 2])
-            zero_pivot = d[0, col] - 1.0
-            assert zero_pivot + 1.0 == d[0, col]
+            zero_pivot = d[0, col] + sigma[col]
+            assert zero_pivot - sigma[col] == d[0, col]
             shifts = np.concatenate([(ev[j] + ev[j + 1]) / 2,
                                      [ev[0] - 1.0, ev[-1] + 1.0, 2.0, zero_pivot]])
-            got = spectral._count_below(d[:, [col]], lld[:, [col]], shifts)[:, 0]
+            got = spectral._count_below(d[:, [col]], lld[:, [col]], sigma[[col]], shifts)[:, 0]
             assert got.tolist() == np.searchsorted(ev, shifts).tolist()
 
 
@@ -442,9 +469,9 @@ def test_clifford_inertia_count_at_fine_grid(l):
     exact = np.sort(8.0 * np.sin(math.pi * np.arange(-4, 5) / n) ** 2 / h**2 + 2.0 * l * l)
     values = exact[::2]  # k = 0, then one of each pair +-k
     problem = sl_problem(validate(Case.GENERALIZED, 0, 0, 1), l)
-    d, lld = _columns(list(spectral._factors(problem, n, spectral._ALL_SECTORS)))
+    d, lld, sigma = _columns(list(spectral._factors(problem, n, spectral._ALL_SECTORS)))
     shifts = np.concatenate([values - 1e-9, values + 1e-9])
-    below, upto = spectral._count_below(d, lld, shifts).sum(axis=1).reshape(2, -1)
+    below, upto = spectral._count_below(d, lld, sigma, shifts).sum(axis=1).reshape(2, -1)
     assert below.tolist() == [0, 1, 3, 5, 7]
     assert upto.tolist() == [1, 3, 5, 7, 9]
 

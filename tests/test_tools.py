@@ -1,6 +1,7 @@
 """tools/same_behaviour.py --compare: exact on everything but floats."""
 
 import json
+import math
 import os
 import sys
 
@@ -25,7 +26,9 @@ def test_compare_prints_float_deltas_and_fails_on_anything_else(tmp_path, capsys
     assert "max |delta| 5e-07  checks.count.values.epsilon" in capsys.readouterr().out
 
     for path, value in ((("status",), "fail"), (("checks", "count", "values", "per_l"), [[0, 3]]),
-                        (("checks", "count", "values", "n2"), 5.0)):
+                        (("checks", "count", "values", "n2"), 5.0),
+                        (("checks", "count", "values", "epsilon"), math.nan),
+                        (("checks", "count", "values", "epsilon"), math.inf)):
         changed = json.loads(json.dumps(report))
         target = changed
         for key in path[:-1]:
@@ -34,3 +37,6 @@ def test_compare_prints_float_deltas_and_fails_on_anything_else(tmp_path, capsys
         assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [changed])) == 1
         assert "DIFFERS" in capsys.readouterr().out
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [])) == 1
+    report["checks"]["count"]["values"]["epsilon"] = math.nan
+    nan = _write(tmp_path / "nan.jsonl", [report])
+    assert same_behaviour.compare(nan, nan) == 0

@@ -58,9 +58,9 @@ class TestRunVerification:
         solve, lanczos = spectral._sector_eigenvalues, spectral._lanczos
         asked, calls = [], []
 
-        def recorded(where, ld, le, k, basis):
+        def recorded(where, ld, le, sigma, k, basis):
             asked.append(k)
-            return lanczos(where, ld, le, k, basis)
+            return lanczos(where, ld, le, sigma, k, basis)
 
         def counted(problem, grid_n, sectors, count):
             first = len(asked)

@@ -131,10 +131,10 @@ def compare(old_path: str, new_path: str) -> int:
         a, b = dict(_leaves(old[key])), dict(_leaves(new[key]))
         for path in sorted(a.keys() | b.keys()):
             x, y = a.get(path), b.get(path)
-            if type(x) is float and type(y) is float:
+            if type(x) is float and type(y) is float and math.isfinite(x - y):
                 field = re.sub(r"\[\d+\]", "[]", path)
                 worst[field] = max(worst.get(field, 0.0), abs(x - y))
-            elif x != y or type(x) is not type(y):
+            elif json.dumps(x) != json.dumps(y):  # also 1 vs 1.0, and a NaN or inf on one side
                 bad.append(f"{key} {path}: {x!r} != {y!r}")
     print(f"{len(old.keys() & new.keys())} records in both")
     for field, delta in sorted(worst.items()):
