@@ -34,10 +34,10 @@ l^2 / max P of B rounded down to a multiple of 16, so the wanted eigenvalues sit
 few times l + 16 of sigma at any l.  Its inertia, the negative pivots of
 L D L^T - (x - sigma) I by the stationary qds transform, counts N(2) as accurately as
 Lanczos finds eigenvalues; a Sturm count on B (LAPACK stebz) does not.  Lanczos on
-(B - sigma I)^-1 over the same factor (dpttrs, dstev) gives the eigenvalues the checks
-read, the lowest 4 of the union, nondecreasing in l even in floating point, which brackets
-interlacing; each sector is asked only for its share of a list.  The minimality residual
-is separable, O(grid_n).
+(B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a gap bound) gives the
+eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l even in floating
+point, which brackets interlacing; each sector is asked only for its share of a list.  The
+minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -218,14 +218,14 @@ def _count_below(d: np.ndarray, lld: np.ndarray, sigma, shifts) -> np.ndarray:
 def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
              V: np.ndarray) -> np.ndarray:
     """The ``k`` lowest eigenvalues of a sector's B from the factor of B - sigma I: Lanczos on
-    (B - sigma I)^-1 from a seeded start, two classical Gram-Schmidt passes per step (Parlett,
-    *The Symmetric Eigenvalue Problem*, ch. 13), Ritz values of T_s by dstev under ARPACK's test
-    at tol = 0.  The rows of ``V`` hold the basis and cap the steps.  Tests run from step 12 and
-    thin out past 32 (dstev is O(s^3)); at m steps the basis spans the sector."""
+    (B - sigma I)^-1 from the unit ``V[0]``, two classical Gram-Schmidt passes per step, Ritz
+    values theta of T_s by dstev.  A theta with residual r and distance g to the nearest other
+    passes at r^2 < eps theta (g - r), never at g <= r: its error bound r^2 / (g - r) (Parlett,
+    *The Symmetric Eigenvalue Problem*, ch. 11) is then below eps theta, sound while eigenvalues
+    stand apart, as in a sector (one well, separated ends).  The rows of ``V`` hold the basis and
+    cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m steps."""
     from scipy.linalg import blas, lapack
     steps, m = V.shape[0] - 1, len(ld)
-    V[0] = np.random.default_rng(_START_SEED).standard_normal(m)
-    V[0] /= blas.dnrm2(V[0])
     alpha, beta = np.zeros(steps), np.empty(steps)
     eps = np.finfo(float).eps
     for s in range(1, steps + 1):
@@ -241,7 +241,9 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
             raise EigensolverError(f"Lanczos broke down after {s} steps at {where}")
         if s == steps or (s >= max(k, 12) and s % (1 + s // 32) == 0):
             theta, z, _ = lapack.dstev(alpha[:s], beta[:s - 1])
-            if s == m or np.all(beta[s - 1] * abs(z[-1, -k:]) <= eps * theta[-k:]):
+            r, gap = beta[s - 1] * abs(z[-1, -k:]), np.diff(theta, prepend=-np.inf, append=np.inf)
+            g = np.minimum(gap[:-1], gap[1:])[-k:]  # to the nearest other Ritz value
+            if s == m or np.all(r * r < eps * theta[-k:] * (g - r)):
                 return sigma + 1.0 / theta[-k:]
         V[s] /= beta[s - 1]
     raise EigensolverError(f"Lanczos did not converge within {steps} steps at {where}")
@@ -255,11 +257,14 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) ->
     m = _sector_cells(grid_n, problem.symmetry)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
+    from scipy.linalg import blas
     factors = list(_factors(problem, grid_n, sectors))
     # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing
-    # returns it.  The steps grow with count, not l: measured <= 6.4 count + 10 for l <= 10^7.
+    # returns it.  The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
     rows = min(m, 8 * count + 64) + 1
     V = np.frombuffer(mmap.mmap(-1, 8 * m * rows), dtype=float).reshape(rows, m)
+    V[0] = np.random.default_rng(_START_SEED).standard_normal(m)  # the start of every sector
+    V[0] /= blas.dnrm2(V[0])
     k = min(count, -(-count // len(sectors)) + 1)
     spectra = [_lanczos(*f, k, V) for f in factors]
     v = np.sort(np.concatenate(spectra))[count - 1]

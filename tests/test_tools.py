@@ -1,4 +1,5 @@
-"""tools/same_behaviour.py --compare: exact on everything but floats."""
+"""tools/same_behaviour.py --compare: exact on everything but floats, whose largest
+absolute and relative deltas it prints."""
 
 import json
 import math
@@ -18,12 +19,18 @@ def _write(path, records):
 def test_compare_prints_float_deltas_and_fails_on_anything_else(tmp_path, capsys):
     report = {"triple": "T_(1,2,3)", "grid_n": 2048, "deep": False, "status": "ok",
               "checks": {"count": {"passed": True, "values": {"n2": 5, "per_l": [[0, 3], [1, 1]],
-                                                              "epsilon": 1e-6}}}}
+                                                              "epsilon": 1e-6,
+                                                              "lambda0_beyond": 200.0}}}}
     moved = json.loads(json.dumps(report))
     moved["checks"]["count"]["values"]["epsilon"] = 1.5e-6
+    moved["checks"]["count"]["values"]["lambda0_beyond"] = 200.002
     old = _write(tmp_path / "old.jsonl", [report])
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [moved])) == 0
-    assert "max |delta| 5e-07  checks.count.values.epsilon" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max |delta| 5e-07  checks.count.values.epsilon" in out
+    assert "max |delta| / max(1, |old|) 5e-07  checks.count.values.epsilon" in out
+    assert "max |delta| 0.002  checks.count.values.lambda0_beyond" in out
+    assert "max |delta| / max(1, |old|) 1e-05  checks.count.values.lambda0_beyond" in out
 
     for path, value in ((("status",), "fail"), (("checks", "count", "values", "per_l"), [[0, 3]]),
                         (("checks", "count", "values", "n2"), 5.0),

@@ -16,8 +16,9 @@ and the eigenvalue-list queries of the benchmark's ``deep`` workload for
 seeds 101-104 (grids 16384-131072).  Run it in two checkouts with the same
 arguments, then ``--compare`` the outputs: every value that is not a float
 (status, verdicts, tolerance strings, ``n2``, ``per_l``, errors) must be
-equal, and the largest |difference| of each float field is printed.  The exit
-status is 1 when a record or a non-float value differs.
+equal, and the largest |difference| of each float field is printed, absolute
+and relative to max(1, |old value|).  The exit status is 1 when a record or
+a non-float value differs.
 """
 
 from __future__ import annotations
@@ -133,12 +134,14 @@ def compare(old_path: str, new_path: str) -> int:
             x, y = a.get(path), b.get(path)
             if type(x) is float and type(y) is float and math.isfinite(x - y):
                 field = re.sub(r"\[\d+\]", "[]", path)
-                worst[field] = max(worst.get(field, 0.0), abs(x - y))
+                delta, rel = worst.get(field, (0.0, 0.0))
+                worst[field] = max(delta, abs(x - y)), max(rel, abs(x - y) / max(1.0, abs(x)))
             elif json.dumps(x) != json.dumps(y):  # also 1 vs 1.0, and a NaN or inf on one side
                 bad.append(f"{key} {path}: {x!r} != {y!r}")
     print(f"{len(old.keys() & new.keys())} records in both")
-    for field, delta in sorted(worst.items()):
+    for field, (delta, rel) in sorted(worst.items()):
         print(f"max |delta| {delta:.3g}  {field}")
+        print(f"max |delta| / max(1, |old|) {rel:.3g}  {field}")
     for line in bad:
         print("DIFFERS", line)
     return 1 if bad else 0
