@@ -6,15 +6,13 @@ floats at 17 significant digits); ``--format text`` prints aligned
 human-readable tables instead.
 
 Exit codes: 0 ok, 1 invalid input, 2 verification failure, 3 numerical
-non-convergence.  LAWSON_GRID_N overrides the default spectral grid
-size when --grid is not given.
+non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -149,21 +147,6 @@ def _parse_triple(args) -> Triple:
     return validate(Case.GENERALIZED, ints[0], ints[1], ints[2])
 
 
-def _grid(args) -> int:
-    if args.grid is not None:
-        return args.grid
-    env = os.environ.get("LAWSON_GRID_N")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise InvalidTripleError(f"LAWSON_GRID_N must be a positive integer, got {env!r}")
-        if n <= 0:
-            raise InvalidTripleError(f"LAWSON_GRID_N must be a positive integer, got {env!r}")
-        return n
-    return DEFAULT_GRID
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -189,10 +172,9 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     t = _parse_triple(args)
-    grid_n = _grid(args)
-    report = run_verification(t, grid_n=grid_n, deep=args.deep)
+    report = run_verification(t, grid_n=args.grid, deep=args.deep)
     payload = {
-        "grid_n": grid_n,
+        "grid_n": args.grid,
         "deep": args.deep,
         "checks": [
             {"name": c.name, "passed": c.passed, "values": c.values}
@@ -207,14 +189,13 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     t = _parse_triple(args)
-    grid_n = _grid(args)
     symmetry = _SYMMETRY_NAMES[args.symmetry]
     problem = sl_problem(t, args.l, symmetry)
-    result = sl_spectrum(problem, grid_n, count=args.count)
+    result = sl_spectrum(problem, args.grid, count=args.count)
     payload = {
         "l": args.l,
         "symmetry": symmetry.value,
-        "grid_n": grid_n,
+        "grid_n": args.grid,
         "eigenvalues": [float(v) for v in result.eigenvalues],
     }
     _emit(_envelope("spectrum", t, payload, {}, "ok"), args.format)
@@ -372,7 +353,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the full residual suite for one surface")
     add_triple_args(p)
     add_format(p)
-    p.add_argument("--grid", type=int, default=None, help=f"spectral grid (default {DEFAULT_GRID})")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help=f"spectral grid (default {DEFAULT_GRID})")
     p.add_argument("--deep", action="store_true",
                    help="double the grids and report convergence orders")
     p.set_defaults(func=cmd_verify)
@@ -382,7 +364,7 @@ def build_parser() -> _Parser:
     add_format(p)
     p.add_argument("--l", type=int, default=0, help="separation frequency (default 0)")
     p.add_argument("--symmetry", choices=sorted(_SYMMETRY_NAMES), default="full")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--count", type=int, default=8, help="number of eigenvalues")
     p.set_defaults(func=cmd_spectrum)
 

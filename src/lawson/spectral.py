@@ -29,15 +29,15 @@ flux) or D (odd reflection, zero value):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Each sector is factored as B - sigma I = L D L^T (LAPACK dpttrf), sigma + 1 the floor
-l^2 / max P of B rounded down to a multiple of 16, so the wanted eigenvalues sit within a
-few times l + 16 of sigma at any l.  Its inertia, the negative pivots of
-L D L^T - (x - sigma) I by the stationary qds transform, counts N(2) as accurately as
-Lanczos finds eigenvalues; a Sturm count on B (LAPACK stebz) does not.  Lanczos on
-(B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a gap bound) gives the
-eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l even in floating
-point, which brackets interlacing; each sector is asked only for its share of a list.  The
-minimality residual is separable, O(grid_n).
+Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf); only the potential q is
+formed per l, the rest of B once per grid.  sigma + 1 is the floor l^2 / max P of B rounded
+down to a multiple of 16, so the wanted eigenvalues sit within a few times l + 16 of sigma at
+any l.  Its inertia, the negative pivots of L D L^T - (x - sigma) I by the stationary qds
+transform, counts N(2) as accurately as Lanczos finds eigenvalues; a Sturm count on B (LAPACK
+stebz) does not.  Lanczos on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a
+gap bound) gives the eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l
+even in floating point, which brackets interlacing; each sector is asked only for its share of
+a list.  The minimality residual is separable, O(grid_n).
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -118,14 +118,18 @@ _SYMMETRY_SECTORS = {
 class SLProblem:
     """One separated eigenvalue problem: triple, frequency, sector.
 
-    ``l`` is an integer for spectra entering the eigenvalue count; real
-    values are admitted so the boundary-case anchor at l = sqrt(a^2+b^2)
-    can be evaluated directly.
+    ``l >= 0`` is an integer for spectra entering the eigenvalue count;
+    real values are admitted so the boundary-case anchor at
+    l = sqrt(a^2+b^2) can be evaluated directly.
     """
 
     triple: Triple
     l: float
-    symmetry: Symmetry
+    symmetry: Symmetry = Symmetry.FULL_PERIODIC
+
+    def __post_init__(self):
+        if self.l < 0:
+            raise ValueError(f"l must be non-negative, got {self.l}")
 
 
 @dataclass(frozen=True)
@@ -144,13 +148,15 @@ def sl_coefficients(t: Triple, l: float, y: np.ndarray):
     co = coefficients(t)
     P = co.P(y)
     root = np.sqrt(2.0 * P + co.q)
-    return root, 2.0 * (float(l) * float(l)) / root, 2.0 * P / root
+    return root, _potential(l, root), 2.0 * P / root
 
 
-def sl_problem(t: Triple, l: float, symmetry: Symmetry = Symmetry.FULL_PERIODIC) -> SLProblem:
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
-    return SLProblem(triple=t, l=l, symmetry=symmetry)
+def _potential(l: float, root: np.ndarray) -> np.ndarray:
+    """q = 2 l^2 / root, root = sqrt(2P + Q): the one coefficient that depends on l."""
+    return 2.0 * (float(l) * float(l)) / root
+
+
+sl_problem = SLProblem  # sl_problem(t, l[, symmetry]), full-periodic by default
 
 
 def _sector_cells(grid_n: int, sym: Symmetry) -> int:
@@ -170,29 +176,29 @@ def check_count_grid(grid_n: int) -> None:
         raise ValueError(f"grid_n must be >= 2048, got {grid_n}")
 
 
-def _factors(problem: SLProblem, grid_n: int, sectors):
-    """Yield ``(where, d, e, sigma)`` per sector on [0, pi/2], cells as wide as ``grid_n`` on the
-    domain: dpttrf's B - sigma I = L D L^T (pivots d, subdiagonal e of L), B the
-    w^(-1/2)-symmetrized matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to
-    a multiple of 16 (0 at l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I."""
+def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
+    """Yield ``(where, d, e, sigma)`` per ``(l, sector)`` column on [0, pi/2], cells as wide as
+    ``grid_n`` on the domain: dpttrf's B - sigma I = L D L^T (pivots d, subdiagonal e of L), B the
+    w^(-1/2)-symmetrized matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to a
+    multiple of 16 (0 at l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I."""
     from scipy.linalg.lapack import dpttrf
 
-    sym = problem.symmetry
     m = _sector_cells(grid_n, sym)
     h = sym.domain_length / grid_n
-    # Faces at even, cell centres at odd indices of the half-grid.
-    p, q, w = sl_coefficients(problem.triple, problem.l, 0.5 * h * np.arange(2 * m + 1))
-    pf = p[::2]
-    main = (pf[:-1] + pf[1:]) / h**2 + q[1::2]
-    s = 1.0 / np.sqrt(w[1::2])  # w^(-1/2) symmetrizes; sectors differ only in the two ends
+    # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
+    p, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))[::2]  # q at l = 0 is not read
+    pf, root, w = p[::2], p[1::2], w[1::2]
+    flux = (pf[:-1] + pf[1:]) / h**2
+    s = 1.0 / np.sqrt(w)  # w^(-1/2) symmetrizes; sectors differ only in the two ends
     off = -pf[1:m] / h**2 * s[:-1] * s[1:]
-    shift = 16.0 * np.floor(np.min(q[1::2] / w[1::2]) / 16.0)
-    for sector in sectors:
-        d = main.copy()
+    for l, sector in columns:
+        q = _potential(l, root)
+        shift = 16.0 * np.floor(np.min(q / w) / 16.0)
+        d = flux + q
         d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
         d[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
         ld, le, info = dpttrf(d * s * s + 1.0 - shift, off)
-        where = f"grid_n={grid_n} (l={problem.l}, {sym.value}, sector {sector})"
+        where = f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
         if info:
             raise EigensolverError(f"B - sigma I is not positive definite at {where}")
         yield where, ld, le, shift - 1.0
@@ -258,7 +264,8 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) ->
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
     from scipy.linalg import blas
-    factors = list(_factors(problem, grid_n, sectors))
+    factors = list(_factors(problem.triple, problem.symmetry, grid_n,
+                            [(problem.l, sector) for sector in sectors]))
     # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing
     # returns it.  The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
     rows = min(m, 8 * count + 64) + 1
@@ -379,12 +386,12 @@ def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
         raise ValueError(f"grid_n must be >= 128, got {grid_n}")
     h = 2.0 * math.pi / grid_n
     y = 0.5 * h * np.arange(2 * grid_n)  # nodes at even, faces y + h/2 at odd indices
-    worst = 0.0
+    p, w = sl_coefficients(t, 0, y)[::2]
+    pf, worst = p[1::2], 0.0
     for l, f in zip((t.a, t.b, t.c_real), immersion(t, 0.0, y[::2])[1::2]):  # cos rows: f1, f2, f3
-        p, q, w = sl_coefficients(t, 2.0 * abs(math.sin(0.5 * l * h)) / h, y)
-        pf = p[1::2]
+        q = _potential(2.0 * abs(math.sin(0.5 * l * h)) / h, p[::2])
         flux = (pf * (np.roll(f, -1) - f) - np.roll(pf, 1) * (f - np.roll(f, 1))) / h**2
-        worst = max(worst, float(np.max(np.abs((q[::2] * f - flux) / w[::2] - 2.0 * f))))
+        worst = max(worst, float(np.max(np.abs((q * f - flux) / w[::2] - 2.0 * f))))
     return worst
 
 
@@ -443,12 +450,12 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
         anchor_freqs.add(int(round(c_real)))
 
     per = len(by_parity[0])
-    d = np.empty((grid_n // 4, (l_stop + 1) * per))  # one column per counted (l, sector)
+    columns = [(l, sector) for l in range(l_stop + 1) for sector in by_parity[l % 2]]
+    d = np.empty((grid_n // 4, len(columns)))  # one column per counted (l, sector)
     lld, sigma = np.zeros_like(d), np.empty(d.shape[1])  # the last cell has no l_i
-    for l in range(l_stop + 1):
-        factors = _factors(sl_problem(t, l), grid_n, by_parity[l % 2])
-        for col, (_, ld, le, sigma[col]) in enumerate(factors, l * per):
-            d[:, col], lld[:-1, col] = ld, le * le * ld[:-1]
+    factors = _factors(t, Symmetry.FULL_PERIODIC, grid_n, columns)
+    for col, (_, ld, le, sigma[col]) in enumerate(factors):
+        d[:, col], lld[:-1, col] = ld, le * le * ld[:-1]
     below, upto = _count_below(d, lld, sigma, (2.0 - eps, 2.0 + eps)).reshape(2, -1, per).sum(2)
     for l in np.flatnonzero(upto > below):
         if l not in anchor_freqs:
@@ -479,9 +486,9 @@ def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -
 
     The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at
     every l, and each lambda_i, i <= 3, rises by more than it between solved frequencies.
-    Every rounded step of the diagonal of B + I (2 l^2 / root, + main, +- end, (d s) s with
-    s > 0, + 1) is nondecreasing in l^2, the off-diagonal does not depend on l and the factor
-    subtracts the integer sigma + 1 (0 at these l) exactly, so by Weyl each lambda_i is
+    Every rounded step of the diagonal of B + I (q = 2 l^2 / root, flux + q, +- end, (d s) s
+    with s > 0, + 1) is nondecreasing in l^2, the off-diagonal is built once for every l and
+    the factor subtracts the integer sigma + 1 (0 at these l) exactly, so by Weyl each lambda_i is
     nondecreasing in l: on [l_a, l_b], lambda_1 - lambda_0 >= lambda_1(l_a) - lambda_0(l_b),
     likewise lambda_3 - lambda_2.  Solving l = 0, l_max and the midpoints of failed brackets
     solves every l whose gap fails; like a sweep of every l, the check inherits the solver

@@ -121,24 +121,11 @@ class TestVerify:
         assert count["values"]["n2"] == 1
         assert count["values"]["j_closed"] == 1
 
-    def test_env_var_grid_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("LAWSON_GRID_N", "2048")
-        code, out, _ = run(capsys, "verify", "0", "0", "1")
-        assert code == EXIT_OK
-        assert json.loads(out)["payload"]["grid_n"] == 2048
-
-    def test_env_var_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("LAWSON_GRID_N", "zero")
-        code, _, err = run(capsys, "verify", "0", "0", "1")
-        assert code == EXIT_INVALID
-        assert "LAWSON_GRID_N" in err
-
-    def test_grid_not_divisible_by_four(self, capsys, monkeypatch):
+    def test_grid_not_divisible_by_four(self, capsys):
         code, _, err = run(capsys, "spectrum", "0", "0", "1", "--grid", "1030")
         assert code == EXIT_INVALID
         assert "divisible by 4" in err
-        monkeypatch.setenv("LAWSON_GRID_N", "1030")
-        code, _, err = run(capsys, "verify", "0", "0", "1")
+        code, _, err = run(capsys, "verify", "0", "0", "1", "--grid", "1030")
         assert code == EXIT_INVALID
         assert "divisible by 4" in err
 

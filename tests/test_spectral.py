@@ -62,6 +62,8 @@ class TestSelfAdjointCoefficients:
             sl_problem(t, -1)
         with pytest.raises(ValueError):
             sl_coefficients(t, -1, np.linspace(0, 2 * math.pi, 5))
+        with pytest.raises(ValueError):  # q depends on l^2 alone: the problem refuses l < 0
+            spectral.SLProblem(t, -1, Symmetry.ODD_Y)
 
     def test_reduction_is_algebraically_exact(self):
         """-(p phi')' + q phi - lambda w phi == -w * (separated ODE residual).
@@ -227,8 +229,9 @@ def _untrimmed_merge(problem, n, count, sectors=None):
     m = spectral._sector_cells(n, problem.symmetry)
     v0 = np.random.default_rng(spectral._START_SEED).standard_normal(m)
     spectra = []
-    for _, ld, le, sigma in spectral._factors(
-            problem, n, sectors or spectral._SYMMETRY_SECTORS[problem.symmetry]):
+    sectors = sectors or spectral._SYMMETRY_SECTORS[problem.symmetry]
+    for _, ld, le, sigma in spectral._factors(problem.triple, problem.symmetry, n,
+                                              [(problem.l, s) for s in sectors]):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         spectra.append(eigsh(op, count, sigma=sigma, which="LM", v0=v0, OPinv=op,
                              return_eigenvectors=False))
@@ -357,14 +360,14 @@ def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
     sector whose op is the identity (unit pivots, no coupling) makes the Krylov space invariant
     at step 1.  Both errors name grid, l, symmetry and sector."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    factor = next(spectral._factors(sl_problem(t, 2), 2048, ("DN",)))
+    factor = next(spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(2, "DN")]))
     message = r"did not converge within 3 steps at grid_n=2048 \(l=2, full-periodic, sector DN\)"
     with pytest.raises(EigensolverError, match=message):
         spectral._lanczos(*factor, 2, np.full((4, 512), 512**-0.5))
     factors = spectral._factors
 
-    def identity(problem, grid_n, sectors):
-        for where, ld, le, sigma in factors(problem, grid_n, sectors):
+    def identity(t, sym, grid_n, columns):
+        for where, ld, le, sigma in factors(t, sym, grid_n, columns):
             yield where, np.ones_like(ld), np.zeros_like(le), sigma
 
     monkeypatch.setattr(spectral, "_factors", identity)
@@ -395,8 +398,8 @@ def test_sector_holding_the_whole_list_is_solved_again(monkeypatch, sym, lowered
     untrimmed merge only if that sector is solved again."""
     factors = spectral._factors
 
-    def lowered_factors(problem, grid_n, sectors):
-        for where, ld, le, sigma in factors(problem, grid_n, sectors):
+    def lowered_factors(t, sym, grid_n, columns):
+        for where, ld, le, sigma in factors(t, sym, grid_n, columns):
             yield where, ld * (1e-3 if where.endswith(f"sector {lowered})") else 1.0), le, sigma
 
     monkeypatch.setattr(spectral, "_factors", lowered_factors)
@@ -458,6 +461,42 @@ def _dense_sector(t, l, n, sector):
     return d[:, None] * A * d[None, :]
 
 
+def _per_l_factors(t, l, n, sectors):
+    """The reference assembly: every coefficient of the full-periodic grid n evaluated at l, then
+    factored per sector as ``_factors`` does; yields (d, e, sigma)."""
+    from scipy.linalg.lapack import dpttrf
+
+    m, h = n // 4, 2 * math.pi / n
+    p, q, w = sl_coefficients(t, l, 0.5 * h * np.arange(2 * m + 1))
+    pf = p[::2]
+    main = (pf[:-1] + pf[1:]) / h**2 + q[1::2]
+    s = 1.0 / np.sqrt(w[1::2])
+    off = -pf[1:m] / h**2 * s[:-1] * s[1:]
+    shift = 16.0 * np.floor(np.min(q[1::2] / w[1::2]) / 16.0)
+    for sector in sectors:
+        d = main.copy()
+        d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
+        d[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
+        ld, le, info = dpttrf(d * s * s + 1.0 - shift, off)
+        assert info == 0
+        yield ld, le, shift - 1.0
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def test_factors_equal_a_per_l_assembly(t, n):
+    """The l-independent part built once gives bit for bit the factors of a sector assembled
+    anew at each l, in every sector; the last l, 4 (floor(c) + 1), factors with sigma + 1 >= 16."""
+    ls = sorted({0, 1, math.floor(t.c_real), 4 * math.floor(t.c_real) + 4, t.c_real})
+    columns = [(l, sector) for l in ls for sector in spectral._ALL_SECTORS]
+    got = list(spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns))
+    want = [f for l in ls for f in _per_l_factors(t, l, n, spectral._ALL_SECTORS)]
+    assert len(got) == len(want) == 4 * len(ls)
+    assert got[-1][3] >= 15.0
+    for (_, d, e, sigma), (d_ref, e_ref, sigma_ref) in zip(got, want):
+        assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref) and sigma == sigma_ref
+
+
 def _columns(factors):
     """Pivots d and l_i^2 d_i of (where, d, e, sigma) factors as (cells, columns) arrays, and
     their sigmas."""
@@ -476,7 +515,8 @@ def test_inertia_count_matches_dense_eigenvalues(t, n):
     first pivot exactly 0 (so s becomes -inf for the next cell).  At l = 4 (floor(c) + 1),
     as max P <= c^2, the factors are of B + I lowered by a multiple of 16."""
     for l in sorted({0, 1, math.floor(t.c_real), 4 * math.floor(t.c_real) + 4}):
-        factors = list(spectral._factors(sl_problem(t, l), n, spectral._ALL_SECTORS))
+        columns = [(l, sector) for sector in spectral._ALL_SECTORS]
+        factors = list(spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns))
         d, lld, sigma = _columns(factors)
         for col, sector in enumerate(spectral._ALL_SECTORS):
             ev = np.linalg.eigvalsh(_dense_sector(t, l, n, sector))
@@ -519,8 +559,9 @@ def test_clifford_inertia_count_at_fine_grid(l):
     h = 2 * math.pi / n
     exact = np.sort(8.0 * np.sin(math.pi * np.arange(-4, 5) / n) ** 2 / h**2 + 2.0 * l * l)
     values = exact[::2]  # k = 0, then one of each pair +-k
-    problem = sl_problem(validate(Case.GENERALIZED, 0, 0, 1), l)
-    d, lld, sigma = _columns(list(spectral._factors(problem, n, spectral._ALL_SECTORS)))
+    t = validate(Case.GENERALIZED, 0, 0, 1)
+    columns = [(l, sector) for sector in spectral._ALL_SECTORS]
+    d, lld, sigma = _columns(list(spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns)))
     shifts = np.concatenate([values - 1e-9, values + 1e-9])
     below, upto = spectral._count_below(d, lld, sigma, shifts).sum(axis=1).reshape(2, -1)
     assert below.tolist() == [0, 1, 3, 5, 7]
@@ -535,6 +576,36 @@ def test_indeterminate_window_at_non_anchor_frequency(monkeypatch):
     message = r"within 5\.00e-01 of 2 at non-anchor l=1, grid_n=2048"
     with pytest.raises(IndeterminateCountError, match=message):
         count_N2(validate(Case.GENERALIZED, 3, 4, 6), 2048)
+
+
+def test_coefficients_evaluated_once_per_grid(monkeypatch):
+    """A count assembles its 151 frequencies from one evaluation of the coefficients (once the
+    cached spectra it reads exist), and a deep verification evaluates them as often at c = 150
+    as at c = 13."""
+    import lawson.surface
+    import lawson.verify
+
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(1) or f(*args)
+
+    t = validate(Case.GENERALIZED, 1, 2, 150)
+    count_N2(t, 2048)
+    monkeypatch.setattr(spectral, "sl_coefficients", counted(spectral.sl_coefficients))
+    count_N2(t, 2048)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    coefficients_calls = counted(lawson.surface.coefficients)
+    for module in (lawson.surface, spectral, lawson.verify):
+        monkeypatch.setattr(module, "coefficients", coefficients_calls)
+    per_triple = []
+    for abc in ((5, 7, 13), (1, 2, 150)):
+        spectral._full.cache_clear()
+        calls.clear()
+        lawson.verify.run_verification(validate(Case.GENERALIZED, *abc), 2048, deep=True)
+        per_triple.append(len(calls))
+    assert per_triple[0] == per_triple[1]
 
 
 class TestAnchors:
@@ -742,7 +813,8 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", recorded)
     l_max = spectral.interlacing_l_max(t)
     for l in range(l_max + 1):
-        list(spectral._factors(sl_problem(t, l), 2048, ("NN", "ND", "DN", "DD")))
+        list(spectral._factors(t, Symmetry.FULL_PERIODIC, 2048,
+                               [(l, s) for s in ("NN", "ND", "DN", "DD")]))
     assert len(seen) == 4 * (l_max + 1)
     for (d0, e0), (d1, e1) in zip(seen, seen[4:]):
         assert np.all(d1 >= d0)
