@@ -202,24 +202,36 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _export_csv(t: Triple, nx: int, ny: int, path: str) -> None:
+def _fmt_lines(template: str, rows: np.ndarray) -> str:
+    """``template % row`` for each row of a 2-D array, one line each: a ``%.17g`` field prints
+    what :func:`_fmt_float` prints, and a non-finite value raises its ValueError."""
+    if not np.all(np.isfinite(rows)):
+        _fmt_float(float(rows[~np.isfinite(rows)][0]))  # raises
+    return "".join(template % row for row in map(tuple, rows.tolist()))
+
+
+def _sample(t: Triple, nx: int, ny: int):
+    """(x, y, F) on the nx x ny grid over [0, 2 pi)^2, F = immersion of shape (6, nx, ny)."""
     xs = np.linspace(0.0, 2.0 * math.pi, nx, endpoint=False)
     ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    return xg, yg, immersion(t, xg, yg)
+
+
+def _export_csv(t: Triple, nx: int, ny: int, path: str) -> None:
+    xg, yg, F = _sample(t, nx, ny)
+    rows = np.vstack([xg.ravel(), yg.ravel(), F.reshape(6, -1)]).T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,F1,F2,F3,F4,F5,F6\n")
-        for x in xs:
-            F = immersion(t, x, ys)  # shape (6, ny)
-            for j in range(ny):
-                row = [x, ys[j]] + [F[i, j] for i in range(6)]
-                fh.write(",".join(_fmt_float(float(v)) for v in row) + "\n")
+        fh.write(_fmt_lines(",".join(["%.17g"] * 8) + "\n", rows))
 
 
 def _export_obj(t: Triple, nx: int, ny: int, axes: tuple[int, int, int], path: str) -> None:
     degree = classify(t).covering_degree
-    xs = np.linspace(0.0, 2.0 * math.pi, nx, endpoint=False)
-    ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    F = immersion(t, xg, yg)
+    F = _sample(t, nx, ny)[2]
+    vertex = np.arange(1, nx * ny + 1).reshape(nx, ny)  # OBJ numbers vertices from 1
+    right = np.roll(vertex, -1, axis=0)  # the next x, cyclically
+    faces = np.stack([vertex, right, np.roll(right, -1, axis=1), np.roll(vertex, -1, axis=1)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {t.label()} sampled on a {nx}x{ny} grid over [0,2pi)^2\n")
         fh.write(f"# axes: orthogonal projection onto coordinates {axes[0]},{axes[1]},{axes[2]} of R^6\n")
@@ -228,17 +240,8 @@ def _export_obj(t: Triple, nx: int, ny: int, axes: tuple[int, int, int], path: s
             fh.write("# the identification is NOT collapsed, both sheets are present\n")
         else:
             fh.write("# covering: one-to-one parameterization\n")
-        for ix in range(nx):
-            for iy in range(ny):
-                coords = (F[axes[0] - 1, ix, iy], F[axes[1] - 1, ix, iy], F[axes[2] - 1, ix, iy])
-                fh.write("v " + " ".join(_fmt_float(float(v)) for v in coords) + "\n")
-        for ix in range(nx):
-            for iy in range(ny):
-                v00 = ix * ny + iy + 1
-                v10 = ((ix + 1) % nx) * ny + iy + 1
-                v11 = ((ix + 1) % nx) * ny + (iy + 1) % ny + 1
-                v01 = ix * ny + (iy + 1) % ny + 1
-                fh.write(f"f {v00} {v10} {v11} {v01}\n")
+        fh.write(_fmt_lines("v %.17g %.17g %.17g\n", F[[i - 1 for i in axes]].reshape(3, -1).T))
+        fh.write(_fmt_lines("f %d %d %d %d\n", faces.reshape(4, -1).T))
 
 
 def cmd_export(args) -> int:

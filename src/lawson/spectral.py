@@ -37,7 +37,9 @@ transform, counts N(2) as accurately as Lanczos finds eigenvalues; a Sturm count
 stebz) does not.  Lanczos on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a
 gap bound) gives the eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l
 even in floating point, which brackets interlacing; each sector is asked only for its share of
-a list.  The minimality residual is separable, O(grid_n).
+a list.  The minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf,
+dpttrs, dstev; dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded
+straight from their files on first use (:func:`_linalg`): scipy's package imports never run.
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -51,8 +53,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import mmap
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,13 +182,39 @@ def check_count_grid(grid_n: int) -> None:
         raise ValueError(f"grid_n must be >= 2048, got {grid_n}")
 
 
+@functools.cache
+def _linalg(roots: tuple[str, ...] | None = None):
+    """``(lapack, blas)``: scipy.linalg's compiled ``_flapack`` and ``_fblas``, loaded from their
+    files under the scipy package directories ``roots`` (scipy's own by default) and registered in
+    ``sys.modules`` under their own names, so neither scipy/__init__ nor scipy/linalg/__init__
+    runs, and a later ``import scipy.linalg`` reuses them: scipy.linalg.lapack and .blas expose
+    these very functions.  Without the files, the public scipy.linalg.lapack and .blas."""
+    if roots is None:
+        roots = importlib.util.find_spec("scipy").submodule_search_locations
+    modules = []
+    for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"):
+        if name not in sys.modules:
+            stem = os.path.join("linalg", name.rsplit(".", 1)[1])
+            paths = (os.path.join(root, stem + suffix) for root in roots
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+            path = next(filter(os.path.isfile, paths), None)
+            if path is None:
+                from scipy.linalg import blas, lapack
+                return lapack, blas
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        modules.append(sys.modules[name])
+    return tuple(modules)
+
+
 def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     """Yield ``(where, d, e, sigma)`` per ``(l, sector)`` column on [0, pi/2], cells as wide as
     ``grid_n`` on the domain: dpttrf's B - sigma I = L D L^T (pivots d, subdiagonal e of L), B the
     w^(-1/2)-symmetrized matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to a
     multiple of 16 (0 at l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I."""
-    from scipy.linalg.lapack import dpttrf
-
+    dpttrf = _linalg()[0].dpttrf
     m = _sector_cells(grid_n, sym)
     h = sym.domain_length / grid_n
     # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
@@ -230,7 +262,7 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     *The Symmetric Eigenvalue Problem*, ch. 11) is then below eps theta, sound while eigenvalues
     stand apart, as in a sector (one well, separated ends).  The rows of ``V`` hold the basis and
     cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m steps."""
-    from scipy.linalg import blas, lapack
+    lapack, blas = _linalg()
     steps, m = V.shape[0] - 1, len(ld)
     alpha, beta = np.zeros(steps), np.empty(steps)
     eps = np.finfo(float).eps
@@ -263,7 +295,7 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) ->
     m = _sector_cells(grid_n, problem.symmetry)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
-    from scipy.linalg import blas
+    blas = _linalg()[1]
     factors = list(_factors(problem.triple, problem.symmetry, grid_n,
                             [(problem.l, sector) for sector in sectors]))
     # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing

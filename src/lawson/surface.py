@@ -528,6 +528,5 @@ def injectivity_scan(t: Triple, n: int = 32) -> float:
     y = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     xg, yg = np.meshgrid(x, y, indexing="ij")
     pts = immersion(t, xg, yg).reshape(6, -1).T
-    from scipy.spatial.distance import pdist
-
-    return float(np.min(pdist(pts)))
+    return float(min(np.min(np.sqrt(np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)))
+                     for i in range(len(pts) - 1)))

@@ -258,6 +258,36 @@ class TestExport:
         )
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("abc", [(1, 2, 3), (5, 7, 13)], ids=["degree1", "degree2"])
+    def test_files_equal_the_per_value_formatting(self, capsys, tmp_path, abc):
+        """Formatted a row at a time, CSV and OBJ hold the bytes of ``format(v, ".17g")`` value
+        by value, with one immersion call per x for the CSV and a double loop for the faces."""
+        t, nx, ny = lawson.validate(lawson.Case.GENERALIZED, *abc), 24, 20
+        xs = np.linspace(0.0, 2.0 * math.pi, nx, endpoint=False)
+        ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
+        fmt = lambda values: [format(float(v), ".17g") for v in values]  # noqa: E731
+        csv = ["x,y,F1,F2,F3,F4,F5,F6"]
+        for x in xs:
+            F = lawson.immersion(t, x, ys)
+            csv += [",".join(fmt([x, ys[j], *F[:, j]])) for j in range(ny)]
+        F = lawson.immersion(t, *np.meshgrid(xs, ys, indexing="ij"))
+        obj = ["v " + " ".join(fmt(F[[3, 0, 4], ix, iy])) for ix in range(nx) for iy in range(ny)]
+        obj += [f"f {ix * ny + iy + 1} {(ix + 1) % nx * ny + iy + 1} "
+                f"{(ix + 1) % nx * ny + (iy + 1) % ny + 1} {ix * ny + (iy + 1) % ny + 1}"
+                for ix in range(nx) for iy in range(ny)]
+        for kind, expected in (("csv", csv), ("obj", obj)):
+            path = tmp_path / f"surface.{kind}"
+            code, _, _ = run(capsys, "export", *map(str, abc), "--nx", str(nx), "--ny", str(ny),
+                             "--format", kind, "--axes", "4,1,5", "--out", str(path))
+            assert code == EXIT_OK
+            lines = path.read_bytes().decode("utf-8").split("\n")
+            assert lines.pop() == ""
+            assert [ln for ln in lines if not ln.startswith("#")] == expected
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(ValueError, match="non-finite float in output: nan"):
+            lawson.cli._fmt_lines("%.17g,%.17g\n", np.array([[1.0, 2.0], [3.0, np.nan]]))
+
 
 class TestTable:
     def test_rows_and_equality(self, capsys):

@@ -265,15 +265,14 @@ def test_list_of_all_but_one_eigenvalue(sym):
 def test_sector_solved_to_its_size_spans_it(monkeypatch):
     """A single sector asked for m - 1 = 63 of its 64 eigenvalues runs into the step cap m,
     where the basis spans the sector and the Ritz values are its eigenvalues."""
-    import scipy.linalg.lapack
-
-    dpttrs, steps = scipy.linalg.lapack.dpttrs, []
+    lapack = spectral._linalg()[0]
+    dpttrs, steps = lapack.dpttrs, []
 
     def counted(*args, **kwargs):
         steps.append(1)
         return dpttrs(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counted)
+    monkeypatch.setattr(lapack, "dpttrs", counted)
     t = validate(Case.GENERALIZED, 1, 2, 3)
     for sector in spectral._ALL_SECTORS:
         steps.clear()
@@ -310,9 +309,8 @@ def test_steps_per_sector_of_a_list_of_8(monkeypatch, sym, most):
     """T_(5,7,13) at l = 7, grid 16384: each sector stops once its Ritz values pass the gap
     test, within 14 steps for a list of four sectors (measured 12-13) and 18 for two (16-17);
     a residual test at eps theta took 16-18 and 22-23."""
-    import scipy.linalg.lapack
-
-    dpttrs, lanczos, steps = scipy.linalg.lapack.dpttrs, spectral._lanczos, []
+    lapack = spectral._linalg()[0]
+    dpttrs, lanczos, steps = lapack.dpttrs, spectral._lanczos, []
 
     def counted(*args, **kwargs):
         steps[-1] += 1
@@ -322,10 +320,11 @@ def test_steps_per_sector_of_a_list_of_8(monkeypatch, sym, most):
         steps.append(0)
         return lanczos(*args)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counted)
+    monkeypatch.setattr(lapack, "dpttrs", counted)
     monkeypatch.setattr(spectral, "_lanczos", per_sector)
     _spec(validate(Case.GENERALIZED, 5, 7, 13), 7, sym, n=16384)
     assert len(steps) == len(spectral._SYMMETRY_SECTORS[sym])
+    assert min(steps) > 0
     assert max(steps) <= most
 
 
@@ -376,17 +375,50 @@ def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
         _spec(t, 2, Symmetry.ODD_Y, n=1024)
 
 
-def test_lists_load_no_sparse_solver():
-    """A verification and an eigenvalue list use LAPACK alone: scipy.sparse stays unloaded."""
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter after ``from lawson import *``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(spectral.__file__)))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); from lawson import *; "
-        "t = validate(Case.GENERALIZED, 5, 7, 13); run_verification(t, deep=True); "
-        "sl_spectrum(sl_problem(t, 3, Symmetry.EVEN_Y), 2048); "
-        "print([m for m in sys.modules if m.startswith('scipy.sparse')], file=sys.stderr)"
-    )
+    code = f"import sys; sys.path.insert(0, {src!r}); from lawson import *; {code}"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stderr.strip() == "[]"
+    return proc.stdout.strip()
+
+
+_VERIFY_AND_LIST = ("t = validate(Case.GENERALIZED, 5, 7, 13); run_verification(t, deep=True); "
+                    "sl_spectrum(sl_problem(t, 3, Symmetry.EVEN_Y), 2048); ")
+
+
+def test_lists_load_no_sparse_solver():
+    """A verification and an eigenvalue list load two scipy modules, the compiled extensions
+    scipy.linalg._flapack and _fblas: no scipy package, no scipy.sparse."""
+    loaded = _fresh_python(_VERIFY_AND_LIST + "print(sorted(m for m in sys.modules if "
+                           "m == 'scipy' or m.startswith('scipy.')))")
+    assert loaded == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+
+
+def test_public_scipy_linalg_reuses_the_loaded_extensions():
+    """After a verification, ``import scipy.linalg.lapack`` (and .blas) runs scipy's packages
+    around the registered extensions and exposes the very functions the spectral core called."""
+    same = _fresh_python(
+        _VERIFY_AND_LIST + "from lawson import spectral; lapack, blas = spectral._linalg(); "
+        "import scipy.linalg.blas, scipy.linalg.lapack; "
+        "print(sys.modules['scipy.linalg._flapack'] is lapack, sys.modules['scipy.linalg._fblas'] "
+        "is blas, *(getattr(scipy.linalg.lapack, f) is getattr(lapack, f) for f in "
+        "('dpttrf', 'dpttrs', 'dstev')), *(getattr(scipy.linalg.blas, f) is getattr(blas, f) "
+        "for f in ('dgemv', 'dnrm2')))")
+    assert same == " ".join(["True"] * 7)
+
+
+def test_loader_falls_back_to_the_public_import(tmp_path):
+    """Pointed at a directory without the extension files, the loader returns the public
+    scipy.linalg.lapack and .blas, and a list of 8 is bit-identical."""
+    out = _fresh_python(
+        f"from lawson import spectral; linalg = spectral._linalg(({str(tmp_path)!r},)); "
+        "spectral._linalg = lambda: linalg; import scipy.linalg.blas, scipy.linalg.lapack; "
+        "print(linalg == (scipy.linalg.lapack, scipy.linalg.blas)); "
+        "t = validate(Case.GENERALIZED, 5, 7, 13); "
+        "print(sl_spectrum(sl_problem(t, 3, Symmetry.EVEN_Y), 2048).eigenvalues.tobytes().hex())")
+    problem = sl_problem(validate(Case.GENERALIZED, 5, 7, 13), 3, Symmetry.EVEN_Y)
+    assert out.split() == ["True", sl_spectrum(problem, 2048).eigenvalues.tobytes().hex()]
 
 
 @pytest.mark.parametrize("sym,lowered", [(Symmetry.FULL_PERIODIC, "DN"), (Symmetry.EVEN_Y, "ND")],
@@ -431,8 +463,6 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
     """If B - sigma I does not factor (a negated flux coefficient p makes B indefinite; a
     negative q would lower sigma with it), the sector is reported and no Lanczos step (dpttrs)
     runs."""
-    import scipy.linalg.lapack
-
     coefficients_of = spectral.sl_coefficients
 
     def indefinite(t, l, y):
@@ -440,7 +470,7 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
         return -p, q, w
 
     monkeypatch.setattr(spectral, "sl_coefficients", indefinite)
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
+    monkeypatch.setattr(spectral._linalg()[0], "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
     with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
 
@@ -801,16 +831,14 @@ class TestInterlacing:
 def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     """The fact interlacing's brackets rest on: from l to l + 1 the diagonal that dpttrf
     factors is elementwise nondecreasing and the off-diagonal is unchanged, in every sector."""
-    import scipy.linalg.lapack
-
-    dpttrf = scipy.linalg.lapack.dpttrf
-    seen = []
+    lapack = spectral._linalg()[0]
+    dpttrf, seen = lapack.dpttrf, []
 
     def recorded(d, e):
         seen.append((d.copy(), e.copy()))
         return dpttrf(d, e)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", recorded)
+    monkeypatch.setattr(lapack, "dpttrf", recorded)
     l_max = spectral.interlacing_l_max(t)
     for l in range(l_max + 1):
         list(spectral._factors(t, Symmetry.FULL_PERIODIC, 2048,

@@ -429,6 +429,16 @@ class TestInjectivity:
         assert d > 0
         assert d > floor
 
+    @pytest.mark.parametrize("abc", [(0, 0, 1), (1, 2, 3), (2, 2, 3), (1, 2, 5)])
+    def test_minimum_equals_pdist(self, abc):
+        """The row-by-row numpy minimum is the minimum of scipy's pdist, bit for bit."""
+        from scipy.spatial.distance import pdist
+
+        t = validate(Case.GENERALIZED, *abc)
+        x = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+        pts = immersion(t, *np.meshgrid(x, x, indexing="ij")).reshape(6, -1).T
+        assert injectivity_scan(t, 32) == float(np.min(pdist(pts)))
+
     def test_quotient_rejected(self):
         with pytest.raises(InvalidTripleError, match="quotient"):
             injectivity_scan(validate(Case.GENERALIZED, 1, 1, 2), 32)

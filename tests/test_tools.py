@@ -47,3 +47,35 @@ def test_compare_prints_float_deltas_and_fails_on_anything_else(tmp_path, capsys
     report["checks"]["count"]["values"]["epsilon"] = math.nan
     nan = _write(tmp_path / "nan.jsonl", [report])
     assert same_behaviour.compare(nan, nan) == 0
+
+
+def test_header_records_the_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    assert same_behaviour.header() == {"header": {"OPENBLAS_NUM_THREADS": "1",
+                                                  "OMP_NUM_THREADS": None,
+                                                  "MKL_NUM_THREADS": "2",
+                                                  "cpu_count": os.cpu_count()}}
+
+
+def test_compare_keys_no_report_by_the_header_and_notes_a_change(tmp_path, capsys):
+    """Equal headers pass silently; a changed or missing header is noted, not a difference."""
+    listed = {"triple": "T_(1,2,3)", "l": 1, "symmetry": "full-periodic", "grid_n": 16384,
+              "eigenvalues": [1.5, 2.5]}
+    one = {"header": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                      "MKL_NUM_THREADS": None, "cpu_count": 2}}
+    two = {"header": {**one["header"], "OPENBLAS_NUM_THREADS": "2"}}
+    old = _write(tmp_path / "old.jsonl", [one, listed])
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [one, listed])) == 0
+    out = capsys.readouterr().out
+    assert "1 records in both" in out and "note" not in out
+    for changed in ([two, listed], [listed]):
+        assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", changed)) == 0
+        out = capsys.readouterr().out
+        assert "1 records in both" in out
+        assert "note: the headers differ" in out and "DIFFERS" not in out
+    moved = {**listed, "eigenvalues": [1.5, 3.5]}
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [two, moved])) == 0
+    assert "max |delta| 1  eigenvalues[]" in capsys.readouterr().out
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [two])) == 1

@@ -19,6 +19,12 @@ arguments, then ``--compare`` the outputs: every value that is not a float
 equal, and the largest |difference| of each float field is printed, absolute
 and relative to max(1, |old value|).  The exit status is 1 when a record or
 a non-float value differs.
+
+The first line of each output is a header record of the BLAS thread settings
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``; null when
+unset) and ``os.cpu_count()``: eigenvalue lists are byte-identical across runs
+only at a fixed BLAS thread count.  ``--compare`` keys no report by it and
+prints a note when the two headers differ.
 """
 
 from __future__ import annotations
@@ -113,18 +119,31 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def header() -> dict:
+    """The header record: the BLAS thread settings and the CPU count of this run."""
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"header": {**{v: os.environ.get(v) for v in threads}, "cpu_count": os.cpu_count()}}
+
+
 def _key(record: dict) -> tuple:
     return tuple(record.get(k) for k in ("triple", "grid_n", "deep", "l", "symmetry"))
 
 
-def _records(path: str) -> dict:
+def _records(path: str) -> tuple[dict | None, dict]:
+    """(header, reports by key) of an output; the header is None in one written without it."""
+    environment, records = None, {}
     with open(path, encoding="utf-8") as fh:
-        return {_key(r): r for r in map(json.loads, fh)}
+        for r in map(json.loads, fh):
+            if "header" in r:
+                environment = r["header"]
+            else:
+                records[_key(r)] = r
+    return environment, records
 
 
 def compare(old_path: str, new_path: str) -> int:
     """Print the differences of two outputs of this script; 1 if any non-float differs."""
-    old, new = _records(old_path), _records(new_path)
+    (old_env, old), (new_env, new) = _records(old_path), _records(new_path)
     bad = [f"only in {old_path}: {k}" for k in old.keys() - new.keys()]
     bad += [f"only in {new_path}: {k}" for k in new.keys() - old.keys()]
     worst = {}
@@ -139,6 +158,9 @@ def compare(old_path: str, new_path: str) -> int:
             elif json.dumps(x) != json.dumps(y):  # also 1 vs 1.0, and a NaN or inf on one side
                 bad.append(f"{key} {path}: {x!r} != {y!r}")
     print(f"{len(old.keys() & new.keys())} records in both")
+    if old_env != new_env:
+        print(f"note: the headers differ, {old_env} in {old_path} and {new_env} in {new_path}; "
+              "lists are byte-identical only at equal BLAS thread counts")
     for field, (delta, rel) in sorted(worst.items()):
         print(f"max |delta| {delta:.3g}  {field}")
         print(f"max |delta| / max(1, |old|) {rel:.3g}  {field}")
@@ -156,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    print(json.dumps(header(), sort_keys=True), flush=True)
     if args.lists:
         for query in list_queries():
             print(json.dumps(list_record(*query), sort_keys=True), flush=True)
