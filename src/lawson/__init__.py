@@ -8,114 +8,13 @@ the Laplace-eigenfunction property of the immersion, and an independent
 Sturm-Liouville recount of the eigenvalue index.
 """
 
-from .elliptic import (
-    Modulus,
-    agm,
-    complete_E,
-    complete_E_quadrature,
-    complete_K,
-    complete_K_quadrature,
-    landen_gap,
-)
-from .errors import (
-    DegenerateTripleError,
-    EigensolverError,
-    IndeterminateCountError,
-    InvalidTripleError,
-    LawsonError,
-    NotInFamilyError,
-    SpectralError,
-)
-from .spectral import (
-    CountReport,
-    SLProblem,
-    SpectrumResult,
-    Symmetry,
-    anchor_check,
-    count_N2,
-    eq35_residual,
-    interlacing_check,
-    lame_residual,
-    sl_coefficients,
-    sl_problem,
-    sl_spectrum,
-    takahashi_residual,
-)
-from .surface import (
-    Case,
-    Coefficients,
-    Functional,
-    Phi,
-    Subcase,
-    SurfaceClass,
-    Topology,
-    Triple,
-    area_closed,
-    area_quadrature,
-    canonicalize,
-    classify,
-    coefficients,
-    expected_symmetry,
-    extremal_index,
-    immersion,
-    injectivity_scan,
-    metric,
-    symmetry_residual,
-    validate,
-)
-from .verify import CheckResult, VerificationReport, run_verification
+from .elliptic import *
+from .errors import *
+from .spectral import *
+from .surface import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "Case",
-    "Coefficients",
-    "CountReport",
-    "DegenerateTripleError",
-    "EigensolverError",
-    "Functional",
-    "IndeterminateCountError",
-    "InvalidTripleError",
-    "LawsonError",
-    "Modulus",
-    "NotInFamilyError",
-    "Phi",
-    "SLProblem",
-    "SpectralError",
-    "SpectrumResult",
-    "Subcase",
-    "SurfaceClass",
-    "Symmetry",
-    "Topology",
-    "Triple",
-    "VerificationReport",
-    "agm",
-    "anchor_check",
-    "area_closed",
-    "area_quadrature",
-    "canonicalize",
-    "classify",
-    "coefficients",
-    "complete_E",
-    "complete_E_quadrature",
-    "complete_K",
-    "complete_K_quadrature",
-    "count_N2",
-    "eq35_residual",
-    "expected_symmetry",
-    "extremal_index",
-    "immersion",
-    "injectivity_scan",
-    "interlacing_check",
-    "lame_residual",
-    "landen_gap",
-    "metric",
-    "run_verification",
-    "sl_coefficients",
-    "sl_problem",
-    "sl_spectrum",
-    "symmetry_residual",
-    "takahashi_residual",
-    "validate",
-]
+__all__ = (elliptic.__all__ + errors.__all__ + spectral.__all__
+           + surface.__all__ + verify.__all__)

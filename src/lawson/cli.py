@@ -61,6 +61,10 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# JSON string escapes: backslash, quote and the control characters U+0000-U+001F.
+_JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{i: f"\\u{i:04x}" for i in range(32)}}
+
+
 def render_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -83,7 +87,7 @@ def render_json(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + str(obj).translate(_JSON_ESCAPES) + '"'
 
 
 def _triple_record(t: Triple) -> dict:

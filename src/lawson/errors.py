@@ -4,6 +4,16 @@ The CLI maps these onto exit codes: invalid input -> 1, verification
 failure -> 2, numerical non-convergence -> 3.
 """
 
+__all__ = [
+    "DegenerateTripleError",
+    "EigensolverError",
+    "IndeterminateCountError",
+    "InvalidTripleError",
+    "LawsonError",
+    "NotInFamilyError",
+    "SpectralError",
+]
+
 
 class LawsonError(Exception):
     """Base class for all library errors."""

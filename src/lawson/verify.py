@@ -116,7 +116,10 @@ def _eq35_check(t: Triple) -> CheckResult:
 
 
 def _takahashi_check(t: Triple, deep: bool) -> CheckResult:
-    grids = (128, 256, 512) if deep else (128, 256)
+    # >= 4 cells per period of the highest frequency: the doubling ratio is
+    # then asymptotic (measured: from at most 3.9 cells on).
+    n0 = max(128, 2 ** math.ceil(math.log2(4 * max(t.a, t.b, t.c_real))))
+    grids = (n0, 2 * n0, 4 * n0) if deep else (n0, 2 * n0)
     res = [takahashi_residual(t, n) for n in grids]
     ratios = [res[i] / res[i + 1] for i in range(len(res) - 1)]
     lo, hi = _RATIO_RANGE
@@ -188,8 +191,14 @@ def _symmetry_check(t: Triple) -> CheckResult:
     )
 
 
-def _count_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
-    report = count_N2(t, grid_n)
+def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]:
+    """The count record, and whether the count was indeterminate."""
+    tolerance = "n2 == closed-form j" + (", grid-stable" if deep else "")
+    try:
+        report = count_N2(t, grid_n)
+        refined = count_N2(t, 2 * grid_n) if deep else None
+    except SpectralError as exc:
+        return CheckResult("count", False, {"error": str(exc)}, tolerance), True
     values = {
         "n2": report.n2,
         "j_closed": report.j_closed,
@@ -199,15 +208,9 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
     }
     passed = report.agree
     if deep:
-        refined = count_N2(t, 2 * grid_n)
         values["n2_refined"] = refined.n2
         passed = passed and refined.n2 == report.n2
-    return CheckResult(
-        name="count",
-        passed=passed,
-        values=values,
-        tolerance="n2 == closed-form j" + (", grid-stable" if deep else ""),
-    )
+    return CheckResult("count", passed, values, tolerance), False
 
 
 def _interlacing_check(t: Triple, grid_n: int) -> CheckResult:
@@ -225,9 +228,10 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     """Run the full residual suite for one triple.
 
     ``deep`` doubles the spectral grids, measures anchor convergence
-    orders, extends the minimality-residual ladder to 512, and re-counts
-    on the doubled grid.  Raises :class:`SpectralError` subclasses only
-    for non-convergence; an indeterminate count is reported in-band.
+    orders, adds a third rung to the minimality-residual ladder, and
+    re-counts on the doubled grid.  Raises :class:`SpectralError`
+    subclasses only for non-convergence; an indeterminate count is
+    reported in-band.
     """
     check_count_grid(grid_n)
     t = canonicalize(t)
@@ -239,17 +243,7 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     report.checks.append(_area_check(t))
     report.checks.append(_anchor_check(t, grid_n, deep))
     report.checks.append(_symmetry_check(t))
-    try:
-        report.checks.append(_count_check(t, grid_n, deep))
-    except SpectralError as exc:
-        report.indeterminate = True
-        report.checks.append(
-            CheckResult(
-                name="count",
-                passed=False,
-                values={"error": str(exc)},
-                tolerance="n2 == closed-form j",
-            )
-        )
+    count, report.indeterminate = _count_check(t, grid_n, deep)
+    report.checks.append(count)
     report.checks.append(_interlacing_check(t, grid_n))
     return report

@@ -284,6 +284,15 @@ class TestExport:
             assert lines.pop() == ""
             assert [ln for ln in lines if not ln.startswith("#")] == expected
 
+    def test_control_characters_in_the_path_are_escaped(self, capsys, tmp_path):
+        out_file = tmp_path / "a\tb\nc.csv"
+        code, out, _ = run(capsys, "export", "0", "1", "2", "--nx", "4", "--ny", "4",
+                           "--out", str(out_file))
+        assert code == EXIT_OK
+        assert "\\u0009" in out and "\\u000a" in out
+        assert json.loads(out)["payload"]["file"] == str(out_file)
+        assert out_file.exists()
+
     def test_non_finite_value_raises(self):
         with pytest.raises(ValueError, match="non-finite float in output: nan"):
             lawson.cli._fmt_lines("%.17g,%.17g\n", np.array([[1.0, 2.0], [3.0, np.nan]]))

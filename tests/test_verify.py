@@ -4,7 +4,7 @@ import pytest
 
 import lawson.spectral as spectral
 import lawson.verify as verify
-from lawson import Case, run_verification, validate
+from lawson import Case, IndeterminateCountError, run_verification, validate
 
 
 EXPECTED_CHECKS = [
@@ -78,6 +78,48 @@ class TestRunVerification:
         assert {k for *_, k in calls} == {2}
         assert {l for n, l, *_ in calls if n == 2048} == {0, 5, 7, 10, 13, 14}
         assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13, 14}
+
+    @pytest.mark.parametrize(
+        "abc,deep,rungs",
+        [
+            ((1, 2, 3), False, (128, 256)),
+            ((1, 2, 3), True, (128, 256, 512)),
+            ((5, 7, 32), False, (128, 256)),
+            ((5, 7, 33), False, (256, 512)),
+            ((60, 80, 101), False, (512, 1024)),
+            ((1, 2, 150), True, (1024, 2048, 4096)),
+        ],
+    )
+    def test_minimality_ladder_scales_with_the_frequencies(self, abc, deep, rungs):
+        """The first rung is the least power of two >= max(128, 4 max(a, b, c))."""
+        check = verify._takahashi_check(validate(Case.GENERALIZED, *abc), deep)
+        assert [k for k in check.values if k.startswith("residual_")] == [
+            f"residual_n{n}" for n in rungs
+        ]
+
+    def test_high_frequency_surface_is_minimal(self):
+        """At T_(1,2,150) the rungs 128 and 256 are pre-asymptotic (ratio about 1.3);
+        from 1024 on the residual falls by 4 per doubling."""
+        report = run_verification(validate(Case.GENERALIZED, 1, 2, 150), grid_n=2048)
+        ladder = next(c for c in report.checks if c.name == "laplace_eigenfunction")
+        assert ladder.passed
+        assert report.status == "ok"
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_indeterminate_count_states_the_answered_tolerance(self, monkeypatch, deep):
+        t = validate(Case.GENERALIZED, 1, 2, 3)
+        answered = run_verification(t, grid_n=2048, deep=deep).tolerances()["count"]
+
+        def indeterminate(*args):
+            raise IndeterminateCountError("indeterminate count")
+
+        monkeypatch.setattr(verify, "count_N2", indeterminate)
+        report = run_verification(t, grid_n=2048, deep=deep)
+        assert report.status == "indeterminate"
+        count = next(c for c in report.checks if c.name == "count")
+        assert count.values == {"error": "indeterminate count"}
+        assert count.tolerance == answered
+        assert answered == "n2 == closed-form j" + (", grid-stable" if deep else "")
 
     def test_interlacing_reports_the_l_max_it_used(self, monkeypatch):
         """The reported l_max is the one interlacing_check ran with: one past c."""
