@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 
-import numpy as np
-
+from ._lazy import np
 from .elliptic import Modulus, complete_E, complete_K, landen_gap
 from .errors import InvalidTripleError, SpectralError
 from .spectral import Symmetry, sl_problem, sl_spectrum
@@ -81,9 +81,9 @@ def render_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # numpy registers its integer and float scalars
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
@@ -135,7 +135,7 @@ def _emit(env: dict, fmt: str) -> None:
 def _text_value(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
         return _fmt_float(float(v))
     return str(v)
 
@@ -324,15 +324,22 @@ def cmd_table(args) -> int:
     return EXIT_OK if status == "ok" else EXIT_VERIFICATION_FAILED
 
 
+def _landen_grid(n: int) -> list[float]:
+    """``np.linspace(0.0, 0.99, n)`` bit for bit: i * step, and the end point exactly."""
+    return [i * (0.99 / (n - 1)) for i in range(n - 1)] + [0.99] if n > 1 else [0.0]
+
+
 def cmd_landen(args) -> int:
-    ks = np.linspace(0.0, 0.99, args.points)
-    gaps = [abs(landen_gap(float(k))) for k in ks]
-    worst = int(np.argmax(gaps))
+    if args.points < 1:
+        raise InvalidTripleError(f"--points must be at least 1, got {args.points}")
+    ks = _landen_grid(args.points)
+    gaps = [abs(landen_gap(k)) for k in ks]
+    worst = gaps.index(max(gaps))  # the first maximum, as np.argmax
     payload = {
         "points": args.points,
         "k_range": [0.0, 0.99],
         "max_abs_gap": gaps[worst],
-        "argmax_k": float(ks[worst]),
+        "argmax_k": ks[worst],
     }
     status = "ok" if gaps[worst] <= 1e-10 else "fail"
     _emit(_envelope("landen", None, payload, {"max_abs_gap": "<= 1e-10"}, status), args.format)

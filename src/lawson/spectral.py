@@ -61,8 +61,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EigensolverError, IndeterminateCountError
 from .surface import (
     Phi,

@@ -43,8 +43,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
+from ._lazy import np
 from .elliptic import Modulus, complete_E, complete_K
 from .errors import DegenerateTripleError, InvalidTripleError, NotInFamilyError
 

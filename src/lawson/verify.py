@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .errors import SpectralError
 from .spectral import (
     INTERLACING_TOL,

@@ -324,14 +324,75 @@ class TestLanden:
         assert env["payload"]["points"] == 100
         assert env["payload"]["max_abs_gap"] <= 1e-10
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_below_one_are_rejected(self, capsys, points):
+        code, out, err = run(capsys, "landen", "--points", points)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"invalid input: --points must be at least 1, got {points}\n"
 
-def test_import_and_closed_form_commands_load_no_scipy():
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000])
+    def test_grid_is_linspace_bit_for_bit(self, n):
+        grid = lawson.cli._landen_grid(n)
+        assert all(type(k) is float for k in grid)
+        assert np.array(grid).tobytes() == np.linspace(0.0, 0.99, n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_payload_is_the_numpy_sweep(self, capsys, n):
+        ks = np.linspace(0.0, 0.99, n)
+        gaps = [abs(lawson.landen_gap(float(k))) for k in ks]
+        worst = int(np.argmax(gaps))
+        _, out, _ = run(capsys, "landen", "--points", str(n))
+        payload = json.loads(out)["payload"]
+        assert payload["max_abs_gap"] == gaps[worst]
+        assert payload["argmax_k"] == float(ks[worst])
+
+    def test_argmax_is_the_first_maximum(self, capsys, monkeypatch):
+        ks = np.linspace(0.0, 0.99, 7)
+        gap = {float(ks[2]): -1.0, float(ks[5]): 1.0}
+        monkeypatch.setattr(lawson.cli, "landen_gap", lambda k: gap.get(k, 0.5))
+        code, out, _ = run(capsys, "landen", "--points", "7")
+        assert code == EXIT_VERIFY_FAIL
+        payload = json.loads(out)["payload"]
+        assert payload["argmax_k"] == float(ks[2])  # np.argmax of |gaps| 0.5, 0.5, 1, 0.5, 0.5, 1, 0.5
+        assert payload["max_abs_gap"] == 1.0
+
+
+@pytest.mark.parametrize("value, json_text, text", [
+    (np.int64(-7), "-7", "-7"), (np.int32(7), "7", "7"), (np.uint8(255), "255", "255"),
+    (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
+    (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
+    (np.float16(0.1), "0.0999755859375", "0.0999755859375"),
+    (np.bool_(True), '"True"', "True"),  # np.bool_ is no bool: the string of its str()
+])
+def test_numpy_scalars_render_as_python_numbers(value, json_text, text):
+    assert lawson.cli.render_json(value) == json_text
+    assert lawson.cli._text_value(value) == text
+
+
+def test_import_and_closed_form_commands_load_no_numpy_or_scipy():
+    """import lawson, classify, table and landen run no numpy or scipy module; a verify after them
+    in the same process loads numpy and prints the bytes a fresh process prints."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import lawson, lawson.cli; "
-        "lawson.cli.main(['classify', '1', '0', '2']); lawson.cli.main(['table']); "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')], "
-        "file=sys.stderr)"
+    setup = f"import sys; sys.path.insert(0, {src!r}); import lawson, lawson.cli; "
+    code = setup + (
+        "[lawson.cli.main(argv) for argv in (['classify', '1', '0', '2'], "
+        "['classify', '--lawson', '3', '1'], ['table'], ['landen'])]; "
+        "print([m for m in sys.modules if m in ('numpy._core', 'scipy') or m.startswith('scipy.')], "
+        "file=sys.stderr); print('<verify>'); lawson.cli.main(['verify', '5', '7', '13'])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stderr.strip() == "[]"
+    fresh = subprocess.run([sys.executable, "-c", setup + "lawson.cli.main(['verify', '5', '7', '13'])"],
+                           capture_output=True, text=True, check=True)
+    assert proc.stdout.split("<verify>\n", 1)[1] == fresh.stdout
+    assert json.loads(fresh.stdout)["status"] == "ok"
+
+
+def test_missing_numpy_fails_at_import():
+    """Without site-packages (-S) and PYTHON* variables (-I) numpy cannot be found."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))
+    code = f"import sys; sys.path.insert(0, {src!r}); import lawson"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("ModuleNotFoundError: No module named 'numpy'")

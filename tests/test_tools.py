@@ -1,6 +1,7 @@
 """tools/same_behaviour.py --compare: exact on everything but floats, whose largest
 absolute and relative deltas it prints."""
 
+import hashlib
 import json
 import math
 import os
@@ -79,3 +80,34 @@ def test_compare_keys_no_report_by_the_header_and_notes_a_change(tmp_path, capsy
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [two, moved])) == 0
     assert "max |delta| 1  eigenvalues[]" in capsys.readouterr().out
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [two])) == 1
+
+
+def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
+    """--cli runs the benchmark's cli requests of seeds 101-104 and edge cases once each; a record
+    holds the exit code, stdout and an export's sha256, and --compare flags any byte change."""
+    from perfbench.workloads import Cli
+
+    argvs = same_behaviour.cli_invocations()
+    assert len(set(map(tuple, argvs))) == len(argvs)
+    for seed in range(101, 105):
+        assert all(op.args["argv"] in argvs for op in Cli(seed, "").requests)
+    assert ["landen", "--points", "0"] in argvs and ["table", "--format", "text"] in argvs
+
+    monkeypatch.chdir(tmp_path)
+    rejected = same_behaviour.cli_record(["landen", "--points", "0"])
+    assert rejected == {"argv": ["landen", "--points", "0"], "exit": 1, "stdout": ""}
+    assert same_behaviour.cli_record(["classify", "1"])["exit"] == 1  # argparse accepts, arity fails
+    assert same_behaviour.cli_record(["table", "--bogus"])["exit"] == 1  # argparse exits
+    export = same_behaviour.cli_record(["export", "0", "1", "2", "--nx", "4", "--ny", "4",
+                                        "--out", "e.csv"])
+    assert export["exit"] == 0 and json.loads(export["stdout"])["payload"]["file"] == "e.csv"
+    assert export["sha256"] == hashlib.sha256((tmp_path / "e.csv").read_bytes()).hexdigest()
+    capsys.readouterr()
+
+    old = _write(tmp_path / "old.jsonl", [rejected, export])
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [export, rejected])) == 0
+    assert "2 records in both" in capsys.readouterr().out
+    for key, value in (("stdout", export["stdout"] + " "), ("sha256", "0" * 64), ("exit", 2)):
+        changed = _write(tmp_path / "new.jsonl", [rejected, {**export, key: value}])
+        assert same_behaviour.compare(old, changed) == 1
+        assert "DIFFERS" in capsys.readouterr().out

@@ -3,6 +3,7 @@ eigenvalue lists, as JSONL; compare two such files.
 
     PYTHONPATH=src python3 tools/same_behaviour.py --grid 2048 [--deep] > reports.jsonl
     PYTHONPATH=src python3 tools/same_behaviour.py --lists > lists.jsonl
+    PYTHONPATH=src python3 tools/same_behaviour.py --cli > cli.jsonl
     PYTHONPATH=src python3 tools/same_behaviour.py --compare old.jsonl new.jsonl
 
 The set has 1204 triples: the test suite's reference surfaces
@@ -13,11 +14,17 @@ and tolerance string (the count's values hold ``n2`` and ``per_l``).
 ``--lists`` writes one ``sl_spectrum`` list of 8 per line: T_(1,2,3) at l = 1
 and T_(5,7,13) at l = 7 in every symmetry at grids 16384, 65536 and 131072,
 and the eigenvalue-list queries of the benchmark's ``deep`` workload for
-seeds 101-104 (grids 16384-131072).  Run it in two checkouts with the same
-arguments, then ``--compare`` the outputs: every value that is not a float
-(status, verdicts, tolerance strings, ``n2``, ``per_l``, errors) must be
-equal, and the largest |difference| of each float field is printed, absolute
-and relative to max(1, |old value|).  The exit status is 1 when a record or
+seeds 101-104 (grids 16384-131072).  ``--cli`` writes one record per
+``lawson`` command line: its argv, exit code, stdout and, for ``export``, the
+sha256 of the written file.  The command lines are the requests of the
+benchmark's ``cli`` workload for seeds 101-104, ``landen --points`` at edge
+counts and ``--format text`` variants; each runs through ``lawson.cli.main``
+in a temporary working directory, which receives the exports.  Run it in two
+checkouts with the same arguments, then ``--compare`` the outputs: every
+value that is not a float (status, verdicts, tolerance strings, ``n2``,
+``per_l``, errors, exit codes, stdout) must be equal, and the largest
+|difference| of each float field is printed, absolute and relative to
+max(1, |old value|).  The exit status is 1 when a record or
 a non-float value differs.
 
 The first line of each output is a header record of the BLAS thread settings
@@ -30,11 +37,15 @@ prints a note when the two headers differ.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
 import re
 import sys
+import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "tests"))
@@ -51,6 +62,7 @@ from lawson import (  # noqa: E402
     sl_spectrum,
     validate,
 )
+from lawson.cli import main as cli_main  # noqa: E402
 
 
 def generalized_triples(c_max: int) -> list[tuple[int, int, int]]:
@@ -107,6 +119,34 @@ def list_record(t, l: int, sym: Symmetry, grid_n: int) -> dict:
     return {**out, "eigenvalues": ev.tolist()}
 
 
+def cli_invocations() -> list[list[str]]:
+    """argv of every command line ``--cli`` runs, in order; exports write to the working directory."""
+    from perfbench.workloads import Cli
+
+    argvs = [op.args["argv"] for seed in range(101, 105) for op in Cli(seed, "").requests]
+    argvs += [["landen", "--points", n] for n in ("-3", "0", "1", "2", "3", "7", "1000")]
+    text = (["classify", "1", "0", "2"], ["classify", "--lawson", "3", "1"], ["table"], ["landen"],
+            ["verify", "5", "7", "13"], ["spectrum", "1", "2", "3", "--l", "1"])
+    argvs += [[*argv, "--format", "text"] for argv in text]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]  # each once
+
+
+def cli_record(argv: list[str]) -> dict:
+    """Run ``lawson.cli.main(argv)``: argv, exit code, stdout (stderr is dropped) and, for an
+    export, the sha256 of the file it wrote."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    rec = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    if argv[0] == "export" and code == 0:
+        with open(argv[argv.index("--out") + 1], "rb") as fh:
+            rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return rec
+
+
 def _leaves(value, path=""):
     """(path, leaf) pairs of a JSON value; list items are numbered."""
     if isinstance(value, dict):
@@ -126,7 +166,8 @@ def header() -> dict:
 
 
 def _key(record: dict) -> tuple:
-    return tuple(record.get(k) for k in ("triple", "grid_n", "deep", "l", "symmetry"))
+    return tuple(tuple(v) if isinstance(v, list) else v
+                 for v in map(record.get, ("triple", "grid_n", "deep", "l", "symmetry", "argv")))
 
 
 def _records(path: str) -> tuple[dict | None, dict]:
@@ -174,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid", type=int, default=2048, help="grid_n of every verification")
     parser.add_argument("--deep", action="store_true", help="run the deep verifications")
     parser.add_argument("--lists", action="store_true", help="write eigenvalue lists instead")
+    parser.add_argument("--cli", action="store_true", help="write command-line outputs instead")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs")
     args = parser.parse_args(argv)
     if args.compare:
@@ -182,6 +224,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.lists:
         for query in list_queries():
             print(json.dumps(list_record(*query), sort_keys=True), flush=True)
+        return 0
+    if args.cli:
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                for argv in cli_invocations():
+                    print(json.dumps(cli_record(argv), sort_keys=True), flush=True)
+            finally:
+                os.chdir(cwd)
         return 0
     for t in triple_set():
         print(json.dumps(record(t, args.grid, args.deep), sort_keys=True), flush=True)
