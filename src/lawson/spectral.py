@@ -35,9 +35,9 @@ down to a multiple of 16, so the wanted eigenvalues sit within a few times l + 1
 any l.  Its inertia, the negative pivots of L D L^T - (x - sigma) I by the stationary qds
 transform, counts N(2) as accurately as Lanczos finds eigenvalues; a Sturm count on B (LAPACK
 stebz) does not.  Lanczos on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a
-gap bound) gives the eigenvalues the checks read, the lowest 4 of the union, nondecreasing in l
-even in floating point, which brackets interlacing; each sector is asked only for its share of
-a list.  The minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf,
+gap bound) gives the eigenvalues the checks read, the lowest 4 of the union, each rising in l
+by at least the Weyl bound that brackets interlacing; each sector is asked only for its share
+of a list.  The minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf,
 dpttrs, dstev; dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded
 straight from their files on first use (:func:`_linalg`): scipy's package imports never run.
 
@@ -512,27 +512,48 @@ def interlacing_l_max(t: Triple) -> int:
     return int(math.floor(t.c_real)) + 1
 
 
+def _least_rise(t: Triple, grid_n: int, l_max: int) -> tuple[float, float]:
+    """``(max P, delta)`` of :func:`interlacing_check`'s bound for the canonical ``t``: from l to
+    l' <= l_max each lambda_i rises by at least (l'^2 - l^2) / max P - delta."""
+    co = coefficients(t)
+    spread = abs(co.b_sq - co.a_sq)
+    top, low = (co.c_sq + spread) / 2, (co.c_sq - spread) / 2  # max P, min P
+    h = 2.0 * math.pi / grid_n
+    largest = (3.0 * math.sqrt((2 * top + co.q) * (2 * low + co.q)) / (2 * low * h * h)
+               + 2 * l_max * l_max / low + 1.0)  # G: bounds every partial result of an entry
+    u = sys.float_info.epsilon / 2
+    return top, 33 * u / (1 - 33 * u) * largest
+
+
 def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -> bool:
     """Confirm the oscillation orderings numerically for l = 0..l_max.
 
     The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at
     every l, and each lambda_i, i <= 3, rises by more than it between solved frequencies.
-    Every rounded step of the diagonal of B + I (q = 2 l^2 / root, flux + q, +- end, (d s) s
-    with s > 0, + 1) is nondecreasing in l^2, the off-diagonal is built once for every l and
-    the factor subtracts the integer sigma + 1 (0 at these l) exactly, so by Weyl each lambda_i is
-    nondecreasing in l: on [l_a, l_b], lambda_1 - lambda_0 >= lambda_1(l_a) - lambda_0(l_b),
-    likewise lambda_3 - lambda_2.  Solving l = 0, l_max and the midpoints of failed brackets
-    solves every l whose gap fails; like a sweep of every l, the check inherits the solver
-    error of two eigenvalues.  ``grid_n`` must be divisible by 4.
+    From l to l' the sector matrix B changes only by the diagonal (l'^2 - l^2) / P_i, and every
+    cell-centre P_i <= max P = (c^2 + |b^2 - a^2|) / 2, so by Weyl (Horn & Johnson, *Matrix
+    Analysis*, Cor. 4.3.12) each lambda_i rises by at least R = (l'^2 - l^2) / max P - delta.
+    On [l_a, l_b] then lambda_1 - lambda_0 >= lambda_1(l_a) - lambda_0(l_b) + R(l_a, l_b),
+    likewise lambda_3 - lambda_2, so solving l = 0, l_max and the midpoints of brackets where
+    this bound is <= INTERLACING_TOL solves every l whose gap fails.  delta = gamma_33 G
+    allows for rounding (gamma_n = n u / (1 - n u), u = eps / 2; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1), G = 3 max p / (h^2 min w) + 2 l_max^2 /
+    min P + 1 bounding every partial result of a diagonal entry: 7 roundings per entry
+    (q = 2 l^2 / root, + flux, +- end, * s twice, + 1, - shift) in each of the four matrices
+    the bound compares (l_a, l_b and l twice), and 5 in the coefficient 2 s^2 / root of l^2
+    that stands for 1 / P_i (the float P_i <= max P exactly).  Like a sweep of every l, the
+    check inherits the solver error of two eigenvalues.  ``grid_n`` must be divisible by 4.
     """
     t = canonicalize(t)
     l_max = interlacing_l_max(t) if l_max is None else l_max
+    top, delta = _least_rise(t, grid_n, l_max)
     ev = {l: _full(t, grid_n, l)[:4] for l in (0, l_max)}
     pending = [(0, l_max)]
     while pending:
         la, lb = pending.pop()
         mid = (la + lb) // 2
-        if mid > la and min(ev[la][1::2] - ev[lb][0::2]) <= INTERLACING_TOL:
+        rise = (lb * lb - la * la) / top - delta
+        if mid > la and min(ev[la][1::2] - ev[lb][0::2]) + rise <= INTERLACING_TOL:
             ev[mid] = _full(t, grid_n, mid)[:4]
             pending += [(la, mid), (mid, lb)]
     ev = np.array([ev[l] for l in sorted(ev)])

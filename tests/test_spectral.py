@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -830,7 +831,8 @@ class TestInterlacing:
 @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
 def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     """The fact interlacing's brackets rest on: from l to l + 1 the diagonal that dpttrf
-    factors is elementwise nondecreasing and the off-diagonal is unchanged, in every sector."""
+    factors rises elementwise by at least the check's (2l + 1)/max P - delta and the
+    off-diagonal is unchanged, in every sector."""
     lapack = spectral._linalg()[0]
     dpttrf, seen = lapack.dpttrf, []
 
@@ -844,20 +846,23 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
         list(spectral._factors(t, Symmetry.FULL_PERIODIC, 2048,
                                [(l, s) for s in ("NN", "ND", "DN", "DD")]))
     assert len(seen) == 4 * (l_max + 1)
-    for (d0, e0), (d1, e1) in zip(seen, seen[4:]):
+    top, delta = spectral._least_rise(t, 2048, l_max)
+    for i, ((d0, e0), (d1, e1)) in enumerate(zip(seen, seen[4:])):
         assert np.all(d1 >= d0)
+        assert np.all(d1 - d0 >= (2 * (i // 4) + 1) / top - delta)
         assert np.array_equal(e1, e0)
 
 
-def _synthetic_full(l_star, offset, solved):
-    """A stand-in for ``_full``: lambda_0 = l/1000, lambda_1 = lambda_2 = lambda_0 + offset
-    + |l - l_star|/2000, lambda_3 = lambda_4 = lambda_2 + 1, each nondecreasing in l; with
-    offset 0 the only failing strict gap is lambda_1 - lambda_0 = 0 at l_star."""
+def _synthetic_full(l_star, offset, top, solved):
+    """A stand-in for ``_full``: lambda_0 = l^2/top + l/1000, lambda_1 = lambda_2 = lambda_0
+    + offset + |l - l_star|/1000, lambda_3 = lambda_4 = lambda_2 + 1, each rising by at least
+    the Weyl bound (l'^2 - l^2)/top from l to l'; with offset 0 the only failing strict gap is
+    lambda_1 - lambda_0 = 0 at l_star."""
 
     def full(t, grid_n, l):
         solved.append(l)
-        lam0 = l / 1000
-        lam1 = lam0 + offset + abs(l - l_star) / 2000
+        lam0 = l * l / top + l / 1000
+        lam1 = lam0 + offset + abs(l - l_star) / 1000
         return np.array([lam0, lam1, lam1, lam1 + 1.0, lam1 + 1.0])
 
     return full
@@ -875,9 +880,10 @@ def _sweep_interlacing(full, t, grid_n, l_max, tol=1e-6):
 def test_brackets_find_an_interior_failure(monkeypatch, offset, holds):
     """l_max = 151, the failing gap at l = 40: neither an end nor the first midpoint 75."""
     t, solved = validate(Case.GENERALIZED, 1, 2, 150), []
-    full = _synthetic_full(40, offset, solved)
+    top, delta = spectral._least_rise(t, 2048, 151)
+    full = _synthetic_full(40, offset, top, solved)
     ev = np.array([full(t, 2048, l) for l in range(152)])
-    assert np.all(np.diff(ev, axis=0) >= 0.0)
+    assert np.all(np.diff(ev, axis=0) >= (2 * np.arange(151) + 1)[:, None] / top - delta)
     assert _sweep_interlacing(full, t, 2048, 151) is holds
     solved.clear()
     monkeypatch.setattr(spectral, "_full", full)
@@ -888,7 +894,23 @@ def test_brackets_find_an_interior_failure(monkeypatch, offset, holds):
         assert 40 in solved
 
 
-@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def _beyond_suite():
+    """8 seeded canonical generalized triples with 31 <= c <= 60 and 4 Lawson pairs with
+    31 <= sqrt(a^2 + b^2) <= 60."""
+    rng = random.Random(2048)
+    generalized = [(a, b, c) for c in range(31, 61) for b in range(c) for a in range(b + 1)
+                   if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
+    pairs = [(a, b) for a in range(1, 61) for b in range(1, a + 1)
+             if 31 * 31 <= a * a + b * b <= 60 * 60 and math.gcd(a, b) == 1]
+    return ([validate(Case.GENERALIZED, *abc) for abc in rng.sample(generalized, 8)]
+            + [validate(Case.LAWSON, *ab) for ab in rng.sample(pairs, 4)])
+
+
+BEYOND_SUITE = _beyond_suite()
+
+
+@pytest.mark.parametrize("t", SUITE + BEYOND_SUITE,
+                         ids=SUITE_IDS + [t.label() for t in BEYOND_SUITE])
 def test_brackets_agree_with_every_l_sweep(t):
     """On the same eigenvalues, the brackets give the verdict of the sweep of every l."""
     l_max = spectral.interlacing_l_max(t)

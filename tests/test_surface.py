@@ -34,12 +34,12 @@ from conftest import SUITE, SUITE_IDS
 
 
 def generalized_triples():
-    """Hypothesis strategy producing valid canonical generalized triples."""
+    """Hypothesis strategy producing valid generalized triples of the census range c <= 30."""
     return st.builds(
         lambda a, b, c: (a, b, c),
-        st.integers(0, 4),
-        st.integers(0, 4),
-        st.integers(1, 9),
+        st.integers(0, 29),
+        st.integers(0, 29),
+        st.integers(1, 30),
     ).filter(lambda abc: abc[2] ** 2 > abc[0] ** 2 + abc[1] ** 2)
 
 
