@@ -8,8 +8,6 @@ scratch by a finite-difference Sturm-Liouville solver, sector filters
 and all, and compared with the closed-form index.
 """
 
-import math
-
 from lawson import (
     Case,
     anchor_check,
@@ -21,6 +19,7 @@ from lawson import (
     takahashi_residual,
     validate,
 )
+from lawson.spectral import interlacing_l_max
 
 print("Minimality certificate: Delta_h F ~ 2 F at second order")
 print("-" * 64)
@@ -66,6 +65,5 @@ for case, params in [
 print("\nOscillation orderings hold numerically:")
 for params in [(0, 0, 1), (1, 1, 2), (1, 2, 4)]:
     t = validate(Case.GENERALIZED, *params)
-    l_max = int(math.floor(t.c_real)) + 1
-    print(f"  {t.label()}: interlacing up to l = {l_max}: "
-          f"{interlacing_check(t, 1024, l_max=l_max)}")
+    print(f"  {t.label()}: interlacing up to l = {interlacing_l_max(t)}: "
+          f"{interlacing_check(t, 1024)}")

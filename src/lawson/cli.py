@@ -2,8 +2,8 @@
 
 Subcommands: classify, verify, spectrum, export, table, landen.
 Output is a deterministic JSON envelope by default (stable key order,
-floats at 17 significant digits); ``--format text`` prints aligned
-human-readable tables instead.
+floats at 17 significant digits); ``--format text`` prints the payload
+and the tolerances as aligned dotted-path rows instead.
 
 Exit codes: 0 ok, 1 invalid input, 2 verification failure, 3 numerical
 non-convergence.
@@ -96,40 +96,32 @@ def _triple_record(t: Triple) -> dict:
     return rec
 
 
-def _envelope(command: str, t: Triple | None, payload: dict, tolerances: dict,
-              status: str) -> dict:
-    return {
-        "command": command,
-        "triple": _triple_record(t) if t is not None else None,
-        "payload": payload,
-        "tolerances": tolerances,
-        "status": status,
-    }
+def _text_rows(prefix: str, obj):
+    """(dotted path, leaf) of every leaf of a nested dict or list, in order."""
+    for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        if isinstance(v, (dict, list)):
+            yield from _text_rows(f"{prefix}{k}.", v)
+        else:
+            yield f"{prefix}{k}", v
 
 
-def _emit(env: dict, fmt: str) -> None:
+def _respond(command: str, t: Triple | None, payload: dict, fmt: str, tolerances: dict,
+             status: str) -> int:
+    """Print the response envelope as JSON, or as aligned text rows of the payload and the
+    tolerances; return the exit code of ``status``."""
+    triple = _triple_record(t) if t is not None else None
     if fmt == "json":
-        print(render_json(env))
-        return
-    # text rendering: flat aligned key/value lines
-    print(f"command: {env['command']}   status: {env['status']}")
-    if env["triple"]:
-        tr = env["triple"]
-        print(f"triple:  {tr['case']} ({tr['a']}, {tr['b']}, {tr['c']})")
-
-    def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk(f"{prefix}{k}.", v) if isinstance(v, (dict, list)) else print(
-                    f"  {prefix}{k:<28} {_text_value(v)}"
-                )
-        elif isinstance(obj, list):
-            for i, v in enumerate(obj):
-                walk(f"{prefix}{i}.", v) if isinstance(v, (dict, list)) else print(
-                    f"  {prefix}{i:<28} {_text_value(v)}"
-                )
-
-    walk("", env["payload"])
+        print(render_json({"command": command, "triple": triple, "payload": payload,
+                           "tolerances": tolerances, "status": status}))
+    else:
+        print(f"command: {command}   status: {status}")
+        if triple:
+            print(f"triple:  {triple['case']} ({triple['a']}, {triple['b']}, {triple['c']})")
+        rows = [*_text_rows("", payload), *_text_rows("tolerances.", tolerances)]
+        width = max([28] + [len(path) for path, _ in rows])
+        for path, v in rows:
+            print(f"  {path:<{width}} {_text_value(v)}")
+    return {"ok": EXIT_OK, "fail": EXIT_VERIFICATION_FAILED, "indeterminate": EXIT_NUMERIC}[status]
 
 
 def _text_value(v) -> str:
@@ -170,8 +162,7 @@ def cmd_classify(args) -> int:
         "area": area,
         "lambda": sc.lambda_value,
     }
-    _emit(_envelope("classify", t, payload, {}, "ok"), args.format)
-    return EXIT_OK
+    return _respond("classify", t, payload, args.format, {}, "ok")
 
 
 def cmd_verify(args) -> int:
@@ -185,10 +176,7 @@ def cmd_verify(args) -> int:
             for c in report.checks
         ],
     }
-    _emit(_envelope("verify", t, payload, report.tolerances(), report.status), args.format)
-    if report.status == "indeterminate":
-        return EXIT_NUMERIC
-    return EXIT_OK if report.status == "ok" else EXIT_VERIFICATION_FAILED
+    return _respond("verify", t, payload, args.format, report.tolerances(), report.status)
 
 
 def cmd_spectrum(args) -> int:
@@ -202,8 +190,7 @@ def cmd_spectrum(args) -> int:
         "grid_n": args.grid,
         "eigenvalues": [float(v) for v in result.eigenvalues],
     }
-    _emit(_envelope("spectrum", t, payload, {}, "ok"), args.format)
-    return EXIT_OK
+    return _respond("spectrum", t, payload, args.format, {}, "ok")
 
 
 def _fmt_lines(template: str, rows: np.ndarray) -> str:
@@ -276,8 +263,7 @@ def cmd_export(args) -> int:
         "nx": nx,
         "ny": ny,
     }
-    _emit(_envelope("export", t, payload, {}, "ok"), "json")
-    return EXIT_OK
+    return _respond("export", t, payload, "json", {}, "ok")
 
 
 def cmd_table(args) -> int:
@@ -319,9 +305,8 @@ def cmd_table(args) -> int:
             "relative_residual": residual,
         },
     }
-    status = "ok" if residual <= 1e-10 else "fail"
-    _emit(_envelope("table", None, payload, {"klein_bottle_equality": "<= 1e-10"}, status), args.format)
-    return EXIT_OK if status == "ok" else EXIT_VERIFICATION_FAILED
+    return _respond("table", None, payload, args.format, {"klein_bottle_equality": "<= 1e-10"},
+                    "ok" if residual <= 1e-10 else "fail")
 
 
 def _landen_grid(n: int) -> list[float]:
@@ -341,9 +326,8 @@ def cmd_landen(args) -> int:
         "max_abs_gap": gaps[worst],
         "argmax_k": ks[worst],
     }
-    status = "ok" if gaps[worst] <= 1e-10 else "fail"
-    _emit(_envelope("landen", None, payload, {"max_abs_gap": "<= 1e-10"}, status), args.format)
-    return EXIT_OK if status == "ok" else EXIT_VERIFICATION_FAILED
+    return _respond("landen", None, payload, args.format, {"max_abs_gap": "<= 1e-10"},
+                    "ok" if gaps[worst] <= 1e-10 else "fail")
 
 
 def build_parser() -> _Parser:
@@ -409,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidTripleError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except SpectralError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -106,8 +106,6 @@ def complete_E(m: Modulus) -> float:
     Defined on k^2 <= 1; E(1) = 1 exactly (the integrand degenerates to
     cos(theta), outside the reach of the AGM recursion).
     """
-    if m.k2 > 1.0:
-        raise ValueError(f"E(k) leaves the real domain for k^2 > 1 (got k^2 = {m.k2!r})")
     if m.k2 == 1.0:
         return 1.0
     limit, s = _agm(1.0, math.sqrt(1.0 - m.k2), m.k2)
@@ -228,8 +226,6 @@ def complete_K_quadrature(m: Modulus, tol: float = 1e-13) -> float:
 
 def complete_E_quadrature(m: Modulus, tol: float = 1e-13) -> float:
     """Quadrature oracle for E; shares no code with :func:`complete_E`."""
-    if m.k2 > 1.0:
-        raise ValueError(f"E(k) leaves the real domain for k^2 > 1 (got k^2 = {m.k2!r})")
     k2 = m.k2
     return adaptive_quadrature(
         lambda t: math.sqrt(1.0 - k2 * math.sin(t) ** 2), 0.0, math.pi / 2.0, tol

@@ -474,11 +474,8 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     residuals = anchor_check(t, grid_n)
     eps = max(10.0 * max(residuals), 1e-6)
 
-    c_real = t.c_real
-    l_stop = int(math.floor(c_real + 1e-9))
-    anchor_freqs = {t.a, t.b}
-    if abs(c_real - round(c_real)) < 1e-12:
-        anchor_freqs.add(int(round(c_real)))
+    l_stop = interlacing_l_max(t) - 1  # c, or the last l below c when c is irrational
+    anchor_freqs = {t.a, t.b, t.c_real}  # a non-integer c_real equals no integer l
 
     per = len(by_parity[0])
     columns = [(l, sector) for l in range(l_stop + 1) for sector in by_parity[l % 2]]
@@ -508,8 +505,8 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
 
 
 def interlacing_l_max(t: Triple) -> int:
-    """The default last frequency of :func:`interlacing_check`: one past c."""
-    return int(math.floor(t.c_real)) + 1
+    """The default last frequency of :func:`interlacing_check`: one past c (floor c + 1)."""
+    return math.isqrt(t.c_squared) + 1
 
 
 def _least_rise(t: Triple, grid_n: int, l_max: int) -> tuple[float, float]:

@@ -129,7 +129,7 @@ class Triple:
     c: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("a", "b"):
+        for name in ("a", "b", "c") if self.case is Case.GENERALIZED else ("a", "b"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidTripleError(f"{name} must be an integer, got {v!r}")
@@ -138,12 +138,6 @@ class Triple:
                     f"{name} must be non-negative (use validate() to fold signs), got {v}"
                 )
         if self.case is Case.GENERALIZED:
-            if not isinstance(self.c, int) or isinstance(self.c, bool):
-                raise InvalidTripleError(f"c must be an integer, got {self.c!r}")
-            if self.c < 0:
-                raise InvalidTripleError(
-                    f"c must be non-negative (use validate() to fold signs), got {self.c}"
-                )
             if self.a == 0 and self.b == 0 and self.c == 0:
                 raise DegenerateTripleError("degenerate: (0, 0, 0) is not a surface")
             if self.c * self.c <= self.a * self.a + self.b * self.b:
@@ -197,13 +191,9 @@ def validate(case: Case | str, a: int, b: int, c: int | None = None) -> Triple:
     for name, v in (("a", a), ("b", b)) + ((("c", c),) if c is not None else ()):
         if not isinstance(v, int) or isinstance(v, bool):
             raise InvalidTripleError(f"{name} must be an integer, got {v!r}")
-    if case is Case.LAWSON:
-        if c is not None:
-            raise InvalidTripleError("Lawson case determines c; do not pass it")
-        return canonicalize(Triple(case, abs(a), abs(b)))
-    if c is None:
+    if c is None and case is not Case.LAWSON:
         raise InvalidTripleError("generalized case requires c")
-    return canonicalize(Triple(case, abs(a), abs(b), abs(c)))
+    return canonicalize(Triple(case, abs(a), abs(b), None if c is None else abs(c)))
 
 
 def canonicalize(t: Triple) -> Triple:
@@ -344,10 +334,9 @@ def _covering_degree(t: Triple) -> int:
     return 1 if _subcase(t) is Subcase.III else 2
 
 
-def _subcase(t: Triple) -> Subcase:
-    if t.case is Case.LAWSON:
-        return Subcase.LAWSON
-    if t.c % 2 == 0:
+def _parity_class(t: Triple) -> Subcase:
+    """Subcase I, II or III by the parities; a Lawson pair behaves as one with c even."""
+    if t.case is Case.LAWSON or t.c % 2 == 0:
         if t.a % 2 == 1 and t.b % 2 == 1:
             return Subcase.II
         if (t.a + t.b) % 2 == 1:
@@ -355,13 +344,12 @@ def _subcase(t: Triple) -> Subcase:
     return Subcase.III
 
 
+def _subcase(t: Triple) -> Subcase:
+    return Subcase.LAWSON if t.case is Case.LAWSON else _parity_class(t)
+
+
 def _topology(t: Triple) -> Topology:
-    sub = _subcase(t)
-    if sub is Subcase.I:
-        return Topology.KLEIN_BOTTLE
-    if sub is Subcase.LAWSON and (t.a % 2 == 0) != (t.b % 2 == 0):
-        return Topology.KLEIN_BOTTLE
-    return Topology.TORUS
+    return Topology.KLEIN_BOTTLE if _parity_class(t) is Subcase.I else Topology.TORUS
 
 
 def area_closed(t: Triple) -> tuple[float, float]:
@@ -479,14 +467,10 @@ def expected_symmetry(t: Triple) -> Phi | None:
     Lawson pairs follow the same parity rules with c playing no role.
     """
     t = canonicalize(t)
-    sub = _subcase(t)
-    if sub is Subcase.III:
-        return None
-    if sub is Subcase.II:
-        return Phi.PHI3
-    if sub is Subcase.LAWSON and t.a % 2 == 1 and t.b % 2 == 1:
-        return Phi.PHI3
-    return Phi.PHI1 if t.a % 2 == 0 else Phi.PHI2
+    parity = _parity_class(t)
+    if parity is Subcase.I:
+        return Phi.PHI1 if t.a % 2 == 0 else Phi.PHI2
+    return Phi.PHI3 if parity is Subcase.II else None
 
 
 def symmetry_residual(t: Triple, phi: Phi, n: int = 32) -> float:

@@ -77,41 +77,29 @@ class VerificationReport:
         return {c.name: c.tolerance for c in self.checks}
 
 
+def _at_most(name: str, values: dict, worst: float, tol: float, kind: str = "") -> CheckResult:
+    """The check ``name`` passes when its worst value is at most ``tol``."""
+    return CheckResult(name, worst <= tol, values, f"{kind}<= {tol:g}")
+
+
 def _unit_norm_check(t: Triple) -> CheckResult:
     rng = np.random.default_rng(731)
     x = rng.uniform(0.0, 2.0 * math.pi, 1000)
     y = rng.uniform(0.0, 2.0 * math.pi, 1000)
     F = immersion(t, x, y)
     worst = float(np.max(np.abs(np.sum(F * F, axis=0) - 1.0)))
-    return CheckResult(
-        name="unit_norm",
-        passed=worst <= _UNIT_NORM_TOL,
-        values={"max_abs_norm_sq_minus_1": worst},
-        tolerance=f"<= {_UNIT_NORM_TOL:g}",
-    )
+    return _at_most("unit_norm", {"max_abs_norm_sq_minus_1": worst}, worst, _UNIT_NORM_TOL)
 
 
 def _lame_check(t: Triple) -> CheckResult:
     k2 = coefficients(t).k2
     res = {f"h_index_{i}": lame_residual(k2, i) for i in (0, 1, 2)}
-    worst = max(res.values())
-    return CheckResult(
-        name="lame",
-        passed=worst <= _LAME_TOL,
-        values={"k2": k2, **res},
-        tolerance=f"<= {_LAME_TOL:g}",
-    )
+    return _at_most("lame", {"k2": k2, **res}, max(res.values()), _LAME_TOL)
 
 
 def _eq35_check(t: Triple) -> CheckResult:
     res = {f"component_{i}": eq35_residual(t, i) for i in (1, 2, 3)}
-    worst = max(res.values())
-    return CheckResult(
-        name="separated_ode",
-        passed=worst <= _EQ35_TOL,
-        values=res,
-        tolerance=f"<= {_EQ35_TOL:g}",
-    )
+    return _at_most("separated_ode", res, max(res.values()), _EQ35_TOL)
 
 
 def _takahashi_check(t: Triple, deep: bool) -> CheckResult:
@@ -137,12 +125,8 @@ def _area_check(t: Triple) -> CheckResult:
     _, closed = area_closed(t)
     quad = area_quadrature(t, 4096)
     rel = abs(closed - quad) / abs(closed)
-    return CheckResult(
-        name="area",
-        passed=rel <= _AREA_TOL,
-        values={"closed_form": closed, "quadrature": quad, "relative_gap": rel},
-        tolerance=f"relative <= {_AREA_TOL:g}",
-    )
+    return _at_most("area", {"closed_form": closed, "quadrature": quad, "relative_gap": rel},
+                    rel, _AREA_TOL, "relative ")
 
 
 def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -60,6 +61,18 @@ class TestClassify:
         assert code == EXIT_OK
         assert "klein" not in out
         assert "torus" in out
+
+
+@pytest.mark.parametrize("argv", [["verify", "5", "7", "13"], ["table"]])
+def test_text_rows_align_and_list_the_tolerances(capsys, argv):
+    """Every value of ``--format text`` starts in one column, and every tolerance of the JSON
+    envelope is a row."""
+    tolerances = json.loads(run(capsys, *argv)[1])["tolerances"]
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    rows = [re.match(r"  (\S+) +(.*)", line) for line in out.splitlines() if line.startswith("  ")]
+    assert code == EXIT_OK and len({row.start(2) for row in rows}) == 1
+    assert {row[1]: row[2] for row in rows if row[1].startswith("tolerances.")} == {
+        f"tolerances.{name}": tol for name, tol in tolerances.items()}
 
 
 class TestDeterminism:

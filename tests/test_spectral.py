@@ -797,6 +797,20 @@ class TestCounting:
         assert report.n2 == 4
         assert report.agree
 
+    @pytest.mark.parametrize("case,params,l_max", [
+        (Case.LAWSON, (4, 3), 6), (Case.LAWSON, (12, 5), 14), (Case.LAWSON, (15, 8), 18),
+        (Case.LAWSON, (24, 7), 26), (Case.LAWSON, (21, 20), 30), (Case.LAWSON, (3, 1), 4),
+        (Case.GENERALIZED, (5, 7, 13), 14),
+    ])
+    def test_count_runs_to_c(self, case, params, l_max):
+        """The count sums l = 0 .. c (the last l below c when c is irrational), one less than the
+        interlacing range, also on Pythagorean Lawson pairs, whose c is an integer."""
+        t = validate(case, *params)
+        report = count_N2(t, 2048)
+        assert spectral.interlacing_l_max(t) == l_max
+        assert [l for l, _ in report.per_l_counts] == list(range(l_max))
+        assert report.n2 == report.j_closed
+
     def test_grid_preconditions(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
         with pytest.raises(ValueError):

@@ -409,6 +409,26 @@ class TestSymmetry:
             else:
                 assert r >= 0.1
 
+    def test_parity_table_matches_the_immersion(self):
+        """On every canonical generalized triple with c <= 20 and every canonical Lawson pair with
+        a^2 + b^2 <= 400 the immersion carries exactly the map the parity table names, the Klein
+        bottles are the surfaces of an orientation-reversing map (phi1, phi2), and the covering
+        degree is 2 exactly when a map exists."""
+        triples = [Triple(Case.GENERALIZED, a, b, c) for c in range(1, 21) for b in range(c)
+                   for a in range(b + 1) if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
+        pairs = [Triple(Case.LAWSON, a, b) for a in range(1, 21) for b in range(1, a + 1)
+                 if math.gcd(a, b) == 1 and a * a + b * b <= 400]
+        assert (len(triples), len(pairs)) == (1033, 96)
+        for t in triples + pairs:
+            expected = expected_symmetry(t)
+            for phi in Phi:
+                r = symmetry_residual(t, phi, 32)
+                assert r <= 1e-12 if phi is expected else r >= 0.1, (t.label(), phi)
+            sc = classify(t)
+            klein = sc.topology is Topology.KLEIN_BOTTLE
+            assert klein == (expected in (Phi.PHI1, Phi.PHI2)), t.label()
+            assert (sc.covering_degree == 2) == (expected is not None), t.label()
+
     def test_grid_precondition(self):
         with pytest.raises(ValueError):
             symmetry_residual(SUITE[0], Phi.PHI1, 8)

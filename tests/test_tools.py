@@ -84,7 +84,8 @@ def test_compare_keys_no_report_by_the_header_and_notes_a_change(tmp_path, capsy
 
 def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
     """--cli runs the benchmark's cli requests of seeds 101-104 and edge cases once each; a record
-    holds the exit code, stdout and an export's sha256, and --compare flags any byte change."""
+    holds the exit code, stdout, stderr and an export's sha256, and --compare flags any byte
+    change."""
     from perfbench.workloads import Cli
 
     argvs = same_behaviour.cli_invocations()
@@ -95,7 +96,8 @@ def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     rejected = same_behaviour.cli_record(["landen", "--points", "0"])
-    assert rejected == {"argv": ["landen", "--points", "0"], "exit": 1, "stdout": ""}
+    assert rejected == {"argv": ["landen", "--points", "0"], "exit": 1, "stdout": "",
+                        "stderr": "invalid input: --points must be at least 1, got 0\n"}
     assert same_behaviour.cli_record(["classify", "1"])["exit"] == 1  # argparse accepts, arity fails
     assert same_behaviour.cli_record(["table", "--bogus"])["exit"] == 1  # argparse exits
     export = same_behaviour.cli_record(["export", "0", "1", "2", "--nx", "4", "--ny", "4",
@@ -107,7 +109,8 @@ def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
     old = _write(tmp_path / "old.jsonl", [rejected, export])
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [export, rejected])) == 0
     assert "2 records in both" in capsys.readouterr().out
-    for key, value in (("stdout", export["stdout"] + " "), ("sha256", "0" * 64), ("exit", 2)):
+    for key, value in (("stdout", export["stdout"] + " "), ("stderr", "x"), ("sha256", "0" * 64),
+                       ("exit", 2)):
         changed = _write(tmp_path / "new.jsonl", [rejected, {**export, key: value}])
         assert same_behaviour.compare(old, changed) == 1
         assert "DIFFERS" in capsys.readouterr().out

@@ -15,14 +15,15 @@ and tolerance string (the count's values hold ``n2`` and ``per_l``).
 and T_(5,7,13) at l = 7 in every symmetry at grids 16384, 65536 and 131072,
 and the eigenvalue-list queries of the benchmark's ``deep`` workload for
 seeds 101-104 (grids 16384-131072).  ``--cli`` writes one record per
-``lawson`` command line: its argv, exit code, stdout and, for ``export``, the
-sha256 of the written file.  The command lines are the requests of the
-benchmark's ``cli`` workload for seeds 101-104, ``landen --points`` at edge
-counts and ``--format text`` variants; each runs through ``lawson.cli.main``
+``lawson`` command line: its argv, exit code, stdout, stderr and, for
+``export``, the sha256 of the written file.  The command lines are the
+requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
+--points`` at edge counts, ``--format text`` variants and rejected inputs of
+each error path; each runs through ``lawson.cli.main``
 in a temporary working directory, which receives the exports.  Run it in two
 checkouts with the same arguments, then ``--compare`` the outputs: every
 value that is not a float (status, verdicts, tolerance strings, ``n2``,
-``per_l``, errors, exit codes, stdout) must be equal, and the largest
+``per_l``, errors, exit codes, stdout, stderr) must be equal, and the largest
 |difference| of each float field is printed, absolute and relative to
 max(1, |old value|).  The exit status is 1 when a record or
 a non-float value differs.
@@ -128,19 +129,25 @@ def cli_invocations() -> list[list[str]]:
     text = (["classify", "1", "0", "2"], ["classify", "--lawson", "3", "1"], ["table"], ["landen"],
             ["verify", "5", "7", "13"], ["spectrum", "1", "2", "3", "--l", "1"])
     argvs += [[*argv, "--format", "text"] for argv in text]
+    argvs += [["classify", "1", "2"], ["classify", "--lawson", "0", "1"],
+              ["classify", "--lawson", "1", "2", "3"], ["verify", "0", "0", "1", "--grid", "1030"],
+              ["spectrum", "1", "2", "3", "--l", "-1"], ["spectrum", "1", "2", "3", "--count", "0"],
+              ["export", "0", "1", "2", "--nx", "1", "--out", "x.csv"],
+              ["export", "0", "1", "2", "--format", "obj", "--axes", "1,1,2", "--out", "x.obj"],
+              ["export", "0", "1", "2", "--out", "missing/x.csv"]]  # an unwritable path
     return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]  # each once
 
 
 def cli_record(argv: list[str]) -> dict:
-    """Run ``lawson.cli.main(argv)``: argv, exit code, stdout (stderr is dropped) and, for an
-    export, the sha256 of the file it wrote."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """Run ``lawson.cli.main(argv)``: argv, exit code, stdout, stderr and, for an export, the
+    sha256 of the file it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli_main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
-    rec = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    rec = {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
     if argv[0] == "export" and code == 0:
         with open(argv[argv.index("--out") + 1], "rb") as fh:
             rec["sha256"] = hashlib.sha256(fh.read()).hexdigest()
