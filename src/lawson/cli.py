@@ -6,7 +6,7 @@ floats at 17 significant digits); ``--format text`` prints the payload
 and the tolerances as aligned dotted-path rows instead.
 
 Exit codes: 0 ok, 1 invalid input, 2 verification failure, 3 numerical
-non-convergence.
+non-convergence; a closed stdout keeps the code of the verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import numbers
+import os
 import sys
 
 from ._lazy import np
@@ -110,17 +111,22 @@ def _respond(command: str, t: Triple | None, payload: dict, fmt: str, tolerances
     """Print the response envelope as JSON, or as aligned text rows of the payload and the
     tolerances; return the exit code of ``status``."""
     triple = _triple_record(t) if t is not None else None
-    if fmt == "json":
-        print(render_json({"command": command, "triple": triple, "payload": payload,
-                           "tolerances": tolerances, "status": status}))
-    else:
-        print(f"command: {command}   status: {status}")
-        if triple:
-            print(f"triple:  {triple['case']} ({triple['a']}, {triple['b']}, {triple['c']})")
-        rows = [*_text_rows("", payload), *_text_rows("tolerances.", tolerances)]
-        width = max([28] + [len(path) for path, _ in rows])
-        for path, v in rows:
-            print(f"  {path:<{width}} {_text_value(v)}")
+    try:
+        if fmt == "json":
+            print(render_json({"command": command, "triple": triple, "payload": payload,
+                               "tolerances": tolerances, "status": status}))
+        else:
+            print(f"command: {command}   status: {status}")
+            if triple:
+                print(f"triple:  {triple['case']} ({triple['a']}, {triple['b']}, {triple['c']})")
+            rows = [*_text_rows("", payload), *_text_rows("tolerances.", tolerances)]
+            width = max([28] + [len(path) for path, _ in rows])
+            for path, v in rows:
+                print(f"  {path:<{width}} {_text_value(v)}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: the flush at exit goes to devnull
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return {"ok": EXIT_OK, "fail": EXIT_VERIFICATION_FAILED, "indeterminate": EXIT_NUMERIC}[status]
 
 

@@ -123,8 +123,6 @@ def landen_gap(k: float) -> float:
     k = float(k)
     if not (0.0 <= k < 1.0):
         raise ValueError(f"landen_gap requires 0 <= k < 1, got {k!r}")
-    if k == 0.0:
-        return 0.0
     m = Modulus.from_k(k)
     up = Modulus.from_k(2.0 * math.sqrt(k) / (1.0 + k))
     lhs = complete_E(up)

@@ -33,13 +33,14 @@ Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf); only the 
 formed per l, the rest of B once per grid.  sigma + 1 is the floor l^2 / max P of B rounded
 down to a multiple of 16, so the wanted eigenvalues sit within a few times l + 16 of sigma at
 any l.  Its inertia, the negative pivots of L D L^T - (x - sigma) I by the stationary qds
-transform, counts N(2) as accurately as Lanczos finds eigenvalues; a Sturm count on B (LAPACK
-stebz) does not.  Lanczos on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a
-gap bound) gives the eigenvalues the checks read, the lowest 4 of the union, each rising in l
-by at least the Weyl bound that brackets interlacing; each sector is asked only for its share
-of a list.  The minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf,
-dpttrs, dstev; dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded
-straight from their files on first use (:func:`_linalg`): scipy's package imports never run.
+transform, counts N(2) as accurately as Lanczos finds eigenvalues (a Sturm count on B by LAPACK
+stebz does not), also in all four sectors at the first l past c, where 0 ends the sum.  Lanczos
+on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a gap bound) gives the
+eigenvalues the checks read, the lowest 4 of the union, each rising in l by at least the Weyl
+bound that brackets interlacing; each sector is asked only for its share of a list.  The
+minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf, dpttrs, dstev;
+dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded straight from
+their files on first use (:func:`_linalg`): scipy's package imports never run.
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -369,8 +370,6 @@ def eq35_residual(t: Triple, which: int) -> float:
     if which not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
     co = coefficients(t)
-    if which == 3 and co.c3_sq == 0.0:
-        return 0.0  # boundary case: the third profile vanishes identically
     amp, l2 = ((co.c1, co.a_sq), (co.c2, co.b_sq), (co.c3, co.c_sq))[which - 1]
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     phi, dphi, d2phi = _profile(which, amp, co.k2, y)
@@ -428,14 +427,13 @@ def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Outcome of the independent eigenvalue count N(2)."""
+    """Outcome of the independent eigenvalue count N(2) over l = 0 .. c; the next l counted 0."""
 
     n2: int
     per_l_counts: tuple[tuple[int, int], ...]
     epsilon: float
     j_closed: int
     agree: bool
-    lambda0_beyond: float  # lambda_0 at the first frequency past the cutoff; > 2
 
 
 # Sectors counted at even and odd l.  A degree-2 surface admits only the
@@ -455,53 +453,49 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     N(2) = #{lambda_i(0) < 2} + 2 sum_{l >= 1} #{lambda_i(l) < 2} over the
     sector-filtered separated spectra (each l >= 1 profile yields the two
     eigenfunctions phi sin(lx), phi cos(lx)).  The sum stops at l = c:
-    lambda_0 is strictly increasing in l and equals 2 at l = c, which the
-    report re-verifies by checking lambda_0 past the cutoff.
+    all four sectors at the next l must count no eigenvalue up to 2 + epsilon,
+    and from there each sector matrix only grows by a nonnegative diagonal.
 
     Counting is strict below 2 - epsilon with the guard epsilon
     calibrated at 10x the worst measured anchor residual (floor 1e-6),
     so the three continuum-exact eigenvalues straddling 2 under
     discretization are never miscounted.  Counts are the inertia of the
     sectors' L D L^T factors at 2 -/+ epsilon; an eigenvalue inside the
-    guard window at a frequency where no anchor lives raises
-    :class:`IndeterminateCountError`.
+    guard window at a frequency where no anchor lives, or up to 2 + epsilon
+    past the cut-off, raises :class:`IndeterminateCountError`.
     """
     check_count_grid(grid_n)
     t = canonicalize(t)
     j_closed, _, _ = extremal_index(t)
     by_parity = _COUNT_SECTORS[expected_symmetry(t)]
 
-    residuals = anchor_check(t, grid_n)
-    eps = max(10.0 * max(residuals), 1e-6)
+    eps = max(10.0 * max(anchor_check(t, grid_n)), 1e-6)
 
     l_stop = interlacing_l_max(t) - 1  # c, or the last l below c when c is irrational
-    anchor_freqs = {t.a, t.b, t.c_real}  # a non-integer c_real equals no integer l
-
-    per = len(by_parity[0])
     columns = [(l, sector) for l in range(l_stop + 1) for sector in by_parity[l % 2]]
+    columns += [(l_stop + 1, sector) for sector in _ALL_SECTORS]  # the cut-off: both parities
     d = np.empty((grid_n // 4, len(columns)))  # one column per counted (l, sector)
     lld, sigma = np.zeros_like(d), np.empty(d.shape[1])  # the last cell has no l_i
     factors = _factors(t, Symmetry.FULL_PERIODIC, grid_n, columns)
     for col, (_, ld, le, sigma[col]) in enumerate(factors):
         d[:, col], lld[:-1, col] = ld, le * le * ld[:-1]
-    below, upto = _count_below(d, lld, sigma, (2.0 - eps, 2.0 + eps)).reshape(2, -1, per).sum(2)
+    counts = _count_below(d, lld, sigma, (2.0 - eps, 2.0 + eps))
+    below, upto = counts[:, :-4].reshape(2, l_stop + 1, -1).sum(2)
     for l in np.flatnonzero(upto > below):
-        if l not in anchor_freqs:
+        if l not in (t.a, t.b, t.c_real):  # a non-integer c_real equals no integer l
             raise IndeterminateCountError(
                 f"indeterminate count; refine grid ({upto[l] - below[l]} eigenvalue(s) "
                 f"within {eps:.2e} of 2 at non-anchor l={l}, grid_n={grid_n})"
             )
+    if counts[1, -4:].any():
+        raise IndeterminateCountError(
+            f"indeterminate count; refine grid ({counts[1, -4:].sum()} eigenvalue(s) at most "
+            f"2 + {eps:.2e} past the cut-off at l={l_stop + 1}, grid_n={grid_n})"
+        )
     per_l = tuple(enumerate(below.tolist()))
     total = 2 * sum(below.tolist()) - per_l[0][1]
-
-    beyond = float(_full(t, grid_n, l_stop + 1)[0])
-    if beyond <= 2.0:
-        raise IndeterminateCountError(
-            f"indeterminate count; refine grid (lambda_0({l_stop + 1}) = {beyond:.9f} "
-            "did not clear the cutoff bound 2)"
-        )
     return CountReport(n2=total, per_l_counts=per_l, epsilon=eps, j_closed=j_closed,
-                       agree=total == j_closed, lambda0_beyond=beyond)
+                       agree=total == j_closed)
 
 
 def interlacing_l_max(t: Triple) -> int:

@@ -259,30 +259,18 @@ class Coefficients:
 def coefficients(t: Triple) -> Coefficients:
     """Amplitudes (c1^2, c2^2, c3^2) and modulus k^2 of the triple.
 
-    The formulas are applied to the triple in its stored order; for
-    a > b the modulus k^2 comes out negative, which is admissible
-    everywhere downstream.  Denominators cannot vanish: the family
-    condition gives c^2 - a^2 > b^2 >= 0 and c^2 - b^2 > a^2 >= 0 in the
-    generalized case, and equal b^2, a^2 > 0 on the Lawson boundary.
+    The formulas are applied to the triple in its stored order; for a > b the modulus k^2 comes
+    out negative, which is admissible everywhere downstream.  Denominators cannot vanish: the
+    family condition gives c^2 - a^2 > b^2 >= 0 and c^2 - b^2 > a^2 >= 0 in the generalized
+    case, and equal b^2, a^2 > 0 on the Lawson boundary, where Q = 0 makes c1^2 = c2^2 = 1 and
+    c3^2 = +0.0 exactly: the third solution drops out.
     """
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c_squared
-    if t.case is Case.LAWSON:
-        # c1^2 = c2^2 = 1 and c3^2 = 0 exactly; the third solution drops out.
-        return Coefficients(
-            c1_sq=1.0,
-            c2_sq=1.0,
-            c3_sq=0.0,
-            k2=(b2 - a2) / b2,
-            q=0,
-            a_sq=a2,
-            b_sq=b2,
-            c_sq=c2,
-        )
     assert c2 - a2 > 0 and c2 - b2 > 0
     return Coefficients(
         c1_sq=(b2 + c2 - a2) / (2 * (c2 - a2)),
         c2_sq=(a2 + c2 - b2) / (2 * (c2 - b2)),
-        c3_sq=(a2 + b2 - c2) / (2 * (b2 - c2)),
+        c3_sq=(c2 - a2 - b2) / (2 * (c2 - b2)),
         k2=(b2 - a2) / (c2 - a2),
         q=c2 - a2 - b2,
         a_sq=a2,

@@ -186,7 +186,6 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]
         "n2": report.n2,
         "j_closed": report.j_closed,
         "epsilon": report.epsilon,
-        "lambda0_beyond_cutoff": report.lambda0_beyond,
         "per_l": [list(pair) for pair in report.per_l_counts],
     }
     passed = report.agree

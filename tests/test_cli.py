@@ -402,6 +402,22 @@ def test_import_and_closed_form_commands_load_no_numpy_or_scipy():
     assert json.loads(fresh.stdout)["status"] == "ok"
 
 
+@pytest.mark.parametrize("argv,code", [(["table", "--format", "text"], EXIT_OK),
+                                       (["verify", "--lawson", "27", "2"], EXIT_VERIFY_FAIL)])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    """A reader that has gone (as in ``lawson table | head -1``) leaves stdout a pipe with no
+    read end: the command still exits with its verdict's code, and writes nothing to stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lawson.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
 def test_missing_numpy_fails_at_import():
     """Without site-packages (-S) and PYTHON* variables (-I) numpy cannot be found."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))

@@ -785,7 +785,6 @@ class TestCounting:
     def test_count_report_structure(self):
         report = count_N2(validate(Case.GENERALIZED, 1, 2, 3), 2048)
         assert report.per_l_counts == ((0, 3), (1, 2), (2, 1), (3, 0))
-        assert report.lambda0_beyond > 2.0
         assert report.epsilon >= 1e-6
 
     def test_grid_stability(self):
@@ -810,6 +809,16 @@ class TestCounting:
         assert spectral.interlacing_l_max(t) == l_max
         assert [l for l, _ in report.per_l_counts] == list(range(l_max))
         assert report.n2 == report.j_closed
+
+    def test_cut_off_below_c_is_indeterminate(self, monkeypatch):
+        """A cut-off moved below c lands where eigenvalues still lie under 2: T_(1,2,8) has
+        lambda_0 < 2 at every l < 8, so its cut-off columns at l = 4 count them, and the count
+        names that l and the grid rather than stop the sum there."""
+        t = validate(Case.GENERALIZED, 1, 2, 8)
+        assert spectral.sl_spectrum(sl_problem(t, 4), 2048, count=1).eigenvalues[0] < 2.0
+        monkeypatch.setattr(spectral, "interlacing_l_max", lambda t: 4)
+        with pytest.raises(IndeterminateCountError, match=r"past the cut-off at l=4, grid_n=2048"):
+            count_N2(t, 2048)
 
     def test_grid_preconditions(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
@@ -929,3 +938,9 @@ def test_brackets_agree_with_every_l_sweep(t):
     """On the same eigenvalues, the brackets give the verdict of the sweep of every l."""
     l_max = spectral.interlacing_l_max(t)
     assert interlacing_check(t, 2048) == _sweep_interlacing(spectral._full, t, 2048, l_max)
+
+
+@pytest.mark.parametrize("t", BEYOND_SUITE, ids=[t.label() for t in BEYOND_SUITE])
+def test_count_above_the_census_range(t):
+    """The count, its cut-off at the first l past c included, gives n2 = j for c > 30."""
+    assert count_N2(t, 2048).agree

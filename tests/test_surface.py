@@ -134,6 +134,19 @@ class TestCoefficients:
         assert co.c3_sq == 0.0
         assert co.q == 0
 
+    def test_lawson_amplitudes_bit_for_bit(self):
+        """On the boundary c^2 = a^2 + b^2 the generalized formulas give exactly c1^2 = c2^2 = 1,
+        c3^2 = +0.0, k^2 = (b^2 - a^2)/b^2 and Q = 0, in either stored order: every pair with
+        a^2 + b^2 <= 900.  A c3^2 of -0.0 would flip the sign of zeros in CSV and OBJ exports."""
+        pairs = [(a, b) for a in range(1, 31) for b in range(1, a + 1)
+                 if math.gcd(a, b) == 1 and a * a + b * b <= 900]
+        for a, b in pairs + [(b, a) for a, b in pairs]:
+            co = coefficients(Triple(Case.LAWSON, a, b))
+            assert co.c1_sq == co.c2_sq == 1.0
+            assert co.c3_sq == 0.0 and math.copysign(1.0, co.c3_sq) == 1.0
+            assert co.k2 == (b * b - a * a) / (b * b)
+            assert co.q == 0
+
     @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
     def test_unit_sphere_identity(self, t):
         co = coefficients(t)

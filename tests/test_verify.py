@@ -52,10 +52,10 @@ class TestRunVerification:
 
     def test_each_sector_solved_once_per_grid(self, monkeypatch):
         """Anchors, count and interlacing share one solve per (l, grid): T_(5,7,13) needs
-        the anchors l = 5, 7, 13 and lambda_0 at l = 14 at both grids, and interlacing's
-        brackets add only l = 0 at grid_n: with the Weyl rise of each eigenvalue the bracket
-        [0, 14] holds.  Each sector is asked once, for 2 of the 4 eigenvalues of the union,
-        and never solved again."""
+        the anchors l = 5, 7, 13 at both grids (the count's cut-off at l = 14 is an inertia
+        count, not a solve), and interlacing's brackets add only l = 0 and l_max = 14 at grid_n:
+        with the Weyl rise of each eigenvalue the bracket [0, 14] holds.  Each sector is asked
+        once, for 2 of the 4 eigenvalues of the union, and never solved again."""
         solve, lanczos = spectral._sector_eigenvalues, spectral._lanczos
         asked, calls = [], []
 
@@ -75,10 +75,10 @@ class TestRunVerification:
         spectral._full.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
-        assert len(calls) == len(set(calls)) == 4 * 5 + 4 * 4
+        assert len(calls) == len(set(calls)) == 4 * 5 + 4 * 3
         assert {k for *_, k in calls} == {2}
         assert {l for n, l, *_ in calls if n == 2048} == {0, 5, 7, 13, 14}
-        assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13, 14}
+        assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13}
 
     @pytest.mark.parametrize(
         "abc,deep,rungs",

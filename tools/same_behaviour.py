@@ -18,8 +18,8 @@ seeds 101-104 (grids 16384-131072).  ``--cli`` writes one record per
 ``lawson`` command line: its argv, exit code, stdout, stderr and, for
 ``export``, the sha256 of the written file.  The command lines are the
 requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
---points`` at edge counts, ``--format text`` variants and rejected inputs of
-each error path; each runs through ``lawson.cli.main``
+--points`` at edge counts, ``--format text`` variants, a failing ``verify`` and
+rejected inputs of each error path; each runs through ``lawson.cli.main``
 in a temporary working directory, which receives the exports.  Run it in two
 checkouts with the same arguments, then ``--compare`` the outputs: every
 value that is not a float (status, verdicts, tolerance strings, ``n2``,
@@ -129,6 +129,7 @@ def cli_invocations() -> list[list[str]]:
     text = (["classify", "1", "0", "2"], ["classify", "--lawson", "3", "1"], ["table"], ["landen"],
             ["verify", "5", "7", "13"], ["spectrum", "1", "2", "3", "--l", "1"])
     argvs += [[*argv, "--format", "text"] for argv in text]
+    argvs.append(["verify", "--lawson", "27", "2"])  # a failing verdict: exit 2
     argvs += [["classify", "1", "2"], ["classify", "--lawson", "0", "1"],
               ["classify", "--lawson", "1", "2", "3"], ["verify", "0", "0", "1", "--grid", "1030"],
               ["spectrum", "1", "2", "3", "--l", "-1"], ["spectrum", "1", "2", "3", "--count", "0"],
