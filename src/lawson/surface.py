@@ -118,6 +118,9 @@ class Triple:
     legitimate descriptions of the same surface).  ``validate`` and
     ``canonicalize`` produce the canonical representative: gcd-reduced,
     generalized case ordered a <= b, Lawson case ordered a >= b.
+    c^2 (a^2 + b^2 for a Lawson pair) must be below 2^1020: the closed
+    forms then stay below pi (c^2 - a^2) < 2^1022, since E <= pi/2 and
+    |Q| K <= (pi/2)(c^2 - a^2).
 
     In the Lawson case c is determined by c^2 = a^2 + b^2 and is not
     stored (it is an integer only for Pythagorean pairs).
@@ -155,6 +158,9 @@ class Triple:
                 )
         else:
             raise InvalidTripleError(f"unknown case {self.case!r}")
+        if self.c_squared >= 2**1020:
+            name = "a^2 + b^2" if self.case is Case.LAWSON else "c^2"
+            raise InvalidTripleError(f"{name} must be below 2^1020 for float closed forms")
 
     @property
     def c_squared(self) -> int:
@@ -167,10 +173,7 @@ class Triple:
 
     @property
     def is_canonical(self) -> bool:
-        vals = [v for v in (self.a, self.b, self.c) if v is not None]
-        if math.gcd(*vals) != 1:
-            return False
-        return self.a >= self.b if self.case is Case.LAWSON else self.a <= self.b
+        return self == canonicalize(self)
 
     def label(self) -> str:
         if self.case is Case.LAWSON:
@@ -202,19 +205,13 @@ def canonicalize(t: Triple) -> Triple:
     The ordering uses the a <-> b isometry of the family: generalized
     triples are ordered a <= b (so the area modulus k^2 >= 0), Lawson
     pairs a >= b (so the functional-value modulus sqrt(a^2 - b^2)/a is
-    real).
+    real).  One rule covers both cases: divide by d = gcd(a, b, c), c
+    counting as 0 for a Lawson pair, and sort (a, b) descending on the
+    boundary and ascending otherwise.
     """
-    if t.case is Case.LAWSON:
-        d = gcd(t.a, t.b)
-        a, b = t.a // d, t.b // d
-        if a < b:
-            a, b = b, a
-        return Triple(Case.LAWSON, a, b)
-    d = gcd(t.a, gcd(t.b, t.c))
-    a, b, c = t.a // d, t.b // d, t.c // d
-    if a > b:
-        a, b = b, a
-    return Triple(Case.GENERALIZED, a, b, c)
+    d = gcd(t.a, t.b, t.c or 0)
+    a, b = sorted((t.a // d, t.b // d), reverse=t.case is Case.LAWSON)
+    return Triple(t.case, a, b, None if t.c is None else t.c // d)
 
 
 @dataclass(frozen=True)
@@ -289,21 +286,12 @@ def immersion(t: Triple, x, y) -> np.ndarray:
     co = coefficients(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    shape = np.broadcast_shapes(x.shape, y.shape)
     f1 = co.c1 * np.sin(y)
     f2 = co.c2 * np.cos(y)
     f3 = co.c3 * np.sqrt(1.0 - co.k2 * np.sin(y) ** 2)
     a, b, c = t.a, t.b, t.c_real
-    return np.stack(
-        [
-            np.broadcast_to(np.sin(a * x) * f1, shape),
-            np.broadcast_to(np.cos(a * x) * f1, shape),
-            np.broadcast_to(np.sin(b * x) * f2, shape),
-            np.broadcast_to(np.cos(b * x) * f2, shape),
-            np.broadcast_to(np.sin(c * x) * f3, shape),
-            np.broadcast_to(np.cos(c * x) * f3, shape),
-        ]
-    )
+    return np.stack([np.sin(a * x) * f1, np.cos(a * x) * f1, np.sin(b * x) * f2,
+                     np.cos(b * x) * f2, np.sin(c * x) * f3, np.cos(c * x) * f3])
 
 
 def metric(t: Triple, y):
@@ -383,7 +371,7 @@ def extremal_index(t: Triple) -> tuple[int, Functional, float]:
     The induced metric is extremal for the j-th normalized eigenvalue
     functional on the torus or Klein bottle; Lambda_j = 2 * area always
     (the coordinate functions are eigenfunctions with eigenvalue 2 on the
-    unit sphere).  The closed forms:
+    unit sphere).  The paper's closed forms:
 
       Lawson pair (a >= b):  j = 2 floor(sqrt(a^2+b^2)/2) + a + b - 1,
                              Lambda_j = 8 pi a E(sqrt(a^2-b^2)/a) = S;
@@ -392,25 +380,20 @@ def extremal_index(t: Triple) -> tuple[int, Functional, float]:
       subcase III: j = 2(a + b + c) - 3, with the zero-entry family at
                    2(b + c) - 2 and the Clifford triple (0, 0, 1) at 1.
 
+    One rule reproduces the generalized rows: j = m (a + b + c) - 3 plus
+    the number of zeros among a, b, with m = 2 in subcase III and 1
+    otherwise.  The Lawson floor is taken exactly, as isqrt(a^2 + b^2) // 2.
+
     Lambda_j equals S in subcases I and II (and Lawson) and 2 S in
     subcase III, consistently with Lambda_j = 2 * area.
     """
     t = canonicalize(t)
-    s, area = area_closed(t)
-    sub = _subcase(t)
-    if sub is Subcase.LAWSON:
-        j = 2 * math.floor(math.sqrt(t.a * t.a + t.b * t.b) / 2.0) + t.a + t.b - 1
-    elif sub is Subcase.I:
-        j = (t.b + t.c - 2) if t.a == 0 else (t.a + t.b + t.c - 3)
-    elif sub is Subcase.II:
-        j = t.a + t.b + t.c - 3
+    _, area = area_closed(t)
+    if t.case is Case.LAWSON:
+        j = 2 * (math.isqrt(t.c_squared) // 2) + t.a + t.b - 1
     else:
-        if (t.a, t.b, t.c) == (0, 0, 1):
-            j = 1
-        elif t.a == 0:
-            j = 2 * (t.b + t.c) - 2
-        else:
-            j = 2 * (t.a + t.b + t.c) - 3
+        m = 2 if _subcase(t) is Subcase.III else 1
+        j = m * (t.a + t.b + t.c) - 3 + (t.a, t.b).count(0)
     functional = (
         Functional.KLEIN if _topology(t) is Topology.KLEIN_BOTTLE else Functional.TORUS
     )
@@ -433,13 +416,12 @@ class SurfaceClass:
 def classify(t: Triple) -> SurfaceClass:
     """Full classification; canonicalizes internally."""
     t = canonicalize(t)
-    _, area = area_closed(t)
     j, functional, lam = extremal_index(t)
     return SurfaceClass(
         topology=_topology(t),
         subcase=_subcase(t),
         covering_degree=_covering_degree(t),
-        area=area,
+        area=lam / 2.0,
         j=j,
         functional=functional,
         lambda_value=lam,

@@ -105,7 +105,7 @@ def _eq35_check(t: Triple) -> CheckResult:
 def _takahashi_check(t: Triple, deep: bool) -> CheckResult:
     # >= 4 cells per period of the highest frequency: the doubling ratio is
     # then asymptotic (measured: from at most 3.9 cells on).
-    n0 = max(128, 2 ** math.ceil(math.log2(4 * max(t.a, t.b, t.c_real))))
+    n0 = max(128, 2 ** math.ceil(math.log2(4 * t.c_real)))
     grids = (n0, 2 * n0, 4 * n0) if deep else (n0, 2 * n0)
     res = [takahashi_residual(t, n) for n in grids]
     ratios = [res[i] / res[i + 1] for i in range(len(res) - 1)]

@@ -418,6 +418,17 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     assert (proc.returncode, proc.stderr) == (code, b"")
 
 
+@pytest.mark.parametrize("argv", [["classify", "0", "1", str(10**200)],
+                                  ["classify", "--lawson", str(10**200), "1"]])
+def test_huge_integers_are_invalid_input(argv):
+    """Frequencies whose squares reach 2^1020 are rejected before any float conversion."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "lawson.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr.startswith("invalid input:") and "Traceback" not in proc.stderr
+
+
 def test_missing_numpy_fails_at_import():
     """Without site-packages (-S) and PYTHON* variables (-I) numpy cannot be found."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))

@@ -43,6 +43,25 @@ def generalized_triples():
     ).filter(lambda abc: abc[2] ** 2 > abc[0] ** 2 + abc[1] ** 2)
 
 
+def gcd_and_order(t):
+    """The canonical form stated directly: gcd 1, a <= b (a >= b for a Lawson pair)."""
+    vals = [v for v in (t.a, t.b, t.c) if v is not None]
+    return math.gcd(*vals) == 1 and (t.a >= t.b if t.case is Case.LAWSON else t.a <= t.b)
+
+
+def paper_index(a, b, c=None):
+    """The paper's subcase table of j for a canonical triple; c is None for a Lawson pair."""
+    if c is None:
+        return 2 * math.floor(math.sqrt(a * a + b * b) / 2.0) + a + b - 1
+    if c % 2 == 0 and a % 2 == 1 and b % 2 == 1:  # subcase II
+        return a + b + c - 3
+    if c % 2 == 0 and (a + b) % 2 == 1:  # subcase I
+        return b + c - 2 if a == 0 else a + b + c - 3
+    if (a, b, c) == (0, 0, 1):  # subcase III: the Clifford torus
+        return 1
+    return 2 * (b + c) - 2 if a == 0 else 2 * (a + b + c) - 3
+
+
 class TestValidate:
     def test_klein_bottle_triple(self):
         t = validate(Case.GENERALIZED, 1, 0, 2)
@@ -79,6 +98,17 @@ class TestValidate:
         with pytest.raises(InvalidTripleError):
             validate(Case.GENERALIZED, 1.5, 0, 2)
 
+    def test_size_bound(self):
+        """c^2 (a^2 + b^2 on the boundary) must stay below 2^1020, where every closed-form
+        intermediate is below 2^1022; just below the bound the area is finite."""
+        with pytest.raises(InvalidTripleError, match=r"c\^2 must be below 2\^1020"):
+            Triple(Case.GENERALIZED, 0, 1, 2**510)
+        with pytest.raises(InvalidTripleError, match=r"a\^2 \+ b\^2 must be below 2\^1020"):
+            validate(Case.LAWSON, 2**510, 1)
+        for t in (Triple(Case.GENERALIZED, 0, 1, 2**510 - 1), Triple(Case.LAWSON, 2**510 - 1, 1)):
+            s, area = area_closed(t)
+            assert math.isfinite(s) and math.isfinite(area) and area > 0
+
 
 class TestCanonicalize:
     def test_gcd_reduction_and_swap(self):
@@ -104,6 +134,28 @@ class TestCanonicalize:
         # (0, 0, 3) reduces by gcd 3, not by zero-gcd accidents
         t = canonicalize(Triple(Case.GENERALIZED, 0, 0, 3))
         assert (t.a, t.b, t.c) == (0, 0, 1)
+
+    @given(
+        st.one_of(
+            generalized_triples().map(lambda abc: (Case.GENERALIZED, *abc)),
+            st.tuples(st.integers(1, 30), st.integers(1, 30)).map(lambda ab: (Case.LAWSON, *ab, None)),
+        ),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_canonical_form_is_a_fixed_point(self, raw, scale, swap):
+        """Scaled and reordered entries canonicalize to one fixed point, and is_canonical agrees
+        with the gcd-and-order rule on the raw triple and on its canonical form."""
+        case, a, b, c = raw
+        if swap:
+            a, b = b, a
+        t = Triple(case, scale * a, scale * b, None if c is None else scale * c)
+        u = canonicalize(t)
+        assert canonicalize(u) == u
+        assert u == canonicalize(Triple(case, a, b, c))
+        assert u.is_canonical and gcd_and_order(u)
+        assert t.is_canonical == gcd_and_order(t)
 
 
 class TestCoefficients:
@@ -201,6 +253,26 @@ class TestImmersion:
         r = 1.0 / math.sqrt(2.0)
         expected = [0.0, r * math.sin(y), 0.0, r * math.cos(y), r * math.sin(x), r * math.cos(x)]
         assert F == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (0.3, 1.1),
+            (np.linspace(0.0, 6.0, 5), 0.7),
+            (0.7, np.linspace(0.0, 6.0, 4)),
+            tuple(np.meshgrid(np.linspace(0.0, 6.0, 5), np.linspace(0.0, 6.0, 4), indexing="ij")),
+            (np.linspace(0.0, 6.0, 5)[:, None], np.linspace(0.0, 6.0, 4)[None, :]),
+        ],
+        ids=["scalar-scalar", "1d-scalar", "scalar-1d", "meshgrid", "column-row"],
+    )
+    def test_output_shape_is_six_by_broadcast(self, x, y):
+        """F has shape (6,) + broadcast(x, y), and each point equals its scalar evaluation."""
+        for t in (validate(Case.GENERALIZED, 1, 0, 2), validate(Case.LAWSON, 3, 1)):
+            F = immersion(t, x, y)
+            assert F.shape == (6,) + np.broadcast_shapes(np.shape(x), np.shape(y))
+            xs, ys = (np.ravel(v) for v in np.broadcast_arrays(x, y))
+            for k, point in enumerate(F.reshape(6, -1).T):
+                assert np.array_equal(point, immersion(t, xs[k], ys[k]))
 
     def test_klein_bottle_five_component_form(self):
         # for the (1, 0, 2) ordering the second frequency is 0: the third
@@ -353,10 +425,23 @@ class TestExtremalIndex:
             (Case.LAWSON, (1, 1), 1),
             (Case.LAWSON, (2, 1), 4),
             (Case.LAWSON, (3, 1), 5),
+            # a^2 + b^2 > 2^53: its float sqrt rounds up to 134234114, but floor(c) = 134234113
+            (Case.LAWSON, (134234113, 16385), 268484609),
         ],
     )
     def test_closed_forms(self, case, params, j):
         assert extremal_index(validate(case, *params))[0] == j
+
+    def test_one_rule_matches_the_paper_table(self):
+        """Every canonical generalized triple with c <= 60 and every canonical Lawson pair with
+        a^2 + b^2 <= 3600 gets the j of the paper's subcase table."""
+        triples = [(a, b, c) for c in range(1, 61) for b in range(c) for a in range(b + 1)
+                   if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
+        pairs = [(a, b) for a in range(1, 61) for b in range(1, a + 1)
+                 if math.gcd(a, b) == 1 and a * a + b * b <= 3600]
+        for params in triples + pairs:
+            case = Case.GENERALIZED if len(params) == 3 else Case.LAWSON
+            assert extremal_index(Triple(case, *params))[0] == paper_index(*params), params
 
     def test_clifford_value(self):
         j, functional, lam = extremal_index(validate(Case.GENERALIZED, 0, 0, 1))
