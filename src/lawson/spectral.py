@@ -29,12 +29,15 @@ flux) or D (odd reflection, zero value):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf); only the potential q is
-formed per l, the rest of B once per grid.  sigma + 1 is the floor l^2 / max P of B rounded
-down to a multiple of 16, so the wanted eigenvalues sit within a few times l + 16 of sigma at
-any l.  Its inertia, the negative pivots of L D L^T - (x - sigma) I by the stationary qds
-transform, counts N(2) as accurately as Lanczos finds eigenvalues (a Sturm count on B by LAPACK
-stebz does not), also in all four sectors at the first l past c, where 0 ends the sum.  Lanczos
+Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf), in place and a chunk of
+sectors per call: their block-diagonal matrix has zero couplings, so each factor is bit for bit
+its own.  Only the potential q is formed per l, the rest of B once per grid.  sigma + 1 is the
+floor l^2 / max P of B rounded down to a multiple of 16, so the wanted eigenvalues sit within a
+few times l + 16 of sigma at any l.  Its inertia, the negative pivots of L D L^T - (x - sigma) I
+by a two-ended qds sweep (stationary from the top, progressive from the bottom, twisted at the
+middle, as LAPACK dlaneg; all columns in each step), counts N(2) as accurately as Lanczos finds
+eigenvalues (a Sturm count on B by LAPACK stebz does not), also in all four sectors at the first
+l past c, where 0 ends the sum.  Lanczos
 on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a gap bound) gives the
 eigenvalues the checks read, the lowest 4 of the union, each rising in l by at least the Weyl
 bound that brackets interlacing; each sector is asked only for its share of a list.  The
@@ -209,11 +212,21 @@ def _linalg(roots: tuple[str, ...] | None = None):
     return tuple(modules)
 
 
+def _where(grid_n: int, sym: Symmetry, l: float, sector: str) -> str:
+    return f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
+
+
+_CHUNK = 1 << 13  # cells per dpttrf call and per reordered block of the count's factor
+
+
 def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
-    """Yield ``(where, d, e, sigma)`` per ``(l, sector)`` column on [0, pi/2], cells as wide as
-    ``grid_n`` on the domain: dpttrf's B - sigma I = L D L^T (pivots d, subdiagonal e of L), B the
-    w^(-1/2)-symmetrized matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to a
-    multiple of 16 (0 at l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I."""
+    """``(F, sigma)`` for the ``(l, sector)`` columns on [0, pi/2], cells as wide as ``grid_n`` on
+    the domain: dpttrf's B - sigma I = L D L^T of column i has pivots ``F[0, i]`` and the
+    subdiagonal of L in ``F[1, i, :-1]`` (``F[1, i, -1]`` is 0), B the w^(-1/2)-symmetrized
+    matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to a multiple of 16 (0 at
+    l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I.  Columns are assembled and factored
+    in place, a chunk of about ``_CHUNK`` cells per dpttrf call on the chunk's block-diagonal
+    matrix: its zero couplings leave each block's factor bit for bit that of its own call."""
     dpttrf = _linalg()[0].dpttrf
     m = _sector_cells(grid_n, sym)
     h = sym.domain_length / grid_n
@@ -223,33 +236,97 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     flux = (pf[:-1] + pf[1:]) / h**2
     s = 1.0 / np.sqrt(w)  # w^(-1/2) symmetrizes; sectors differ only in the two ends
     off = -pf[1:m] / h**2 * s[:-1] * s[1:]
-    for l, sector in columns:
-        q = _potential(l, root)
-        shift = 16.0 * np.floor(np.min(q / w) / 16.0)
-        d = flux + q
-        d[0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
-        d[-1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
-        ld, le, info = dpttrf(d * s * s + 1.0 - shift, off)
-        where = f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
+    ls = np.array([float(l) for l, _ in columns])
+    ends = np.array([[1.0 if end == "D" else -1.0 for end in sector] for _, sector in columns])
+    ends = ends * pf[[0, m]] / h**2
+    F, sigma = np.empty((2, len(columns), m)), np.empty(len(columns))
+    step = max(1, _CHUNK // m)
+    for c in range(0, len(columns), step):
+        # A row operand is first broadcast into e, as numpy would buffer it (up to 64 KiB).
+        d, e = F[:, c:c + step]
+        d[:], e[:] = (2.0 * (ls[c:c + step] * ls[c:c + step]))[:, None], root
+        d /= e  # q, as _potential(l, root) gives it
+        e[:] = w
+        shift = 16.0 * np.floor(np.min(np.divide(d, e, out=e), axis=1) / 16.0)
+        e[:] = flux
+        d += e
+        d[:, 0] += ends[c:c + step, 0]
+        d[:, -1] += ends[c:c + step, 1]
+        e[:] = s
+        d *= e
+        d *= e
+        d += 1.0
+        e[:] = shift[:, None]
+        d -= e
+        e[:, :-1], e[:, -1] = off, 0.0
+        info = dpttrf(d.reshape(-1), e.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)[2]
         if info:
-            raise EigensolverError(f"B - sigma I is not positive definite at {where}")
-        yield where, ld, le, shift - 1.0
+            l, sector = columns[c + (info - 1) // m]
+            raise EigensolverError(
+                f"B - sigma I is not positive definite at {_where(grid_n, sym, l, sector)}")
+        sigma[c:c + step] = shift - 1.0
+    return F, sigma
 
 
-def _count_below(d: np.ndarray, lld: np.ndarray, sigma, shifts) -> np.ndarray:
-    """Eigenvalues of B below each shift x, (shifts, columns), from factors of B - sigma I in
-    columns (pivots d, lld = l_i^2 d_i, one sigma each): negative pivots of L D L^T - (x - sigma) I
-    by stationary qds, as in LAPACK dlaneg.  A zero pivot makes s -inf; ``lowest`` keeps the next
-    s / d+ at 1, not NaN."""
+def _count_below(F: np.ndarray, sigma: np.ndarray, shifts) -> np.ndarray:
+    """Eigenvalues of B below each shift x, (shifts, columns), from the factors ``(F, sigma)`` of
+    :func:`_factors`, which it overwrites: the negative pivots of L D L^T - (x - sigma) I by a
+    two-ended qds sweep, as in LAPACK dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
+    2006), twisted at r = m // 2.  The top chain runs the stationary transform d+ = d_i + s,
+    s = s / d+ * lld_i - x from s = -x over cells 0..r-1, the bottom chain the progressive one
+    d- = lld_j + p, p = p / d- * d_j - x from p = d_(m-1) - x over cells m-2..r (lld = l_i^2 d_i),
+    and gamma = (s + x) + p counts at the twist.  Both chains advance in one step over all
+    columns: F becomes (d, lld) with cells r..2r-1 reversed, so that step k reads position k of the
+    top and r + k of the bottom.  A zero pivot makes the next s or p -inf and then NaN; only then
+    is the sweep run again with the states clamped at the lowest float, whose next s / d+ is 1."""
+    d, lld = F
+    np.multiply(lld, lld, out=lld)
+    np.multiply(lld, d, out=lld)  # l_i^2 d_i, 0 at each column's last cell
+    m, r = d.shape[1], d.shape[1] // 2
+    step = max(1, _CHUNK // m)
+    for c in range(0, len(d), step):  # numpy copies the overlapping source: a block at a time
+        for half in F[:, c:c + step, r:2 * r]:
+            half[...] = half[:, ::-1]
+    # Step k: (top, bottom) of (a, b) is (d_k, lld_(2r-1-k)) and (lld_k, d_(2r-1-k)).  With m
+    # even the bottom starts at p = 1 on its last cell, whose lld_(m-1) = 0 gives p = d_(m-1) - x.
+    Z = F[:, :, :2 * r].reshape(2, -1, 2, r)
+    a_rows, b_rows = (np.diagonal(z, 0, 0, 2).transpose(1, 2, 0)[:, :, None] for z in (Z, Z[::-1]))
     x = np.asarray(shifts, dtype=float)[:, None] - sigma  # each x - sigma
-    s = -x
-    neg = np.zeros(s.shape, dtype=int)
-    lowest = -np.finfo(float).max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for d_i, lld_i in zip(d, lld):
-            dplus = d_i + s
-            neg += dplus < 0.0
-            s = np.maximum(s / dplus * lld_i - x, lowest)
+    start = np.empty((2, *x.shape))
+    start[0], start[1] = -x, d[:, -1] - x if m % 2 else 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = start.copy()
+        neg = _qds(a_rows, b_rows, x, s)
+        if np.isnan(s).any():
+            s = start.copy()
+            neg = _qds(a_rows, b_rows, x, s, -np.finfo(float).max)
+        return neg[0] + neg[1] + ((s[0] + x) + s[1] < 0.0)
+
+
+def _qds(a_rows, b_rows, x: np.ndarray, s: np.ndarray, lowest: float | None = None) -> np.ndarray:
+    """Negative pivots of both chains of :func:`_count_below`, (chains, shifts, columns), advancing
+    the states ``s`` of that shape in place: per row pair (a, b) the pivot t = a + s counts when
+    below 0, then s = s / t * b - x, clamped at ``lowest`` if given.  Each operand is first copied
+    into the shape of s (numpy would buffer a broadcast one), and the counts gather in bytes,
+    255 rows at a time."""
+    t, u, x = np.empty_like(s), np.empty_like(s), np.broadcast_to(x, s.shape).copy()
+    below, neg = np.empty(s.shape, dtype=bool), np.zeros(s.shape, dtype=int)
+    tally, bits = np.zeros(s.shape, dtype=np.uint8), below.view(np.uint8)
+    add, less, divide, multiply, subtract = np.add, np.less, np.divide, np.multiply, np.subtract
+    for k in range(0, len(a_rows), 255):
+        for a, b in zip(a_rows[k:k + 255], b_rows[k:k + 255]):
+            t[...] = a
+            add(t, s, t)
+            less(t, 0.0, below)
+            add(tally, bits, tally)
+            divide(s, t, s)
+            u[...] = b
+            multiply(s, u, s)
+            subtract(s, x, s)
+            if lowest is not None:
+                np.maximum(s, lowest, out=s)
+        neg += tally
+        tally[...] = 0
     return neg
 
 
@@ -261,29 +338,38 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     passes at r^2 < eps theta (g - r), never at g <= r: its error bound r^2 / (g - r) (Parlett,
     *The Symmetric Eigenvalue Problem*, ch. 11) is then below eps theta, sound while eigenvalues
     stand apart, as in a sector (one well, separated ends).  The rows of ``V`` hold the basis and
-    cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m steps."""
+    cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m steps.
+    alpha, beta and both tests run on Python floats: the IEEE operations of numpy scalars, at
+    less overhead per step."""
     lapack, blas = _linalg()
+    # Positional, as f2py parses them faster than keywords: dpttrs(d, e, b, overwrite_b) and
+    # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans[, overwrite_y]).
+    dpttrs, dgemv, dnrm2 = lapack.dpttrs, blas.dgemv, blas.dnrm2
     steps, m = V.shape[0] - 1, len(ld)
-    alpha, beta = np.zeros(steps), np.empty(steps)
-    eps = np.finfo(float).eps
+    alpha, beta = np.empty(steps), np.empty(steps)
+    eps = sys.float_info.epsilon
+    tol = math.sqrt(eps)
     for s in range(1, steps + 1):
-        V[s] = V[s - 1]  # op v_(s-1) is solved into the next row, orthogonalized, normalized
-        lapack.dpttrs(ld, le, V[s], overwrite_b=1)
-        size, basis = blas.dnrm2(V[s]), V[:s].T
+        v = V[s]  # op v_(s-1) is solved into the next row, orthogonalized, normalized
+        v[:] = V[s - 1]
+        dpttrs(ld, le, v, 1)
+        size, basis, a = dnrm2(v), V[:s].T, 0.0
         for _ in range(2):
-            h = blas.dgemv(1.0, basis, V[s], trans=1)
-            blas.dgemv(-1.0, basis, h, 1.0, V[s], overwrite_y=1)
-            alpha[s - 1] += h[-1]
-        beta[s - 1] = blas.dnrm2(V[s])
-        if s < m and beta[s - 1] <= math.sqrt(eps) * size:
+            h = dgemv(1.0, basis, v, 0.0, None, 0, 1, 0, 1, 1)  # basis^T v
+            dgemv(-1.0, basis, h, 1.0, v, 0, 1, 0, 1, 0, 1)  # v - basis h, in place
+            a += float(h[-1])
+        alpha[s - 1] = a
+        beta[s - 1] = b = dnrm2(v)
+        if s < m and b <= tol * size:
             raise EigensolverError(f"Lanczos broke down after {s} steps at {where}")
         if s == steps or (s >= max(k, 12) and s % (1 + s // 32) == 0):
             theta, z, _ = lapack.dstev(alpha[:s], beta[:s - 1])
-            r, gap = beta[s - 1] * abs(z[-1, -k:]), np.diff(theta, prepend=-np.inf, append=np.inf)
-            g = np.minimum(gap[:-1], gap[1:])[-k:]  # to the nearest other Ritz value
-            if s == m or np.all(r * r < eps * theta[-k:] * (g - r)):
+            th, zs = [-math.inf, *theta.tolist(), math.inf], z[-1, -k:].tolist()
+            tests = ((b * abs(zi), min(th[i] - th[i - 1], th[i + 1] - th[i]), th[i])  # r, g, theta
+                     for i, zi in zip(range(s + 1 - len(zs), s + 1), zs))
+            if s == m or all(r * r < eps * theta_i * (g - r) for r, g, theta_i in tests):
                 return sigma + 1.0 / theta[-k:]
-        V[s] /= beta[s - 1]
+        v /= b
     raise EigensolverError(f"Lanczos did not converge within {steps} steps at {where}")
 
 
@@ -296,8 +382,10 @@ def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) ->
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
     blas = _linalg()[1]
-    factors = list(_factors(problem.triple, problem.symmetry, grid_n,
-                            [(problem.l, sector) for sector in sectors]))
+    (d, e), sigma = _factors(problem.triple, problem.symmetry, grid_n,
+                             [(problem.l, sector) for sector in sectors])
+    factors = [(_where(grid_n, problem.symmetry, problem.l, sector), d[i], e[i, :-1], sigma[i])
+               for i, sector in enumerate(sectors)]
     # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing
     # returns it.  The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
     rows = min(m, 8 * count + 64) + 1
@@ -460,9 +548,11 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     calibrated at 10x the worst measured anchor residual (floor 1e-6),
     so the three continuum-exact eigenvalues straddling 2 under
     discretization are never miscounted.  Counts are the inertia of the
-    sectors' L D L^T factors at 2 -/+ epsilon; an eigenvalue inside the
-    guard window at a frequency where no anchor lives, or up to 2 + epsilon
-    past the cut-off, raises :class:`IndeterminateCountError`.
+    sectors' L D L^T factors at 2 -/+ epsilon, all columns factored in place
+    in chunks (:func:`_factors`) and swept from both ends at once
+    (:func:`_count_below`); an eigenvalue inside the guard window at a
+    frequency where no anchor lives, or up to 2 + epsilon past the cut-off,
+    raises :class:`IndeterminateCountError`.
     """
     check_count_grid(grid_n)
     t = canonicalize(t)
@@ -474,12 +564,8 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     l_stop = interlacing_l_max(t) - 1  # c, or the last l below c when c is irrational
     columns = [(l, sector) for l in range(l_stop + 1) for sector in by_parity[l % 2]]
     columns += [(l_stop + 1, sector) for sector in _ALL_SECTORS]  # the cut-off: both parities
-    d = np.empty((grid_n // 4, len(columns)))  # one column per counted (l, sector)
-    lld, sigma = np.zeros_like(d), np.empty(d.shape[1])  # the last cell has no l_i
-    factors = _factors(t, Symmetry.FULL_PERIODIC, grid_n, columns)
-    for col, (_, ld, le, sigma[col]) in enumerate(factors):
-        d[:, col], lld[:-1, col] = ld, le * le * ld[:-1]
-    counts = _count_below(d, lld, sigma, (2.0 - eps, 2.0 + eps))
+    counts = _count_below(*_factors(t, Symmetry.FULL_PERIODIC, grid_n, columns),
+                          (2.0 - eps, 2.0 + eps))
     below, upto = counts[:, :-4].reshape(2, l_stop + 1, -1).sum(2)
     for l in np.flatnonzero(upto > below):
         if l not in (t.a, t.b, t.c_real):  # a non-integer c_real equals no integer l

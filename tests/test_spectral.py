@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,8 +232,9 @@ def _untrimmed_merge(problem, n, count, sectors=None):
     v0 = np.random.default_rng(spectral._START_SEED).standard_normal(m)
     spectra = []
     sectors = sectors or spectral._SYMMETRY_SECTORS[problem.symmetry]
-    for _, ld, le, sigma in spectral._factors(problem.triple, problem.symmetry, n,
-                                              [(problem.l, s) for s in sectors]):
+    (d, e), sigmas = spectral._factors(problem.triple, problem.symmetry, n,
+                                       [(problem.l, s) for s in sectors])
+    for ld, le, sigma in zip(d, e[:, :-1], sigmas):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         spectra.append(eigsh(op, count, sigma=sigma, which="LM", v0=v0, OPinv=op,
                              return_eigenvectors=False))
@@ -360,15 +362,17 @@ def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
     sector whose op is the identity (unit pivots, no coupling) makes the Krylov space invariant
     at step 1.  Both errors name grid, l, symmetry and sector."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    factor = next(spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(2, "DN")]))
+    (d, e), sigma = spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(2, "DN")])
+    where = spectral._where(2048, Symmetry.FULL_PERIODIC, 2, "DN")
     message = r"did not converge within 3 steps at grid_n=2048 \(l=2, full-periodic, sector DN\)"
     with pytest.raises(EigensolverError, match=message):
-        spectral._lanczos(*factor, 2, np.full((4, 512), 512**-0.5))
+        spectral._lanczos(where, d[0], e[0, :-1], sigma[0], 2, np.full((4, 512), 512**-0.5))
     factors = spectral._factors
 
     def identity(t, sym, grid_n, columns):
-        for where, ld, le, sigma in factors(t, sym, grid_n, columns):
-            yield where, np.ones_like(ld), np.zeros_like(le), sigma
+        F, sigma = factors(t, sym, grid_n, columns)
+        F[0], F[1] = 1.0, 0.0
+        return F, sigma
 
     monkeypatch.setattr(spectral, "_factors", identity)
     message = r"broke down after 1 steps at grid_n=1024 \(l=2, odd-in-y, sector DD\)"
@@ -432,8 +436,9 @@ def test_sector_holding_the_whole_list_is_solved_again(monkeypatch, sym, lowered
     factors = spectral._factors
 
     def lowered_factors(t, sym, grid_n, columns):
-        for where, ld, le, sigma in factors(t, sym, grid_n, columns):
-            yield where, ld * (1e-3 if where.endswith(f"sector {lowered})") else 1.0), le, sigma
+        F, sigma = factors(t, sym, grid_n, columns)
+        F[0, [sector for _, sector in columns].index(lowered)] *= 1e-3
+        return F, sigma
 
     monkeypatch.setattr(spectral, "_factors", lowered_factors)
     problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), 1, sym)
@@ -517,47 +522,77 @@ def _per_l_factors(t, l, n, sectors):
 @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
 def test_factors_equal_a_per_l_assembly(t, n):
     """The l-independent part built once gives bit for bit the factors of a sector assembled
-    anew at each l, in every sector; the last l, 4 (floor(c) + 1), factors with sigma + 1 >= 16."""
+    anew at each l, in every sector; the last l, 4 (floor(c) + 1), factors with sigma + 1 >= 16.
+    At n = 2048 the 16 to 20 columns span two dpttrf calls of 16 columns: a column factored
+    within a block-diagonal chunk equals its own factor."""
     ls = sorted({0, 1, math.floor(t.c_real), 4 * math.floor(t.c_real) + 4, t.c_real})
     columns = [(l, sector) for l in ls for sector in spectral._ALL_SECTORS]
-    got = list(spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns))
+    (d, e), sigma = spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns)
     want = [f for l in ls for f in _per_l_factors(t, l, n, spectral._ALL_SECTORS)]
-    assert len(got) == len(want) == 4 * len(ls)
-    assert got[-1][3] >= 15.0
-    for (_, d, e, sigma), (d_ref, e_ref, sigma_ref) in zip(got, want):
-        assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref) and sigma == sigma_ref
+    assert len(d) == len(e) == len(sigma) == len(want) == 4 * len(ls)
+    assert sigma[-1] >= 15.0
+    for ld, le, sg, (d_ref, e_ref, sigma_ref) in zip(d, e, sigma, want):
+        assert np.array_equal(ld, d_ref) and np.array_equal(le[:-1], e_ref) and sg == sigma_ref
+        assert le[-1] == 0.0
 
 
-def _columns(factors):
-    """Pivots d and l_i^2 d_i of (where, d, e, sigma) factors as (cells, columns) arrays, and
-    their sigmas."""
-    d = np.array([ld for _, ld, _, _ in factors]).T
-    lld = np.zeros_like(d)
-    lld[:-1] = np.array([le * le * ld[:-1] for _, ld, le, _ in factors]).T
-    return d, lld, np.array([sigma for *_, sigma in factors])
+def _near(x, holds):
+    """The float nearest x, at most 64 ulps away, for which ``holds``; None if there is none."""
+    up = down = x
+    for _ in range(64):
+        for y in (up, down):
+            if holds(y):
+                return y
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+    return None
 
 
-@pytest.mark.parametrize("n", [256, 512, 1024])
+def _zero_pivot_shifts(d, e, sigma):
+    """Shifts x + sigma that make the first pivot of a chain of the two-ended count exactly 0:
+    the top chain's d_0 - x, and the bottom chain's l_(m-2)^2 d_(m-2) + (d_(m-1) - x), or None
+    where no float x gives it (the sum x of the two terms need not be a float)."""
+    lld = e[-2] * e[-2] * d[-2]
+    xs = d[0], _near(d[-1] + lld, lambda x: lld + (d[-1] - x) == 0.0)
+    return [None if x is None else _near(x + sigma, lambda shift: shift - sigma == x) for x in xs]
+
+
+@pytest.mark.parametrize("n", [256, 260, 512, 1024, 1028])
 @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
-def test_inertia_count_matches_dense_eigenvalues(t, n):
-    """The qds count on the L D L^T factor of each sector (m = 64..256 cells)
-    equals the count of dense eigvalsh eigenvalues below the shift, at midpoints
-    of the spectrum, at 2, beyond both ends, and at the shift that makes the
-    first pivot exactly 0 (so s becomes -inf for the next cell).  At l = 4 (floor(c) + 1),
-    as max P <= c^2, the factors are of B + I lowered by a multiple of 16."""
+def test_inertia_count_matches_dense_eigenvalues(t, n, monkeypatch):
+    """The two-ended qds count on the L D L^T factor of each sector (m = 64..257 cells, odd at
+    n = 260 and 1028) equals the count of dense eigvalsh eigenvalues below the shift, at
+    midpoints of the spectrum, at 2 and beyond both ends, in one sweep.  So it does at the shifts
+    that make the first pivot of either chain exactly 0 (its next state is -inf, then NaN), where
+    the sweep runs again with the states clamped.  The bottom chain's zero pivot exists in some
+    columns of each case.  At l = 4 (floor(c) + 1), as max P <= c^2, the factors are of B + I
+    lowered by a multiple of 16."""
+    qds, clamps, bottom_zeros = spectral._qds, [], 0
+
+    def recorded(a_rows, b_rows, x, s, lowest=None):
+        clamps.append(lowest)
+        return qds(a_rows, b_rows, x, s, lowest)
+
+    monkeypatch.setattr(spectral, "_qds", recorded)
     for l in sorted({0, 1, math.floor(t.c_real), 4 * math.floor(t.c_real) + 4}):
         columns = [(l, sector) for sector in spectral._ALL_SECTORS]
-        factors = list(spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns))
-        d, lld, sigma = _columns(factors)
+        F, sigma = spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns)
         for col, sector in enumerate(spectral._ALL_SECTORS):
             ev = np.linalg.eigvalsh(_dense_sector(t, l, n, sector))
             j = np.array([0, 1, 2, 3, len(ev) // 2, len(ev) - 2])
-            zero_pivot = d[0, col] + sigma[col]
-            assert zero_pivot - sigma[col] == d[0, col]
-            shifts = np.concatenate([(ev[j] + ev[j + 1]) / 2,
-                                     [ev[0] - 1.0, ev[-1] + 1.0, 2.0, zero_pivot]])
-            got = spectral._count_below(d[:, [col]], lld[:, [col]], sigma[[col]], shifts)[:, 0]
+            shifts = np.concatenate([(ev[j] + ev[j + 1]) / 2, [ev[0] - 1.0, ev[-1] + 1.0, 2.0]])
+            clamps.clear()
+            got = spectral._count_below(F[:, [col]], sigma[[col]], shifts)[:, 0]
             assert got.tolist() == np.searchsorted(ev, shifts).tolist()
+            assert clamps == [None]
+            top, bottom = _zero_pivot_shifts(F[0, col], F[1, col], sigma[col])
+            assert top is not None
+            bottom_zeros += bottom is not None
+            for shift in [shift for shift in (top, bottom) if shift is not None]:
+                clamps.clear()
+                got = spectral._count_below(F[:, [col]], sigma[[col]], [shift])[0, 0]
+                assert got == np.searchsorted(ev, shift)
+                assert clamps == [None, -np.finfo(float).max]
+    assert bottom_zeros > 0
 
 
 def _list_counts(t, n, eps):
@@ -592,11 +627,30 @@ def test_clifford_inertia_count_at_fine_grid(l):
     values = exact[::2]  # k = 0, then one of each pair +-k
     t = validate(Case.GENERALIZED, 0, 0, 1)
     columns = [(l, sector) for sector in spectral._ALL_SECTORS]
-    d, lld, sigma = _columns(list(spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns)))
+    factors = spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns)
     shifts = np.concatenate([values - 1e-9, values + 1e-9])
-    below, upto = spectral._count_below(d, lld, sigma, shifts).sum(axis=1).reshape(2, -1)
+    below, upto = spectral._count_below(*factors, shifts).sum(axis=1).reshape(2, -1)
     assert below.tolist() == [0, 1, 3, 5, 7]
     assert upto.tolist() == [1, 3, 5, 7, 9]
+
+
+@pytest.mark.parametrize("abc,n", [((1, 2, 150), 4096), ((5, 7, 13), 32768)])
+def test_count_memory_is_its_factors_and_at_most_1_mib(abc, n):
+    """A count holds the pivots d and l_i^2 d_i of its columns, 16 (n / 4) bytes each, and at most
+    1 MiB besides: the columns are assembled and factored in place, and the sweep reorders them
+    in blocks and broadcasts its rows over the two shifts.  The anchors' spectra are solved by the
+    first count, so the traced second one is the count alone."""
+    t = validate(Case.GENERALIZED, *abc)
+    report = count_N2(t, n)
+    by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
+    columns = sum(len(by_parity[l % 2]) for l, _ in report.per_l_counts) + 4
+    tracemalloc.start()
+    try:
+        assert count_N2(t, n) == report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (n // 4) * columns + 2**20
 
 
 def test_indeterminate_window_at_non_anchor_frequency(monkeypatch):
@@ -859,20 +913,19 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     lapack = spectral._linalg()[0]
     dpttrf, seen = lapack.dpttrf, []
 
-    def recorded(d, e):
+    def recorded(d, e, **kwargs):
         seen.append((d.copy(), e.copy()))
-        return dpttrf(d, e)
+        return dpttrf(d, e, **kwargs)
 
     monkeypatch.setattr(lapack, "dpttrf", recorded)
     l_max = spectral.interlacing_l_max(t)
-    for l in range(l_max + 1):
-        list(spectral._factors(t, Symmetry.FULL_PERIODIC, 2048,
-                               [(l, s) for s in ("NN", "ND", "DN", "DD")]))
-    assert len(seen) == 4 * (l_max + 1)
+    for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
+        spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(l, s) for s in spectral._ALL_SECTORS])
+    assert len(seen) == l_max + 1
     top, delta = spectral._least_rise(t, 2048, l_max)
-    for i, ((d0, e0), (d1, e1)) in enumerate(zip(seen, seen[4:])):
+    for l, ((d0, e0), (d1, e1)) in enumerate(zip(seen, seen[1:])):
         assert np.all(d1 >= d0)
-        assert np.all(d1 - d0 >= (2 * (i // 4) + 1) / top - delta)
+        assert np.all(d1 - d0 >= (2 * l + 1) / top - delta)
         assert np.array_equal(e1, e0)
 
 

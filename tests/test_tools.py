@@ -114,3 +114,30 @@ def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
         changed = _write(tmp_path / "new.jsonl", [rejected, {**export, key: value}])
         assert same_behaviour.compare(old, changed) == 1
         assert "DIFFERS" in capsys.readouterr().out
+
+
+def test_count_records_hold_the_count_or_its_error(tmp_path, monkeypatch, capsys):
+    """--counts writes n2, per_l and epsilon of each count, or its error; --compare keys the
+    records by triple and grid and flags a changed count."""
+    from lawson import Case, IndeterminateCountError, validate
+
+    queries = [(t.label(), n) for t, n in same_behaviour.count_queries()]
+    assert ("T_(1,2,150)", 4096) in queries and ("T_(5,7,13)", 32768) in queries
+    assert len(set(queries)) == len(queries) == 8
+    t = validate(Case.GENERALIZED, 1, 2, 3)
+    counted = json.loads(json.dumps(same_behaviour.count_record(t, 2048)))
+    assert counted["n2"] == 9 and counted["per_l"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
+    assert set(counted) == {"triple", "grid_n", "n2", "per_l", "epsilon"}
+
+    def indeterminate(t, grid_n):
+        raise IndeterminateCountError("indeterminate count; refine grid")
+
+    monkeypatch.setattr(same_behaviour, "count_N2", indeterminate)
+    failed = same_behaviour.count_record(t, 2048)
+    assert failed == {"triple": "T_(1,2,3)", "grid_n": 2048,
+                      "error": "IndeterminateCountError: indeterminate count; refine grid"}
+    old = _write(tmp_path / "old.jsonl", [counted])
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [counted])) == 0
+    for changed in ({**counted, "n2": 8}, failed):
+        assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [changed])) == 1
+        assert "DIFFERS" in capsys.readouterr().out

@@ -4,6 +4,7 @@ eigenvalue lists, as JSONL; compare two such files.
     PYTHONPATH=src python3 tools/same_behaviour.py --grid 2048 [--deep] > reports.jsonl
     PYTHONPATH=src python3 tools/same_behaviour.py --lists > lists.jsonl
     PYTHONPATH=src python3 tools/same_behaviour.py --cli > cli.jsonl
+    PYTHONPATH=src python3 tools/same_behaviour.py --counts > counts.jsonl
     PYTHONPATH=src python3 tools/same_behaviour.py --compare old.jsonl new.jsonl
 
 The set has 1204 triples: the test suite's reference surfaces
@@ -20,7 +21,11 @@ seeds 101-104 (grids 16384-131072).  ``--cli`` writes one record per
 requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
 --points`` at edge counts, ``--format text`` variants, a failing ``verify`` and
 rejected inputs of each error path; each runs through ``lawson.cli.main``
-in a temporary working directory, which receives the exports.  Run it in two
+in a temporary working directory, which receives the exports.  ``--counts``
+writes one ``count_N2`` per line, its ``n2``, ``per_l`` and ``epsilon`` or its
+error, above the census range and at grids where the count factors its columns
+in many chunks: T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13) at
+16384 and 32768, T_(98,835,919) and tau_(300,1) at 2048.  Run it in two
 checkouts with the same arguments, then ``--compare`` the outputs: every
 value that is not a float (status, verdicts, tolerance strings, ``n2``,
 ``per_l``, errors, exit codes, stdout, stderr) must be equal, and the largest
@@ -58,6 +63,7 @@ from lawson import (  # noqa: E402
     Case,
     SpectralError,
     Symmetry,
+    count_N2,
     run_verification,
     sl_problem,
     sl_spectrum,
@@ -118,6 +124,24 @@ def list_record(t, l: int, sym: Symmetry, grid_n: int) -> dict:
     except SpectralError as exc:
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
     return {**out, "eigenvalues": ev.tolist()}
+
+
+def count_queries() -> list[tuple]:
+    """(triple, grid_n) of every count ``--counts`` writes, in order."""
+    large = [(Case.GENERALIZED, (1, 2, 150)), (Case.GENERALIZED, (60, 80, 101))]
+    queries = [(validate(case, *abc), n) for case, abc in large for n in (2048, 4096)]
+    queries += [(validate(Case.GENERALIZED, 5, 7, 13), n) for n in (16384, 32768)]
+    return queries + [(validate(Case.GENERALIZED, 98, 835, 919), 2048),
+                      (validate(Case.LAWSON, 300, 1), 2048)]
+
+
+def count_record(t, grid_n: int) -> dict:
+    out = {"triple": t.label(), "grid_n": grid_n}
+    try:
+        report = count_N2(t, grid_n)
+    except SpectralError as exc:
+        return {**out, "error": f"{type(exc).__name__}: {exc}"}
+    return {**out, "n2": report.n2, "per_l": report.per_l_counts, "epsilon": report.epsilon}
 
 
 def cli_invocations() -> list[list[str]]:
@@ -224,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--deep", action="store_true", help="run the deep verifications")
     parser.add_argument("--lists", action="store_true", help="write eigenvalue lists instead")
     parser.add_argument("--cli", action="store_true", help="write command-line outputs instead")
+    parser.add_argument("--counts", action="store_true", help="write eigenvalue counts instead")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs")
     args = parser.parse_args(argv)
     if args.compare:
@@ -232,6 +257,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.lists:
         for query in list_queries():
             print(json.dumps(list_record(*query), sort_keys=True), flush=True)
+        return 0
+    if args.counts:
+        for query in count_queries():
+            print(json.dumps(count_record(*query), sort_keys=True), flush=True)
         return 0
     if args.cli:
         cwd = os.getcwd()
