@@ -31,16 +31,17 @@ flux) or D (odd reflection, zero value):
 
 Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf), in place and a chunk of
 sectors per call: their block-diagonal matrix has zero couplings, so each factor is bit for bit
-its own.  Only the potential q is formed per l, the rest of B once per grid.  sigma + 1 is the
-floor l^2 / max P of B rounded down to a multiple of 16, so the wanted eigenvalues sit within a
-few times l + 16 of sigma at any l.  Its inertia, the negative pivots of L D L^T - (x - sigma) I
-by a two-ended qds sweep (stationary from the top, progressive from the bottom, twisted at the
-middle, as LAPACK dlaneg; all columns in each step), counts N(2) as accurately as Lanczos finds
-eigenvalues (a Sturm count on B by LAPACK stebz does not), also in all four sectors at the first
-l past c, where 0 ends the sum.  Lanczos
-on (B - sigma I)^-1 over the same factor (dpttrs, dstev; stopped by a gap bound) gives the
-eigenvalues the checks read, the lowest 4 of the union, each rising in l by at least the Weyl
-bound that brackets interlacing; each sector is asked only for its share of a list.  The
+its own.  Only the potential q is formed per l, the rest of B once per request: the columns a
+list, a count or a verification's spectra at one grid lack, which share one Lanczos basis and
+start vector.  sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
+wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Its inertia, the negative
+pivots of L D L^T - (x - sigma) I by a two-ended qds sweep (stationary from the top, progressive
+from the bottom, twisted at the middle, as LAPACK dlaneg; all columns in each step), counts N(2)
+as accurately as Lanczos finds eigenvalues (a Sturm count on B by LAPACK stebz does not), also in
+all four sectors at the first l past c, where 0 ends the sum.  Lanczos on (B - sigma I)^-1 over
+the same factor (dpttrs, dstev; stopped by a gap bound) gives the eigenvalues the checks read,
+the lowest 4 of the union, memoized per (triple, grid) and l, each rising in l by at least the
+Weyl bound that brackets interlacing; each sector is asked only for its share of a list.  The
 minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf, dpttrs, dstev;
 dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded straight from
 their files on first use (:func:`_linalg`): scipy's package imports never run.
@@ -95,7 +96,7 @@ __all__ = [
 
 _START_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
 _TABLE_COUNT = 4        # of the union per l: interlacing reads up to lambda_3
-INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps and of the order across l
+INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps
 
 
 class Symmetry(enum.Enum):
@@ -373,45 +374,61 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     raise EigensolverError(f"Lanczos did not converge within {steps} steps at {where}")
 
 
-def _sector_eigenvalues(problem: SLProblem, grid_n: int, sectors, count: int) -> np.ndarray:
-    """The lowest ``count`` eigenvalues of the union of the sectors, ascending, by :func:`_lanczos`
-    on their factors (:func:`_factors`).  Each sector is first asked for ceil(count / sectors) + 1.
-    Let v be the count-th of the merge: a sector whose largest computed eigenvalue is >= v has no
-    uncomputed one below v, so only a sector whose largest is < v is solved again for ``count``."""
-    m = _sector_cells(grid_n, problem.symmetry)
+def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int) -> list:
+    """The lowest ``count`` eigenvalues of the union of the sectors, ascending, at each l of ``ls``:
+    :func:`_lanczos` from one basis and start vector on one :func:`_factors` call's columns.  At
+    each l every sector is first asked for ceil(count / sectors) + 1.  Let v be the count-th of the
+    merge: a sector whose largest computed eigenvalue is >= v has no uncomputed one below v, so
+    only a sector whose largest is < v is solved again for ``count``."""
+    m = _sector_cells(grid_n, sym)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
-    blas = _linalg()[1]
-    (d, e), sigma = _factors(problem.triple, problem.symmetry, grid_n,
-                             [(problem.l, sector) for sector in sectors])
-    factors = [(_where(grid_n, problem.symmetry, problem.l, sector), d[i], e[i, :-1], sigma[i])
-               for i, sector in enumerate(sectors)]
-    # One basis for all sectors in anonymous memory: unreached rows cost nothing, and freeing
+    columns = [(l, sector) for l in ls for sector in sectors]
+    (d, e), sigma = _factors(t, sym, grid_n, columns)
+    factors = [(_where(grid_n, sym, l, sector), d[i], e[i, :-1], sigma[i])
+               for i, (l, sector) in enumerate(columns)]
+    # One basis for all columns in anonymous memory: unreached rows cost nothing, and freeing
     # returns it.  The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
     rows = min(m, 8 * count + 64) + 1
     V = np.frombuffer(mmap.mmap(-1, 8 * m * rows), dtype=float).reshape(rows, m)
-    V[0] = np.random.default_rng(_START_SEED).standard_normal(m)  # the start of every sector
-    V[0] /= blas.dnrm2(V[0])
+    V[0] = np.random.default_rng(_START_SEED).standard_normal(m)  # the start of every column
+    V[0] /= _linalg()[1].dnrm2(V[0])
     k = min(count, -(-count // len(sectors)) + 1)
-    spectra = [_lanczos(*f, k, V) for f in factors]
-    v = np.sort(np.concatenate(spectra))[count - 1]
-    spectra = [_lanczos(*f, count, V) if k < count and ev.max() < v else ev
-               for f, ev in zip(factors, spectra)]
-    return np.sort(np.concatenate(spectra))[:count]
+    lists = []
+    for i in range(0, len(factors), len(sectors)):
+        at_l = factors[i:i + len(sectors)]
+        spectra = [_lanczos(*f, k, V) for f in at_l]
+        v = np.sort(np.concatenate(spectra))[count - 1]
+        spectra = [_lanczos(*f, count, V) if k < count and ev.max() < v else ev
+                   for f, ev in zip(at_l, spectra)]
+        lists.append(np.sort(np.concatenate(spectra))[:count])
+    return lists
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
     """Lowest ``count`` eigenvalues of the discretized pencil, ascending: the merged
     quarter-period sectors of the problem's symmetry.  ``count`` must be at least 1 and
     below the sector size."""
-    ev = _sector_eigenvalues(problem, grid_n, _SYMMETRY_SECTORS[problem.symmetry], count)
+    ev, = _sector_eigenvalues(problem.triple, problem.symmetry, grid_n, [problem.l],
+                              _SYMMETRY_SECTORS[problem.symmetry], count)
     return SpectrumResult(eigenvalues=ev)
 
 
-@functools.lru_cache
-def _full(t: Triple, grid_n: int, l: float) -> np.ndarray:
-    """Lowest eigenvalues, ascending, of the canonical triple's full periodic spectrum at l."""
-    return _sector_eigenvalues(sl_problem(t, l), grid_n, _ALL_SECTORS, _TABLE_COUNT)
+@functools.lru_cache(maxsize=128)
+def _full(t: Triple, grid_n: int) -> dict:
+    """Memo of the canonical triple's full periodic lambda_0..lambda_3 at ``grid_n`` by l, as
+    :func:`_table` solves them: only these arrays, no factor or basis outlives its request."""
+    return {}
+
+
+def _table(t: Triple, grid_n: int, ls) -> dict:
+    """:func:`_full` of ``t`` at ``grid_n`` once one request has solved the l of ``ls`` it lacks."""
+    table = _full(t, grid_n)
+    missing = [l for l in dict.fromkeys(ls) if l not in table]
+    if missing:
+        table.update(zip(missing, _sector_eigenvalues(t, Symmetry.FULL_PERIODIC, grid_n, missing,
+                                                      _ALL_SECTORS, _TABLE_COUNT)))
+    return table
 
 
 def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
@@ -422,14 +439,14 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
     Zero entries of the triple read their anchor at l = 0 at the same
     index; the boundary case reads lambda_0 at the real frequency
     c = sqrt(a^2 + b^2).  All three shrink at second order in the mesh.
-    The spectra are those of the canonical triple; ``grid_n`` must be
+    The spectra are those of the canonical triple, from :func:`_table`
+    (in a verification, interlacing has solved them); ``grid_n`` must be
     divisible by 4.
     """
     t = canonicalize(t)
-    r0 = abs(_full(t, grid_n, t.c_real)[0] - 2.0)
-    r1 = abs(_full(t, grid_n, max(t.a, t.b))[1] - 2.0)
-    r2 = abs(_full(t, grid_n, min(t.a, t.b))[2] - 2.0)
-    return float(r0), float(r1), float(r2)
+    ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
+    ev = _table(t, grid_n, ls)
+    return tuple(float(abs(ev[l][i] - 2.0)) for i, l in enumerate(ls))
 
 
 def _profile(which: int, amp: float, k2: float, y: np.ndarray):
@@ -605,34 +622,44 @@ def _least_rise(t: Triple, grid_n: int, l_max: int) -> tuple[float, float]:
 def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -> bool:
     """Confirm the oscillation orderings numerically for l = 0..l_max.
 
-    The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at
-    every l, and each lambda_i, i <= 3, rises by more than it between solved frequencies.
-    From l to l' the sector matrix B changes only by the diagonal (l'^2 - l^2) / P_i, and every
-    cell-centre P_i <= max P = (c^2 + |b^2 - a^2|) / 2, so by Weyl (Horn & Johnson, *Matrix
-    Analysis*, Cor. 4.3.12) each lambda_i rises by at least R = (l'^2 - l^2) / max P - delta.
+    The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at every
+    l, and from each solved frequency l to the next, l', each lambda_i, i <= 3, rises by at least
+    R = (l'^2 - l^2) / max P - delta.  From l to l' the sector matrix B changes only by the
+    diagonal (l'^2 - l^2) / P_i, and every cell-centre P_i <= max P = (c^2 + |b^2 - a^2|) / 2, so
+    by Weyl (Horn & Johnson, *Matrix Analysis*, Cor. 4.3.12) each lambda_i rises by at least R.
     On [l_a, l_b] then lambda_1 - lambda_0 >= lambda_1(l_a) - lambda_0(l_b) + R(l_a, l_b),
-    likewise lambda_3 - lambda_2, so solving l = 0, l_max and the midpoints of brackets where
-    this bound is <= INTERLACING_TOL solves every l whose gap fails.  delta = gamma_33 G
-    allows for rounding (gamma_n = n u / (1 - n u), u = eps / 2; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 3.1), G = 3 max p / (h^2 min w) + 2 l_max^2 /
-    min P + 1 bounding every partial result of a diagonal entry: 7 roundings per entry
-    (q = 2 l^2 / root, + flux, +- end, * s twice, + 1, - shift) in each of the four matrices
-    the bound compares (l_a, l_b and l twice), and 5 in the coefficient 2 s^2 / root of l^2
-    that stands for 1 / P_i (the float P_i <= max P exactly).  Like a sweep of every l, the
-    check inherits the solver error of two eigenvalues.  ``grid_n`` must be divisible by 4.
+    likewise lambda_3 - lambda_2.  The brackets start from 0, l_max and the integer anchors a, b,
+    c up to l_max, solved in one request with a real c (its 2 c^2 rounds, which delta does not
+    count, so it is no end); each round solves in one request the midpoints of the brackets
+    where this bound is <= INTERLACING_TOL, which finds every l whose gap fails.  delta =
+    gamma_33 G allows for rounding (gamma_n = n u / (1 - n u), u = eps / 2; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1), G = 3 max p / (h^2 min w) + 2 l_max^2 / min P
+    + 1 bounding every partial result of a diagonal entry: 7 roundings per entry (q = 2 l^2 /
+    root, + flux, +- end, * s twice, + 1, - shift) in each of the four matrices a bracket compares
+    (l_a, l_b and l twice), and 5 in the coefficient 2 s^2 / root of l^2 that stands for 1 / P_i.
+    The rise test compares two matrices, 19 roundings; the other gamma_14 G of delta bounds the
+    Lanczos stop error of both eigenvalues, each below eps (lambda - sigma) <= 5/3 eps G, as
+    ||B - sigma I|| <= 5/3 G (entries off the diagonal are at most G / 3).  Like a sweep of every
+    l, the check inherits the rounding of the factors and their solves, and the gaps' solver
+    error.  ``grid_n`` must be divisible by 4.
     """
     t = canonicalize(t)
     l_max = interlacing_l_max(t) if l_max is None else l_max
     top, delta = _least_rise(t, grid_n, l_max)
-    ev = {l: _full(t, grid_n, l)[:4] for l in (0, l_max)}
-    pending = [(0, l_max)]
+    wanted = (0, t.a, t.b, t.c_real, l_max)
+    ev = _table(t, grid_n, wanted)
+    ls = sorted({int(l) for l in wanted if l <= l_max and float(l).is_integer()})
+    pending = list(zip(ls, ls[1:]))
     while pending:
-        la, lb = pending.pop()
-        mid = (la + lb) // 2
-        rise = (lb * lb - la * la) / top - delta
-        if mid > la and min(ev[la][1::2] - ev[lb][0::2]) + rise <= INTERLACING_TOL:
-            ev[mid] = _full(t, grid_n, mid)[:4]
-            pending += [(la, mid), (mid, lb)]
-    ev = np.array([ev[l] for l in sorted(ev)])
-    return bool(np.all(ev[:, 1::2] - ev[:, 0::2] > INTERLACING_TOL)
-                and np.all(np.diff(ev, axis=0) > INTERLACING_TOL))
+        split = [(la, lb) for la, lb in pending if lb - la > 1
+                 and min(ev[la][1::2] - ev[lb][0::2]) + (lb * lb - la * la) / top - delta
+                 <= INTERLACING_TOL]
+        mids = [(la + lb) // 2 for la, lb in split]
+        ev = _table(t, grid_n, mids)
+        ls += mids
+        pending = [pair for (la, lb), mid in zip(split, mids) for pair in ((la, mid), (mid, lb))]
+    ls.sort()
+    rows = np.array([ev[l] for l in ls])
+    rise = np.array([(lb * lb - la * la) / top - delta for la, lb in zip(ls, ls[1:])])
+    return bool(np.all(rows[:, 1::2] - rows[:, 0::2] > INTERLACING_TOL)
+                and np.all(np.diff(rows, axis=0) >= rise[:, None]))

@@ -113,12 +113,7 @@ def _takahashi_check(t: Triple, deep: bool) -> CheckResult:
     passed = all(lo <= r <= hi for r in ratios)
     values = {f"residual_n{n}": r for n, r in zip(grids, res)}
     values.update({f"ratio_{grids[i]}_to_{grids[i+1]}": r for i, r in enumerate(ratios)})
-    return CheckResult(
-        name="laplace_eigenfunction",
-        passed=passed,
-        values=values,
-        tolerance=f"doubling ratio in [{lo}, {hi}]",
-    )
+    return CheckResult("laplace_eigenfunction", passed, values, f"doubling ratio in [{lo}, {hi}]")
 
 
 def _area_check(t: Triple) -> CheckResult:
@@ -132,46 +127,26 @@ def _area_check(t: Triple) -> CheckResult:
 def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
     tol = _ANCHOR_TOL * max(1.0, (4096.0 / grid_n) ** 2)
     res = anchor_check(t, grid_n)
-    values = {
-        "lambda0_at_c": res[0],
-        "lambda1_at_max": res[1],
-        "lambda2_at_min": res[2],
-    }
+    values = dict(zip(("lambda0_at_c", "lambda1_at_max", "lambda2_at_min"), res))
     passed = all(r <= tol for r in res)
     if deep:
-        res2 = anchor_check(t, 2 * grid_n)
-        orders = []
-        for r1, r2 in zip(res, res2):
-            if r1 > _EXACT_FLOOR and r2 > _EXACT_FLOOR:
-                orders.append(math.log2(r1 / r2))
-        values["orders"] = orders
+        fine = anchor_check(t, 2 * grid_n)
+        values["orders"] = orders = [math.log2(r1 / r2) for r1, r2 in zip(res, fine)
+                                     if r1 > _EXACT_FLOOR and r2 > _EXACT_FLOOR]
         passed = passed and all(1.8 <= o <= 2.2 for o in orders)
-    return CheckResult(
-        name="anchors",
-        passed=passed,
-        values=values,
-        tolerance=f"<= {tol:g}" + (", order 2.0 +/- 0.2" if deep else ""),
-    )
+    return CheckResult("anchors", passed, values,
+                       f"<= {tol:g}" + (", order 2.0 +/- 0.2" if deep else ""))
 
 
 def _symmetry_check(t: Triple) -> CheckResult:
     expected = expected_symmetry(t)
-    values = {}
-    ok = True
-    for phi in Phi:
-        r = symmetry_residual(t, phi, 32)
-        values[phi.value] = r
-        if phi is expected:
-            ok = ok and r <= _SYM_MATCH_TOL
-        else:
-            ok = ok and r >= _SYM_REJECT_FLOOR
+    res = {phi: symmetry_residual(t, phi, 32) for phi in Phi}
+    ok = all(r <= _SYM_MATCH_TOL if phi is expected else r >= _SYM_REJECT_FLOOR
+             for phi, r in res.items())
+    values = {phi.value: r for phi, r in res.items()}
     values["expected"] = expected.value if expected else "none"
-    return CheckResult(
-        name="symmetry",
-        passed=ok,
-        values=values,
-        tolerance=f"match <= {_SYM_MATCH_TOL:g}, others >= {_SYM_REJECT_FLOOR:g}",
-    )
+    return CheckResult("symmetry", ok, values,
+                       f"match <= {_SYM_MATCH_TOL:g}, others >= {_SYM_REJECT_FLOOR:g}")
 
 
 def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]:
@@ -198,22 +173,18 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]
 def _interlacing_check(t: Triple, grid_n: int) -> CheckResult:
     l_max = interlacing_l_max(t)
     ok = interlacing_check(t, grid_n, l_max)
-    return CheckResult(
-        name="interlacing",
-        passed=ok,
-        values={"l_max": l_max, "holds": ok},
-        tolerance=f"strict gaps > {INTERLACING_TOL:g}",
-    )
+    return CheckResult("interlacing", ok, {"l_max": l_max, "holds": ok},
+                       f"strict gaps > {INTERLACING_TOL:g}")
 
 
 def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> VerificationReport:
     """Run the full residual suite for one triple.
 
-    ``deep`` doubles the spectral grids, measures anchor convergence
-    orders, adds a third rung to the minimality-residual ladder, and
-    re-counts on the doubled grid.  Raises :class:`SpectralError`
-    subclasses only for non-convergence; an indeterminate count is
-    reported in-band.
+    ``deep`` doubles the spectral grids, measures anchor convergence orders, adds a third rung to
+    the minimality-residual ladder, and re-counts on the doubled grid.  Interlacing runs first and
+    is reported last: its first request solves l = 0, a, b, c and l_max at ``grid_n`` for all
+    three spectral checks.  Raises :class:`SpectralError` subclasses only for non-convergence; an
+    indeterminate count is reported in-band.
     """
     check_count_grid(grid_n)
     t = canonicalize(t)
@@ -223,9 +194,10 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     report.checks.append(_eq35_check(t))
     report.checks.append(_takahashi_check(t, deep))
     report.checks.append(_area_check(t))
+    interlacing = _interlacing_check(t, grid_n)
     report.checks.append(_anchor_check(t, grid_n, deep))
     report.checks.append(_symmetry_check(t))
     count, report.indeterminate = _count_check(t, grid_n, deep)
     report.checks.append(count)
-    report.checks.append(_interlacing_check(t, grid_n))
+    report.checks.append(interlacing)
     return report

@@ -1,5 +1,6 @@
 """Spectral layer: self-adjoint reduction, discrete spectra, residuals, counting."""
 
+import functools
 import math
 import os
 import random
@@ -279,7 +280,7 @@ def test_sector_solved_to_its_size_spans_it(monkeypatch):
     t = validate(Case.GENERALIZED, 1, 2, 3)
     for sector in spectral._ALL_SECTORS:
         steps.clear()
-        ev = spectral._sector_eigenvalues(sl_problem(t, 1), 256, (sector,), 63)
+        ev, = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 256, [1], (sector,), 63)
         dense = np.linalg.eigvalsh(_dense_sector(t, 1, 256, sector))[:63]
         assert len(steps) == 64
         assert np.all(np.abs(ev - dense) <= 1e-11 * (1 + dense) ** 2)
@@ -300,9 +301,9 @@ def test_long_list_of_one_sector_within_the_step_cap():
     """A sector of 4096 cells asked for 90 at l = 1000 takes 217 steps with one or two BLAS
     threads (420-450 under a residual test at eps theta), within the cap 8 count + 64, and
     its list matches ARPACK to 1e-11 relative (measured 1.5e-14)."""
-    problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), 1000)
-    ev = spectral._sector_eigenvalues(problem, 16384, ("NN",), 90)
-    oracle = _untrimmed_merge(problem, 16384, 90, ("NN",))
+    t = validate(Case.GENERALIZED, 1, 2, 3)
+    ev, = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 16384, [1000], ("NN",), 90)
+    oracle = _untrimmed_merge(sl_problem(t, 1000), 16384, 90, ("NN",))
     assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11
 
 
@@ -536,6 +537,21 @@ def test_factors_equal_a_per_l_assembly(t, n):
         assert le[-1] == 0.0
 
 
+@pytest.mark.parametrize("abc", [(5, 7, 13), (2, 1)], ids=["T_(5,7,13)", "tau_(2,1)"])
+def test_a_request_solves_each_l_as_if_alone(abc):
+    """lambda_0..lambda_3 of an l are bit for bit the same solved alone or in one request with
+    0, the anchors and l_max, the real c of a Lawson pair included: its 20 columns span two
+    dpttrf calls, and every column's Lanczos reuses the request's basis."""
+    t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
+    ls = (0, t.a, t.b, t.c_real, spectral.interlacing_l_max(t))
+    solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048)
+    together = solve(ls, spectral._ALL_SECTORS, 4)
+    assert len(together) == 5
+    for l, ev in zip(ls, together):
+        alone, = solve([l], spectral._ALL_SECTORS, 4)
+        assert ev.tobytes() == alone.tobytes()
+
+
 def _near(x, holds):
     """The float nearest x, at most 64 ulps away, for which ``holds``; None if there is none."""
     up = down = x
@@ -601,8 +617,8 @@ def _list_counts(t, n, eps):
     by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
     counts = []
     for l in range(math.floor(t.c_real + 1e-9) + 1):
-        problem = sl_problem(t, l)
-        lists = [spectral._sector_eigenvalues(problem, n, (s,), 8) for s in by_parity[l % 2]]
+        lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, [l], (s,), 8)[0]
+                 for s in by_parity[l % 2]]
         assert all(ev[-1] > 2.0 + eps for ev in lists)
         counts.append((l, sum(int(np.sum(ev < 2.0 - eps)) for ev in lists)))
     return tuple(counts)
@@ -929,45 +945,76 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
         assert np.array_equal(e1, e0)
 
 
-def _synthetic_full(l_star, offset, top, solved):
-    """A stand-in for ``_full``: lambda_0 = l^2/top + l/1000, lambda_1 = lambda_2 = lambda_0
-    + offset + |l - l_star|/1000, lambda_3 = lambda_4 = lambda_2 + 1, each rising by at least
-    the Weyl bound (l'^2 - l^2)/top from l to l'; with offset 0 the only failing strict gap is
-    lambda_1 - lambda_0 = 0 at l_star."""
+def _synthetic_spectra(l_star, offset, top, solved):
+    """A stand-in for ``_sector_eigenvalues`` on the full spectrum: lambda_0 = l^2/top + l/1000,
+    lambda_1 = lambda_2 = lambda_0 + offset + |l - l_star|/1000, lambda_3 = lambda_2 + 1, each
+    rising by at least the Weyl bound (l'^2 - l^2)/top from l to l'; with offset 0 the only
+    failing strict gap is lambda_1 - lambda_0 = 0 at l_star."""
 
-    def full(t, grid_n, l):
-        solved.append(l)
-        lam0 = l * l / top + l / 1000
-        lam1 = lam0 + offset + abs(l - l_star) / 1000
-        return np.array([lam0, lam1, lam1, lam1 + 1.0, lam1 + 1.0])
+    def spectra(t, sym, grid_n, ls, sectors, count):
+        solved.extend(ls)
+        lists = []
+        for l in ls:
+            lam0 = l * l / top + l / 1000
+            lam1 = lam0 + offset + abs(l - l_star) / 1000
+            lists.append(np.array([lam0, lam1, lam1, lam1 + 1.0]))
+        return lists
 
-    return full
+    return spectra
 
 
-def _sweep_interlacing(full, t, grid_n, l_max, tol=1e-6):
-    """The former check, kept as the reference: every l = 0..l_max solved."""
-    ev = np.array([full(t, grid_n, l)[:5] for l in range(l_max + 1)])
+def _sweep_interlacing(ev, l_max, top, delta, tol=1e-6):
+    """The former check, kept as the reference: ``ev[l]``, lambda_0..lambda_3, at every
+    l = 0..l_max, with strict gaps and each rising from l to l + 1 by the Weyl bound
+    (2l + 1)/top - delta."""
+    ev = np.array([ev[l][:4] for l in range(l_max + 1)])
     gap = np.diff(ev, axis=1)  # strict at lambda_1 - lambda_0 and lambda_3 - lambda_2
+    rise = (2 * np.arange(l_max) + 1) / top - delta
     return bool(np.all(gap[:, 0::2] > tol) and np.all(gap[:, 1::2] > -tol)
-                and np.all(np.diff(ev[:, :4], axis=0) > tol))
+                and np.all(np.diff(ev, axis=0) >= rise[:, None]))
+
+
+def _synthetic_check(monkeypatch, t, spectra):
+    """interlacing_check on the eigenvalues ``spectra`` gives, in a memo of its own."""
+    memo = {}
+    monkeypatch.setattr(spectral, "_full", lambda t, grid_n: memo)
+    monkeypatch.setattr(spectral, "_sector_eigenvalues", spectra)
+    return interlacing_check(t, 2048)
 
 
 @pytest.mark.parametrize("offset,holds", [(0.0, False), (1.0, True)])
 def test_brackets_find_an_interior_failure(monkeypatch, offset, holds):
-    """l_max = 151, the failing gap at l = 40: neither an end nor the first midpoint 75."""
+    """l_max = 151, the failing gap at l = 40: neither an end (0, the anchors 1, 2, 150, and
+    151) nor the first midpoint 76."""
     t, solved = validate(Case.GENERALIZED, 1, 2, 150), []
     top, delta = spectral._least_rise(t, 2048, 151)
-    full = _synthetic_full(40, offset, top, solved)
-    ev = np.array([full(t, 2048, l) for l in range(152)])
+    spectra = _synthetic_spectra(40, offset, top, solved)
+    ev = np.array(spectra(t, Symmetry.FULL_PERIODIC, 2048, range(152), spectral._ALL_SECTORS, 4))
     assert np.all(np.diff(ev, axis=0) >= (2 * np.arange(151) + 1)[:, None] / top - delta)
-    assert _sweep_interlacing(full, t, 2048, 151) is holds
+    assert _sweep_interlacing(ev, 151, top, delta) is holds
     solved.clear()
-    monkeypatch.setattr(spectral, "_full", full)
-    assert interlacing_check(t, 2048) is holds
+    assert _synthetic_check(monkeypatch, t, spectra) is holds
+    assert len(solved) == len(set(solved))
     if holds:
-        assert len(solved) <= 3  # of 152 frequencies
+        assert sorted(solved) == [0, 1, 2, 150, 151]  # of 152 frequencies
     else:
         assert 40 in solved
+
+
+def test_rise_below_the_weyl_bound_fails(monkeypatch):
+    """Eigenvalues with strict gaps 1 that rise between solved frequencies by half the Weyl
+    bound, yet by more than INTERLACING_TOL (by 4.4e-5 at least, from l = 0 to 1), break the
+    fact the brackets rest on: the check and the sweep of every l reject them."""
+    t = validate(Case.GENERALIZED, 1, 2, 150)
+    top, delta = spectral._least_rise(t, 2048, 151)
+
+    def spectra(t, sym, grid_n, ls, sectors, count):
+        return [l * l / (2 * top) + np.array([0.0, 1.0, 1.0, 2.0]) for l in ls]
+
+    ev = np.array(spectra(t, Symmetry.FULL_PERIODIC, 2048, range(152), spectral._ALL_SECTORS, 4))
+    assert np.all(np.diff(ev, axis=0) > 4.4e-5)
+    assert _sweep_interlacing(ev, 151, top, delta) is False
+    assert _synthetic_check(monkeypatch, t, spectra) is False
 
 
 def _beyond_suite():
@@ -990,7 +1037,20 @@ BEYOND_SUITE = _beyond_suite()
 def test_brackets_agree_with_every_l_sweep(t):
     """On the same eigenvalues, the brackets give the verdict of the sweep of every l."""
     l_max = spectral.interlacing_l_max(t)
-    assert interlacing_check(t, 2048) == _sweep_interlacing(spectral._full, t, 2048, l_max)
+    ev = spectral._table(t, 2048, range(l_max + 1))
+    sweep = _sweep_interlacing(ev, l_max, *spectral._least_rise(t, 2048, l_max))
+    assert interlacing_check(t, 2048) == sweep
+
+
+@pytest.mark.parametrize("abc,l_max", [((5, 7, 13), 4), ((5, 7, 13), 6), ((5, 7, 13), 10),
+                                       ((1, 2, 150), 100), ((2, 1), 2)])
+def test_brackets_agree_with_every_l_sweep_below_the_anchors(abc, l_max):
+    """With l_max below max(a, b, c) the brackets end at l_max, and the anchors above it, solved
+    in the same request, are no bracket end: still the verdict of the sweep."""
+    t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
+    ev = spectral._table(t, 2048, range(l_max + 1))
+    sweep = _sweep_interlacing(ev, l_max, *spectral._least_rise(t, 2048, l_max))
+    assert interlacing_check(t, 2048, l_max) == sweep
 
 
 @pytest.mark.parametrize("t", BEYOND_SUITE, ids=[t.label() for t in BEYOND_SUITE])

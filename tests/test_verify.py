@@ -1,10 +1,14 @@
 """Verification report aggregation."""
 
+import math
+import random
+
 import pytest
 
 import lawson.spectral as spectral
 import lawson.verify as verify
 from lawson import Case, IndeterminateCountError, run_verification, validate
+from lawson.cli import render_json
 
 
 EXPECTED_CHECKS = [
@@ -54,24 +58,32 @@ class TestRunVerification:
         """Anchors, count and interlacing share one solve per (l, grid): T_(5,7,13) needs
         the anchors l = 5, 7, 13 at both grids (the count's cut-off at l = 14 is an inertia
         count, not a solve), and interlacing's brackets add only l = 0 and l_max = 14 at grid_n:
-        with the Weyl rise of each eigenvalue the bracket [0, 14] holds.  Each sector is asked
-        once, for 2 of the 4 eigenvalues of the union, and never solved again."""
-        solve, lanczos = spectral._sector_eigenvalues, spectral._lanczos
-        asked, calls = [], []
+        with the Weyl rise of each eigenvalue the brackets between 0, 5, 7, 13 and 14 hold.  Each
+        sector is asked once, for 2 of the 4 eigenvalues of the union, and never solved again.
+        Each grid's spectra are one request, so one factoring call: with the count's two, 4."""
+        solve, lanczos, factors = (spectral._sector_eigenvalues, spectral._lanczos,
+                                   spectral._factors)
+        asked, calls, factored = [], [], []
 
         def recorded(where, ld, le, sigma, k, basis):
             asked.append(k)
             return lanczos(where, ld, le, sigma, k, basis)
 
-        def counted(problem, grid_n, sectors, count):
+        def counted(t, sym, grid_n, ls, sectors, count):
             first = len(asked)
-            ev = solve(problem, grid_n, sectors, count)
-            calls.extend((grid_n, problem.l, sector, k)
-                         for sector, k in zip(sectors, asked[first:], strict=True))
-            return ev
+            lists = solve(t, sym, grid_n, ls, sectors, count)
+            columns = [(l, sector) for l in ls for sector in sectors]
+            calls.extend((grid_n, l, sector, k)
+                         for (l, sector), k in zip(columns, asked[first:], strict=True))
+            return lists
+
+        def factored_once(*args):
+            factored.append(args[2])
+            return factors(*args)
 
         monkeypatch.setattr(spectral, "_lanczos", recorded)
         monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
+        monkeypatch.setattr(spectral, "_factors", factored_once)
         spectral._full.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
@@ -79,6 +91,7 @@ class TestRunVerification:
         assert {k for *_, k in calls} == {2}
         assert {l for n, l, *_ in calls if n == 2048} == {0, 5, 7, 13, 14}
         assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13}
+        assert sorted(factored) == [2048, 2048, 4096, 4096]
 
     @pytest.mark.parametrize(
         "abc,deep,rungs",
@@ -150,3 +163,24 @@ class TestRunVerification:
         with pytest.raises(ValueError, match=rule):
             run_verification(validate(Case.GENERALIZED, 0, 0, 1), grid_n)
         assert calls == []
+
+    def test_reports_do_not_depend_on_the_memo(self):
+        """20 census-range surfaces render the same run in order from an empty memo and then
+        in reverse, when the memo holds every spectrum they read."""
+        rng = random.Random(30)
+        generalized = [(a, b, c) for c in range(1, 31) for b in range(c) for a in range(b + 1)
+                       if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
+        pairs = [(a, b) for a in range(1, 31) for b in range(1, a + 1)
+                 if a * a + b * b <= 900 and math.gcd(a, b) == 1]
+        triples = ([validate(Case.GENERALIZED, *abc) for abc in rng.sample(generalized, 15)]
+                   + [validate(Case.LAWSON, *ab) for ab in rng.sample(pairs, 5)])
+
+        def render(t):
+            report = run_verification(t, grid_n=2048)
+            return render_json({"status": report.status, "tolerances": report.tolerances(),
+                                "checks": [[c.name, c.passed, c.values] for c in report.checks]})
+
+        spectral._full.cache_clear()
+        forward = [render(t) for t in triples]
+        backward = [render(t) for t in reversed(triples)]
+        assert forward == backward[::-1]
