@@ -92,9 +92,10 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def _triple_record(t: Triple) -> dict:
-    rec = {"case": t.case.value, "a": t.a, "b": t.b}
-    rec["c"] = t.c if t.case is Case.GENERALIZED else t.c_real
-    return rec
+    """The triple; a Lawson pair's c = sqrt(a^2 + b^2) is a float, so c^2 is also given exactly."""
+    if t.case is Case.GENERALIZED:
+        return {"case": t.case.value, "a": t.a, "b": t.b, "c": t.c}
+    return {"case": t.case.value, "a": t.a, "b": t.b, "c": t.c_real, "c_squared": t.c_squared}
 
 
 def _text_rows(prefix: str, obj):

@@ -70,24 +70,24 @@ class Modulus:
         return cls(k2=float(k) * float(k))
 
 
-def _agm(a: float, b: float, c0_sq: float) -> tuple[float, float]:
-    """AGM limit of (a, b), run until c_n = 0, and the companion sum of 2^(n-1) c_n^2."""
-    s, scale = 0.5 * c0_sq, 0.5
+def _agm(a: float, b: float) -> tuple[float, list[float], list[float]]:
+    """The AGM of (a, b), run until c_n = 0: its limit and the a_n, c_n of n = 1 .. N, with
+    a_n = (a_(n-1) + b_(n-1)) / 2, b_n = sqrt(a_(n-1) b_(n-1)), c_n = (a_(n-1) - b_(n-1)) / 2."""
+    an, cn = [], []
     for _ in range(_AGM_MAX_ITER):
-        c = 0.5 * (a - b)
+        cn.append(0.5 * (a - b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-        scale *= 2.0
-        s += scale * c * c
-        if abs(c) <= 1e-17 * a:
+        an.append(a)
+        if abs(cn[-1]) <= 1e-17 * a:
             break
-    return 0.5 * (a + b), s
+    return 0.5 * (a + b), an, cn
 
 
 def agm(x: float, y: float) -> float:
     """Common limit of the arithmetic-geometric mean iteration (quadratically convergent)."""
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"agm requires positive arguments, got ({x!r}, {y!r})")
-    return _agm(float(x), float(y), 0.0)[0]
+    return _agm(float(x), float(y))[0]
 
 
 def complete_K(m: Modulus) -> float:
@@ -97,7 +97,7 @@ def complete_K(m: Modulus) -> float:
     """
     if m.k2 >= 1.0:
         raise ValueError(f"K(k) diverges for k^2 >= 1 (got k^2 = {m.k2!r})")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m.k2), m.k2)[0])
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m.k2))[0])
 
 
 def complete_E(m: Modulus) -> float:
@@ -108,7 +108,10 @@ def complete_E(m: Modulus) -> float:
     """
     if m.k2 == 1.0:
         return 1.0
-    limit, s = _agm(1.0, math.sqrt(1.0 - m.k2), m.k2)
+    limit, _, cn = _agm(1.0, math.sqrt(1.0 - m.k2))
+    s = 0.5 * m.k2
+    for n, c in enumerate(cn):
+        s += 2.0**n * c * c
     return (math.pi / (2.0 * limit)) * (1.0 - s)
 
 

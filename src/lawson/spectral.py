@@ -16,7 +16,7 @@ sqrt(2P + Q), since the first-order coefficient of (*) divided by the
 second-order one is P'/(2P + Q) = (log sqrt(2P + Q))').  The pencil is
 discretized in conservative flux form on a cell-centered grid against a
 positive diagonal weight, so eigenvalues are real and variationally
-ordered, which the counting logic requires.
+ordered, which the Weyl bounds of the checks require.
 
 p, q and w depend on y only through cos 2y, so they are even about
 y = 0 and y = pi/2.  With both axes on cell faces (grid_n divisible by
@@ -29,29 +29,34 @@ flux) or D (odd reflection, zero value):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf), in place and a chunk of
-sectors per call: their block-diagonal matrix has zero couplings, so each factor is bit for bit
-its own.  Only the potential q is formed per l, the rest of B once per request: the columns a
-list, a count or a verification's spectra at one grid lack, which share one Lanczos basis and
+Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf), in place and all of a
+request's sectors in one call: their block-diagonal matrix has zero couplings, so each factor is
+bit for bit its own.  Only the potential q is formed per l, the rest of B once per request: the
+columns a list or a verification's spectra at one grid lack, which share one Lanczos basis and
 start vector.  sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
-wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Its inertia, the negative
-pivots of L D L^T - (x - sigma) I by a two-ended qds sweep (stationary from the top, progressive
-from the bottom, twisted at the middle, as LAPACK dlaneg; all columns in each step), counts N(2)
-as accurately as Lanczos finds eigenvalues (a Sturm count on B by LAPACK stebz does not), also in
-all four sectors at the first l past c, where 0 ends the sum.  Lanczos on (B - sigma I)^-1 over
-the same factor (dpttrs, dstev; stopped by a gap bound) gives the eigenvalues the checks read,
-the lowest 4 of the union, memoized per (triple, grid) and l, each rising in l by at least the
-Weyl bound that brackets interlacing; each sector is asked only for its share of a list.  The
-minimality residual is separable, O(grid_n).  The five compiled routines (dpttrf, dpttrs, dstev;
-dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded straight from
-their files on first use (:func:`_linalg`): scipy's package imports never run.
+wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Lanczos on
+(B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound) gives the eigenvalues
+the checks read, the lowest 4 of the union, memoized per (triple, grid) and l, each rising in l
+by at least the Weyl bound that brackets interlacing; each sector is asked only for its share of
+a list.  The minimality residual is separable, O(grid_n).
+
+The count N(2) needs no y-grid.  With A = min(a, b), B = max(a, b), y taken from pi/2 when
+a > b and v = F(y | k^2), k^2 = (B^2 - A^2) / (c^2 - A^2), the metric is conformally flat,
+g = P (dx^2 + dv^2 / (c^2 - A^2)), so by min-max the lambda_i(l) < 2 are as many as the
+eigenvalues below E_l = (c^2 + B^2 - A^2 - l^2) / (c^2 - A^2) of one operator for every l, the
+degree-one Lame operator L = -d^2/dv^2 + 2 k^2 sn^2(v | k^2) (Whittaker & Watson, *Modern
+Analysis*, sec. 23.7; Ince, *Proc. R. Soc. Edinb.* 60, 1940).  Its edges k^2, 1, 1 + k^2 (dn, cn,
+sn: the profiles f3, f2, f1) lead its sectors NN, ND, DN on [0, K], and E_l minus an edge is
+(l_edge^2 - l^2) / (c^2 - A^2), l_edge = c, B, A: an edge counts in integers.  :func:`count_N2`
+checks that nothing else lies below max E_l.  The six compiled routines (dpttrf, dpttrs, dstev,
+dstebz; dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded straight
+from their files on first use (:func:`_linalg`): scipy's package imports never run.
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
 lambda = 2 at l = a, b, c respectively, and oscillation counting places
-them at lambda_1(max(a,b)), lambda_2(min(a,b)), lambda_0(c).  These
-anchors calibrate the strict-inequality guard used when counting
-eigenvalues below 2.
+them at lambda_1(max(a,b)), lambda_2(min(a,b)), lambda_0(c).  Their
+residuals on the grid are bounded by :func:`anchor_tolerance`.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ import sys
 from dataclasses import dataclass
 
 from ._lazy import np
+from .elliptic import _agm
 from .errors import EigensolverError, IndeterminateCountError
 from .surface import (
     Phi,
@@ -87,6 +93,7 @@ __all__ = [
     "count_N2",
     "eq35_residual",
     "interlacing_check",
+    "lame_bound",
     "lame_residual",
     "sl_coefficients",
     "sl_problem",
@@ -217,118 +224,40 @@ def _where(grid_n: int, sym: Symmetry, l: float, sector: str) -> str:
     return f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
 
 
-_CHUNK = 1 << 13  # cells per dpttrf call and per reordered block of the count's factor
-
-
 def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     """``(F, sigma)`` for the ``(l, sector)`` columns on [0, pi/2], cells as wide as ``grid_n`` on
     the domain: dpttrf's B - sigma I = L D L^T of column i has pivots ``F[0, i]`` and the
-    subdiagonal of L in ``F[1, i, :-1]`` (``F[1, i, -1]`` is 0), B the w^(-1/2)-symmetrized
-    matrix.  sigma + 1 is B's floor min q/w = l^2 / max P rounded down to a multiple of 16 (0 at
-    l <= c + 1, as max P >= c^2 / 2): an exact shift of B + I.  Columns are assembled and factored
-    in place, a chunk of about ``_CHUNK`` cells per dpttrf call on the chunk's block-diagonal
-    matrix: its zero couplings leave each block's factor bit for bit that of its own call."""
+    subdiagonal of L in ``F[1, i, :-1]``, B the w^(-1/2)-symmetrized matrix.  sigma + 1 is B's
+    floor min q/w = l^2 / max P rounded down to a multiple of 16 (0 at l <= c + 1, as
+    max P >= c^2 / 2): an exact shift of B + I.  One dpttrf call factors the block-diagonal
+    matrix of all columns in place: its zero couplings leave each block's factor bit for bit that
+    of its own call."""
     dpttrf = _linalg()[0].dpttrf
     m = _sector_cells(grid_n, sym)
     h = sym.domain_length / grid_n
     # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
     p, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))[::2]  # q at l = 0 is not read
     pf, root, w = p[::2], p[1::2], w[1::2]
-    flux = (pf[:-1] + pf[1:]) / h**2
     s = 1.0 / np.sqrt(w)  # w^(-1/2) symmetrizes; sectors differ only in the two ends
-    off = -pf[1:m] / h**2 * s[:-1] * s[1:]
     ls = np.array([float(l) for l, _ in columns])
     ends = np.array([[1.0 if end == "D" else -1.0 for end in sector] for _, sector in columns])
-    ends = ends * pf[[0, m]] / h**2
-    F, sigma = np.empty((2, len(columns), m)), np.empty(len(columns))
-    step = max(1, _CHUNK // m)
-    for c in range(0, len(columns), step):
-        # A row operand is first broadcast into e, as numpy would buffer it (up to 64 KiB).
-        d, e = F[:, c:c + step]
-        d[:], e[:] = (2.0 * (ls[c:c + step] * ls[c:c + step]))[:, None], root
-        d /= e  # q, as _potential(l, root) gives it
-        e[:] = w
-        shift = 16.0 * np.floor(np.min(np.divide(d, e, out=e), axis=1) / 16.0)
-        e[:] = flux
-        d += e
-        d[:, 0] += ends[c:c + step, 0]
-        d[:, -1] += ends[c:c + step, 1]
-        e[:] = s
-        d *= e
-        d *= e
-        d += 1.0
-        e[:] = shift[:, None]
-        d -= e
-        e[:, :-1], e[:, -1] = off, 0.0
-        info = dpttrf(d.reshape(-1), e.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)[2]
-        if info:
-            l, sector = columns[c + (info - 1) // m]
-            raise EigensolverError(
-                f"B - sigma I is not positive definite at {_where(grid_n, sym, l, sector)}")
-        sigma[c:c + step] = shift - 1.0
-    return F, sigma
-
-
-def _count_below(F: np.ndarray, sigma: np.ndarray, shifts) -> np.ndarray:
-    """Eigenvalues of B below each shift x, (shifts, columns), from the factors ``(F, sigma)`` of
-    :func:`_factors`, which it overwrites: the negative pivots of L D L^T - (x - sigma) I by a
-    two-ended qds sweep, as in LAPACK dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
-    2006), twisted at r = m // 2.  The top chain runs the stationary transform d+ = d_i + s,
-    s = s / d+ * lld_i - x from s = -x over cells 0..r-1, the bottom chain the progressive one
-    d- = lld_j + p, p = p / d- * d_j - x from p = d_(m-1) - x over cells m-2..r (lld = l_i^2 d_i),
-    and gamma = (s + x) + p counts at the twist.  Both chains advance in one step over all
-    columns: F becomes (d, lld) with cells r..2r-1 reversed, so that step k reads position k of the
-    top and r + k of the bottom.  A zero pivot makes the next s or p -inf and then NaN; only then
-    is the sweep run again with the states clamped at the lowest float, whose next s / d+ is 1."""
-    d, lld = F
-    np.multiply(lld, lld, out=lld)
-    np.multiply(lld, d, out=lld)  # l_i^2 d_i, 0 at each column's last cell
-    m, r = d.shape[1], d.shape[1] // 2
-    step = max(1, _CHUNK // m)
-    for c in range(0, len(d), step):  # numpy copies the overlapping source: a block at a time
-        for half in F[:, c:c + step, r:2 * r]:
-            half[...] = half[:, ::-1]
-    # Step k: (top, bottom) of (a, b) is (d_k, lld_(2r-1-k)) and (lld_k, d_(2r-1-k)).  With m
-    # even the bottom starts at p = 1 on its last cell, whose lld_(m-1) = 0 gives p = d_(m-1) - x.
-    Z = F[:, :, :2 * r].reshape(2, -1, 2, r)
-    a_rows, b_rows = (np.diagonal(z, 0, 0, 2).transpose(1, 2, 0)[:, :, None] for z in (Z, Z[::-1]))
-    x = np.asarray(shifts, dtype=float)[:, None] - sigma  # each x - sigma
-    start = np.empty((2, *x.shape))
-    start[0], start[1] = -x, d[:, -1] - x if m % 2 else 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = start.copy()
-        neg = _qds(a_rows, b_rows, x, s)
-        if np.isnan(s).any():
-            s = start.copy()
-            neg = _qds(a_rows, b_rows, x, s, -np.finfo(float).max)
-        return neg[0] + neg[1] + ((s[0] + x) + s[1] < 0.0)
-
-
-def _qds(a_rows, b_rows, x: np.ndarray, s: np.ndarray, lowest: float | None = None) -> np.ndarray:
-    """Negative pivots of both chains of :func:`_count_below`, (chains, shifts, columns), advancing
-    the states ``s`` of that shape in place: per row pair (a, b) the pivot t = a + s counts when
-    below 0, then s = s / t * b - x, clamped at ``lowest`` if given.  Each operand is first copied
-    into the shape of s (numpy would buffer a broadcast one), and the counts gather in bytes,
-    255 rows at a time."""
-    t, u, x = np.empty_like(s), np.empty_like(s), np.broadcast_to(x, s.shape).copy()
-    below, neg = np.empty(s.shape, dtype=bool), np.zeros(s.shape, dtype=int)
-    tally, bits = np.zeros(s.shape, dtype=np.uint8), below.view(np.uint8)
-    add, less, divide, multiply, subtract = np.add, np.less, np.divide, np.multiply, np.subtract
-    for k in range(0, len(a_rows), 255):
-        for a, b in zip(a_rows[k:k + 255], b_rows[k:k + 255]):
-            t[...] = a
-            add(t, s, t)
-            less(t, 0.0, below)
-            add(tally, bits, tally)
-            divide(s, t, s)
-            u[...] = b
-            multiply(s, u, s)
-            subtract(s, x, s)
-            if lowest is not None:
-                np.maximum(s, lowest, out=s)
-        neg += tally
-        tally[...] = 0
-    return neg
+    F = np.zeros((2, len(columns), m))
+    d, e = F
+    np.divide((2.0 * (ls * ls))[:, None], root, out=d)  # q, as _potential(l, root) gives it
+    shift = 16.0 * np.floor(np.min(d / w, axis=1) / 16.0)
+    d += (pf[:-1] + pf[1:]) / h**2
+    d[:, [0, -1]] += ends * pf[[0, m]] / h**2
+    d *= s
+    d *= s
+    d += 1.0
+    d -= shift[:, None]
+    e[:, :-1] = -pf[1:m] / h**2 * s[:-1] * s[1:]
+    info = dpttrf(d.reshape(-1), e.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)[2]
+    if info:
+        l, sector = columns[(info - 1) // m]
+        raise EigensolverError(
+            f"B - sigma I is not positive definite at {_where(grid_n, sym, l, sector)}")
+    return F, shift - 1.0
 
 
 def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
@@ -484,15 +413,8 @@ def eq35_residual(t: Triple, which: int) -> float:
     return float(np.max(np.abs(res)))
 
 
-def lame_residual(k2: float, h_index: int) -> float:
-    """Residual of the degree-one trigonometric Lame equation
-
-        (1 - k^2 sin^2 y) phi'' - k^2 sin y cos y phi' + (h - 2 k^2 sin^2 y) phi = 0
-
-    for its three classical solutions, selected by ``h_index``:
-    0: sqrt(1 - k^2 sin^2 y) at h = k^2; 1: cos y at h = 1;
-    2: sin y at h = 1 + k^2.  Max |residual| over a 1024-point grid.
-    """
+def _lame_terms(k2: float, h_index: int):
+    """The Lame residual of one solution on the 1024-point grid, and its sum of |terms| there."""
     if h_index not in (0, 1, 2):
         raise ValueError(f"h_index must be 0, 1 or 2, got {h_index}")
     if not k2 < 1.0:
@@ -502,7 +424,39 @@ def lame_residual(k2: float, h_index: int) -> float:
     phi, dphi, d2phi = _profile(3 - h_index, 1.0, k2, y)
     h = (k2, 1.0, 1.0 + k2)[h_index]
     res = (1.0 - k2 * s * s) * d2phi - k2 * s * c * dphi + (h - 2.0 * k2 * s * s) * phi
-    return float(np.max(np.abs(res)))
+    size = abs(k2)
+    if h_index == 0:  # dn's phi'' = -k^2 (cos 2y u^2 + k^2 s^2 c^2) / u^3 holds a sum of its own
+        d2phi = size * (np.abs(np.cos(2.0 * y)) * phi * phi + size * s * s * c * c) / phi**3
+    terms = ((1.0 + size * s * s) * np.abs(d2phi) + np.abs(k2 * s * c * dphi)
+             + (abs(h) + 2.0 * size * s * s) * np.abs(phi))
+    return res, terms
+
+
+def lame_residual(k2: float, h_index: int) -> float:
+    """Residual of the degree-one trigonometric Lame equation
+
+        (1 - k^2 sin^2 y) phi'' - k^2 sin y cos y phi' + (h - 2 k^2 sin^2 y) phi = 0
+
+    for its three classical solutions, selected by ``h_index``:
+    0: sqrt(1 - k^2 sin^2 y) at h = k^2; 1: cos y at h = 1;
+    2: sin y at h = 1 + k^2.  Max |residual| over a 1024-point grid.
+    """
+    return float(np.max(np.abs(_lame_terms(k2, h_index)[0])))
+
+
+def lame_bound(k2: float) -> float:
+    """gamma_36 max sum |terms| of :func:`lame_residual` at ``k2`` over the grid and the three
+    solutions: the exact residual is 0, so the computed one is rounding error (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 3.1, 3.3).  Its terms are the monomials in k^2,
+    h, s = sin y, c = cos y, cos 2y and u^(+-1) (u = dn); sum |terms| evaluates it on absolute
+    values, each difference a sum.  A term meets at most 36 relative errors of eps / 2: 15
+    roundings (dn's (1 - k^2 s^2) phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and
+    9 from u, which enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the
+    error of 1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2).  gamma_n = n u / (1 - n u), u = eps / 2:
+    C = gamma_36 / eps, about 18.  Measured: residual <= 1.1 eps max sum |terms| for k^2 in
+    [-1e4, 1 - 1e-10]."""
+    u = sys.float_info.epsilon / 2
+    return 36 * u / (1 - 36 * u) * max(float(np.max(_lame_terms(k2, i)[1])) for i in (0, 1, 2))
 
 
 def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
@@ -530,13 +484,21 @@ def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
     return worst
 
 
+def anchor_tolerance(grid_n: int) -> float:
+    """The bound on the anchors' residuals at ``grid_n``, stated at grid 4096 and scaled as
+    (4096 / grid_n)^2 below it (second order); also the guard of :func:`count_N2`."""
+    return 1e-4 * max(1.0, (4096.0 / grid_n) ** 2)
+
+
 @dataclass(frozen=True)
 class CountReport:
-    """Outcome of the independent eigenvalue count N(2) over l = 0 .. c; the next l counted 0."""
+    """Outcome of the independent eigenvalue count N(2) over l = 0 .. c, and its evidence."""
 
     n2: int
     per_l_counts: tuple[tuple[int, int], ...]
-    epsilon: float
+    gap: float
+    edge_errors: tuple[float, float, float]
+    cells: int
     j_closed: int
     agree: bool
 
@@ -552,53 +514,75 @@ _COUNT_SECTORS = {
 }
 
 
+def _lame_sectors(k2: float, kp2: float, m: int, below: float) -> list:
+    """Eigenvalues of L in its sectors NN, ND, DN, DD on ``m`` cells of [0, K], k'^2 = 1 - k^2,
+    each ascending: all below ``below`` (>= 1 + k^2) and DD's lowest, under (pi / K)^2 + 2 k^2 by
+    the Rayleigh quotient of sin(pi v / K).  Cell-centred differences, an N end reflecting evenly
+    and a D end oddly, make each sector tridiagonal with unit weight.  sn at the cell centres
+    descends from the AGM of (1, k') by Landen (DLMF 22.20(ii)): phi_N = 2^N a_N v, phi_(n-1) =
+    (phi_n + arcsin(c_n / a_n sin phi_n)) / 2, sn v = sin phi_0, the limit as a_N so that sn K = 1.
+    One dstebz call bisects the four blocks of one matrix on Sturm counts (L >= 0)."""
+    limit, an, cn = _agm(1.0, math.sqrt(kp2))
+    h = math.pi / (2.0 * limit) / m
+    phi = (2.0 ** len(an) * limit * h) * (np.arange(m) + 0.5)
+    for a, c in zip(an[::-1], cn[::-1]):
+        phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi)))
+    d = np.tile(2.0 / h**2 + 2.0 * k2 * np.sin(phi) ** 2, 4)
+    ends = np.array([[1.0 if end == "D" else -1.0 for end in sector] for sector in _ALL_SECTORS])
+    d[0::m] += ends[:, 0] / h**2
+    d[m - 1::m] += ends[:, 1] / h**2
+    e = np.full(4 * m - 1, -1.0 / h**2)
+    e[m - 1::m] = 0.0  # the blocks do not couple
+    found, w, block, _, info = _linalg()[0].dstebz(d, e, 1, -1.0, below + (2.0 * limit) ** 2,
+                                                   0, 0, 0.0, b"B")
+    if info:
+        raise EigensolverError(f"dstebz failed (info {info}) on L's sectors of {m} cells")
+    return [w[:found][block[:found] == i] for i in (1, 2, 3, 4)]
+
+
 def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     """Count Laplace eigenvalues below 2 and compare with the closed-form index.
 
-    N(2) = #{lambda_i(0) < 2} + 2 sum_{l >= 1} #{lambda_i(l) < 2} over the
-    sector-filtered separated spectra (each l >= 1 profile yields the two
-    eigenfunctions phi sin(lx), phi cos(lx)).  The sum stops at l = c:
-    all four sectors at the next l must count no eigenvalue up to 2 + epsilon,
-    and from there each sector matrix only grows by a nonnegative diagonal.
-
-    Counting is strict below 2 - epsilon with the guard epsilon
-    calibrated at 10x the worst measured anchor residual (floor 1e-6),
-    so the three continuum-exact eigenvalues straddling 2 under
-    discretization are never miscounted.  Counts are the inertia of the
-    sectors' L D L^T factors at 2 -/+ epsilon, all columns factored in place
-    in chunks (:func:`_factors`) and swept from both ends at once
-    (:func:`_count_below`); an eigenvalue inside the guard window at a
-    frequency where no anchor lives, or up to 2 + epsilon past the cut-off,
-    raises :class:`IndeterminateCountError`.
+    N(2) = #{lambda_i(0) < 2} + 2 sum_{l >= 1} #{lambda_i(l) < 2} over the sector-filtered
+    separated spectra (each l >= 1 profile yields the two eigenfunctions phi sin(lx), phi cos(lx)),
+    that is the eigenvalues of the Lame operator L below E_l (module docstring).  On L's sectors,
+    m = grid_n / 4 cells (:func:`_lame_sectors`), the inertia at E_0 + g must be (1, 1, 1, 0) in
+    (NN, ND, DN, DD) and those three eigenvalues within g of k^2, 1 and 1 + k^2, with g the
+    anchors' tolerance (:func:`anchor_tolerance`), else :class:`IndeterminateCountError`.  Then
+    only the edges count, each at the l with l^2 < l_edge^2, and the sum ends at l = c.  In y, ND
+    carries cos y at frequency b and DN sin y at a: v's ND and DN (l_edge = B, A) are y's when
+    a <= b and swapped when a > b.  The report gives the gap from E_0 to L's next eigenvalue, the
+    three edge errors and m.
     """
     check_count_grid(grid_n)
     t = canonicalize(t)
     j_closed, _, _ = extremal_index(t)
-    by_parity = _COUNT_SECTORS[expected_symmetry(t)]
-
-    eps = max(10.0 * max(anchor_check(t, grid_n)), 1e-6)
-
-    l_stop = interlacing_l_max(t) - 1  # c, or the last l below c when c is irrational
-    columns = [(l, sector) for l in range(l_stop + 1) for sector in by_parity[l % 2]]
-    columns += [(l_stop + 1, sector) for sector in _ALL_SECTORS]  # the cut-off: both parities
-    counts = _count_below(*_factors(t, Symmetry.FULL_PERIODIC, grid_n, columns),
-                          (2.0 - eps, 2.0 + eps))
-    below, upto = counts[:, :-4].reshape(2, l_stop + 1, -1).sum(2)
-    for l in np.flatnonzero(upto > below):
-        if l not in (t.a, t.b, t.c_real):  # a non-integer c_real equals no integer l
-            raise IndeterminateCountError(
-                f"indeterminate count; refine grid ({upto[l] - below[l]} eigenvalue(s) "
-                f"within {eps:.2e} of 2 at non-anchor l={l}, grid_n={grid_n})"
-            )
-    if counts[1, -4:].any():
+    a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2
+    c2 = t.c_squared
+    k2, e0 = (b2 - a2) / (c2 - a2), (c2 + b2 - a2) / (c2 - a2)
+    g, m = anchor_tolerance(grid_n), grid_n // 4
+    nn, nd, dn, dd = _lame_sectors(k2, (c2 - b2) / (c2 - a2), m, e0 + g)
+    inertia = tuple(int(np.sum(ev < e0 + g)) for ev in (nn, nd, dn, dd))
+    errors = tuple(float(abs(ev[0] - edge)) for ev, edge in ((nn, k2), (nd, 1.0), (dn, 1.0 + k2)))
+    gap = float(np.concatenate([nn[1:], nd[1:], dn[1:], dd]).min()) - e0
+    if inertia != (1, 1, 1, 0) or max(errors) > g:
         raise IndeterminateCountError(
-            f"indeterminate count; refine grid ({counts[1, -4:].sum()} eigenvalue(s) at most "
-            f"2 + {eps:.2e} past the cut-off at l={l_stop + 1}, grid_n={grid_n})"
+            f"indeterminate count; refine grid (inertia {inertia} of L's sectors NN, ND, DN, DD "
+            f"at E_0 + {g:.2e}, gap {gap:.2e}, edge errors "
+            f"{', '.join(f'{x:.2e}' for x in errors)}; want (1, 1, 1, 0) and errors up to "
+            f"{g:.2e}; grid_n={grid_n})"
         )
-    per_l = tuple(enumerate(below.tolist()))
-    total = 2 * sum(below.tolist()) - per_l[0][1]
-    return CountReport(n2=total, per_l_counts=per_l, epsilon=eps, j_closed=j_closed,
-                       agree=total == j_closed)
+    # l_edge^2 of y's sectors: an edge counts at each l with l^2 < l_edge^2, l < stops[sector]
+    stops = {s: math.isqrt(e - 1) + 1 if e else 0
+             for s, e in (("NN", c2), ("ND", t.b * t.b), ("DN", t.a * t.a))}
+    counts = np.zeros(interlacing_l_max(t), dtype=int)
+    for parity, sectors in enumerate(_COUNT_SECTORS[expected_symmetry(t)]):
+        for sector in sectors:
+            counts[parity:stops.get(sector, 0):2] += 1
+    per_l = tuple(enumerate(counts.tolist()))
+    n2 = 2 * sum(counts.tolist()) - per_l[0][1]
+    return CountReport(n2=n2, per_l_counts=per_l, gap=gap, edge_errors=errors, cells=m,
+                       j_closed=j_closed, agree=n2 == j_closed)
 
 
 def interlacing_l_max(t: Triple) -> int:

@@ -18,11 +18,13 @@ from .errors import SpectralError
 from .spectral import (
     INTERLACING_TOL,
     anchor_check,
+    anchor_tolerance,
     check_count_grid,
     count_N2,
     eq35_residual,
     interlacing_check,
     interlacing_l_max,
+    lame_bound,
     lame_residual,
     takahashi_residual,
 )
@@ -41,10 +43,8 @@ from .surface import (
 __all__ = ["CheckResult", "VerificationReport", "run_verification"]
 
 _UNIT_NORM_TOL = 1e-12
-_LAME_TOL = 1e-12
 _EQ35_TOL = 1e-10
 _AREA_TOL = 1e-8
-_ANCHOR_TOL = 1e-4          # stated at grid 4096; scaled as (4096/n)^2 below
 _RATIO_RANGE = (3.2, 4.8)   # second-order convergence: factor 4 within 20%
 _SYM_MATCH_TOL = 1e-12
 _SYM_REJECT_FLOOR = 0.1
@@ -94,7 +94,7 @@ def _unit_norm_check(t: Triple) -> CheckResult:
 def _lame_check(t: Triple) -> CheckResult:
     k2 = coefficients(t).k2
     res = {f"h_index_{i}": lame_residual(k2, i) for i in (0, 1, 2)}
-    return _at_most("lame", {"k2": k2, **res}, max(res.values()), _LAME_TOL)
+    return _at_most("lame", {"k2": k2, **res}, max(res.values()), lame_bound(k2))
 
 
 def _eq35_check(t: Triple) -> CheckResult:
@@ -125,7 +125,7 @@ def _area_check(t: Triple) -> CheckResult:
 
 
 def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
-    tol = _ANCHOR_TOL * max(1.0, (4096.0 / grid_n) ** 2)
+    tol = anchor_tolerance(grid_n)
     res = anchor_check(t, grid_n)
     values = dict(zip(("lambda0_at_c", "lambda1_at_max", "lambda2_at_min"), res))
     passed = all(r <= tol for r in res)
@@ -160,7 +160,9 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]
     values = {
         "n2": report.n2,
         "j_closed": report.j_closed,
-        "epsilon": report.epsilon,
+        "gap": report.gap,
+        "edge_errors": list(report.edge_errors),
+        "cells": report.cells,
         "per_l": [list(pair) for pair in report.per_l_counts],
     }
     passed = report.agree

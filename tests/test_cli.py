@@ -52,6 +52,18 @@ class TestClassify:
         expected = 24.0 * math.pi * 1.113741101712938  # 24 pi E(2 sqrt2/3)
         assert env["payload"]["lambda"] == pytest.approx(expected, rel=1e-10)
 
+    def test_lawson_pair_states_c_squared_exactly(self, capsys):
+        """Past 2^53 the float c of a Lawson pair can round to an integer: tau_(134234113,16385)
+        shows c = 134234114, but a^2 + b^2 is no square and floor(c) = 134234113.  The exact
+        integer c_squared says so."""
+        code, out, _ = run(capsys, "classify", "--lawson", "134234113", "16385")
+        assert code == EXIT_OK
+        triple = json.loads(out)["triple"]
+        assert triple["c"] == 134234114
+        assert triple["c_squared"] == 134234113**2 + 16385**2 == 18018797361364994
+        assert math.isqrt(triple["c_squared"]) == 134234113
+        assert list(triple) == ["case", "a", "b", "c", "c_squared"]
+
     def test_wrong_arity(self, capsys):
         code, _, err = run(capsys, "classify", "1", "2")
         assert code == EXIT_INVALID
@@ -403,7 +415,7 @@ def test_import_and_closed_form_commands_load_no_numpy_or_scipy():
 
 
 @pytest.mark.parametrize("argv,code", [(["table", "--format", "text"], EXIT_OK),
-                                       (["verify", "--lawson", "27", "2"], EXIT_VERIFY_FAIL)])
+                                       (["verify", "1", "1", "5", "--deep"], EXIT_VERIFY_FAIL)])
 def test_closed_stdout_keeps_the_exit_code(argv, code):
     """A reader that has gone (as in ``lawson table | head -1``) leaves stdout a pipe with no
     read end: the command still exits with its verdict's code, and writes nothing to stderr."""

@@ -20,23 +20,23 @@ def _write(path, records):
 def test_compare_prints_float_deltas_and_fails_on_anything_else(tmp_path, capsys):
     report = {"triple": "T_(1,2,3)", "grid_n": 2048, "deep": False, "status": "ok",
               "checks": {"count": {"passed": True, "values": {"n2": 5, "per_l": [[0, 3], [1, 1]],
-                                                              "epsilon": 1e-6,
+                                                              "gap": 1e-6,
                                                               "lambda0_beyond": 200.0}}}}
     moved = json.loads(json.dumps(report))
-    moved["checks"]["count"]["values"]["epsilon"] = 1.5e-6
+    moved["checks"]["count"]["values"]["gap"] = 1.5e-6
     moved["checks"]["count"]["values"]["lambda0_beyond"] = 200.002
     old = _write(tmp_path / "old.jsonl", [report])
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [moved])) == 0
     out = capsys.readouterr().out
-    assert "max |delta| 5e-07  checks.count.values.epsilon" in out
-    assert "max |delta| / max(1, |old|) 5e-07  checks.count.values.epsilon" in out
+    assert "max |delta| 5e-07  checks.count.values.gap" in out
+    assert "max |delta| / max(1, |old|) 5e-07  checks.count.values.gap" in out
     assert "max |delta| 0.002  checks.count.values.lambda0_beyond" in out
     assert "max |delta| / max(1, |old|) 1e-05  checks.count.values.lambda0_beyond" in out
 
     for path, value in ((("status",), "fail"), (("checks", "count", "values", "per_l"), [[0, 3]]),
                         (("checks", "count", "values", "n2"), 5.0),
-                        (("checks", "count", "values", "epsilon"), math.nan),
-                        (("checks", "count", "values", "epsilon"), math.inf)):
+                        (("checks", "count", "values", "gap"), math.nan),
+                        (("checks", "count", "values", "gap"), math.inf)):
         changed = json.loads(json.dumps(report))
         target = changed
         for key in path[:-1]:
@@ -45,7 +45,7 @@ def test_compare_prints_float_deltas_and_fails_on_anything_else(tmp_path, capsys
         assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [changed])) == 1
         assert "DIFFERS" in capsys.readouterr().out
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [])) == 1
-    report["checks"]["count"]["values"]["epsilon"] = math.nan
+    report["checks"]["count"]["values"]["gap"] = math.nan
     nan = _write(tmp_path / "nan.jsonl", [report])
     assert same_behaviour.compare(nan, nan) == 0
 
@@ -117,17 +117,19 @@ def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
 
 
 def test_count_records_hold_the_count_or_its_error(tmp_path, monkeypatch, capsys):
-    """--counts writes n2, per_l and epsilon of each count, or its error; --compare keys the
-    records by triple and grid and flags a changed count."""
+    """--counts writes n2, per_l, gap, edge errors and cells of each count, or its error;
+    --compare keys the records by triple and grid and flags a changed count."""
     from lawson import Case, IndeterminateCountError, validate
 
     queries = [(t.label(), n) for t, n in same_behaviour.count_queries()]
     assert ("T_(1,2,150)", 4096) in queries and ("T_(5,7,13)", 32768) in queries
-    assert len(set(queries)) == len(queries) == 8
+    assert ("T_(2,1531,2871)", 2048) in queries and ("tau_(1000,1)", 2048) in queries
+    assert len(set(queries)) == len(queries) == 12
     t = validate(Case.GENERALIZED, 1, 2, 3)
     counted = json.loads(json.dumps(same_behaviour.count_record(t, 2048)))
     assert counted["n2"] == 9 and counted["per_l"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
-    assert set(counted) == {"triple", "grid_n", "n2", "per_l", "epsilon"}
+    assert set(counted) == {"triple", "grid_n", "n2", "per_l", "gap", "edge_errors", "cells"}
+    assert counted["cells"] == 512 and len(counted["edge_errors"]) == 3
 
     def indeterminate(t, grid_n):
         raise IndeterminateCountError("indeterminate count; refine grid")

@@ -55,12 +55,12 @@ class TestRunVerification:
         assert "1e-10" in tolerances["separated_ode"]
 
     def test_each_sector_solved_once_per_grid(self, monkeypatch):
-        """Anchors, count and interlacing share one solve per (l, grid): T_(5,7,13) needs
-        the anchors l = 5, 7, 13 at both grids (the count's cut-off at l = 14 is an inertia
-        count, not a solve), and interlacing's brackets add only l = 0 and l_max = 14 at grid_n:
-        with the Weyl rise of each eigenvalue the brackets between 0, 5, 7, 13 and 14 hold.  Each
-        sector is asked once, for 2 of the 4 eigenvalues of the union, and never solved again.
-        Each grid's spectra are one request, so one factoring call: with the count's two, 4."""
+        """Anchors and interlacing share one solve per (l, grid), and the count solves none in y:
+        T_(5,7,13) needs the anchors l = 5, 7, 13 at both grids, and interlacing's brackets add
+        only l = 0 and l_max = 14 at grid_n: with the Weyl rise of each eigenvalue the brackets
+        between 0, 5, 7, 13 and 14 hold.  Each sector is asked once, for 2 of the 4 eigenvalues of
+        the union, and never solved again.  Each grid's spectra are one request, so one factoring
+        call per grid."""
         solve, lanczos, factors = (spectral._sector_eigenvalues, spectral._lanczos,
                                    spectral._factors)
         asked, calls, factored = [], [], []
@@ -91,7 +91,7 @@ class TestRunVerification:
         assert {k for *_, k in calls} == {2}
         assert {l for n, l, *_ in calls if n == 2048} == {0, 5, 7, 13, 14}
         assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13}
-        assert sorted(factored) == [2048, 2048, 4096, 4096]
+        assert sorted(factored) == [2048, 4096]
 
     @pytest.mark.parametrize(
         "abc,deep,rungs",
@@ -118,6 +118,27 @@ class TestRunVerification:
         ladder = next(c for c in report.checks if c.name == "laplace_eigenfunction")
         assert ladder.passed
         assert report.status == "ok"
+
+    @pytest.mark.parametrize("case,params", [
+        (Case.GENERALIZED, (1, 2, 1500)), (Case.GENERALIZED, (2, 1531, 2871)),
+        (Case.GENERALIZED, (1, 1000, 1001)), (Case.LAWSON, (1000, 1)),
+    ], ids=["T_(1,2,1500)", "T_(2,1531,2871)", "T_(1,1000,1001)", "tau_(1000,1)"])
+    def test_count_passes_at_high_c(self, case, params):
+        """The count check passes at the default grid where the count on the y-grid did not: a
+        non-anchor eigenvalue within 1.6e-5 of 2 made the first three indeterminate, and
+        tau_(1000,1) counted n2 = 1998 against j = 2000."""
+        t = validate(case, *params)
+        count, indeterminate = verify._count_check(t, 2048, False)
+        assert count.passed and not indeterminate
+        assert count.values["n2"] == count.values["j_closed"]
+
+    def test_lawson_pairs_pass_lame(self):
+        """Every Lawson pair with a^2 + b^2 <= 900, tau_(300,1) and tau_(1000,1) pass lame under its
+        rounding bound; 22 of the pairs (k^2 <= -100) failed the former absolute 1e-12."""
+        pairs = [(a, b) for a in range(1, 31) for b in range(1, a + 1)
+                 if math.gcd(a, b) == 1 and a * a + b * b <= 900] + [(300, 1), (1000, 1)]
+        failing = [ab for ab in pairs if not verify._lame_check(validate(Case.LAWSON, *ab)).passed]
+        assert len(pairs) == 215 and failing == []
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_indeterminate_count_states_the_answered_tolerance(self, monkeypatch, deep):

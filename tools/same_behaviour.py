@@ -22,10 +22,11 @@ requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
 --points`` at edge counts, ``--format text`` variants, a failing ``verify`` and
 rejected inputs of each error path; each runs through ``lawson.cli.main``
 in a temporary working directory, which receives the exports.  ``--counts``
-writes one ``count_N2`` per line, its ``n2``, ``per_l`` and ``epsilon`` or its
-error, above the census range and at grids where the count factors its columns
-in many chunks: T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13) at
-16384 and 32768, T_(98,835,919) and tau_(300,1) at 2048.  Run it in two
+writes one ``count_N2`` per line, its ``n2``, ``per_l``, ``gap``, ``edge_errors``
+and ``cells`` or its error, above the census range and at fine grids:
+T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13) at 16384 and 32768,
+and at 2048 T_(98,835,919), tau_(300,1), T_(1,2,1500), T_(2,1531,2871),
+T_(1,1000,1001) and tau_(1000,1).  Run it in two
 checkouts with the same arguments, then ``--compare`` the outputs: every
 value that is not a float (status, verdicts, tolerance strings, ``n2``,
 ``per_l``, errors, exit codes, stdout, stderr) must be equal, and the largest
@@ -131,8 +132,10 @@ def count_queries() -> list[tuple]:
     large = [(Case.GENERALIZED, (1, 2, 150)), (Case.GENERALIZED, (60, 80, 101))]
     queries = [(validate(case, *abc), n) for case, abc in large for n in (2048, 4096)]
     queries += [(validate(Case.GENERALIZED, 5, 7, 13), n) for n in (16384, 32768)]
-    return queries + [(validate(Case.GENERALIZED, 98, 835, 919), 2048),
-                      (validate(Case.LAWSON, 300, 1), 2048)]
+    at_2048 = [(Case.GENERALIZED, (98, 835, 919)), (Case.LAWSON, (300, 1)),
+               (Case.GENERALIZED, (1, 2, 1500)), (Case.GENERALIZED, (2, 1531, 2871)),
+               (Case.GENERALIZED, (1, 1000, 1001)), (Case.LAWSON, (1000, 1))]
+    return queries + [(validate(case, *params), 2048) for case, params in at_2048]
 
 
 def count_record(t, grid_n: int) -> dict:
@@ -141,7 +144,8 @@ def count_record(t, grid_n: int) -> dict:
         report = count_N2(t, grid_n)
     except SpectralError as exc:
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
-    return {**out, "n2": report.n2, "per_l": report.per_l_counts, "epsilon": report.epsilon}
+    return {**out, "n2": report.n2, "per_l": report.per_l_counts, "gap": report.gap,
+            "edge_errors": report.edge_errors, "cells": report.cells}
 
 
 def cli_invocations() -> list[list[str]]:
@@ -153,7 +157,8 @@ def cli_invocations() -> list[list[str]]:
     text = (["classify", "1", "0", "2"], ["classify", "--lawson", "3", "1"], ["table"], ["landen"],
             ["verify", "5", "7", "13"], ["spectrum", "1", "2", "3", "--l", "1"])
     argvs += [[*argv, "--format", "text"] for argv in text]
-    argvs.append(["verify", "--lawson", "27", "2"])  # a failing verdict: exit 2
+    argvs.append(["verify", "--lawson", "27", "2"])  # its lame check failed the absolute 1e-12
+    argvs.append(["verify", "1", "1", "5", "--deep"])  # a failing verdict (deep anchors): exit 2
     argvs += [["classify", "1", "2"], ["classify", "--lawson", "0", "1"],
               ["classify", "--lawson", "1", "2", "3"], ["verify", "0", "0", "1", "--grid", "1030"],
               ["spectrum", "1", "2", "3", "--l", "-1"], ["spectrum", "1", "2", "3", "--count", "0"],
