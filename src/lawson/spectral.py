@@ -19,11 +19,12 @@ positive diagonal weight, so eigenvalues are real and variationally
 ordered, which the Weyl bounds of the checks require.
 
 p, q and w depend on y only through cos 2y, so they are even about
-y = 0 and y = pi/2.  With both axes on cell faces (grid_n divisible by
-4 on [0, 2 pi), by 2 on a pi-domain), each spectrum is exactly a union
-of quarter-period sectors: symmetric tridiagonal problems on [0, pi/2]
-named by their end conditions at 0 and pi/2, N (even reflection, zero
-flux) or D (odd reflection, zero value):
+y = 0 and y = pi/2.  With both axes on cell faces (grid_n at least 256
+and divisible by 4 on [0, 2 pi), by 2 on a pi-domain), each spectrum is
+exactly a union of quarter-period sectors: symmetric tridiagonal problems
+on [0, pi/2] named by their end conditions at 0 and pi/2, N (even
+reflection, zero flux) or D (odd reflection, zero value), all from one
+stencil (:func:`_stencil`):
 
     full-periodic    NN + ND + DN + DD      even-in-y    NN + ND
     pi-periodic      NN + DD                odd-in-y     DD + DN
@@ -56,7 +57,8 @@ Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
 lambda = 2 at l = a, b, c respectively, and oscillation counting places
 them at lambda_1(max(a,b)), lambda_2(min(a,b)), lambda_0(c).  Their
-residuals on the grid are bounded by :func:`anchor_tolerance`.
+residuals on the grid are bounded by :func:`anchor_tolerance`, and their
+rounding by :func:`anchor_floor`.
 """
 
 from __future__ import annotations
@@ -162,10 +164,16 @@ def sl_coefficients(t: Triple, l: float, y: np.ndarray):
     """
     if l < 0:
         raise ValueError(f"l must be non-negative, got {l}")
+    root, w = _flux_and_weight(t, y)
+    return root, _potential(l, root), w
+
+
+def _flux_and_weight(t: Triple, y: np.ndarray):
+    """(p, w) of :func:`sl_coefficients`: the coefficients that do not depend on l."""
     co = coefficients(t)
     P = co.P(y)
     root = np.sqrt(2.0 * P + co.q)
-    return root, _potential(l, root), 2.0 * P / root
+    return root, 2.0 * P / root
 
 
 def _potential(l: float, root: np.ndarray) -> np.ndarray:
@@ -184,13 +192,6 @@ def _sector_cells(grid_n: int, sym: Symmetry) -> int:
             f"(y = pi/2 must be a cell face), got {grid_n}"
         )
     return grid_n // parts
-
-
-def check_count_grid(grid_n: int) -> None:
-    """The grid rule of :func:`count_N2`: divisible by 4, at least 2048 cells."""
-    _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
-    if grid_n < 2048:
-        raise ValueError(f"grid_n must be >= 2048, got {grid_n}")
 
 
 @functools.cache
@@ -224,6 +225,18 @@ def _where(grid_n: int, sym: Symmetry, l: float, sector: str) -> str:
     return f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
 
 
+def _stencil(d: np.ndarray, e: np.ndarray, pf: np.ndarray, s: np.ndarray, h: float, sectors):
+    """Add to each sector's row of ``d`` (its potential) the cell-centred stencil of -(p phi')',
+    p = ``pf`` at the faces, an N end reflecting evenly (no flux) and a D end oddly (twice it); its
+    couplings go to ``e[:, :-1]``; both are scaled by ``s`` = w^(-1/2) on each side."""
+    ends = np.array([[1.0 if end == "D" else -1.0 for end in sector] for sector in sectors])
+    d += (pf[:-1] + pf[1:]) / h**2
+    d[:, [0, -1]] += ends * pf[[0, -1]] / h**2
+    d *= s
+    d *= s
+    e[:, :-1] = -pf[1:-1] / h**2 * s[:-1] * s[1:]
+
+
 def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     """``(F, sigma)`` for the ``(l, sector)`` columns on [0, pi/2], cells as wide as ``grid_n`` on
     the domain: dpttrf's B - sigma I = L D L^T of column i has pivots ``F[0, i]`` and the
@@ -236,22 +249,16 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     m = _sector_cells(grid_n, sym)
     h = sym.domain_length / grid_n
     # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
-    p, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))[::2]  # q at l = 0 is not read
+    p, w = _flux_and_weight(t, 0.5 * h * np.arange(2 * m + 1))
     pf, root, w = p[::2], p[1::2], w[1::2]
-    s = 1.0 / np.sqrt(w)  # w^(-1/2) symmetrizes; sectors differ only in the two ends
     ls = np.array([float(l) for l, _ in columns])
-    ends = np.array([[1.0 if end == "D" else -1.0 for end in sector] for _, sector in columns])
     F = np.zeros((2, len(columns), m))
     d, e = F
     np.divide((2.0 * (ls * ls))[:, None], root, out=d)  # q, as _potential(l, root) gives it
     shift = 16.0 * np.floor(np.min(d / w, axis=1) / 16.0)
-    d += (pf[:-1] + pf[1:]) / h**2
-    d[:, [0, -1]] += ends * pf[[0, m]] / h**2
-    d *= s
-    d *= s
+    _stencil(d, e, pf, 1.0 / np.sqrt(w), h, [sector for _, sector in columns])
     d += 1.0
     d -= shift[:, None]
-    e[:, :-1] = -pf[1:m] / h**2 * s[:-1] * s[1:]
     info = dpttrf(d.reshape(-1), e.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)[2]
     if info:
         l, sector = columns[(info - 1) // m]
@@ -365,12 +372,11 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
 
         |lambda_0(c) - 2|, |lambda_1(max(a,b)) - 2|, |lambda_2(min(a,b)) - 2|.
 
-    Zero entries of the triple read their anchor at l = 0 at the same
-    index; the boundary case reads lambda_0 at the real frequency
-    c = sqrt(a^2 + b^2).  All three shrink at second order in the mesh.
-    The spectra are those of the canonical triple, from :func:`_table`
-    (in a verification, interlacing has solved them); ``grid_n`` must be
-    divisible by 4.
+    Zero entries of the triple read their anchor at l = 0 at the same index; the boundary case
+    reads lambda_0 at the real frequency c = sqrt(a^2 + b^2).  All three shrink at second order in
+    the mesh down to the rounding floor :func:`anchor_floor`, below which a residual measures no
+    order.  The spectra are those of the canonical triple, from :func:`_table` (in a
+    verification, interlacing has solved them); ``grid_n`` must be divisible by 4.
     """
     t = canonicalize(t)
     ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
@@ -379,16 +385,16 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
 
 
 def _profile(which: int, amp: float, k2: float, y: np.ndarray):
-    """(phi, phi', phi'') of ``amp`` times the profile selected by ``which``:
+    """``(sin y, cos y, (phi, phi', phi''))`` of ``amp`` times the profile selected by ``which``:
     1: sin y, 2: cos y, 3: sqrt(1 - k^2 sin^2 y)."""
     s, c = np.sin(y), np.cos(y)
     if which == 1:
-        return amp * s, amp * c, -amp * s
+        return s, c, (amp * s, amp * c, -amp * s)
     if which == 2:
-        return amp * c, -amp * s, -amp * c
+        return s, c, (amp * c, -amp * s, -amp * c)
     u = np.sqrt(1.0 - k2 * s * s)
     d2 = -amp * k2 * (np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u**3
-    return amp * u, -amp * k2 * s * c / u, d2
+    return s, c, (amp * u, -amp * k2 * s * c / u, d2)
 
 
 def eq35_residual(t: Triple, which: int) -> float:
@@ -406,22 +412,24 @@ def eq35_residual(t: Triple, which: int) -> float:
     co = coefficients(t)
     amp, l2 = ((co.c1, co.a_sq), (co.c2, co.b_sq), (co.c3, co.c_sq))[which - 1]
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    phi, dphi, d2phi = _profile(which, amp, co.k2, y)
+    _, _, (phi, dphi, d2phi) = _profile(which, amp, co.k2, y)
     p = co.P(y)
     res = (1.0 + co.q / (2.0 * p)) * d2phi + co.P_prime(y) / (2.0 * p) * dphi
     res += (2.0 - float(l2) / p) * phi
     return float(np.max(np.abs(res)))
 
 
+@functools.lru_cache(maxsize=3)
 def _lame_terms(k2: float, h_index: int):
-    """The Lame residual of one solution on the 1024-point grid, and its sum of |terms| there."""
+    """The Lame residual of one solution on the 1024-point grid, and its sum of |terms| there:
+    read-only and kept for the last three (k^2, h_index), which :func:`lame_residual` and
+    :func:`lame_bound` of one k^2 share."""
     if h_index not in (0, 1, 2):
         raise ValueError(f"h_index must be 0, 1 or 2, got {h_index}")
     if not k2 < 1.0:
         raise ValueError(f"k^2 must be < 1, got {k2!r}")
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    s, c = np.sin(y), np.cos(y)
-    phi, dphi, d2phi = _profile(3 - h_index, 1.0, k2, y)
+    s, c, (phi, dphi, d2phi) = _profile(3 - h_index, 1.0, k2, y)
     h = (k2, 1.0, 1.0 + k2)[h_index]
     res = (1.0 - k2 * s * s) * d2phi - k2 * s * c * dphi + (h - 2.0 * k2 * s * s) * phi
     size = abs(k2)
@@ -429,6 +437,7 @@ def _lame_terms(k2: float, h_index: int):
         d2phi = size * (np.abs(np.cos(2.0 * y)) * phi * phi + size * s * s * c * c) / phi**3
     terms = ((1.0 + size * s * s) * np.abs(d2phi) + np.abs(k2 * s * c * dphi)
              + (abs(h) + 2.0 * size * s * s) * np.abs(phi))
+    res.flags.writeable = terms.flags.writeable = False
     return res, terms
 
 
@@ -452,11 +461,16 @@ def lame_bound(k2: float) -> float:
     values, each difference a sum.  A term meets at most 36 relative errors of eps / 2: 15
     roundings (dn's (1 - k^2 s^2) phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and
     9 from u, which enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the
-    error of 1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2).  gamma_n = n u / (1 - n u), u = eps / 2:
-    C = gamma_36 / eps, about 18.  Measured: residual <= 1.1 eps max sum |terms| for k^2 in
-    [-1e4, 1 - 1e-10]."""
+    error of 1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2) (:func:`_gamma`): C = gamma_36 / eps,
+    about 18.  Measured: residual <= 1.1 eps max sum |terms| for k^2 in [-1e4, 1 - 1e-10]."""
+    return _gamma(36) * max(float(np.max(_lame_terms(k2, i)[1])) for i in (0, 1, 2))
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = eps / 2, bounds n compounded roundings (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 3.1)."""
     u = sys.float_info.epsilon / 2
-    return 36 * u / (1 - 36 * u) * max(float(np.max(_lame_terms(k2, i)[1])) for i in (0, 1, 2))
+    return n * u / (1 - n * u)
 
 
 def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
@@ -475,7 +489,7 @@ def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
         raise ValueError(f"grid_n must be >= 128, got {grid_n}")
     h = 2.0 * math.pi / grid_n
     y = 0.5 * h * np.arange(2 * grid_n)  # nodes at even, faces y + h/2 at odd indices
-    p, w = sl_coefficients(t, 0, y)[::2]
+    p, w = _flux_and_weight(t, y)
     pf, worst = p[1::2], 0.0
     for l, f in zip((t.a, t.b, t.c_real), immersion(t, 0.0, y[::2])[1::2]):  # cos rows: f1, f2, f3
         q = _potential(2.0 * abs(math.sin(0.5 * l * h)) / h, p[::2])
@@ -517,9 +531,9 @@ _COUNT_SECTORS = {
 def _lame_sectors(k2: float, kp2: float, m: int, below: float) -> list:
     """Eigenvalues of L in its sectors NN, ND, DN, DD on ``m`` cells of [0, K], k'^2 = 1 - k^2,
     each ascending: all below ``below`` (>= 1 + k^2) and DD's lowest, under (pi / K)^2 + 2 k^2 by
-    the Rayleigh quotient of sin(pi v / K).  Cell-centred differences, an N end reflecting evenly
-    and a D end oddly, make each sector tridiagonal with unit weight.  sn at the cell centres
-    descends from the AGM of (1, k') by Landen (DLMF 22.20(ii)): phi_N = 2^N a_N v, phi_(n-1) =
+    the Rayleigh quotient of sin(pi v / K).  :func:`_stencil` with p = w = 1, whose scalings by 1
+    are exact, makes each sector tridiagonal.  sn at the cell centres descends from the AGM of
+    (1, k') by Landen (DLMF 22.20(ii)): phi_N = 2^N a_N v, phi_(n-1) =
     (phi_n + arcsin(c_n / a_n sin phi_n)) / 2, sn v = sin phi_0, the limit as a_N so that sn K = 1.
     One dstebz call bisects the four blocks of one matrix on Sturm counts (L >= 0)."""
     limit, an, cn = _agm(1.0, math.sqrt(kp2))
@@ -527,14 +541,11 @@ def _lame_sectors(k2: float, kp2: float, m: int, below: float) -> list:
     phi = (2.0 ** len(an) * limit * h) * (np.arange(m) + 0.5)
     for a, c in zip(an[::-1], cn[::-1]):
         phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi)))
-    d = np.tile(2.0 / h**2 + 2.0 * k2 * np.sin(phi) ** 2, 4)
-    ends = np.array([[1.0 if end == "D" else -1.0 for end in sector] for sector in _ALL_SECTORS])
-    d[0::m] += ends[:, 0] / h**2
-    d[m - 1::m] += ends[:, 1] / h**2
-    e = np.full(4 * m - 1, -1.0 / h**2)
-    e[m - 1::m] = 0.0  # the blocks do not couple
-    found, w, block, _, info = _linalg()[0].dstebz(d, e, 1, -1.0, below + (2.0 * limit) ** 2,
-                                                   0, 0, 0.0, b"B")
+    d, e = np.zeros((2, 4, m))
+    d += 2.0 * k2 * np.sin(phi) ** 2
+    _stencil(d, e, np.ones(m + 1), np.ones(m), h, _ALL_SECTORS)
+    found, w, block, _, info = _linalg()[0].dstebz(d.reshape(-1), e.reshape(-1)[:-1], 1, -1.0,
+                                                   below + (2.0 * limit) ** 2, 0, 0, 0.0, b"B")
     if info:
         raise EigensolverError(f"dstebz failed (info {info}) on L's sectors of {m} cells")
     return [w[:found][block[:found] == i] for i in (1, 2, 3, 4)]
@@ -552,15 +563,16 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     only the edges count, each at the l with l^2 < l_edge^2, and the sum ends at l = c.  In y, ND
     carries cos y at frequency b and DN sin y at a: v's ND and DN (l_edge = B, A) are y's when
     a <= b and swapped when a > b.  The report gives the gap from E_0 to L's next eigenvalue, the
-    three edge errors and m.
+    three edge errors and m.  ``grid_n`` follows the y-grid's rule (:func:`_sector_cells`): at
+    least 256 and divisible by 4.
     """
-    check_count_grid(grid_n)
+    m = _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
     t = canonicalize(t)
     j_closed, _, _ = extremal_index(t)
     a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2
     c2 = t.c_squared
     k2, e0 = (b2 - a2) / (c2 - a2), (c2 + b2 - a2) / (c2 - a2)
-    g, m = anchor_tolerance(grid_n), grid_n // 4
+    g = anchor_tolerance(grid_n)
     nn, nd, dn, dd = _lame_sectors(k2, (c2 - b2) / (c2 - a2), m, e0 + g)
     inertia = tuple(int(np.sum(ev < e0 + g)) for ev in (nn, nd, dn, dd))
     errors = tuple(float(abs(ev[0] - edge)) for ev, edge in ((nn, k2), (nd, 1.0), (dn, 1.0 + k2)))
@@ -590,17 +602,30 @@ def interlacing_l_max(t: Triple) -> int:
     return math.isqrt(t.c_squared) + 1
 
 
-def _least_rise(t: Triple, grid_n: int, l_max: int) -> tuple[float, float]:
-    """``(max P, delta)`` of :func:`interlacing_check`'s bound for the canonical ``t``: from l to
-    l' <= l_max each lambda_i rises by at least (l'^2 - l^2) / max P - delta."""
+def _rounding(t: Triple, grid_n: int, l_max: int, n: int) -> tuple[float, float]:
+    """``(max P, gamma_n G)`` for the canonical ``t`` (:func:`_gamma`): G = 3 max p / (h^2 min w)
+    + 2 l_max^2 / min P + 1 bounds every partial result of a diagonal entry of a sector matrix at
+    ``grid_n`` and l <= l_max, which meets 7 roundings (q = 2 l^2 / root, + flux, +- end, * s
+    twice, + 1, - shift).  The couplings are at most G / 3, so ||B - sigma I|| <= 5/3 G, and a
+    Lanczos stop errs by at most eps (lambda - sigma) <= 5/3 eps G, within gamma_7 G."""
     co = coefficients(t)
     spread = abs(co.b_sq - co.a_sq)
     top, low = (co.c_sq + spread) / 2, (co.c_sq - spread) / 2  # max P, min P
     h = 2.0 * math.pi / grid_n
     largest = (3.0 * math.sqrt((2 * top + co.q) * (2 * low + co.q)) / (2 * low * h * h)
-               + 2 * l_max * l_max / low + 1.0)  # G: bounds every partial result of an entry
-    u = sys.float_info.epsilon / 2
-    return top, 33 * u / (1 - 33 * u) * largest
+               + 2 * l_max * l_max / low + 1.0)
+    return top, _gamma(n) * largest
+
+
+def anchor_floor(t: Triple, grid_n: int) -> float:
+    """gamma_14 G at ``grid_n`` (:func:`_rounding`): how far rounding may move a computed anchor
+    eigenvalue from the grid's exact one, so a residual at or below it measures no order.  It
+    counts, as :func:`interlacing_check` does, one matrix's 7 roundings of an entry and one
+    Lanczos stop, whose gamma_7 G leaves room for a row's two couplings (4 roundings each);
+    Weyl's inequality carries them to the eigenvalue.  Like interlacing, it leaves out the
+    factor's rounding."""
+    t = canonicalize(t)
+    return _rounding(t, grid_n, interlacing_l_max(t), 14)[1]
 
 
 def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -> bool:
@@ -616,20 +641,16 @@ def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -
     c up to l_max, solved in one request with a real c (its 2 c^2 rounds, which delta does not
     count, so it is no end); each round solves in one request the midpoints of the brackets
     where this bound is <= INTERLACING_TOL, which finds every l whose gap fails.  delta =
-    gamma_33 G allows for rounding (gamma_n = n u / (1 - n u), u = eps / 2; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 3.1), G = 3 max p / (h^2 min w) + 2 l_max^2 / min P
-    + 1 bounding every partial result of a diagonal entry: 7 roundings per entry (q = 2 l^2 /
-    root, + flux, +- end, * s twice, + 1, - shift) in each of the four matrices a bracket compares
-    (l_a, l_b and l twice), and 5 in the coefficient 2 s^2 / root of l^2 that stands for 1 / P_i.
-    The rise test compares two matrices, 19 roundings; the other gamma_14 G of delta bounds the
-    Lanczos stop error of both eigenvalues, each below eps (lambda - sigma) <= 5/3 eps G, as
-    ||B - sigma I|| <= 5/3 G (entries off the diagonal are at most G / 3).  Like a sweep of every
-    l, the check inherits the rounding of the factors and their solves, and the gaps' solver
-    error.  ``grid_n`` must be divisible by 4.
+    gamma_33 G (:func:`_rounding`) allows for rounding: 7 roundings per entry in each of the four
+    matrices a bracket compares (l_a, l_b and l twice), and 5 in the coefficient 2 s^2 / root of
+    l^2 that stands for 1 / P_i.  The rise test compares two matrices, 19 roundings; the other
+    gamma_14 G bounds the Lanczos stops of both eigenvalues.  Like a sweep of every l, the check
+    inherits the rounding of the factors and their solves, and the gaps' solver error.  ``grid_n``
+    must be divisible by 4.
     """
     t = canonicalize(t)
     l_max = interlacing_l_max(t) if l_max is None else l_max
-    top, delta = _least_rise(t, grid_n, l_max)
+    top, delta = _rounding(t, grid_n, l_max, 33)
     wanted = (0, t.a, t.b, t.c_real, l_max)
     ev = _table(t, grid_n, wanted)
     ls = sorted({int(l) for l in wanted if l <= l_max and float(l).is_integer()})

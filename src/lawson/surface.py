@@ -39,6 +39,7 @@ surface) and 1 otherwise.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -448,19 +449,27 @@ def symmetry_residual(t: Triple, phi: Phi, n: int = 32) -> float:
 
     At most machine-zero when phi is the surface's identification,
     order-one otherwise.  With n even, Phi maps the grid onto itself, so F
-    is evaluated once, with each phase l x_i = 2 pi (l i mod n) / n reduced
-    exactly for integer l, and compared with its permutation.
+    on the grid (:func:`_grid_image`) is compared with its permutation.
     """
     if n < 16 or n % 2:
         raise ValueError(f"n must be even and >= 16, got {n}")
+    F = _grid_image(t, n)
+    xi, yj = phi.apply(np.arange(n), np.arange(n), n // 2)
+    diff = F[:, xi % n][:, :, yj % n] - F
+    return float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_image(t: Triple, n: int) -> np.ndarray:
+    """F on the n x n grid of [0, 2 pi)^2, each phase l x_i = 2 pi (l i mod n) / n reduced exactly
+    for integer l: read-only and kept for the last (t, n), which every Phi of a check shares."""
     i = np.arange(n)
     profiles = immersion(t, 0.0, 2.0 * math.pi * i / n)[1::2]  # cos rows at x = 0: f1, f2, f3
     phases = [2.0 * math.pi / n * (int(l) * i % n if float(l).is_integer() else l * i)
               for l in (t.a, t.b, t.c_real)]
     F = np.array([trig(x)[:, None] * f for x, f in zip(phases, profiles) for trig in (np.sin, np.cos)])
-    xi, yj = phi.apply(i, i, n // 2)
-    diff = F[:, xi % n][:, :, yj % n] - F
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
+    F.flags.writeable = False
+    return F
 
 
 def injectivity_scan(t: Triple, n: int = 32) -> float:

@@ -5,7 +5,10 @@ the Laplace-eigenfunction (minimality) residual with its convergence
 ratio, the closed-form-vs-quadrature area comparison, the anchor
 eigenvalues, the symmetry dichotomy, the eigenvalue count against the
 closed-form index, and the oscillation-order checks into a single
-pass/fail report.
+pass/fail report.  The spectral grid follows the sector rule of
+:mod:`lawson.spectral` (at least 256, divisible by 4), and the spectral
+checks read their bars from there: the anchors' tolerance and rounding
+floors, and interlacing's rounding allowance.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from ._lazy import np
 from .errors import SpectralError
 from .spectral import (
     INTERLACING_TOL,
+    Symmetry,
+    _sector_cells,
     anchor_check,
+    anchor_floor,
     anchor_tolerance,
-    check_count_grid,
     count_N2,
     eq35_residual,
     interlacing_check,
@@ -48,7 +53,6 @@ _AREA_TOL = 1e-8
 _RATIO_RANGE = (3.2, 4.8)   # second-order convergence: factor 4 within 20%
 _SYM_MATCH_TOL = 1e-12
 _SYM_REJECT_FLOOR = 0.1
-_EXACT_FLOOR = 1e-11        # residuals below this are converged to roundoff
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,9 @@ def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
     passed = all(r <= tol for r in res)
     if deep:
         fine = anchor_check(t, 2 * grid_n)
+        values["floors"] = floors = [anchor_floor(t, grid_n), anchor_floor(t, 2 * grid_n)]
         values["orders"] = orders = [math.log2(r1 / r2) for r1, r2 in zip(res, fine)
-                                     if r1 > _EXACT_FLOOR and r2 > _EXACT_FLOOR]
+                                     if r1 > floors[0] and r2 > floors[1]]
         passed = passed and all(1.8 <= o <= 2.2 for o in orders)
     return CheckResult("anchors", passed, values,
                        f"<= {tol:g}" + (", order 2.0 +/- 0.2" if deep else ""))
@@ -188,7 +193,7 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     three spectral checks.  Raises :class:`SpectralError` subclasses only for non-convergence; an
     indeterminate count is reported in-band.
     """
-    check_count_grid(grid_n)
+    _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
     t = canonicalize(t)
     report = VerificationReport(triple=t, grid_n=grid_n, deep=deep)
     report.checks.append(_unit_norm_check(t))

@@ -415,7 +415,7 @@ def test_import_and_closed_form_commands_load_no_numpy_or_scipy():
 
 
 @pytest.mark.parametrize("argv,code", [(["table", "--format", "text"], EXIT_OK),
-                                       (["verify", "1", "1", "5", "--deep"], EXIT_VERIFY_FAIL)])
+                                       (["verify", "--lawson", "3000", "1"], EXIT_VERIFY_FAIL)])
 def test_closed_stdout_keeps_the_exit_code(argv, code):
     """A reader that has gone (as in ``lawson table | head -1``) leaves stdout a pipe with no
     read end: the command still exits with its verdict's code, and writes nothing to stderr."""

@@ -471,13 +471,13 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
     """If B - sigma I does not factor (a negated flux coefficient p makes B indefinite; a
     negative q would lower sigma with it), the sector is reported and no Lanczos step (dpttrs)
     runs."""
-    coefficients_of = spectral.sl_coefficients
+    coefficients_of = spectral._flux_and_weight
 
-    def indefinite(t, l, y):
-        p, q, w = coefficients_of(t, l, y)
-        return -p, q, w
+    def indefinite(t, y):
+        p, w = coefficients_of(t, y)
+        return -p, w
 
-    monkeypatch.setattr(spectral, "sl_coefficients", indefinite)
+    monkeypatch.setattr(spectral, "_flux_and_weight", indefinite)
     monkeypatch.setattr(spectral._linalg()[0], "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
     with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
@@ -898,8 +898,8 @@ class TestCounting:
 
     def test_grid_preconditions(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
-        with pytest.raises(ValueError):
-            count_N2(t, 1024)
+        with pytest.raises(ValueError, match=">= 256"):
+            count_N2(t, 252)
         with pytest.raises(ValueError):
             count_N2(t, 2049)
         with pytest.raises(ValueError, match="divisible by 4"):
@@ -944,7 +944,7 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
         spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(l, s) for s in spectral._ALL_SECTORS])
     assert len(seen) == l_max + 1
-    top, delta = spectral._least_rise(t, 2048, l_max)
+    top, delta = spectral._rounding(t, 2048, l_max, 33)
     for l, ((d0, e0), (d1, e1)) in enumerate(zip(seen, seen[1:])):
         assert np.all(d1 >= d0)
         assert np.all(d1 - d0 >= (2 * l + 1) / top - delta)
@@ -993,7 +993,7 @@ def test_brackets_find_an_interior_failure(monkeypatch, offset, holds):
     """l_max = 151, the failing gap at l = 40: neither an end (0, the anchors 1, 2, 150, and
     151) nor the first midpoint 76."""
     t, solved = validate(Case.GENERALIZED, 1, 2, 150), []
-    top, delta = spectral._least_rise(t, 2048, 151)
+    top, delta = spectral._rounding(t, 2048, 151, 33)
     spectra = _synthetic_spectra(40, offset, top, solved)
     ev = np.array(spectra(t, Symmetry.FULL_PERIODIC, 2048, range(152), spectral._ALL_SECTORS, 4))
     assert np.all(np.diff(ev, axis=0) >= (2 * np.arange(151) + 1)[:, None] / top - delta)
@@ -1012,7 +1012,7 @@ def test_rise_below_the_weyl_bound_fails(monkeypatch):
     bound, yet by more than INTERLACING_TOL (by 4.4e-5 at least, from l = 0 to 1), break the
     fact the brackets rest on: the check and the sweep of every l reject them."""
     t = validate(Case.GENERALIZED, 1, 2, 150)
-    top, delta = spectral._least_rise(t, 2048, 151)
+    top, delta = spectral._rounding(t, 2048, 151, 33)
 
     def spectra(t, sym, grid_n, ls, sectors, count):
         return [l * l / (2 * top) + np.array([0.0, 1.0, 1.0, 2.0]) for l in ls]
@@ -1044,7 +1044,7 @@ def test_brackets_agree_with_every_l_sweep(t):
     """On the same eigenvalues, the brackets give the verdict of the sweep of every l."""
     l_max = spectral.interlacing_l_max(t)
     ev = spectral._table(t, 2048, range(l_max + 1))
-    sweep = _sweep_interlacing(ev, l_max, *spectral._least_rise(t, 2048, l_max))
+    sweep = _sweep_interlacing(ev, l_max, *spectral._rounding(t, 2048, l_max, 33))
     assert interlacing_check(t, 2048) == sweep
 
 
@@ -1055,7 +1055,7 @@ def test_brackets_agree_with_every_l_sweep_below_the_anchors(abc, l_max):
     in the same request, are no bracket end: still the verdict of the sweep."""
     t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
     ev = spectral._table(t, 2048, range(l_max + 1))
-    sweep = _sweep_interlacing(ev, l_max, *spectral._least_rise(t, 2048, l_max))
+    sweep = _sweep_interlacing(ev, l_max, *spectral._rounding(t, 2048, l_max, 33))
     assert interlacing_check(t, 2048, l_max) == sweep
 
 

@@ -143,3 +143,25 @@ def test_count_records_hold_the_count_or_its_error(tmp_path, monkeypatch, capsys
     for changed in ({**counted, "n2": 8}, failed):
         assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [changed])) == 1
         assert "DIFFERS" in capsys.readouterr().out
+
+
+def test_compare_lists_a_key_only_one_side_has_once_per_field(tmp_path, capsys):
+    """A nested key on one side only is ADDED or DROPPED, counted over the records, and passes;
+    a list that changes length, or a record whose own fields change, differs."""
+    def report(grid_n, **values):
+        return {"triple": "T_(1,1,5)", "grid_n": grid_n, "deep": True, "status": "ok",
+                "checks": {"anchors": {"passed": True, "values": values}}}
+
+    old = _write(tmp_path / "old.jsonl", [report(n, lambda0_at_c=1e-10, orders=[2.0])
+                                          for n in (1024, 2048)])
+    floored = [report(n, lambda0_at_c=1e-10, orders=[2.0], floors=[1e-9, 4e-9])
+               for n in (1024, 2048)]
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", floored)) == 0
+    out = capsys.readouterr().out
+    assert "ADDED checks.anchors.values.floors: in 2 records" in out and "DIFFERS" not in out
+    assert same_behaviour.compare(_write(tmp_path / "floored.jsonl", floored), old) == 0
+    assert "DROPPED checks.anchors.values.floors: in 2 records" in capsys.readouterr().out
+    for changed in ([report(n, lambda0_at_c=1e-10, orders=[]) for n in (1024, 2048)],
+                    [{**report(n), "error": "EigensolverError"} for n in (1024, 2048)]):
+        assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", changed)) == 1
+        assert "DIFFERS" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 
 import lawson.spectral as spectral
 import lawson.verify as verify
-from lawson import Case, IndeterminateCountError, run_verification, validate
+from lawson import Case, IndeterminateCountError, anchor_check, run_verification, validate
 from lawson.cli import render_json
 
 
@@ -44,9 +44,35 @@ class TestRunVerification:
         report = run_verification(validate(Case.GENERALIZED, 1, 1, 2), grid_n=2048, deep=True)
         assert report.status == "ok"
         anchors = next(c for c in report.checks if c.name == "anchors")
+        assert anchors.values["orders"]
         assert all(1.8 <= o <= 2.2 for o in anchors.values["orders"])
         count = next(c for c in report.checks if c.name == "count")
         assert count.values["n2_refined"] == count.values["n2"]
+
+    def test_deep_anchor_at_its_rounding_floor_passes(self):
+        """T_(1,1,5)'s lambda_0 anchor is exact on the grid: its residuals, 5.8e-11 at 2048 and
+        2.3e-10 at 4096, are rounding, which grows as 1 / h^2.  They lie below the derived floors,
+        so they measure no order; a fixed floor of 1e-11 read them as order -2 and failed."""
+        t = validate(Case.GENERALIZED, 1, 1, 5)
+        report = run_verification(t, grid_n=2048, deep=True)
+        anchors = next(c for c in report.checks if c.name == "anchors")
+        assert anchors.values["floors"] == [spectral.anchor_floor(t, 2048),
+                                            spectral.anchor_floor(t, 4096)]
+        coarse, fine = anchor_check(t, 2048), anchor_check(t, 4096)
+        assert coarse[0] <= anchors.values["floors"][0] and fine[0] <= anchors.values["floors"][1]
+        assert len(anchors.values["orders"]) == 2
+        assert anchors.passed and report.status == "ok"
+
+    def test_deep_anchor_orders_above_the_floor_are_measured(self):
+        """T_(5,7,13)'s lambda_1 and lambda_2 residuals (1.1e-6 and 1.3e-6 at 2048) lie far above
+        the floors (9.0e-10 at 2048, 3.6e-9 at 4096), so their orders are measured."""
+        t = validate(Case.GENERALIZED, 5, 7, 13)
+        anchors = verify._anchor_check(t, 2048, deep=True)
+        floors = anchors.values["floors"]
+        for r1, r2 in zip(anchor_check(t, 2048)[1:], anchor_check(t, 4096)[1:]):
+            assert r1 > floors[0] and r2 > floors[1]
+        assert len(anchors.values["orders"]) >= 2
+        assert anchors.passed
 
     def test_tolerance_record(self):
         report = run_verification(validate(Case.GENERALIZED, 0, 0, 1), grid_n=2048)
@@ -170,9 +196,9 @@ class TestRunVerification:
         interlacing = next(c for c in report.checks if c.name == "interlacing")
         assert used == [interlacing.values["l_max"]] == [4]
 
-    @pytest.mark.parametrize("grid_n,rule", [(1024, ">= 2048"), (1030, "divisible by 4")])
+    @pytest.mark.parametrize("grid_n,rule", [(252, ">= 256"), (1030, "divisible by 4")])
     def test_grid_rule_checked_before_any_check(self, monkeypatch, grid_n, rule):
-        """A grid the count rejects fails before the first check runs."""
+        """A grid the sectors reject fails before the first check runs."""
         immersion = verify.immersion
         calls = []
 
@@ -184,6 +210,16 @@ class TestRunVerification:
         with pytest.raises(ValueError, match=rule):
             run_verification(validate(Case.GENERALIZED, 0, 0, 1), grid_n)
         assert calls == []
+
+    @pytest.mark.parametrize("case,params", [
+        (Case.GENERALIZED, (0, 0, 1)), (Case.GENERALIZED, (5, 7, 13)), (Case.LAWSON, (3, 1)),
+    ])
+    def test_grid_1024_verifies_ok(self, case, params):
+        """The count needs no more than the sectors' rule: 1024 answers ok, with m = 256."""
+        report = run_verification(validate(case, *params), grid_n=1024)
+        assert report.status == "ok"
+        count = next(c for c in report.checks if c.name == "count")
+        assert count.values["cells"] == 256
 
     def test_reports_do_not_depend_on_the_memo(self):
         """20 census-range surfaces render the same run in order from an empty memo and then

@@ -31,8 +31,11 @@ checkouts with the same arguments, then ``--compare`` the outputs: every
 value that is not a float (status, verdicts, tolerance strings, ``n2``,
 ``per_l``, errors, exit codes, stdout, stderr) must be equal, and the largest
 |difference| of each float field is printed, absolute and relative to
-max(1, |old value|).  The exit status is 1 when a record or
-a non-float value differs.
+max(1, |old value|).  A key nested in a record that only one side has is
+listed as ADDED or DROPPED, once per field (list items share one) with the
+number of records that have it.  The exit status is 1 when a record, a record's
+own fields or a non-float value that both sides have differs; a list that
+changes length differs.
 
 The first line of each output is a header record of the BLAS thread settings
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``; null when
@@ -44,6 +47,7 @@ prints a note when the two headers differ.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -158,7 +162,8 @@ def cli_invocations() -> list[list[str]]:
             ["verify", "5", "7", "13"], ["spectrum", "1", "2", "3", "--l", "1"])
     argvs += [[*argv, "--format", "text"] for argv in text]
     argvs.append(["verify", "--lawson", "27", "2"])  # its lame check failed the absolute 1e-12
-    argvs.append(["verify", "1", "1", "5", "--deep"])  # a failing verdict (deep anchors): exit 2
+    argvs.append(["verify", "1", "1", "5", "--deep"])  # lambda_0 exact on the grid: at its floor
+    argvs.append(["verify", "--lawson", "3000", "1"])  # a failing verdict (area, interlacing)
     argvs += [["classify", "1", "2"], ["classify", "--lawson", "0", "1"],
               ["classify", "--lawson", "1", "2", "3"], ["verify", "0", "0", "1", "--grid", "1030"],
               ["spectrum", "1", "2", "3", "--l", "-1"], ["spectrum", "1", "2", "3", "--count", "0"],
@@ -184,16 +189,24 @@ def cli_record(argv: list[str]) -> dict:
     return rec
 
 
-def _leaves(value, path=""):
-    """(path, leaf) pairs of a JSON value; list items are numbered."""
-    if isinstance(value, dict):
-        for key in sorted(value):
-            yield from _leaves(value[key], f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _leaves(item, f"{path}[{i}]")
-    else:
-        yield path, value
+def _diff(x, y, path=""):
+    """(kind, path, old, new) of each difference of two JSON values, equal floats included: kind
+    "added" or "dropped" for a dict key that only one side has, "float" for two finite floats,
+    "differs" for anything else that is not equal, such as lists of different lengths."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in sorted(x.keys() | y.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in x and key in y:
+                yield from _diff(x[key], y[key], sub)
+            else:
+                yield ("dropped" if key in x else "added"), sub, x.get(key), y.get(key)
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        for i, (a, b) in enumerate(zip(x, y)):
+            yield from _diff(a, b, f"{path}[{i}]")
+    elif type(x) is float and type(y) is float and math.isfinite(x - y):
+        yield "float", path, x, y
+    elif json.dumps(x) != json.dumps(y):  # also 1 vs 1.0, and a NaN or inf on one side
+        yield "differs", path, x, y
 
 
 def header() -> dict:
@@ -220,21 +233,25 @@ def _records(path: str) -> tuple[dict | None, dict]:
 
 
 def compare(old_path: str, new_path: str) -> int:
-    """Print the differences of two outputs of this script; 1 if any non-float differs."""
+    """Print the differences of two outputs of this script; 1 if a record, its fields or a shared
+    non-float value differs."""
     (old_env, old), (new_env, new) = _records(old_path), _records(new_path)
     bad = [f"only in {old_path}: {k}" for k in old.keys() - new.keys()]
     bad += [f"only in {new_path}: {k}" for k in new.keys() - old.keys()]
-    worst = {}
+    worst, one_sided = {}, collections.Counter()
     for key in sorted(old.keys() & new.keys(), key=str):
-        a, b = dict(_leaves(old[key])), dict(_leaves(new[key]))
-        for path in sorted(a.keys() | b.keys()):
-            x, y = a.get(path), b.get(path)
-            if type(x) is float and type(y) is float and math.isfinite(x - y):
-                field = re.sub(r"\[\d+\]", "[]", path)
+        if old[key].keys() != new[key].keys():  # such as an error in place of a result
+            bad.append(f"{key}: fields {sorted(old[key])} != {sorted(new[key])}")
+            continue
+        for kind, path, x, y in _diff(old[key], new[key]):
+            field = re.sub(r"\[\d+\]", "[]", path)
+            if kind == "float":
                 delta, rel = worst.get(field, (0.0, 0.0))
                 worst[field] = max(delta, abs(x - y)), max(rel, abs(x - y) / max(1.0, abs(x)))
-            elif json.dumps(x) != json.dumps(y):  # also 1 vs 1.0, and a NaN or inf on one side
+            elif kind == "differs":
                 bad.append(f"{key} {path}: {x!r} != {y!r}")
+            else:
+                one_sided[kind.upper(), field] += 1
     print(f"{len(old.keys() & new.keys())} records in both")
     if old_env != new_env:
         print(f"note: the headers differ, {old_env} in {old_path} and {new_env} in {new_path}; "
@@ -242,6 +259,8 @@ def compare(old_path: str, new_path: str) -> int:
     for field, (delta, rel) in sorted(worst.items()):
         print(f"max |delta| {delta:.3g}  {field}")
         print(f"max |delta| / max(1, |old|) {rel:.3g}  {field}")
+    for (word, field), n in sorted(one_sided.items()):
+        print(f"{word} {field}: in {n} records")
     for line in bad:
         print("DIFFERS", line)
     return 1 if bad else 0
