@@ -348,14 +348,16 @@ def area_closed(t: Triple) -> tuple[float, float]:
     return s, s / _covering_degree(t)
 
 
-def area_quadrature(t: Triple, n: int = 4096) -> float:
+def area_quadrature(t: Triple, n: int | None = None) -> float:
     """Quadrature oracle for the area.
 
     Integrates the area element sqrt(g_xx g_yy) = P sqrt(2/(Q + 2P)) over
     the periodic y-circle with an n-node rectangle rule (spectrally
     accurate for this smooth periodic integrand) and multiplies by the
-    2 pi extent in x; divides by the covering degree.
+    2 pi extent in x; divides by the covering degree.  ``n`` defaults to
+    :func:`_area_nodes`.
     """
+    n = _area_nodes(t) if n is None else n
     if n < 64:
         raise ValueError(f"n must be >= 64, got {n}")
     co = coefficients(t)
@@ -364,6 +366,26 @@ def area_quadrature(t: Triple, n: int = 4096) -> float:
     integrand = p * np.sqrt(2.0 / (co.q + 2.0 * p))
     cover = 2.0 * math.pi * (2.0 * math.pi / n) * float(np.sum(integrand))
     return cover / _covering_degree(t)
+
+
+_AREA_STRIP = -math.log(math.ulp(1.0) / 2)  # n d at which e^(-n d) is the unit roundoff u
+
+
+def _area_nodes(t: Triple) -> int:
+    """Nodes of :func:`area_quadrature`: the least power of two n >= 4096 with n d >= ln(1 / u),
+    at most 2^20.  The integrand is analytic in the strip |Im y| < d, d = arccosh(R) / 2 with
+    R = (2 c^2 - a^2 - b^2) / |b^2 - a^2| > 1, where Q + 2P = 2 c^2 - a^2 - b^2 + (b^2 - a^2) cos 2y
+    vanishes; there the rectangle rule errs by O(e^(-n d)) (Trefethen & Weideman, *SIAM Rev.* 56,
+    2014, Thm. 3.2), here pushed to rounding.  R - 1 = 2 (c^2 - max(a^2, b^2)) / |b^2 - a^2| is
+    formed from integers, so d stays accurate as it falls to 0 on a thin surface (d ~ 1/a on
+    tau_(a,1)).  Every surface with c <= 30 takes 4096; the cap 2^20 (8 MB per array) binds from
+    d < 3.5e-5 on, where the rule stops refining.  a = b has a constant integrand."""
+    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c_squared
+    if a2 == b2:
+        return 4096
+    x = 2 * (c2 - max(a2, b2)) / abs(b2 - a2)
+    d = 0.5 * math.log1p(x + math.sqrt(x * (2.0 + x)))  # arccosh(1 + x) / 2
+    return min(2**20, max(4096, 2 ** math.ceil(math.log2(_AREA_STRIP / d))))
 
 
 def extremal_index(t: Triple) -> tuple[int, Functional, float]:

@@ -122,7 +122,7 @@ def _takahashi_check(t: Triple, deep: bool) -> CheckResult:
 
 def _area_check(t: Triple) -> CheckResult:
     _, closed = area_closed(t)
-    quad = area_quadrature(t, 4096)
+    quad = area_quadrature(t)
     rel = abs(closed - quad) / abs(closed)
     return _at_most("area", {"closed_form": closed, "quadrature": quad, "relative_gap": rel},
                     rel, _AREA_TOL, "relative ")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lawson.surface as surface
 from lawson import (
     Case,
     DegenerateTripleError,
@@ -370,6 +371,33 @@ class TestArea:
     def test_grid_precondition(self):
         with pytest.raises(ValueError):
             area_quadrature(SUITE[0], 32)
+
+    @pytest.mark.parametrize("a,area,nodes", [(3000, 37699.1304678258348, 131072),
+                                              (10**4, 125663.712487494453, 524288)])
+    def test_thin_lawson_surfaces_get_the_nodes_their_strip_needs(self, a, area, nodes):
+        """tau_(a,1) is analytic only within d ~ 1/a of the real axis: 4096 nodes err by 6.0e-8
+        and 1.4e-7 relative, above the area check's 1e-8, while the derived count reaches
+        rounding (measured 1.2e-15 and 3.5e-16) against the closed form and its value by mpmath
+        at 30 digits, 4 pi a E((a^2 - 1) / a^2)."""
+        t = validate(Case.LAWSON, a, 1)
+        _, closed = area_closed(t)
+        assert surface._area_nodes(t) == nodes
+        assert abs(area_quadrature(t, 4096) - closed) / closed > 1e-8
+        assert abs(area_quadrature(t) - closed) / closed <= 1e-14
+        assert abs(closed - area) / area <= 1e-14
+
+    def test_every_surface_up_to_c_30_keeps_4096_nodes(self):
+        """Up to c = 30 the strip is wide: every generalized triple and Lawson pair there, in
+        either order, keeps the former fixed 4096 nodes, so its area record is unchanged."""
+        for c in range(1, 31):
+            for b in range(c):
+                for a in range(c):
+                    if a * a + b * b < c * c:
+                        assert surface._area_nodes(Triple(Case.GENERALIZED, a, b, c)) == 4096
+        for a in range(1, 31):
+            for b in range(1, 31):
+                if a * a + b * b <= 900:
+                    assert surface._area_nodes(Triple(Case.LAWSON, a, b, None)) == 4096
 
 
 class TestClassify:

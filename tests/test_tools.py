@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
@@ -165,3 +166,47 @@ def test_compare_lists_a_key_only_one_side_has_once_per_field(tmp_path, capsys):
                     [{**report(n), "error": "EigensolverError"} for n in (1024, 2048)]):
         assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", changed)) == 1
         assert "DIFFERS" in capsys.readouterr().out
+
+
+def _last_digits_moved(stdout):
+    """``stdout`` with the last digit of each float written to 17 digits changed, as a solver that
+    rounds differently would change it."""
+    def move(match):
+        text = match.group()
+        return text[:-1] + str((int(text[-1]) + 1) % 10)
+
+    return re.sub(r"\d\.\d{15,}", move, stdout)
+
+
+def test_compare_reads_the_floats_inside_stdout_by_delta(tmp_path, monkeypatch, capsys):
+    """A JSON verify and a text spectrum whose stdouts change only in the last digits of their
+    floats pass, the deltas printed by field; a flipped verdict, a changed integer, a changed
+    string or a float of integral value written as an integer (``%.17g``) are told apart."""
+    monkeypatch.chdir(tmp_path)
+    verify = same_behaviour.cli_record(["verify", "1", "1", "2"])
+    text = same_behaviour.cli_record(["spectrum", "1", "2", "3", "--l", "1", "--format", "text"])
+    old = _write(tmp_path / "old.jsonl", [verify, text])
+    moved = [{**r, "stdout": _last_digits_moved(r["stdout"])} for r in (verify, text)]
+    assert all(m["stdout"] != r["stdout"] for m, r in zip(moved, (verify, text)))
+    capsys.readouterr()
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", moved)) == 0
+    out = capsys.readouterr().out
+    assert "max |delta| / max(1, |old|) " in out and "DIFFERS" not in out
+    assert "stdout.payload.checks[].values.quadrature" in out
+    assert re.search(r"max \|delta\| \S+  stdout\n", out)
+
+    for record, before, after in ((verify, '"passed": true', '"passed": false'),
+                                  (verify, r'"n2": (\d+)', r'"n2": 1\1'),
+                                  (verify, "unit_norm", "unit_norn"),
+                                  (text, r"grid_n( +)2048", r"grid_n\g<1>2049")):
+        changed = {**record, "stdout": re.sub(before, after, record["stdout"], count=1)}
+        assert changed["stdout"] != record["stdout"]
+        rest = [r for r in (verify, text) if r is not record]
+        assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [changed, *rest])) == 1
+        assert "DIFFERS" in capsys.readouterr().out
+
+    integral = json.loads(verify["stdout"])
+    integral["payload"]["checks"][1]["values"]["k2"] = 1e-17  # written as 0 on the old side
+    rewritten = {**verify, "stdout": json.dumps(integral, indent=2) + "\n"}
+    assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [rewritten, text])) == 0
+    assert "max |delta| 1e-17  stdout.payload.checks[].values.k2" in capsys.readouterr().out

@@ -29,13 +29,16 @@ and at 2048 T_(98,835,919), tau_(300,1), T_(1,2,1500), T_(2,1531,2871),
 T_(1,1000,1001) and tau_(1000,1).  Run it in two
 checkouts with the same arguments, then ``--compare`` the outputs: every
 value that is not a float (status, verdicts, tolerance strings, ``n2``,
-``per_l``, errors, exit codes, stdout, stderr) must be equal, and the largest
+``per_l``, errors, exit codes, stderr) must be equal, and the largest
 |difference| of each float field is printed, absolute and relative to
-max(1, |old value|).  A key nested in a record that only one side has is
-listed as ADDED or DROPPED, once per field (list items share one) with the
-number of records that have it.  The exit status is 1 when a record, a record's
-own fields or a non-float value that both sides have differs; a list that
-changes length differs.
+max(1, |old value|).  A stdout is equal but for its numbers: the text around
+them must match, a JSON stdout is then compared as its parsed values (keys,
+strings, integers and booleans exactly), and in text output two integers must
+be equal while a pair with a float counts as the float field ``stdout``.  A key
+nested in a record that only one side has is listed as ADDED or DROPPED, once
+per field (list items share one) with the number of records that have it.  The
+exit status is 1 when a record, a record's own fields or a non-float value that
+both sides have differs; a list that changes length differs.
 
 The first line of each output is a header record of the BLAS thread settings
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``; null when
@@ -189,11 +192,43 @@ def cli_record(argv: list[str]) -> dict:
     return rec
 
 
+# A number written in a command's stdout: an integer, or a float with a point or an exponent.
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _stdout_diff(x: str, y: str):
+    """:func:`_diff` of two stdouts that differ: the text around their numbers must be equal; a
+    JSON document is then compared as parsed under "stdout", other text number by number.  Two
+    integers must be equal, and a pair with a float is a "float": the CLI writes a float of
+    integral value (``%.17g``) as an integer."""
+    if _NUMBER.sub("0", x) != _NUMBER.sub("0", y):
+        yield "differs", "stdout", x, y
+        return
+    try:
+        parsed = json.loads(x), json.loads(y)
+    except json.JSONDecodeError:  # text
+        for a, b in zip(_NUMBER.findall(x), _NUMBER.findall(y)):
+            if a == b:
+                continue
+            if set(a + b) & set(".eE"):
+                yield "float", "stdout", float(a), float(b)
+            else:
+                yield "differs", "stdout", a, b
+        return
+    for kind, path, a, b in _diff(*parsed, "stdout"):
+        if kind == "differs" and {type(a), type(b)} == {int, float}:
+            kind, a, b = "float", float(a), float(b)
+        yield kind, path, a, b
+
+
 def _diff(x, y, path=""):
     """(kind, path, old, new) of each difference of two JSON values, equal floats included: kind
     "added" or "dropped" for a dict key that only one side has, "float" for two finite floats,
-    "differs" for anything else that is not equal, such as lists of different lengths."""
-    if isinstance(x, dict) and isinstance(y, dict):
+    "differs" for anything else that is not equal, such as lists of different lengths.  A
+    ``stdout`` string is compared by :func:`_stdout_diff`."""
+    if path == "stdout" and isinstance(x, str) and isinstance(y, str) and x != y:
+        yield from _stdout_diff(x, y)
+    elif isinstance(x, dict) and isinstance(y, dict):
         for key in sorted(x.keys() | y.keys()):
             sub = f"{path}.{key}" if path else key
             if key in x and key in y:
