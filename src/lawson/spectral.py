@@ -37,10 +37,10 @@ columns a list or a verification's spectra at one grid lack, which share one Lan
 start vector.  sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
 wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Lanczos on
 (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
-reorthogonalized against the recurrence's two vectors, then once against the whole basis, which
-each thread keeps and reuses across requests) gives the eigenvalues the checks read, the lowest
-4 of the union, memoized per (triple, grid) and l, each rising in l by at least the Weyl bound
-that brackets interlacing; each sector is asked only for its share of a list.  The minimality residual is separable, O(grid_n).
+reorthogonalized against the recurrence's two vectors, then once against the whole basis,
+which each thread keeps and reuses for lists of up to 8) gives the eigenvalues the checks read,
+the lowest 4 of the union, memoized per (triple, grid) and l, each rising in l by at least the
+Weyl bound that brackets interlacing; each sector is asked only for its share of a list.  The minimality residual is separable, O(grid_n).
 
 The count N(2) needs no y-grid.  With A = min(a, b), B = max(a, b), y taken from pi/2 when
 a > b and v = F(y | k^2), k^2 = (B^2 - A^2) / (c^2 - A^2), the metric is conformally flat,
@@ -318,16 +318,23 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
 
 
 _THREAD = threading.local()
+_KEPT_ROWS = 8 * 8 + 64 + 1  # the rows of a list of 8, sl_spectrum's default
 
 
 def _basis(rows: int, m: int) -> np.ndarray:
-    """A ``(rows, m)`` basis: the prefix of this thread's anonymous mapping, grown (replaced) only
-    when it holds fewer than ``rows * m`` doubles.  Unreached rows cost no memory, the rows once
-    touched stay resident, and :func:`_lanczos` writes each row before it reads it, so what an
-    earlier request left there is never seen."""
+    """A ``(rows, m)`` basis: the prefix of an anonymous private (copy-on-write) mapping, whose
+    pages are mapped on first touch, 4 KB at a time.  :func:`_lanczos` writes each row before it
+    reads it, so what an earlier request left there is never seen.  Up to :data:`_KEPT_ROWS` rows
+    it is this thread's mapping, replaced only when it holds fewer than ``rows * m`` doubles; its
+    rows once touched stay resident, 4.1 MB after T_(5,7,13)'s list of 8 at l = 7, grid 131072.
+    A longer list maps its own, which dies with its request: kept, a list of 60 at l = 1000 there
+    would leave 13.9 MB.  Private, so a child made by fork writes its own copy of the pages."""
+    size = 8 * rows * m
     memory = getattr(_THREAD, "basis", None)
-    if memory is None or len(memory) < 8 * rows * m:
-        memory = _THREAD.basis = mmap.mmap(-1, 8 * rows * m)
+    if rows > _KEPT_ROWS:
+        memory = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+    elif memory is None or len(memory) < size:
+        memory = _THREAD.basis = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
     return np.frombuffer(memory, dtype=float, count=rows * m).reshape(rows, m)
 
 
@@ -375,8 +382,8 @@ def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResu
 def _full(t: Triple, grid_n: int) -> dict:
     """Memo of the canonical triple's full periodic lambda_0..lambda_3 at ``grid_n`` by l, as
     :func:`_table` solves them: only these arrays.  No factor outlives its request; the Lanczos
-    basis stays with its thread (:func:`_basis`), its rows once touched resident: measured 4.1 MB
-    after T_(5,7,13)'s list of 8 at l = 7, grid 131072."""
+    basis of a list of up to 8 stays with its thread (:func:`_basis`), its rows once touched
+    resident: measured 4.1 MB after T_(5,7,13)'s list of 8 at l = 7, grid 131072."""
     return {}
 
 

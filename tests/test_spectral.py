@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -409,37 +410,34 @@ def test_basis_of_a_list_at_the_finest_grid_is_orthonormal(monkeypatch):
     assert max(worst) <= 1e-13
 
 
-def test_a_thread_reuses_its_basis_and_grows_it_only_when_needed(monkeypatch):
-    """Requests from large to small sectors and back map the thread's basis once, and again only
-    for a longer list, which needs more rows; each list is bit for bit the one a fresh process
-    computes: what an earlier request left in the basis is never read."""
-    mapped, mapping = [], spectral.mmap.mmap
-
-    def counted(*args):
-        mapped[-1] += 1
-        return mapping(*args)
-
-    monkeypatch.setattr(spectral.mmap, "mmap", counted)
-    queries = [((5, 7, 13), 7, Symmetry.FULL_PERIODIC, 32768, 8),
+def test_a_thread_reuses_its_basis_and_grows_it_only_when_needed():
+    """Requests from small to large sectors and back map the thread's basis once and grow it
+    once; a longer list, which needs more rows, gets a basis of its own and leaves the thread's
+    as it was.  Each list is bit for bit the one a fresh process computes: what an earlier request
+    left in the basis is never read."""
+    queries = [((1, 2, 3), 1, Symmetry.EVEN_Y, 2048, 8),
+               ((5, 7, 13), 7, Symmetry.FULL_PERIODIC, 32768, 8),
                ((1, 2, 3), 1, Symmetry.EVEN_Y, 2048, 8),
                ((5, 7, 13), 7, Symmetry.FULL_PERIODIC, 32768, 8),
-               ((1, 2, 3), 2, Symmetry.PI_PERIODIC, 32768, 16)]
+               ((1, 2, 3), 2, Symmetry.PI_PERIODIC, 32768, 16),
+               ((5, 7, 13), 7, Symmetry.FULL_PERIODIC, 32768, 8)]
 
     def requests():
-        lists = []
+        lists, bases = [], []
         for abc, l, sym, n, count in queries:
-            mapped.append(0)
             lists.append(_spec(validate(Case.GENERALIZED, *abc), l, sym, n, count).tobytes())
-        return lists
+            bases.append(spectral._THREAD.basis)
+        return lists, bases
 
     out = []  # a new thread starts without a basis of its own
     thread = threading.Thread(target=lambda: out.append(requests()))
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    lists, = out
-    assert mapped == [1, 0, 0, 1]
-    assert lists[2] == lists[0]
+    (lists, bases), = out
+    assert [x is not y for x, y in zip(bases[1:], bases)] == [True, False, False, False, False]
+    assert len(bases[1]) == 8 * (8 * 8 + 64 + 1) * 8192  # bytes: the 8192-cell sectors' list of 8
+    assert lists[2] == lists[0] and lists[3] == lists[5] == lists[1]
     for (abc, l, sym, n, count), ev in dict(zip(queries, lists)).items():
         fresh = _fresh_python(
             f"print(sl_spectrum(sl_problem(validate(Case.GENERALIZED, *{abc}), {l}, "
@@ -475,6 +473,45 @@ def test_threads_solving_at_once_get_the_serial_lists():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[ev] * 3 for ev in serial]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_and_its_parent_solving_at_once_get_the_serial_lists():
+    """A process that holds a basis forks; the child and the parent then solve different lists at
+    the same time, five times each, and get bit for bit the serial lists: the child writes its
+    own copy of the basis, not the parent's pages."""
+    t = validate(Case.GENERALIZED, 5, 7, 13)
+    queries = [(3, Symmetry.FULL_PERIODIC, 32768), (7, Symmetry.FULL_PERIODIC, 32768)]
+    serial = [_spec(t, l, sym, n).tobytes() for l, sym, n in queries]  # this thread's basis
+    go_r, go_w = os.pipe()
+    out_r, out_w = os.pipe()
+    with warnings.catch_warnings():  # fork of a process that runs BLAS threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(go_w)
+            os.read(go_r, 1)
+            data = b"".join(_spec(t, *queries[1]).tobytes() for _ in range(5))
+            os.write(out_w, data)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(out_w)
+        os.write(go_w, b"x")
+        mine = [_spec(t, *queries[0]).tobytes() for _ in range(5)]
+        child = b""
+        while chunk := os.read(out_r, 4096):
+            child += chunk
+    finally:
+        _, status = os.waitpid(pid, 0)
+        for fd in (go_r, go_w, out_r):
+            os.close(fd)
+    assert status == 0
+    assert mine == [serial[0]] * 5
+    assert child == serial[1] * 5
 
 
 def _fresh_python(code: str) -> str:
