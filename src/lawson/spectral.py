@@ -52,7 +52,7 @@ sn: the profiles f3, f2, f1) lead its sectors NN, ND, DN on [0, K], and E_l minu
 (l_edge^2 - l^2) / (c^2 - A^2), l_edge = c, B, A: an edge counts in integers.  :func:`count_N2`
 checks that nothing else lies below max E_l.  The six compiled routines (dpttrf, dpttrs, dstev,
 dstebz; dgemv, dnrm2) come from scipy.linalg's extensions _flapack and _fblas, loaded straight
-from their files on first use (:func:`_linalg`): scipy's package imports never run.
+from their files on first use (:mod:`lawson._lazy`): scipy's package imports never run.
 
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
@@ -66,16 +66,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import importlib.machinery
-import importlib.util
 import math
 import mmap
-import os
 import sys
 import threading
 from dataclasses import dataclass
 
-from ._lazy import np
+from ._lazy import blas, lapack, np
 from .elliptic import _agm
 from .errors import EigensolverError, IndeterminateCountError
 from .surface import (
@@ -196,33 +193,6 @@ def _sector_cells(grid_n: int, sym: Symmetry) -> int:
     return grid_n // parts
 
 
-@functools.cache
-def _linalg(roots: tuple[str, ...] | None = None):
-    """``(lapack, blas)``: scipy.linalg's compiled ``_flapack`` and ``_fblas``, loaded from their
-    files under the scipy package directories ``roots`` (scipy's own by default) and registered in
-    ``sys.modules`` under their own names, so neither scipy/__init__ nor scipy/linalg/__init__
-    runs, and a later ``import scipy.linalg`` reuses them: scipy.linalg.lapack and .blas expose
-    these very functions.  Without the files, the public scipy.linalg.lapack and .blas."""
-    if roots is None:
-        roots = importlib.util.find_spec("scipy").submodule_search_locations
-    modules = []
-    for name in ("scipy.linalg._flapack", "scipy.linalg._fblas"):
-        if name not in sys.modules:
-            stem = os.path.join("linalg", name.rsplit(".", 1)[1])
-            paths = (os.path.join(root, stem + suffix) for root in roots
-                     for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-            path = next(filter(os.path.isfile, paths), None)
-            if path is None:
-                from scipy.linalg import blas, lapack
-                return lapack, blas
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[name] = module
-        modules.append(sys.modules[name])
-    return tuple(modules)
-
-
 def _where(grid_n: int, sym: Symmetry, l: float, sector: str) -> str:
     return f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
 
@@ -247,7 +217,6 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     max P >= c^2 / 2): an exact shift of B + I.  One dpttrf call factors the block-diagonal
     matrix of all columns in place: its zero couplings leave each block's factor bit for bit that
     of its own call."""
-    dpttrf = _linalg()[0].dpttrf
     m = _sector_cells(grid_n, sym)
     h = sym.domain_length / grid_n
     # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
@@ -261,7 +230,7 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     _stencil(d, e, pf, 1.0 / np.sqrt(w), h, [sector for _, sector in columns])
     d += 1.0
     d -= shift[:, None]
-    info = dpttrf(d.reshape(-1), e.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)[2]
+    info = lapack.dpttrf(d.reshape(-1), e.reshape(-1)[:-1], overwrite_d=1, overwrite_e=1)[2]
     if info:
         l, sector = columns[(info - 1) // m]
         raise EigensolverError(
@@ -285,7 +254,6 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     separated ends).  The rows of ``V`` hold the basis and cap the steps; tests run from step 12,
     thin out past 32 (dstev is O(s^3)), end at m steps.  alpha, beta and both tests run on Python
     floats: the IEEE operations of numpy scalars, at less overhead per step."""
-    lapack, blas = _linalg()
     # Positional, as f2py parses them faster than keywords: dpttrs(d, e, b, overwrite_b) and
     # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans[, overwrite_y]).
     dpttrs, dgemv, dnrm2 = lapack.dpttrs, blas.dgemv, blas.dnrm2
@@ -356,7 +324,7 @@ def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, coun
     rows = min(m, 8 * count + 64) + 1
     V = _basis(rows, m)
     V[0] = np.random.default_rng(_START_SEED).standard_normal(m)  # the start of every column
-    V[0] /= _linalg()[1].dnrm2(V[0])
+    V[0] /= blas.dnrm2(V[0])
     k = min(count, -(-count // len(sectors)) + 1)
     lists = []
     for i in range(0, len(factors), len(sectors)):
@@ -382,8 +350,7 @@ def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResu
 def _full(t: Triple, grid_n: int) -> dict:
     """Memo of the canonical triple's full periodic lambda_0..lambda_3 at ``grid_n`` by l, as
     :func:`_table` solves them: only these arrays.  No factor outlives its request; the Lanczos
-    basis of a list of up to 8 stays with its thread (:func:`_basis`), its rows once touched
-    resident: measured 4.1 MB after T_(5,7,13)'s list of 8 at l = 7, grid 131072."""
+    basis of a list of up to 8 stays with its thread (:func:`_basis`)."""
     return {}
 
 
@@ -574,8 +541,8 @@ def _lame_sectors(k2: float, kp2: float, m: int, below: float) -> list:
     d, e = np.zeros((2, 4, m))
     d += 2.0 * k2 * np.sin(phi) ** 2
     _stencil(d, e, np.ones(m + 1), np.ones(m), h, _ALL_SECTORS)
-    found, w, block, _, info = _linalg()[0].dstebz(d.reshape(-1), e.reshape(-1)[:-1], 1, -1.0,
-                                                   below + (2.0 * limit) ** 2, 0, 0, 0.0, b"B")
+    found, w, block, _, info = lapack.dstebz(d.reshape(-1), e.reshape(-1)[:-1], 1, -1.0,
+                                             below + (2.0 * limit) ** 2, 0, 0, 0.0, b"B")
     if info:
         raise EigensolverError(f"dstebz failed (info {info}) on L's sectors of {m} cells")
     return [w[:found][block[:found] == i] for i in (1, 2, 3, 4)]

@@ -272,7 +272,7 @@ def test_list_of_all_but_one_eigenvalue(sym):
 def test_sector_solved_to_its_size_spans_it(monkeypatch):
     """A single sector asked for m - 1 = 63 of its 64 eigenvalues runs into the step cap m,
     where the basis spans the sector and the Ritz values are its eigenvalues."""
-    lapack = spectral._linalg()[0]
+    lapack = spectral.lapack
     dpttrs, steps = lapack.dpttrs, []
 
     def counted(*args, **kwargs):
@@ -316,7 +316,7 @@ def test_steps_per_sector_of_a_list_of_8(monkeypatch, sym, most):
     """T_(5,7,13) at l = 7, grid 16384: each sector stops once its Ritz values pass the gap
     test, within 14 steps for a list of four sectors (measured 12-13) and 18 for two (16-17);
     a residual test at eps theta took 16-18 and 22-23."""
-    lapack = spectral._linalg()[0]
+    lapack = spectral.lapack
     dpttrs, lanczos, steps = lapack.dpttrs, spectral._lanczos, []
 
     def counted(*args, **kwargs):
@@ -389,7 +389,7 @@ def test_basis_of_a_list_at_the_finest_grid_is_orthonormal(monkeypatch):
     sector's Lanczos used, one per dpttrs step, satisfy max |V V^T - I| <= 1e-13 (measured
     6.7e-16).  One full Gram-Schmidt pass without the local one reads 4.1e-12, the local pass
     alone 0.98."""
-    lapack = spectral._linalg()[0]
+    lapack = spectral.lapack
     dpttrs, lanczos, steps, worst = lapack.dpttrs, spectral._lanczos, [0], []
 
     def counted(*args):
@@ -538,26 +538,31 @@ def test_public_scipy_linalg_reuses_the_loaded_extensions():
     """After a verification, ``import scipy.linalg.lapack`` (and .blas) runs scipy's packages
     around the registered extensions and exposes the very functions the spectral core called."""
     same = _fresh_python(
-        _VERIFY_AND_LIST + "from lawson import spectral; lapack, blas = spectral._linalg(); "
+        _VERIFY_AND_LIST + "from lawson import spectral; lapack, blas = (sys.modules["
+        "'scipy.linalg.' + m] for m in ('_flapack', '_fblas')); "
         "import scipy.linalg.blas, scipy.linalg.lapack; "
         "print(sys.modules['scipy.linalg._flapack'] is lapack, sys.modules['scipy.linalg._fblas'] "
-        "is blas, *(getattr(scipy.linalg.lapack, f) is getattr(lapack, f) for f in "
-        "('dpttrf', 'dpttrs', 'dstev')), *(getattr(scipy.linalg.blas, f) is getattr(blas, f) "
+        "is blas, *(getattr(scipy.linalg.lapack, f) is getattr(lapack, f) is "
+        "getattr(spectral.lapack, f) for f in ('dpttrf', 'dpttrs', 'dstev')), "
+        "*(getattr(scipy.linalg.blas, f) is getattr(blas, f) is getattr(spectral.blas, f) "
         "for f in ('dgemv', 'dnrm2')))")
     assert same == " ".join(["True"] * 7)
 
 
-def test_loader_falls_back_to_the_public_import(tmp_path):
-    """Pointed at a directory without the extension files, the loader returns the public
-    scipy.linalg.lapack and .blas, and a list of 8 is bit-identical."""
+def test_loader_falls_back_to_the_public_import():
+    """Without the extension files (no extension suffix to look for), the loader takes the public
+    scipy.linalg.lapack, whose import registers _fblas for the BLAS, and a list of 8 is
+    bit-identical."""
     out = _fresh_python(
-        f"from lawson import spectral; linalg = spectral._linalg(({str(tmp_path)!r},)); "
-        "spectral._linalg = lambda: linalg; import scipy.linalg.blas, scipy.linalg.lapack; "
-        "print(linalg == (scipy.linalg.lapack, scipy.linalg.blas)); "
-        "t = validate(Case.GENERALIZED, 5, 7, 13); "
-        "print(sl_spectrum(sl_problem(t, 3, Symmetry.EVEN_Y), 2048).eigenvalues.tobytes().hex())")
+        "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES.clear(); "
+        "from lawson import spectral; t = validate(Case.GENERALIZED, 5, 7, 13); "
+        "ev = sl_spectrum(sl_problem(t, 3, Symmetry.EVEN_Y), 2048).eigenvalues; "
+        "import scipy.linalg.blas, scipy.linalg.lapack; "
+        "print(spectral.lapack.__name__, *(getattr(spectral.blas, f) is "
+        "getattr(scipy.linalg.blas, f) for f in ('dgemv', 'dnrm2')), ev.tobytes().hex())")
     problem = sl_problem(validate(Case.GENERALIZED, 5, 7, 13), 3, Symmetry.EVEN_Y)
-    assert out.split() == ["True", sl_spectrum(problem, 2048).eigenvalues.tobytes().hex()]
+    assert out.split() == ["scipy.linalg.lapack", "True", "True",
+                           sl_spectrum(problem, 2048).eigenvalues.tobytes().hex()]
 
 
 @pytest.mark.parametrize("sym,lowered", [(Symmetry.FULL_PERIODIC, "DN"), (Symmetry.EVEN_Y, "ND")],
@@ -610,7 +615,7 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
         return -p, w
 
     monkeypatch.setattr(spectral, "_flux_and_weight", indefinite)
-    monkeypatch.setattr(spectral._linalg()[0], "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
+    monkeypatch.setattr(spectral.lapack, "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
     with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
 
@@ -1064,7 +1069,7 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     """The fact interlacing's brackets rest on: from l to l + 1 the diagonal that dpttrf
     factors rises elementwise by at least the check's (2l + 1)/max P - delta and the
     off-diagonal is unchanged, in every sector."""
-    lapack = spectral._linalg()[0]
+    lapack = spectral.lapack
     dpttrf, seen = lapack.dpttrf, []
 
     def recorded(d, e, **kwargs):

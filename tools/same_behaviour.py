@@ -78,24 +78,13 @@ from lawson import (  # noqa: E402
     validate,
 )
 from lawson.cli import main as cli_main  # noqa: E402
-
-
-def generalized_triples(c_max: int) -> list[tuple[int, int, int]]:
-    """Canonical generalized triples by c, then b, then a: gcd 1, 0 <= a <= b, a^2 + b^2 < c^2."""
-    return [(a, b, c) for c in range(1, c_max + 1) for b in range(c) for a in range(b + 1)
-            if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
-
-
-def lawson_pairs(c_max: int) -> list[tuple[int, int]]:
-    """Canonical Lawson pairs by a, then b: gcd 1, a >= b >= 1, a^2 + b^2 <= c_max^2."""
-    return [(a, b) for a in range(1, c_max + 1) for b in range(1, a + 1)
-            if math.gcd(a, b) == 1 and a * a + b * b <= c_max * c_max]
+from perfbench.workloads import Cli, Deep, generalized_triples, lawson_pairs  # noqa: E402
 
 
 def triple_set():
     triples = set(build_suite())
-    triples.update(validate(Case.GENERALIZED, *abc) for abc in generalized_triples(30)[::3])
-    triples.update(validate(Case.LAWSON, *ab) for ab in lawson_pairs(30)[::2])
+    triples.update(validate(Case.GENERALIZED, *abc) for abc in generalized_triples(1, 30)[::3])
+    triples.update(validate(Case.LAWSON, *ab) for ab in lawson_pairs(0, 30)[::2])
     return sorted(triples, key=lambda t: (t.case.value, t.a, t.b, t.c or 0))
 
 
@@ -113,8 +102,6 @@ def record(t, grid_n: int, deep: bool) -> dict:
 
 def list_queries() -> list[tuple]:
     """(triple, l, symmetry, grid_n) of every list ``--lists`` writes, in order."""
-    from perfbench.workloads import Deep
-
     fixed = [(validate(Case.GENERALIZED, 1, 2, 3), 1), (validate(Case.GENERALIZED, 5, 7, 13), 7)]
     queries = [(t, l, sym, n) for t, l in fixed for sym in Symmetry for n in (16384, 65536, 131072)]
     for seed in range(101, 105):
@@ -157,8 +144,6 @@ def count_record(t, grid_n: int) -> dict:
 
 def cli_invocations() -> list[list[str]]:
     """argv of every command line ``--cli`` runs, in order; exports write to the working directory."""
-    from perfbench.workloads import Cli
-
     argvs = [op.args["argv"] for seed in range(101, 105) for op in Cli(seed, "").requests]
     argvs += [["landen", "--points", n] for n in ("-3", "0", "1", "2", "3", "7", "1000")]
     text = (["classify", "1", "0", "2"], ["classify", "--lawson", "3", "1"], ["table"], ["landen"],
