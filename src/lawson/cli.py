@@ -32,6 +32,7 @@ EXIT_NUMERIC = 3
 DEFAULT_GRID = 2048
 DEFAULT_EXPORT_NX = 128
 DEFAULT_EXPORT_NY = 128
+_BLOCK_ROWS = 1024  # rows an export formats and writes at once
 
 _SYMMETRY_NAMES = {
     "full": Symmetry.FULL_PERIODIC,
@@ -208,6 +209,13 @@ def _fmt_lines(template: str, rows: np.ndarray) -> str:
     return "".join(template % row for row in map(tuple, rows.tolist()))
 
 
+def _write_lines(fh, template: str, rows: np.ndarray) -> None:
+    """:func:`_fmt_lines` of ``rows`` written to ``fh`` :data:`_BLOCK_ROWS` rows at a time: the
+    same bytes, with one block's lines in memory, not the whole file's."""
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        fh.write(_fmt_lines(template, rows[i:i + _BLOCK_ROWS]))
+
+
 def _sample(t: Triple, nx: int, ny: int):
     """(x, y, F) on the nx x ny grid over [0, 2 pi)^2, F = immersion of shape (6, nx, ny)."""
     xs = np.linspace(0.0, 2.0 * math.pi, nx, endpoint=False)
@@ -217,14 +225,17 @@ def _sample(t: Triple, nx: int, ny: int):
 
 
 def _export_csv(t: Triple, nx: int, ny: int, path: str) -> None:
+    """A header, then x,y,F1..F6 per grid point, x slowest, a block of rows at a time."""
     xg, yg, F = _sample(t, nx, ny)
     rows = np.vstack([xg.ravel(), yg.ravel(), F.reshape(6, -1)]).T
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,F1,F2,F3,F4,F5,F6\n")
-        fh.write(_fmt_lines(",".join(["%.17g"] * 8) + "\n", rows))
+        _write_lines(fh, ",".join(["%.17g"] * 8) + "\n", rows)
 
 
 def _export_obj(t: Triple, nx: int, ny: int, axes: tuple[int, int, int], path: str) -> None:
+    """Comments, then the vertices projected onto ``axes`` and one quad face per grid cell, each
+    a block of rows at a time."""
     degree = classify(t).covering_degree
     F = _sample(t, nx, ny)[2]
     vertex = np.arange(1, nx * ny + 1).reshape(nx, ny)  # OBJ numbers vertices from 1
@@ -238,8 +249,8 @@ def _export_obj(t: Triple, nx: int, ny: int, axes: tuple[int, int, int], path: s
             fh.write("# the identification is NOT collapsed, both sheets are present\n")
         else:
             fh.write("# covering: one-to-one parameterization\n")
-        fh.write(_fmt_lines("v %.17g %.17g %.17g\n", F[[i - 1 for i in axes]].reshape(3, -1).T))
-        fh.write(_fmt_lines("f %d %d %d %d\n", faces.reshape(4, -1).T))
+        _write_lines(fh, "v %.17g %.17g %.17g\n", F[[i - 1 for i in axes]].reshape(3, -1).T)
+        _write_lines(fh, "f %d %d %d %d\n", faces.reshape(4, -1).T)
 
 
 def cmd_export(args) -> int:

@@ -34,7 +34,8 @@ Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf), in place 
 request's sectors in one call: their block-diagonal matrix has zero couplings, so each factor is
 bit for bit its own.  Only the potential q is formed per l, the rest of B once per request: the
 columns a list or a verification's spectra at one grid lack, which share one Lanczos basis and
-start vector.  sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
+one start vector, white noise from a splitmix64 hash (:func:`_uniform`; no numpy.random).
+sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
 wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Lanczos on
 (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
 reorthogonalized against the recurrence's two vectors, then once against the whole basis,
@@ -102,7 +103,7 @@ __all__ = [
     "takahashi_residual",
 ]
 
-_START_SEED = 20260808  # fixed Lanczos start vector: byte-stable spectra
+_START_SEED = 20260808  # of the Lanczos start vector (:func:`_start`): byte-stable spectra
 _TABLE_COUNT = 4        # of the union per l: interlacing reads up to lambda_3
 INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps
 
@@ -306,6 +307,27 @@ def _basis(rows: int, m: int) -> np.ndarray:
     return np.frombuffer(memory, dtype=float, count=rows * m).reshape(rows, m)
 
 
+def _uniform(seed: int, n: int) -> np.ndarray:
+    """n fixed values in [0, 1), the same bits on every platform: the top 53 bits of splitmix64's
+    first n outputs from ``seed`` (Steele, Lea & Flood, OOPSLA 2014), its finalizer of
+    seed + i 0x9E3779B97F4A7C15, i = 1..n, in wrapping uint64 arithmetic.  Every operand is a
+    np.uint64: numpy 1.x promotes uint64 with a Python int to float64."""
+    u64 = np.uint64
+    z = np.arange(1, n + 1, dtype=u64) * u64(0x9E3779B97F4A7C15) + u64(seed)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> u64(shift)
+        z *= u64(factor)
+    z ^= z >> u64(31)
+    return (z >> u64(11)).astype(float) * 2.0**-53
+
+
+def _start(m: int) -> np.ndarray:
+    """The unit start vector of every Lanczos column of ``m`` cells: :func:`_uniform` of
+    :data:`_START_SEED` less 1/2, normalized."""
+    v = _uniform(_START_SEED, m) - 0.5
+    return v / blas.dnrm2(v)
+
+
 def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int) -> list:
     """The lowest ``count`` eigenvalues of the union of the sectors, ascending, at each l of ``ls``:
     :func:`_lanczos` from one basis, this thread's (:func:`_basis`), and one start vector on one
@@ -323,8 +345,7 @@ def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, coun
     # The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
     rows = min(m, 8 * count + 64) + 1
     V = _basis(rows, m)
-    V[0] = np.random.default_rng(_START_SEED).standard_normal(m)  # the start of every column
-    V[0] /= blas.dnrm2(V[0])
+    V[0] = _start(m)  # the start of every column
     k = min(count, -(-count // len(sectors)) + 1)
     lists = []
     for i in range(0, len(factors), len(sectors)):

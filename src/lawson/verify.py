@@ -22,6 +22,7 @@ from .spectral import (
     INTERLACING_TOL,
     Symmetry,
     _sector_cells,
+    _uniform,
     anchor_check,
     anchor_floor,
     anchor_tolerance,
@@ -87,9 +88,7 @@ def _at_most(name: str, values: dict, worst: float, tol: float, kind: str = "") 
 
 
 def _unit_norm_check(t: Triple) -> CheckResult:
-    rng = np.random.default_rng(731)
-    x = rng.uniform(0.0, 2.0 * math.pi, 1000)
-    y = rng.uniform(0.0, 2.0 * math.pi, 1000)
+    x, y = 2.0 * math.pi * _uniform(731, 2000).reshape(2, 1000)  # fixed sample points
     F = immersion(t, x, y)
     worst = float(np.max(np.abs(np.sum(F * F, axis=0) - 1.0)))
     return _at_most("unit_norm", {"max_abs_norm_sq_minus_1": worst}, worst, _UNIT_NORM_TOL)

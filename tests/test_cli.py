@@ -309,6 +309,26 @@ class TestExport:
             assert lines.pop() == ""
             assert [ln for ln in lines if not ln.startswith("#")] == expected
 
+    @pytest.mark.parametrize("kind", ["csv", "obj"])
+    def test_exports_write_a_block_of_rows_at_a_time(self, capsys, tmp_path, monkeypatch, kind):
+        """48 x 48 = 2304 rows, more than two blocks: the file holds the bytes of one-shot
+        :func:`_fmt_lines` over each whole array, and no call formats more than one block."""
+        argv = ["export", "5", "7", "13", "--nx", "48", "--ny", "48", "--format", kind]
+        with monkeypatch.context() as one_shot:
+            one_shot.setattr(lawson.cli, "_BLOCK_ROWS", 48 * 48)
+            assert run(capsys, *argv, "--out", str(tmp_path / "whole"))[0] == EXIT_OK
+        fmt_lines, blocks = lawson.cli._fmt_lines, []
+
+        def counted(template, rows):
+            blocks.append(len(rows))
+            return fmt_lines(template, rows)
+
+        monkeypatch.setattr(lawson.cli, "_fmt_lines", counted)
+        assert run(capsys, *argv, "--out", str(tmp_path / "blocks"))[0] == EXIT_OK
+        assert (tmp_path / "blocks").read_bytes() == (tmp_path / "whole").read_bytes()
+        per_array = [1024, 1024, 256]
+        assert blocks == per_array * (1 if kind == "csv" else 2)
+
     def test_control_characters_in_the_path_are_escaped(self, capsys, tmp_path):
         out_file = tmp_path / "a\tb\nc.csv"
         code, out, _ = run(capsys, "export", "0", "1", "2", "--nx", "4", "--ny", "4",
@@ -412,6 +432,26 @@ def test_import_and_closed_form_commands_load_no_numpy_or_scipy():
                            capture_output=True, text=True, check=True)
     assert proc.stdout.split("<verify>\n", 1)[1] == fresh.stdout
     assert json.loads(fresh.stdout)["status"] == "ok"
+
+
+def test_spectral_commands_load_no_numpy_random(tmp_path):
+    """verify, spectrum and both exports in one process draw their fixed vectors without
+    numpy.random (about 6 MB of a process's peak).  Where ``import numpy`` itself loads it, as
+    numpy 1.x does, there is nothing to check."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lawson.__file__)))
+    probe = "import sys, numpy; print('numpy.random' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                      check=True).stdout.strip() == "True":
+        pytest.skip("import numpy loads numpy.random")
+    runs = [["verify", "5", "7", "13"], ["verify", "--lawson", "3", "1", "--deep"],
+            ["spectrum", "1", "2", "3", "--l", "2"],
+            ["export", "1", "2", "3", "--out", str(tmp_path / "s.csv")],
+            ["export", "1", "2", "3", "--format", "obj", "--out", str(tmp_path / "s.obj")]]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lawson.cli; "
+            f"codes = [lawson.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, 'numpy' in sys.modules, 'numpy.random' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr.strip() == "[0, 0, 0, 0, 0] True False"
 
 
 @pytest.mark.parametrize("argv,code", [(["table", "--format", "text"], EXIT_OK),

@@ -233,7 +233,7 @@ def _untrimmed_merge(problem, n, count, sectors=None):
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     m = spectral._sector_cells(n, problem.symmetry)
-    v0 = np.random.default_rng(spectral._START_SEED).standard_normal(m)
+    v0 = spectral._start(m)
     spectra = []
     sectors = sectors or spectral._SYMMETRY_SECTORS[problem.symmetry]
     (d, e), sigmas = spectral._factors(problem.triple, problem.symmetry, n,
@@ -344,7 +344,6 @@ def test_near_degenerate_pairs_are_both_found(l, coupling):
     to the nearest other Ritz value can overstate a value's gap.  Every list of 1 to 8 holds
     both members of each pair to 1e-11 (measured <= 2e-12).  A deeper barrier breaks this
     (l >= 8 here): the first Ritz value of a pair passes the test before its partner appears."""
-    from scipy.linalg import blas
     from scipy.linalg.lapack import dpttrf
 
     half = _dense_sector(validate(Case.GENERALIZED, 1, 2, 3), l, 256, "NN")
@@ -354,11 +353,55 @@ def test_near_degenerate_pairs_are_both_found(l, coupling):
     assert np.all(dense[1::2] - dense[::2] < 1000 * coupling * dense[::2])
     ld, le, _ = dpttrf(d + 1.0, e)
     V = np.empty((len(d) + 1, len(d)))
-    V[0] = np.random.default_rng(spectral._START_SEED).standard_normal(len(d))
-    V[0] /= blas.dnrm2(V[0])
+    V[0] = spectral._start(len(d))
     for k in range(1, 9):
         ev = np.sort(spectral._lanczos("the hand-built sector", ld, le, -1.0, k, V))
         assert np.max(np.abs(ev - dense[:k])) <= 1e-11
+
+
+def _splitmix64(seed, n):
+    """The top 53 bits of splitmix64's first n outputs as floats in [0, 1), in Python integers."""
+    mask, state, values = 2**64 - 1, seed, []
+    for _ in range(n):
+        state = z = (state + 0x9E3779B97F4A7C15) & mask
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        values.append(((z ^ z >> 31) >> 11) / 2**53)
+    return values
+
+
+def test_fixed_draws_are_pinned_bit_for_bit():
+    """The Lanczos start (seed _START_SEED) and unit_norm's sample points (seed 731) are
+    splitmix64's outputs, the same bits on every platform and numpy: pinned as float.hex, and
+    equal to a pure-Python splitmix64 over all the values either one draws."""
+    assert spectral._START_SEED == 20260808
+    first = {spectral._START_SEED: ["0x1.710d49e70a010p-5", "0x1.ad24f9851083fp-1",
+                                    "0x1.c7e9654217d1cp-1"],
+             731: ["0x1.3309049e62ea0p-3", "0x1.3a1742e092370p-2", "0x1.627f9dcc369bfp-1"]}
+    for seed, hexes in first.items():
+        assert [float(v).hex() for v in spectral._uniform(seed, 3)] == hexes
+    for seed, n in ((spectral._START_SEED, 32768), (731, 2000)):
+        u = spectral._uniform(seed, n)
+        assert u.dtype == np.float64 and u.tolist() == _splitmix64(seed, n)
+
+
+def test_a_list_starts_every_column_from_the_pinned_start_vector(monkeypatch):
+    """Each sector of a list starts from the same unit vector, u - 1/2 of the seed's values
+    normalized: its leading entries are pinned as float.hex."""
+    starts, lanczos = [], spectral._lanczos
+
+    def recorded(where, ld, le, sigma, k, V):
+        starts.append(V[0].copy())
+        return lanczos(where, ld, le, sigma, k, V)
+
+    monkeypatch.setattr(spectral, "_lanczos", recorded)
+    _spec(validate(Case.GENERALIZED, 1, 2, 3), 1, Symmetry.FULL_PERIODIC, n=2048)
+    m = spectral._sector_cells(2048, Symmetry.FULL_PERIODIC)
+    u = np.array(_splitmix64(spectral._START_SEED, m)) - 0.5
+    assert len(starts) >= 4 and all(np.array_equal(v, starts[0]) for v in starts)
+    assert [float(v).hex() for v in starts[0][:3]] == [
+        "-0x1.1a53b148d10c2p-4", "0x1.a3b7c66a82026p-5", "0x1.e49aaacf05b0bp-5"]
+    assert np.max(np.abs(starts[0] - u / math.sqrt(math.fsum(u * u)))) <= 1e-15
 
 
 def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
