@@ -21,7 +21,6 @@ from lawson import (
     takahashi_residual,
     validate,
 )
-from lawson.spectral import interlacing_l_max
 
 print("Minimality certificate: Delta_h F ~ 2 F at second order")
 print("-" * 64)
@@ -67,5 +66,7 @@ for case, params in [
 print("\nOscillation orderings hold numerically:")
 for params in [(0, 0, 1), (1, 1, 2), (1, 2, 4)]:
     t = validate(Case.GENERALIZED, *params)
-    print(f"  {t.label()}: interlacing up to l = {interlacing_l_max(t)}: "
-          f"{interlacing_check(t, 1024)}")
+    report = interlacing_check(t, 1024)
+    print(f"  {t.label()}: smallest strict gaps "
+          f"{', '.join(f'{gap:.3g} at l = {l:g}' for gap, l, *_ in report.gaps)}, "
+          f"bar {report.bar:.2g}: {report.holds}")

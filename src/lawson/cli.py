@@ -32,7 +32,7 @@ EXIT_NUMERIC = 3
 DEFAULT_GRID = 2048
 DEFAULT_EXPORT_NX = 128
 DEFAULT_EXPORT_NY = 128
-_BLOCK_ROWS = 1024  # rows an export formats and writes at once
+_BLOCK_ROWS = 1024  # grid points an export samples, formats and writes at once
 
 _SYMMETRY_NAMES = {
     "full": Symmetry.FULL_PERIODIC,
@@ -209,38 +209,27 @@ def _fmt_lines(template: str, rows: np.ndarray) -> str:
     return "".join(template % row for row in map(tuple, rows.tolist()))
 
 
-def _write_lines(fh, template: str, rows: np.ndarray) -> None:
-    """:func:`_fmt_lines` of ``rows`` written to ``fh`` :data:`_BLOCK_ROWS` rows at a time: the
-    same bytes, with one block's lines in memory, not the whole file's."""
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        fh.write(_fmt_lines(template, rows[i:i + _BLOCK_ROWS]))
-
-
-def _sample(t: Triple, nx: int, ny: int):
-    """(x, y, F) on the nx x ny grid over [0, 2 pi)^2, F = immersion of shape (6, nx, ny)."""
-    xs = np.linspace(0.0, 2.0 * math.pi, nx, endpoint=False)
-    ys = np.linspace(0.0, 2.0 * math.pi, ny, endpoint=False)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    return xg, yg, immersion(t, xg, yg)
+def _blocks(nx: int, ny: int):
+    """(ix, iy, x, y) of the points of the nx x ny grid over [0, 2 pi)^2, x slowest,
+    :data:`_BLOCK_ROWS` at a time: an export samples, formats and writes one block at once."""
+    xs, ys = (np.linspace(0.0, 2.0 * math.pi, n, endpoint=False) for n in (nx, ny))
+    for start in range(0, nx * ny, _BLOCK_ROWS):
+        ix, iy = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, nx * ny)), ny)
+        yield ix, iy, xs[ix], ys[iy]
 
 
 def _export_csv(t: Triple, nx: int, ny: int, path: str) -> None:
-    """A header, then x,y,F1..F6 per grid point, x slowest, a block of rows at a time."""
-    xg, yg, F = _sample(t, nx, ny)
-    rows = np.vstack([xg.ravel(), yg.ravel(), F.reshape(6, -1)]).T
+    """A header, then x,y,F1..F6 per grid point, x slowest."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,F1,F2,F3,F4,F5,F6\n")
-        _write_lines(fh, ",".join(["%.17g"] * 8) + "\n", rows)
+        for _, _, x, y in _blocks(nx, ny):
+            rows = np.vstack([x, y, immersion(t, x, y)]).T
+            fh.write(_fmt_lines(",".join(["%.17g"] * 8) + "\n", rows))
 
 
 def _export_obj(t: Triple, nx: int, ny: int, axes: tuple[int, int, int], path: str) -> None:
-    """Comments, then the vertices projected onto ``axes`` and one quad face per grid cell, each
-    a block of rows at a time."""
+    """Comments, then the vertices projected onto ``axes`` and one quad face per grid cell."""
     degree = classify(t).covering_degree
-    F = _sample(t, nx, ny)[2]
-    vertex = np.arange(1, nx * ny + 1).reshape(nx, ny)  # OBJ numbers vertices from 1
-    right = np.roll(vertex, -1, axis=0)  # the next x, cyclically
-    faces = np.stack([vertex, right, np.roll(right, -1, axis=1), np.roll(vertex, -1, axis=1)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {t.label()} sampled on a {nx}x{ny} grid over [0,2pi)^2\n")
         fh.write(f"# axes: orthogonal projection onto coordinates {axes[0]},{axes[1]},{axes[2]} of R^6\n")
@@ -249,8 +238,13 @@ def _export_obj(t: Triple, nx: int, ny: int, axes: tuple[int, int, int], path: s
             fh.write("# the identification is NOT collapsed, both sheets are present\n")
         else:
             fh.write("# covering: one-to-one parameterization\n")
-        _write_lines(fh, "v %.17g %.17g %.17g\n", F[[i - 1 for i in axes]].reshape(3, -1).T)
-        _write_lines(fh, "f %d %d %d %d\n", faces.reshape(4, -1).T)
+        for _, _, x, y in _blocks(nx, ny):
+            F = immersion(t, x, y)[[i - 1 for i in axes]]
+            fh.write(_fmt_lines("v %.17g %.17g %.17g\n", F.T))
+        for ix, iy, _, _ in _blocks(nx, ny):  # vertices from 1; the next x and y cyclically
+            x0, x1, y0, y1 = ix * ny + 1, (ix + 1) % nx * ny + 1, iy, (iy + 1) % ny
+            faces = np.stack([x0 + y0, x1 + y0, x1 + y1, x0 + y1]).T
+            fh.write(_fmt_lines("f %d %d %d %d\n", faces))
 
 
 def cmd_export(args) -> int:

@@ -16,7 +16,7 @@ sqrt(2P + Q), since the first-order coefficient of (*) divided by the
 second-order one is P'/(2P + Q) = (log sqrt(2P + Q))').  The pencil is
 discretized in conservative flux form on a cell-centered grid against a
 positive diagonal weight, so eigenvalues are real and variationally
-ordered, which the Weyl bounds of the checks require.
+ordered, which the interlacing theorem and Weyl's inequality require.
 
 p, q and w depend on y only through cos 2y, so they are even about
 y = 0 and y = pi/2.  With both axes on cell faces (grid_n at least 256
@@ -40,8 +40,8 @@ wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Lanczos on
 (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
 reorthogonalized against the recurrence's two vectors, then once against the whole basis,
 which each thread keeps and reuses for lists of up to 8) gives the eigenvalues the checks read,
-the lowest 4 of the union, memoized per (triple, grid) and l, each rising in l by at least the
-Weyl bound that brackets interlacing; each sector is asked only for its share of a list.  The minimality residual is separable, O(grid_n).
+lambda_0..lambda_3 of the union from each sector's exact share (:func:`interlacing_check`),
+memoized per (triple, grid) and l.  The minimality residual is separable, O(grid_n).
 
 The count N(2) needs no y-grid.  With A = min(a, b), B = max(a, b), y taken from pi/2 when
 a > b and v = F(y | k^2), k^2 = (B^2 - A^2) / (c^2 - A^2), the metric is conformally flat,
@@ -88,6 +88,7 @@ from .surface import (
 
 __all__ = [
     "CountReport",
+    "InterlacingReport",
     "SLProblem",
     "SpectrumResult",
     "Symmetry",
@@ -104,8 +105,6 @@ __all__ = [
 ]
 
 _START_SEED = 20260808  # of the Lanczos start vector (:func:`_start`): byte-stable spectra
-_TABLE_COUNT = 4        # of the union per l: interlacing reads up to lambda_3
-INTERLACING_TOL = 1e-6  # margin of the strict oscillation gaps
 
 
 class Symmetry(enum.Enum):
@@ -251,10 +250,11 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     52,324 steps of lists at grids 16384-131072 and deep verifications at 2048, so no third pass
     is made.  A theta with residual r and distance g to the nearest other passes at
     r^2 < eps theta (g - r), never at g <= r: its error bound r^2 / (g - r) (Parlett, ch. 11) is
-    then below eps theta, sound while eigenvalues stand apart, as in a sector (one well,
-    separated ends).  The rows of ``V`` hold the basis and cap the steps; tests run from step 12,
-    thin out past 32 (dstev is O(s^3)), end at m steps.  alpha, beta and both tests run on Python
-    floats: the IEEE operations of numpy scalars, at less overhead per step."""
+    then below eps theta, sound while the wanted eigenvalues stand apart in their sector, as a
+    verification's do (:func:`_table`; no such argument covers :func:`sl_spectrum`'s lists).  The
+    rows of ``V`` hold the basis and cap the steps; tests run from step 12, thin out past 32 (dstev
+    is O(s^3)), end at m steps.  alpha, beta and both tests run on Python floats: the IEEE
+    operations of numpy scalars, at less overhead per step."""
     # Positional, as f2py parses them faster than keywords: dpttrs(d, e, b, overwrite_b) and
     # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans[, overwrite_y]).
     dpttrs, dgemv, dnrm2 = lapack.dpttrs, blas.dgemv, blas.dnrm2
@@ -328,13 +328,9 @@ def _start(m: int) -> np.ndarray:
     return v / blas.dnrm2(v)
 
 
-def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int) -> list:
-    """The lowest ``count`` eigenvalues of the union of the sectors, ascending, at each l of ``ls``:
-    :func:`_lanczos` from one basis, this thread's (:func:`_basis`), and one start vector on one
-    :func:`_factors` call's columns.  At each l every sector is first asked for
-    ceil(count / sectors) + 1.  Let v be the count-th of the merge: a sector whose largest
-    computed eigenvalue is >= v has no uncomputed one below v, so only a sector whose largest is
-    < v is solved again for ``count``."""
+def _columns(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int):
+    """``(by_l, V)``: per l of ``ls`` each sector's :func:`_lanczos` arguments from one
+    :func:`_factors` call; this thread's basis (:func:`_basis`) for ``count`` eigenvalues a column."""
     m = _sector_cells(grid_n, sym)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
@@ -343,13 +339,22 @@ def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, coun
     factors = [(_where(grid_n, sym, l, sector), d[i], e[i, :-1], sigma[i])
                for i, (l, sector) in enumerate(columns)]
     # The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
-    rows = min(m, 8 * count + 64) + 1
-    V = _basis(rows, m)
-    V[0] = _start(m)  # the start of every column
+    V = _basis(min(m, 8 * count + 64) + 1, m)
+    V[0] = _start(m)
+    n = len(sectors)
+    return [factors[i:i + n] for i in range(0, len(factors), n)], V
+
+
+def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int) -> list:
+    """The lowest ``count`` eigenvalues of the union of the sectors, ascending, at each l of ``ls``,
+    from one request's columns (:func:`_columns`).  At each l every sector is first asked for
+    ceil(count / sectors) + 1.  Let v be the count-th of the merge: a sector whose largest
+    computed eigenvalue is >= v has no uncomputed one below v, so only a sector whose largest is
+    < v is solved again for ``count``."""
+    by_l, V = _columns(t, sym, grid_n, ls, sectors, count)
     k = min(count, -(-count // len(sectors)) + 1)
     lists = []
-    for i in range(0, len(factors), len(sectors)):
-        at_l = factors[i:i + len(sectors)]
+    for at_l in by_l:
         spectra = [_lanczos(*f, k, V) for f in at_l]
         v = np.sort(np.concatenate(spectra))[count - 1]
         spectra = [_lanczos(*f, count, V) if k < count and ev.max() < v else ev
@@ -370,18 +375,28 @@ def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResu
 @functools.lru_cache(maxsize=128)
 def _full(t: Triple, grid_n: int) -> dict:
     """Memo of the canonical triple's full periodic lambda_0..lambda_3 at ``grid_n`` by l, as
-    :func:`_table` solves them: only these arrays.  No factor outlives its request; the Lanczos
+    :func:`_table` solves them: only these tuples.  No factor outlives its request; the Lanczos
     basis of a list of up to 8 stays with its thread (:func:`_basis`)."""
     return {}
 
 
 def _table(t: Triple, grid_n: int, ls) -> dict:
-    """:func:`_full` of ``t`` at ``grid_n`` once one request has solved the l of ``ls`` it lacks."""
+    """:func:`_full` of ``t`` at ``grid_n`` once one request has solved the l of ``ls`` it lacks:
+    lambda_0..lambda_3 and their names from each sector's exact share (:func:`interlacing_check`).
+    Every column wants eigenvalues that stand apart in its sector, as :func:`_lanczos`'s stop test
+    requires: ND, DN and DD one each, NN two, whose NN_1 - NN_0 is at least the sum of the two
+    strict gaps (at the anchors' frequencies of the census, c <= 30, grid 2048, measured: the sum
+    >= 1.07e-2, NN_1 - NN_0 >= 4.0).  tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
     table = _full(t, grid_n)
     missing = [l for l in dict.fromkeys(ls) if l not in table]
     if missing:
-        table.update(zip(missing, _sector_eigenvalues(t, Symmetry.FULL_PERIODIC, grid_n, missing,
-                                                      _ALL_SECTORS, _TABLE_COUNT)))
+        by_l, V = _columns(t, Symmetry.FULL_PERIODIC, grid_n, missing, _ALL_SECTORS, 2)
+        for l, at_l in zip(missing, by_l):
+            (nn0, nn1), (nd,), (dn,), (dd,) = (sorted(_lanczos(*f, k, V).tolist())
+                                               for f, k in zip(at_l, (2, 1, 1, 1)))
+            lo, hi = sorted([(nd, "ND_0"), (dn, "DN_0")])
+            top = min((nn1, "NN_1"), (dd, "DD_0"))
+            table[l] = ((nn0, lo[0], hi[0], top[0]), ("NN_0", lo[1], hi[1], top[1]))
     return table
 
 
@@ -399,7 +414,7 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
     t = canonicalize(t)
     ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
     ev = _table(t, grid_n, ls)
-    return tuple(float(abs(ev[l][i] - 2.0)) for i, l in enumerate(ls))
+    return tuple(abs(ev[l][0][i] - 2.0) for i, l in enumerate(ls))
 
 
 def _profile(which: int, amp: float, k2: float, y: np.ndarray):
@@ -616,73 +631,68 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
 
 
 def interlacing_l_max(t: Triple) -> int:
-    """The default last frequency of :func:`interlacing_check`: one past c (floor c + 1)."""
+    """One past c (floor c + 1): the end of :func:`count_N2`'s sum and of :func:`_rounding`'s l."""
     return math.isqrt(t.c_squared) + 1
 
 
-def _rounding(t: Triple, grid_n: int, l_max: int, n: int) -> tuple[float, float]:
-    """``(max P, gamma_n G)`` for the canonical ``t`` (:func:`_gamma`): G = 3 max p / (h^2 min w)
-    + 2 l_max^2 / min P + 1 bounds every partial result of a diagonal entry of a sector matrix at
-    ``grid_n`` and l <= l_max, which meets 7 roundings (q = 2 l^2 / root, + flux, +- end, * s
-    twice, + 1, - shift).  The couplings are at most G / 3, so ||B - sigma I|| <= 5/3 G, and a
+def _rounding(t: Triple, grid_n: int, n: int) -> float:
+    """gamma_n G for the canonical ``t`` (:func:`_gamma`): G = 3 max p / (h^2 min w)
+    + 2 l_max^2 / min P + 1 (:func:`interlacing_l_max`) bounds every partial result of a diagonal
+    entry of a sector matrix at ``grid_n`` and l <= l_max, which meets 7 roundings (q = 2 l^2 /
+    root, + flux, +- end, * s twice, + 1, - shift).  The couplings are at most G / 3, so a
     Lanczos stop errs by at most eps (lambda - sigma) <= 5/3 eps G, within gamma_7 G."""
     co = coefficients(t)
     spread = abs(co.b_sq - co.a_sq)
     top, low = (co.c_sq + spread) / 2, (co.c_sq - spread) / 2  # max P, min P
-    h = 2.0 * math.pi / grid_n
+    h, l_max = 2.0 * math.pi / grid_n, interlacing_l_max(t)
     largest = (3.0 * math.sqrt((2 * top + co.q) * (2 * low + co.q)) / (2 * low * h * h)
                + 2 * l_max * l_max / low + 1.0)
-    return top, _gamma(n) * largest
+    return _gamma(n) * largest
 
 
 def anchor_floor(t: Triple, grid_n: int) -> float:
-    """gamma_14 G at ``grid_n`` (:func:`_rounding`): how far rounding may move a computed anchor
-    eigenvalue from the grid's exact one, so a residual at or below it measures no order.  It
-    counts, as :func:`interlacing_check` does, one matrix's 7 roundings of an entry and one
-    Lanczos stop, whose gamma_7 G leaves room for a row's two couplings (4 roundings each);
-    Weyl's inequality carries them to the eigenvalue.  Like interlacing, it leaves out the
-    factor's rounding."""
-    t = canonicalize(t)
-    return _rounding(t, grid_n, interlacing_l_max(t), 14)[1]
+    """gamma_14 G at ``grid_n`` (:func:`_rounding`): how far rounding may move a computed full
+    periodic eigenvalue from the grid's exact one, so an anchor residual at or below it measures no
+    order: one matrix's 7 roundings of an entry and one Lanczos stop, whose gamma_7 G leaves room
+    for a row's two couplings (4 roundings each), by Weyl; not the factor's rounding."""
+    return _rounding(canonicalize(t), grid_n, 14)
 
 
-def interlacing_check(t: Triple, grid_n: int = 2048, l_max: int | None = None) -> bool:
-    """Confirm the oscillation orderings numerically for l = 0..l_max.
+@dataclass(frozen=True)
+class InterlacingReport:
+    """Outcome of :func:`interlacing_check`: the smallest lambda_1 - lambda_0 and lambda_3 -
+    lambda_2 over the solved l, each (gap, l, upper, lower), the bar both must exceed, and the
+    margin bar / smaller gap, below 1 when both do (None if a gap is <= 0)."""
 
-    The strict gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 exceed INTERLACING_TOL at every
-    l, and from each solved frequency l to the next, l', each lambda_i, i <= 3, rises by at least
-    R = (l'^2 - l^2) / max P - delta.  From l to l' the sector matrix B changes only by the
-    diagonal (l'^2 - l^2) / P_i, and every cell-centre P_i <= max P = (c^2 + |b^2 - a^2|) / 2, so
-    by Weyl (Horn & Johnson, *Matrix Analysis*, Cor. 4.3.12) each lambda_i rises by at least R.
-    On [l_a, l_b] then lambda_1 - lambda_0 >= lambda_1(l_a) - lambda_0(l_b) + R(l_a, l_b),
-    likewise lambda_3 - lambda_2.  The brackets start from 0, l_max and the integer anchors a, b,
-    c up to l_max, solved in one request with a real c (its 2 c^2 rounds, which delta does not
-    count, so it is no end); each round solves in one request the midpoints of the brackets
-    where this bound is <= INTERLACING_TOL, which finds every l whose gap fails.  delta =
-    gamma_33 G (:func:`_rounding`) allows for rounding: 7 roundings per entry in each of the four
-    matrices a bracket compares (l_a, l_b and l twice), and 5 in the coefficient 2 s^2 / root of
-    l^2 that stands for 1 / P_i.  The rise test compares two matrices, 19 roundings; the other
-    gamma_14 G bounds the Lanczos stops of both eigenvalues.  Like a sweep of every l, the check
-    inherits the rounding of the factors and their solves, and the gaps' solver error.  ``grid_n``
-    must be divisible by 4.
+    gaps: tuple[tuple[float, float, str, str], ...]
+    bar: float
+    holds: bool
+    margin: float | None
+
+
+def interlacing_check(t: Triple, grid_n: int = 2048) -> InterlacingReport:
+    """The strict oscillation gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 of the full periodic
+    spectrum at the anchors' frequencies c, max(a, b) and min(a, b), against a rounding bar.
+
+    The orderings hold at every l by a theorem, so no l is swept.  In :func:`_stencil` a D end is
+    an N end plus 2 p / h^2 s^2 > 0 on its end's diagonal entry: ND and DN are NN plus a positive
+    rank-one term, DD either plus one more.  A positive rank-one update's eigenvalues interlace the
+    matrix's (Horn & Johnson, *Matrix Analysis*, Cor. 4.3.9), strictly for a tridiagonal with no
+    zero coupling, whose eigenvectors have nonzero end components (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 7).  So at every l, as :func:`_table` forms them,
+
+        lambda_0 = NN_0 < min(ND_0, DN_0) = lambda_1 <= lambda_2 = max(ND_0, DN_0)
+                 < min(NN_1, DD_0) = lambda_3.
+
+    Each computed eigenvalue lies within :func:`anchor_floor`'s gamma_14 G of the grid's exact
+    one, so a gap within gamma_28 G (:func:`_rounding`): the bar.  ``grid_n`` divisible by 4.
     """
     t = canonicalize(t)
-    l_max = interlacing_l_max(t) if l_max is None else l_max
-    top, delta = _rounding(t, grid_n, l_max, 33)
-    wanted = (0, t.a, t.b, t.c_real, l_max)
-    ev = _table(t, grid_n, wanted)
-    ls = sorted({int(l) for l in wanted if l <= l_max and float(l).is_integer()})
-    pending = list(zip(ls, ls[1:]))
-    while pending:
-        split = [(la, lb) for la, lb in pending if lb - la > 1
-                 and min(ev[la][1::2] - ev[lb][0::2]) + (lb * lb - la * la) / top - delta
-                 <= INTERLACING_TOL]
-        mids = [(la + lb) // 2 for la, lb in split]
-        ev = _table(t, grid_n, mids)
-        ls += mids
-        pending = [pair for (la, lb), mid in zip(split, mids) for pair in ((la, mid), (mid, lb))]
-    ls.sort()
-    rows = np.array([ev[l] for l in ls])
-    rise = np.array([(lb * lb - la * la) / top - delta for la, lb in zip(ls, ls[1:])])
-    return bool(np.all(rows[:, 1::2] - rows[:, 0::2] > INTERLACING_TOL)
-                and np.all(np.diff(rows, axis=0) >= rise[:, None]))
+    ls = t.c_real, max(t.a, t.b), min(t.a, t.b)  # the anchors' request (:func:`anchor_check`)
+    ev = _table(t, grid_n, ls)
+    rows = [(l, *ev[l]) for l in ls]  # (l, lambda_0..lambda_3, their names)
+    gaps = tuple(min((lam[i + 1] - lam[i], l, names[i + 1], names[i]) for l, lam, names in rows)
+                 for i in (0, 2))
+    bar = _rounding(t, grid_n, 28)
+    smallest = min(gaps)[0]
+    return InterlacingReport(gaps, bar, smallest > bar, bar / smallest if smallest > 0 else None)

@@ -8,7 +8,7 @@ closed-form index, and the oscillation-order checks into a single
 pass/fail report.  The spectral grid follows the sector rule of
 :mod:`lawson.spectral` (at least 256, divisible by 4), and the spectral
 checks read their bars from there: the anchors' tolerance and rounding
-floors, and interlacing's rounding allowance.
+floors, and interlacing's rounding bar.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .errors import SpectralError
 from .spectral import (
-    INTERLACING_TOL,
     Symmetry,
     _sector_cells,
     _uniform,
@@ -29,7 +28,6 @@ from .spectral import (
     count_N2,
     eq35_residual,
     interlacing_check,
-    interlacing_l_max,
     lame_bound,
     lame_residual,
     takahashi_residual,
@@ -177,10 +175,11 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]
 
 
 def _interlacing_check(t: Triple, grid_n: int) -> CheckResult:
-    l_max = interlacing_l_max(t)
-    ok = interlacing_check(t, grid_n, l_max)
-    return CheckResult("interlacing", ok, {"l_max": l_max, "holds": ok},
-                       f"strict gaps > {INTERLACING_TOL:g}")
+    r = interlacing_check(t, grid_n)
+    names = ("lambda1_minus_lambda0", "lambda3_minus_lambda2")
+    values = {name: {"gap": gap, "l": l, "sectors": s} for name, (gap, l, *s) in zip(names, r.gaps)}
+    return CheckResult("interlacing", r.holds, {**values, "bar": r.bar, "margin": r.margin},
+                       f"strict gaps > gamma_28 G = {r.bar:g}")
 
 
 def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> VerificationReport:
@@ -188,8 +187,8 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
 
     ``deep`` doubles the spectral grids, measures anchor convergence orders, adds a third rung to
     the minimality-residual ladder, and re-counts on the doubled grid.  Interlacing runs first and
-    is reported last: its first request solves l = 0, a, b, c and l_max at ``grid_n`` for all
-    three spectral checks.  Raises :class:`SpectralError` subclasses only for non-convergence; an
+    is reported last: its one request solves c, max(a, b) and min(a, b) at ``grid_n`` for it and
+    the anchors.  Raises :class:`SpectralError` subclasses only for non-convergence; an
     indeterminate count is reported in-band.
     """
     _sector_cells(grid_n, Symmetry.FULL_PERIODIC)

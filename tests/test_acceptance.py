@@ -213,7 +213,7 @@ def test_criterion_8_interlacing_and_truncation():
     failures = []
     for t in SUITE:
         l_stop = int(math.floor(t.c_real + 1e-9))
-        if not interlacing_check(t, 2048, l_max=l_stop + 1):
+        if not interlacing_check(t, 2048).holds:
             failures.append(f"{t.label()}: interlacing violated")
         beyond = sl_spectrum(sl_problem(t, l_stop + 1), 2048, count=4).eigenvalues[0]
         if not beyond > 2.0:

@@ -329,6 +329,21 @@ class TestExport:
         per_array = [1024, 1024, 256]
         assert blocks == per_array * (1 if kind == "csv" else 2)
 
+    @pytest.mark.parametrize("kind", ["csv", "obj"])
+    def test_exports_sample_a_block_of_points_at_a_time(self, capsys, tmp_path, monkeypatch, kind):
+        """48 x 48 = 2304 points: the immersion is evaluated on blocks of at most _BLOCK_ROWS
+        points that cover the grid once, so an export holds one block's sample, not the grid's."""
+        immersion, sizes = lawson.cli.immersion, []
+
+        def recorded(t, x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return immersion(t, x, y)
+
+        monkeypatch.setattr(lawson.cli, "immersion", recorded)
+        argv = ["export", "5", "7", "13", "--nx", "48", "--ny", "48", "--format", kind]
+        assert run(capsys, *argv, "--out", str(tmp_path / "surface"))[0] == EXIT_OK
+        assert sizes == [1024, 1024, 256]
+
     def test_control_characters_in_the_path_are_escaped(self, capsys, tmp_path):
         out_file = tmp_path / "a\tb\nc.csv"
         code, out, _ = run(capsys, "export", "0", "1", "2", "--nx", "4", "--ny", "4",

@@ -720,9 +720,12 @@ def test_factors_equal_a_per_l_assembly(t, n):
 
 @pytest.mark.parametrize("abc", [(5, 7, 13), (2, 1)], ids=["T_(5,7,13)", "tau_(2,1)"])
 def test_a_request_solves_each_l_as_if_alone(abc):
-    """lambda_0..lambda_3 of an l are bit for bit the same solved alone or in one request with
-    0, the anchors and l_max, the real c of a Lawson pair included: its 20 columns share one
-    dpttrf call, and every column's Lanczos reuses the request's basis."""
+    """An l's spectra are bit for bit the same solved alone or in one request with 0, the
+    anchors and l_max, the real c of a Lawson pair included: the request's columns share one
+    dpttrf call, and every column's Lanczos reuses the request's basis.  This holds for
+    :func:`_table`'s lambda_0..lambda_3 from the exact shares (NN 2, ND, DN and DD 1; 20
+    columns), which a verification reads, and for the merged lowest 4 of the sectors'
+    share/re-solve rule that :func:`sl_spectrum`'s lists use."""
     t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
     ls = (0, t.a, t.b, t.c_real, spectral.interlacing_l_max(t))
     solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048)
@@ -731,6 +734,13 @@ def test_a_request_solves_each_l_as_if_alone(abc):
     for l, ev in zip(ls, together):
         alone, = solve([l], spectral._ALL_SECTORS, 4)
         assert ev.tobytes() == alone.tobytes()
+    spectral._full.cache_clear()
+    table = dict(spectral._table(t, 2048, ls))
+    assert len(table) == len(set(ls))
+    for l in ls:
+        spectral._full.cache_clear()
+        assert spectral._table(t, 2048, [l])[l] == table[l]
+    spectral._full.cache_clear()
 
 
 def _moduli(t):
@@ -1092,115 +1102,55 @@ class TestCounting:
 
 class TestInterlacing:
     def test_clifford(self):
-        assert interlacing_check(validate(Case.GENERALIZED, 0, 0, 1), 1024, l_max=4)
+        assert interlacing_check(validate(Case.GENERALIZED, 0, 0, 1), 1024).holds
 
     def test_equilateral(self):
-        assert interlacing_check(validate(Case.GENERALIZED, 1, 1, 2), 1024, l_max=5)
+        assert interlacing_check(validate(Case.GENERALIZED, 1, 1, 2), 1024).holds
 
     def test_subcase_ii_wide(self):
-        assert interlacing_check(validate(Case.GENERALIZED, 1, 2, 4), 1024, l_max=6)
+        assert interlacing_check(validate(Case.GENERALIZED, 1, 2, 4), 1024).holds
 
     @pytest.mark.parametrize("params", [(1, 2, 1500), (1, 4, 5000)])
     def test_high_frequency_triples(self, params):
         """The step lambda_i(l+1) - lambda_i(l) is about (2l + 1)/max P, below 1e-6 for
-        c >~ 1415, so a sweep of every l fails there; the solved frequencies are far apart."""
-        assert interlacing_check(validate(Case.GENERALIZED, *params), 2048)
+        c >~ 1415, yet the strict gaps at the anchors' frequencies stand far above the bar."""
+        assert interlacing_check(validate(Case.GENERALIZED, *params), 2048).holds
 
 
 @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
 def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
-    """The fact interlacing's brackets rest on: from l to l + 1 the diagonal that dpttrf
-    factors rises elementwise by at least the check's (2l + 1)/max P - delta and the
-    off-diagonal is unchanged, in every sector."""
+    """The premise of interlacing's theorem, in the matrices dpttrf factors, at every l up to one
+    past c: the four sectors' diagonals agree but at an end whose conditions differ, where the D
+    end's entry exceeds the N end's by 2 p / h^2 s^2 > 0 (p at the end face, s = w^(-1/2) in the
+    end cell), and their couplings are equal and nonzero, so no sector matrix splits.  From l to
+    l + 1 only the diagonal changes, and it rises: only the potential depends on l."""
     lapack = spectral.lapack
     dpttrf, seen = lapack.dpttrf, []
 
     def recorded(d, e, **kwargs):
-        seen.append((d.copy(), e.copy()))
+        seen.append((d.copy(), np.append(e, 0.0)))
         return dpttrf(d, e, **kwargs)
 
     monkeypatch.setattr(lapack, "dpttrf", recorded)
-    l_max = spectral.interlacing_l_max(t)
+    l_max, m, h = spectral.interlacing_l_max(t), 512, 2.0 * math.pi / 2048
     for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
         spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(l, s) for s in spectral._ALL_SECTORS])
     assert len(seen) == l_max + 1
-    top, delta = spectral._rounding(t, 2048, l_max, 33)
-    for l, ((d0, e0), (d1, e1)) in enumerate(zip(seen, seen[1:])):
-        assert np.all(d1 >= d0)
-        assert np.all(d1 - d0 >= (2 * l + 1) / top - delta)
-        assert np.array_equal(e1, e0)
-
-
-def _synthetic_spectra(l_star, offset, top, solved):
-    """A stand-in for ``_sector_eigenvalues`` on the full spectrum: lambda_0 = l^2/top + l/1000,
-    lambda_1 = lambda_2 = lambda_0 + offset + |l - l_star|/1000, lambda_3 = lambda_2 + 1, each
-    rising by at least the Weyl bound (l'^2 - l^2)/top from l to l'; with offset 0 the only
-    failing strict gap is lambda_1 - lambda_0 = 0 at l_star."""
-
-    def spectra(t, sym, grid_n, ls, sectors, count):
-        solved.extend(ls)
-        lists = []
-        for l in ls:
-            lam0 = l * l / top + l / 1000
-            lam1 = lam0 + offset + abs(l - l_star) / 1000
-            lists.append(np.array([lam0, lam1, lam1, lam1 + 1.0]))
-        return lists
-
-    return spectra
-
-
-def _sweep_interlacing(ev, l_max, top, delta, tol=1e-6):
-    """The former check, kept as the reference: ``ev[l]``, lambda_0..lambda_3, at every
-    l = 0..l_max, with strict gaps and each rising from l to l + 1 by the Weyl bound
-    (2l + 1)/top - delta."""
-    ev = np.array([ev[l][:4] for l in range(l_max + 1)])
-    gap = np.diff(ev, axis=1)  # strict at lambda_1 - lambda_0 and lambda_3 - lambda_2
-    rise = (2 * np.arange(l_max) + 1) / top - delta
-    return bool(np.all(gap[:, 0::2] > tol) and np.all(gap[:, 1::2] > -tol)
-                and np.all(np.diff(ev, axis=0) >= rise[:, None]))
-
-
-def _synthetic_check(monkeypatch, t, spectra):
-    """interlacing_check on the eigenvalues ``spectra`` gives, in a memo of its own."""
-    memo = {}
-    monkeypatch.setattr(spectral, "_full", lambda t, grid_n: memo)
-    monkeypatch.setattr(spectral, "_sector_eigenvalues", spectra)
-    return interlacing_check(t, 2048)
-
-
-@pytest.mark.parametrize("offset,holds", [(0.0, False), (1.0, True)])
-def test_brackets_find_an_interior_failure(monkeypatch, offset, holds):
-    """l_max = 151, the failing gap at l = 40: neither an end (0, the anchors 1, 2, 150, and
-    151) nor the first midpoint 76."""
-    t, solved = validate(Case.GENERALIZED, 1, 2, 150), []
-    top, delta = spectral._rounding(t, 2048, 151, 33)
-    spectra = _synthetic_spectra(40, offset, top, solved)
-    ev = np.array(spectra(t, Symmetry.FULL_PERIODIC, 2048, range(152), spectral._ALL_SECTORS, 4))
-    assert np.all(np.diff(ev, axis=0) >= (2 * np.arange(151) + 1)[:, None] / top - delta)
-    assert _sweep_interlacing(ev, 151, top, delta) is holds
-    solved.clear()
-    assert _synthetic_check(monkeypatch, t, spectra) is holds
-    assert len(solved) == len(set(solved))
-    if holds:
-        assert sorted(solved) == [0, 1, 2, 150, 151]  # of 152 frequencies
-    else:
-        assert 40 in solved
-
-
-def test_rise_below_the_weyl_bound_fails(monkeypatch):
-    """Eigenvalues with strict gaps 1 that rise between solved frequencies by half the Weyl
-    bound, yet by more than INTERLACING_TOL (by 4.4e-5 at least, from l = 0 to 1), break the
-    fact the brackets rest on: the check and the sweep of every l reject them."""
-    t = validate(Case.GENERALIZED, 1, 2, 150)
-    top, delta = spectral._rounding(t, 2048, 151, 33)
-
-    def spectra(t, sym, grid_n, ls, sectors, count):
-        return [l * l / (2 * top) + np.array([0.0, 1.0, 1.0, 2.0]) for l in ls]
-
-    ev = np.array(spectra(t, Symmetry.FULL_PERIODIC, 2048, range(152), spectral._ALL_SECTORS, 4))
-    assert np.all(np.diff(ev, axis=0) > 4.4e-5)
-    assert _sweep_interlacing(ev, 151, top, delta) is False
-    assert _synthetic_check(monkeypatch, t, spectra) is False
+    p, _, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
+    rise = 2.0 * p[[0, -1]] / h**2 / w[[1, -2]]  # at y = 0 and at y = pi/2
+    assert np.all(rise > 0.0)
+    for d, e in seen:
+        nn, nd, dn, dd = d.reshape(4, m)
+        couplings = e.reshape(4, m)
+        assert np.all(couplings[:, -1] == 0.0)  # between the sectors' blocks
+        assert np.all(couplings[:, :-1] != 0.0) and np.all(couplings[1:, :-1] == couplings[0, :-1])
+        assert np.array_equal(nn[1:-1], nd[1:-1]) and np.array_equal(nn[1:-1], dn[1:-1])
+        assert np.array_equal(nn[1:-1], dd[1:-1])
+        assert nd[0] == nn[0] and dd[0] == dn[0] and dn[-1] == nn[-1] and dd[-1] == nd[-1]
+        for upper, lower, end in ((dn, nn, 0), (dd, nd, 0), (nd, nn, -1), (dd, dn, -1)):
+            assert upper[end] - lower[end] == pytest.approx(rise[end], rel=1e-12)
+    for (d0, e0), (d1, e1) in zip(seen, seen[1:]):
+        assert np.all(d1 >= d0) and np.array_equal(e1, e0)
 
 
 def _beyond_suite():
@@ -1218,25 +1168,110 @@ def _beyond_suite():
 BEYOND_SUITE = _beyond_suite()
 
 
+def _assert_theorem_at_every_l(t, ls):
+    """At every l of ``ls``, lambda_0..lambda_3 as the theorem forms them from each sector's
+    share equal the lowest four of the union of the four sectors, each solved for 4, within the
+    bar, and both strict gaps exceed the bar."""
+    table = spectral._table(t, 2048, ls)
+    union = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 2048, ls,
+                                         spectral._ALL_SECTORS, 4)
+    bar = interlacing_check(t, 2048).bar
+    for l, ev in zip(ls, union):
+        lam, _ = table[l]
+        assert np.all(np.abs(np.array(lam) - ev) <= bar)
+        assert lam[1] - lam[0] > bar and lam[3] - lam[2] > bar
+
+
 @pytest.mark.parametrize("t", SUITE + BEYOND_SUITE,
                          ids=SUITE_IDS + [t.label() for t in BEYOND_SUITE])
 def test_brackets_agree_with_every_l_sweep(t):
-    """On the same eigenvalues, the brackets give the verdict of the sweep of every l."""
-    l_max = spectral.interlacing_l_max(t)
-    ev = spectral._table(t, 2048, range(l_max + 1))
-    sweep = _sweep_interlacing(ev, l_max, *spectral._rounding(t, 2048, l_max, 33))
-    assert interlacing_check(t, 2048) == sweep
+    """The theorem's brackets, lambda_0 = NN_0 < lambda_1 <= lambda_2 < lambda_3 =
+    min(NN_1, DD_0), hold on a sweep of every l = 0..l_max: what the check reads at the anchors'
+    frequencies holds at every l of the count's range and one past it, and the check passes."""
+    t = spectral.canonicalize(t)
+    _assert_theorem_at_every_l(t, range(spectral.interlacing_l_max(t) + 1))
+    assert interlacing_check(t, 2048).holds
 
 
 @pytest.mark.parametrize("abc,l_max", [((5, 7, 13), 4), ((5, 7, 13), 6), ((5, 7, 13), 10),
                                        ((1, 2, 150), 100), ((2, 1), 2)])
 def test_brackets_agree_with_every_l_sweep_below_the_anchors(abc, l_max):
-    """With l_max below max(a, b, c) the brackets end at l_max, and the anchors above it, solved
-    in the same request, are no bracket end: still the verdict of the sweep."""
-    t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
-    ev = spectral._table(t, 2048, range(l_max + 1))
-    sweep = _sweep_interlacing(ev, l_max, *spectral._rounding(t, 2048, l_max, 33))
-    assert interlacing_check(t, 2048, l_max) == sweep
+    """On a sweep of l = 0..l_max, which ends below max(a, b, c), the theorem's brackets hold at
+    frequencies the check, reading only the anchors', never solves: still its verdict."""
+    t = spectral.canonicalize(validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc))
+    assert l_max < max(t.a, t.b, t.c_real)
+    _assert_theorem_at_every_l(t, range(l_max + 1))
+    assert interlacing_check(t, 2048).holds
+
+
+@pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
+def test_interlacing_bar_is_the_rounding_of_a_difference(t):
+    """The bar is gamma_28 G, u = 2^-53: two eigenvalues, each within anchor_floor's gamma_14 G,
+    with G = 3 max p / (h^2 min w) + 2 l_max^2 / min P + 1 read off the coefficients, whose
+    extremes lie at y = 0 and y = pi/2."""
+    t = spectral.canonicalize(t)
+    h, u = 2.0 * math.pi / 2048, 2.0**-53
+    y = np.linspace(0.0, math.pi / 2, 4097)
+    p, _, w = sl_coefficients(t, 0, y)
+    P = coefficients(t).P(y)
+    G = 3.0 * p.max() / (h * h * w.min()) + 2.0 * spectral.interlacing_l_max(t) ** 2 / P.min() + 1
+    report = interlacing_check(t, 2048)
+    assert report.bar == pytest.approx(28 * u / (1 - 28 * u) * G, rel=1e-12)
+    assert report.bar == pytest.approx(2.0 * spectral.anchor_floor(t, 2048), rel=1e-13)
+
+
+@pytest.mark.parametrize("case,params", [(Case.GENERALIZED, (1, 2, 150)), (Case.LAWSON, (1000, 1))])
+def test_interlacing_solves_only_the_anchors_frequencies(monkeypatch, case, params):
+    """One request of 12 columns, c, max(a, b) and min(a, b) in the four sectors, each sector
+    asked for its share: NN 2, ND, DN and DD 1.  The former brackets solved 594 frequencies at
+    tau_(1000,1)."""
+    t = spectral.canonicalize(validate(case, *params))
+    factors, lanczos, columns, asked = spectral._factors, spectral._lanczos, [], []
+
+    def factored(t, sym, grid_n, cols):
+        columns.append(list(cols))
+        return factors(t, sym, grid_n, cols)
+
+    def recorded(where, ld, le, sigma, k, V):
+        asked.append(k)
+        return lanczos(where, ld, le, sigma, k, V)
+
+    monkeypatch.setattr(spectral, "_factors", factored)
+    monkeypatch.setattr(spectral, "_lanczos", recorded)
+    spectral._full.cache_clear()
+    report = interlacing_check(t, 2048)
+    ls = (t.c_real, max(t.a, t.b), min(t.a, t.b))
+    assert columns == [[(l, s) for l in ls for s in spectral._ALL_SECTORS]]
+    assert asked == [2, 1, 1, 1] * 3
+    assert report.holds and {l for _, l, *_ in report.gaps} <= set(ls)
+
+
+def test_a_gap_below_the_bar_fails_with_its_record():
+    """tau_(3000,1) at 2048: lambda_1 - lambda_0 at l = c, 7.4e-7 between NN_0 and the lower of
+    ND_0 and DN_0, tunnelling between P's two wells, lies below the bar 3.0e-6."""
+    t = validate(Case.LAWSON, 3000, 1)
+    report = interlacing_check(t, 2048)
+    (gap, l, upper, lower), _ = report.gaps
+    assert not report.holds and report.margin > 1.0
+    assert 7.0e-7 < gap < 7.8e-7 and 2.9e-6 < report.bar < 3.1e-6 and l == t.c_real
+    assert lower == "NN_0" and upper in ("ND_0", "DN_0")
+
+
+@pytest.mark.parametrize("scale,holds,margin", [(10.0, True, 0.1), (1.0, False, 1.0),
+                                                 (-1.0, False, None)])
+def test_margin_is_the_bar_over_the_smaller_gap(monkeypatch, scale, holds, margin):
+    """On stand-in eigenvalues whose smallest gap, lambda_1 - lambda_0 at l = 2, is 10, 1 and -1
+    times the bar: the margin is bar / gap, below 1 only when the gap passes, and None when the
+    gap is not positive (crossed eigenvalues, whose bar / gap would read as a pass)."""
+    t = validate(Case.GENERALIZED, 1, 2, 3)
+    bar, names = spectral._rounding(t, 2048, 28), ("NN_0", "DN_0", "ND_0", "NN_1")
+    memo = {l: ((0.0, 1.0, 2.0, 3.0), names) for l in (3.0, 1)}
+    memo[2] = ((0.0, scale * bar, 2.0, 3.0), names)
+    monkeypatch.setattr(spectral, "_full", lambda t, grid_n: memo)
+    report = interlacing_check(t, 2048)
+    assert report.gaps == ((scale * bar, 2, "DN_0", "NN_0"), (1.0, 1, "NN_1", "ND_0"))
+    assert report.bar == bar and report.holds is holds
+    assert report.margin == (None if margin is None else pytest.approx(margin, rel=1e-15))
 
 
 @pytest.mark.parametrize("t", BEYOND_SUITE, ids=[t.label() for t in BEYOND_SUITE])

@@ -82,42 +82,35 @@ class TestRunVerification:
 
     def test_each_sector_solved_once_per_grid(self, monkeypatch):
         """Anchors and interlacing share one solve per (l, grid), and the count solves none in y:
-        T_(5,7,13) needs the anchors l = 5, 7, 13 at both grids, and interlacing's brackets add
-        only l = 0 and l_max = 14 at grid_n: with the Weyl rise of each eigenvalue the brackets
-        between 0, 5, 7, 13 and 14 hold.  Each sector is asked once, for 2 of the 4 eigenvalues of
-        the union, and never solved again.  Each grid's spectra are one request, so one factoring
-        call per grid."""
-        solve, lanczos, factors = (spectral._sector_eigenvalues, spectral._lanczos,
-                                   spectral._factors)
-        asked, calls, factored = [], [], []
+        T_(5,7,13) needs the anchors l = 13, 7, 5 at both grids, and interlacing reads its gaps
+        there and solves nothing more.  Each sector is asked once for its share of the lowest
+        four eigenvalues, NN for 2 and ND, DN and DD for 1, and never solved again.  Each grid's
+        spectra are one request, so one factoring call per grid."""
+        lanczos, factors = spectral._lanczos, spectral._factors
+        asked, columns, factored = [], [], []
 
         def recorded(where, ld, le, sigma, k, basis):
             asked.append(k)
             return lanczos(where, ld, le, sigma, k, basis)
 
-        def counted(t, sym, grid_n, ls, sectors, count):
-            first = len(asked)
-            lists = solve(t, sym, grid_n, ls, sectors, count)
-            columns = [(l, sector) for l in ls for sector in sectors]
-            calls.extend((grid_n, l, sector, k)
-                         for (l, sector), k in zip(columns, asked[first:], strict=True))
-            return lists
-
-        def factored_once(*args):
-            factored.append(args[2])
-            return factors(*args)
+        def factored_once(t, sym, grid_n, cols):
+            factored.append(grid_n)
+            columns.extend((grid_n, l, sector) for l, sector in cols)
+            return factors(t, sym, grid_n, cols)
 
         monkeypatch.setattr(spectral, "_lanczos", recorded)
-        monkeypatch.setattr(spectral, "_sector_eigenvalues", counted)
         monkeypatch.setattr(spectral, "_factors", factored_once)
         spectral._full.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
-        assert len(calls) == len(set(calls)) == 4 * 5 + 4 * 3
-        assert {k for *_, k in calls} == {2}
-        assert {l for n, l, *_ in calls if n == 2048} == {0, 5, 7, 13, 14}
+        calls = [(*column, k) for column, k in zip(columns, asked, strict=True)]
+        assert len(calls) == len(set(calls)) == 12 + 12
+        assert {k for *_, k in calls} == {1, 2}
+        assert [k for n, l, sector, k in calls if sector == "NN"] == [2] * 6
+        assert {l for n, l, *_ in calls if n == 2048} == {5, 7, 13}
         assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13}
-        assert sorted(factored) == [2048, 4096]
+        assert [n for n, *_ in calls] == [2048] * 12 + [4096] * 12
+        assert factored == [2048, 4096]
 
     @pytest.mark.parametrize(
         "abc,deep,rungs",
@@ -182,19 +175,29 @@ class TestRunVerification:
         assert count.tolerance == answered
         assert answered == "n2 == closed-form j" + (", grid-stable" if deep else "")
 
-    def test_interlacing_reports_the_l_max_it_used(self, monkeypatch):
-        """The reported l_max is the one interlacing_check ran with: one past c."""
+    def test_interlacing_record_reports_both_gaps_and_the_bar(self, monkeypatch):
+        """The record holds what interlacing_check reported: each strict gap's smallest value with
+        its l and the names of its two eigenvalues, the bar, and the margin bar / smaller gap."""
         check = verify.interlacing_check
-        used = []
+        reports = []
 
-        def recorded(t, grid_n, l_max=None):
-            used.append(l_max)
-            return check(t, grid_n, l_max)
+        def recorded(t, grid_n):
+            reports.append(check(t, grid_n))
+            return reports[-1]
 
         monkeypatch.setattr(verify, "interlacing_check", recorded)
         report = run_verification(validate(Case.GENERALIZED, 1, 2, 3), grid_n=2048)
         interlacing = next(c for c in report.checks if c.name == "interlacing")
-        assert used == [interlacing.values["l_max"]] == [4]
+        r, = reports
+        (g10, l10, *s10), (g32, l32, *s32) = r.gaps
+        assert interlacing.values == {
+            "lambda1_minus_lambda0": {"gap": g10, "l": l10, "sectors": s10},
+            "lambda3_minus_lambda2": {"gap": g32, "l": l32, "sectors": s32},
+            "bar": r.bar,
+            "margin": r.bar / min(g10, g32),
+        }
+        assert interlacing.passed and 0.0 < interlacing.values["margin"] < 1.0
+        assert {l10, l32} <= {3.0, 2, 1} and s10[1] == "NN_0"
 
     @pytest.mark.parametrize("grid_n,rule", [(252, ">= 256"), (1030, "divisible by 4")])
     def test_grid_rule_checked_before_any_check(self, monkeypatch, grid_n, rule):

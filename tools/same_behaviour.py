@@ -151,7 +151,7 @@ def cli_invocations() -> list[list[str]]:
     argvs += [[*argv, "--format", "text"] for argv in text]
     argvs.append(["verify", "--lawson", "27", "2"])  # its lame check failed the absolute 1e-12
     argvs.append(["verify", "1", "1", "5", "--deep"])  # lambda_0 exact on the grid: at its floor
-    argvs.append(["verify", "--lawson", "3000", "1"])  # a failing verdict (area, interlacing)
+    argvs.append(["verify", "--lawson", "3000", "1"])  # fails: interlacing's gap is below its bar
     argvs += [["classify", "1", "2"], ["classify", "--lawson", "0", "1"],
               ["classify", "--lawson", "1", "2", "3"], ["verify", "0", "0", "1", "--grid", "1030"],
               ["spectrum", "1", "2", "3", "--l", "-1"], ["spectrum", "1", "2", "3", "--count", "0"],
