@@ -39,9 +39,10 @@ sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
 wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Lanczos on
 (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
 reorthogonalized against the recurrence's two vectors, then once against the whole basis,
-which each thread keeps and reuses for lists of up to 8) gives the eigenvalues the checks read,
-lambda_0..lambda_3 of the union from each sector's exact share (:func:`interlacing_check`),
-memoized per (triple, grid) and l.  The minimality residual is separable, O(grid_n).
+which each thread keeps and reuses for lists of up to 8) solves each column once, for the
+sector's exact share of the union's lowest eigenvalues by the rank-one theorem (:func:`_shares`):
+lists, and the lambda_0..lambda_3 the checks read (:func:`interlacing_check`), memoized per
+(triple, grid) and l.  The minimality residual is separable, O(grid_n).
 
 The count N(2) needs no y-grid.  With A = min(a, b), B = max(a, b), y taken from pi/2 when
 a > b and v = F(y | k^2), k^2 = (B^2 - A^2) / (c^2 - A^2), the metric is conformally flat,
@@ -251,10 +252,13 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     is made.  A theta with residual r and distance g to the nearest other passes at
     r^2 < eps theta (g - r), never at g <= r: its error bound r^2 / (g - r) (Parlett, ch. 11) is
     then below eps theta, sound while the wanted eigenvalues stand apart in their sector, as a
-    verification's do (:func:`_table`; no such argument covers :func:`sl_spectrum`'s lists).  The
-    rows of ``V`` hold the basis and cap the steps; tests run from step 12, thin out past 32 (dstev
-    is O(s^3)), end at m steps.  alpha, beta and both tests run on Python floats: the IEEE
-    operations of numpy scalars, at less overhead per step."""
+    verification's do (:func:`_table`).  A list now wants only its sectors' shares, and measured,
+    its wanted eigenvalues stand apart too: the smallest gap between two of one sector is 4.33
+    (0.63 of the larger less sigma) over the 157 lists of ``tools/same_behaviour.py --lists`` and
+    4.0 (0.14) over the test suite's, but no theorem bounds it.  The rows of ``V`` hold the basis
+    and cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m
+    steps.  alpha, beta and both tests run on Python floats: the IEEE operations of numpy
+    scalars, at less overhead per step."""
     # Positional, as f2py parses them faster than keywords: dpttrs(d, e, b, overwrite_b) and
     # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans[, overwrite_y]).
     dpttrs, dgemv, dnrm2 = lapack.dpttrs, blas.dgemv, blas.dnrm2
@@ -345,22 +349,32 @@ def _columns(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int):
     return [factors[i:i + n] for i in range(0, len(factors), n)], V
 
 
+@functools.lru_cache(maxsize=128)
+def _shares(sectors: tuple, count: int) -> tuple:
+    """How many of the lowest ``count`` eigenvalues of the union of ``sectors`` each sector may
+    hold, by the rank-one theorem of :func:`interlacing_check`.  Sector Y is sector X with a
+    positive rank-one term added at each of the r(Y, X) ends where Y has D and X has N, and one
+    subtracted, which only lowers Y, where Y has N and X has D, so Y_j <= X_(j + r(Y, X)) (Horn &
+    Johnson, *Matrix Analysis*, Cor. 4.3.9): X_i has at least i + sum over Y != X of
+    max(0, i + 1 - r(Y, X)) eigenvalues of the union at or below it, and X's share is
+    #{i : that bound < count}.  At count 4 the four sectors' shares are (2, 1, 1, 1), at count 8
+    (3, 2, 2, 2); two sectors share 8 as (5, 4) (NN, DD) or (4, 4).  Kept per (sectors, count):
+    forming the shares of four takes about 50 us, and a verification reads them at each l."""
+    def below(x: str, i: int) -> int:
+        return i + sum(max(0, i + 1 - sum(ends == ("D", "N") for ends in zip(y, x)))
+                       for y in sectors if y != x)
+    return tuple(sum(below(x, i) < count for i in range(count)) for x in sectors)
+
+
 def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int) -> list:
     """The lowest ``count`` eigenvalues of the union of the sectors, ascending, at each l of ``ls``,
-    from one request's columns (:func:`_columns`).  At each l every sector is first asked for
-    ceil(count / sectors) + 1.  Let v be the count-th of the merge: a sector whose largest
-    computed eigenvalue is >= v has no uncomputed one below v, so only a sector whose largest is
-    < v is solved again for ``count``."""
-    by_l, V = _columns(t, sym, grid_n, ls, sectors, count)
-    k = min(count, -(-count // len(sectors)) + 1)
-    lists = []
-    for at_l in by_l:
-        spectra = [_lanczos(*f, k, V) for f in at_l]
-        v = np.sort(np.concatenate(spectra))[count - 1]
-        spectra = [_lanczos(*f, count, V) if k < count and ev.max() < v else ev
-                   for f, ev in zip(at_l, spectra)]
-        lists.append(np.sort(np.concatenate(spectra))[:count])
-    return lists
+    from one request's columns (:func:`_columns`): each sector solved once for its share
+    (:func:`_shares`), a sector of share 0 neither factored nor solved, merged, cut to ``count``."""
+    shares = {sector: k for sector, k in zip(sectors, _shares(sectors, count)) if k}
+    by_l, V = _columns(t, sym, grid_n, ls, tuple(shares), count)
+    merged = (np.concatenate([_lanczos(*f, k, V) for f, k in zip(at_l, shares.values())])
+              for at_l in by_l)
+    return [np.sort(ev)[:count] for ev in merged]
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
@@ -382,18 +396,20 @@ def _full(t: Triple, grid_n: int) -> dict:
 
 def _table(t: Triple, grid_n: int, ls) -> dict:
     """:func:`_full` of ``t`` at ``grid_n`` once one request has solved the l of ``ls`` it lacks:
-    lambda_0..lambda_3 and their names from each sector's exact share (:func:`interlacing_check`).
-    Every column wants eigenvalues that stand apart in its sector, as :func:`_lanczos`'s stop test
-    requires: ND, DN and DD one each, NN two, whose NN_1 - NN_0 is at least the sum of the two
-    strict gaps (at the anchors' frequencies of the census, c <= 30, grid 2048, measured: the sum
-    >= 1.07e-2, NN_1 - NN_0 >= 4.0).  tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
+    lambda_0..lambda_3 and their names from each sector's exact share of four (:func:`_shares`),
+    formed as the theorem of :func:`interlacing_check` orders them, not sorted, so that a violated
+    ordering shows as a gap that is not positive.  Every column wants eigenvalues that stand apart
+    in its sector, as :func:`_lanczos`'s stop test requires: ND, DN and DD one each, NN two, whose
+    NN_1 - NN_0 is at least the sum of the two strict gaps (at the anchors' frequencies of the
+    census, c <= 30, grid 2048, measured: the sum >= 1.07e-2, NN_1 - NN_0 >= 4.0).
+    tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
     table = _full(t, grid_n)
     missing = [l for l in dict.fromkeys(ls) if l not in table]
     if missing:
         by_l, V = _columns(t, Symmetry.FULL_PERIODIC, grid_n, missing, _ALL_SECTORS, 2)
         for l, at_l in zip(missing, by_l):
             (nn0, nn1), (nd,), (dn,), (dd,) = (sorted(_lanczos(*f, k, V).tolist())
-                                               for f, k in zip(at_l, (2, 1, 1, 1)))
+                                               for f, k in zip(at_l, _shares(_ALL_SECTORS, 4)))
             lo, hi = sorted([(nd, "ND_0"), (dn, "DN_0")])
             top = min((nn1, "NN_1"), (dd, "DD_0"))
             table[l] = ((nn0, lo[0], hi[0], top[0]), ("NN_0", lo[1], hi[1], top[1]))

@@ -65,7 +65,6 @@ __all__ = [
     "expected_symmetry",
     "extremal_index",
     "immersion",
-    "injectivity_scan",
     "metric",
     "symmetry_residual",
     "validate",
@@ -493,24 +492,3 @@ def _grid_image(t: Triple, n: int) -> np.ndarray:
     F.flags.writeable = False
     return F
 
-
-def injectivity_scan(t: Triple, n: int = 32) -> float:
-    """Minimum pairwise distance between images of distinct grid points.
-
-    Only meaningful on degree-1 surfaces (subcase III), where the
-    parameter torus maps one-to-one; on a quotient the grid contains
-    identified pairs by construction.
-    """
-    if n < 32:
-        raise ValueError(f"n must be >= 32, got {n}")
-    t = canonicalize(t)
-    if _covering_degree(t) != 1:
-        raise InvalidTripleError(
-            "quotient surface; scan the quotient domain instead"
-        )
-    x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    y = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    xg, yg = np.meshgrid(x, y, indexing="ij")
-    pts = immersion(t, xg, yg).reshape(6, -1).T
-    return float(min(np.min(np.sqrt(np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)))
-                     for i in range(len(pts) - 1)))

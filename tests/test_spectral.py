@@ -218,8 +218,8 @@ def _dense_oracle(t, l, n, sym, count=12):
 )
 def test_sectors_match_dense_whole_domain_matrix(t, n):
     """The merged quarter-period sectors reproduce the dense eigenvalues of the
-    whole-domain matrices they decompose, for every symmetry.  A list of 12 asks
-    each of two sectors for 7 and each of four for 4."""
+    whole-domain matrices they decompose, for every symmetry.  A list of 12 takes its shares:
+    4, 3, 3, 3 of four sectors, 7, 6 of NN, DD and 6, 6 of the other pairs."""
     for l in sorted({0, 1, math.floor(t.c_real)}):
         for sym in Symmetry:
             ev = _spec(t, l, sym, n=n, count=12)
@@ -310,12 +310,13 @@ def test_long_list_of_one_sector_within_the_step_cap():
     assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11
 
 
-@pytest.mark.parametrize("sym,most", [(Symmetry.FULL_PERIODIC, 14), (Symmetry.ODD_Y, 18)],
-                         ids=["full", "odd"])
+@pytest.mark.parametrize("sym,most", [(Symmetry.FULL_PERIODIC, [12, 12, 12, 12]),
+                                      (Symmetry.ODD_Y, [15, 14])], ids=["full", "odd"])
 def test_steps_per_sector_of_a_list_of_8(monkeypatch, sym, most):
-    """T_(5,7,13) at l = 7, grid 16384: each sector stops once its Ritz values pass the gap
-    test, within 14 steps for a list of four sectors (measured 12-13) and 18 for two (16-17);
-    a residual test at eps theta took 16-18 and 22-23."""
+    """T_(5,7,13) at l = 7, grid 16384: each sector stops once the Ritz values of its share pass
+    the gap test, NN, ND, DN and DD (shares 3, 2, 2, 2) within 12 steps each and DD, DN (4, 4)
+    within 15 and 14.  Asked for ceil(8 / sectors) + 1 each, they took 12, 12, 13, 13 and 17,
+    16; a residual test at eps theta took 16-18 and 22-23."""
     lapack = spectral.lapack
     dpttrs, lanczos, steps = lapack.dpttrs, spectral._lanczos, []
 
@@ -330,9 +331,9 @@ def test_steps_per_sector_of_a_list_of_8(monkeypatch, sym, most):
     monkeypatch.setattr(lapack, "dpttrs", counted)
     monkeypatch.setattr(spectral, "_lanczos", per_sector)
     _spec(validate(Case.GENERALIZED, 5, 7, 13), 7, sym, n=16384)
-    assert len(steps) == len(spectral._SYMMETRY_SECTORS[sym])
+    assert len(steps) == len(most)
     assert min(steps) > 0
-    assert max(steps) <= most
+    assert all(s <= bound for s, bound in zip(steps, most))
 
 
 @pytest.mark.parametrize("coupling", [1e-7, 1e-10])
@@ -608,25 +609,72 @@ def test_loader_falls_back_to_the_public_import():
                            sl_spectrum(problem, 2048).eigenvalues.tobytes().hex()]
 
 
-@pytest.mark.parametrize("sym,lowered", [(Symmetry.FULL_PERIODIC, "DN"), (Symmetry.EVEN_Y, "ND")],
-                         ids=["full", "even"])
-def test_sector_holding_the_whole_list_is_solved_again(monkeypatch, sym, lowered):
-    """One sector's factor is scaled to that of 1e-3 (B + I) (sigma = -1 at l = 1), so its
-    spectrum 1e-3 (mu + 1) - 1 sits below -0.5 and holds all 8 values of the list, far more
-    than the 3 (of four sectors) or 5 (of two) first asked of it: the list equals the
-    untrimmed merge only if that sector is solved again."""
-    factors = spectral._factors
+def test_shares_of_the_rank_one_theorem():
+    """The shares that :func:`_table` forms lambda_0..lambda_3 from, and those of a list of 8."""
+    shares = {sym: spectral._shares(spectral._SYMMETRY_SECTORS[sym], 8) for sym in Symmetry}
+    assert spectral._shares(spectral._ALL_SECTORS, 4) == (2, 1, 1, 1)
+    assert shares[Symmetry.FULL_PERIODIC] == (3, 2, 2, 2)
+    assert shares[Symmetry.PI_PERIODIC] == (5, 4)
+    assert all(shares[sym] == (4, 4) for sym in (Symmetry.PI_ANTIPERIODIC, Symmetry.EVEN_Y,
+                                                  Symmetry.ODD_Y))
 
-    def lowered_factors(t, sym, grid_n, columns):
-        F, sigma = factors(t, sym, grid_n, columns)
-        F[0, [sector for _, sector in columns].index(lowered)] *= 1e-3
-        return F, sigma
 
-    monkeypatch.setattr(spectral, "_factors", lowered_factors)
-    problem = sl_problem(validate(Case.GENERALIZED, 1, 2, 3), 1, sym)
-    ev = sl_spectrum(problem, 1024).eigenvalues
-    assert np.all(ev < -0.5)
-    assert np.max(np.abs(ev - _untrimmed_merge(problem, 1024, 8))) <= 1e-12
+@pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
+def test_a_list_solves_each_column_once_at_its_share(monkeypatch, sym):
+    """A list factors the (l, sector) columns of positive share only and makes one Lanczos call
+    per column, asked for exactly its share; a sector of share 0 is neither factored nor solved."""
+    lanczos, factors = spectral._lanczos, spectral._factors
+    asked, factored = [], []
+
+    def recorded(where, ld, le, sigma, k, basis):
+        asked.append(k)
+        return lanczos(where, ld, le, sigma, k, basis)
+
+    def recorded_factors(t, symmetry, grid_n, columns):
+        factored.extend(columns)
+        return factors(t, symmetry, grid_n, columns)
+
+    monkeypatch.setattr(spectral, "_lanczos", recorded)
+    monkeypatch.setattr(spectral, "_factors", recorded_factors)
+    sectors = spectral._SYMMETRY_SECTORS[sym]
+    for count in (1, 3, 8, 13):
+        asked.clear()
+        factored.clear()
+        _spec(validate(Case.GENERALIZED, 5, 7, 13), 7, sym, n=1024, count=count)
+        solved = [(s, k) for s, k in zip(sectors, spectral._shares(sectors, count)) if k]
+        assert factored == [(7, s) for s, _ in solved]
+        assert asked == [k for _, k in solved]
+
+
+SHARE_TRIPLES = [validate(Case.GENERALIZED, 1, 2, 3), validate(Case.GENERALIZED, 5, 7, 13),
+                 validate(Case.LAWSON, 2, 1)]
+
+
+@pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
+def test_no_sector_holds_more_of_a_list_than_its_share(sym):
+    """Against the dense sector matrices at grid 256 (m = 64 or 128 cells), for counts 1..24 at
+    l = 0, 1, 7, 40: no sector holds more of the union's lowest ``count`` than its share, and each
+    sector holds all of its share in some list, so a share lowered by one fails.  A sector holds
+    the eigenvalues below the union's next one less a rounding band of 64 eps max |lambda|: at
+    tau_(2,1), l = 40, NN_0 and DN_0 differ by 1.2e-12 (tunnelling), and eigvalsh puts DN_0 first.
+    At counts 1, 2, 3, 5 and 13 each list equals the untrimmed merge to 1e-11."""
+    sectors = spectral._SYMMETRY_SECTORS[sym]
+    reached = set()
+    for t in SHARE_TRIPLES:
+        for l in (0, 1, 7, 40):
+            dense = [np.linalg.eigvalsh(_dense_sector(t, l, 256, s, sym)) for s in sectors]
+            band = 64 * sys.float_info.epsilon * max(np.max(np.abs(ev)) for ev in dense)
+            union = np.sort(np.concatenate(dense))
+            for count in range(1, 25):
+                shares = spectral._shares(sectors, count)
+                held = [int(np.sum(ev < union[count] - band)) for ev in dense]
+                assert all(h <= k for h, k in zip(held, shares)), (t.label(), l, count)
+                reached.update(s for s, h, k in zip(sectors, held, shares) if h == k > 0)
+                if count in (1, 2, 3, 5, 13):
+                    problem = sl_problem(t, l, sym)
+                    ev = sl_spectrum(problem, 256, count).eigenvalues
+                    assert np.max(np.abs(ev - _untrimmed_merge(problem, 256, count))) <= 1e-11
+    assert reached == set(sectors)
 
 
 @pytest.mark.parametrize("l", [0, 1])
@@ -663,11 +711,11 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
 
 
-def _dense_sector(t, l, n, sector):
-    """The w^(-1/2)-symmetrized matrix of one quarter-period sector of the
-    full-periodic grid n, assembled densely: m = n/4 cells of width 2 pi/n on
-    [0, pi/2]; an N end reflects evenly (no flux), a D end oddly (twice it)."""
-    h, m = 2 * math.pi / n, n // 4
+def _dense_sector(t, l, n, sector, sym=Symmetry.FULL_PERIODIC):
+    """The w^(-1/2)-symmetrized matrix of one quarter-period sector of the grid n on the
+    symmetry's domain, assembled densely: m = n/4 cells of width 2 pi/n (full-periodic) or n/2
+    of width pi/n on [0, pi/2]; an N end reflects evenly (no flux), a D end oddly (twice it)."""
+    h, m = sym.domain_length / n, spectral._sector_cells(n, sym)
     pf = sl_coefficients(t, l, h * np.arange(m + 1))[0]
     _, q, w = sl_coefficients(t, l, h * (np.arange(m) + 0.5))
     A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
@@ -724,8 +772,8 @@ def test_a_request_solves_each_l_as_if_alone(abc):
     anchors and l_max, the real c of a Lawson pair included: the request's columns share one
     dpttrf call, and every column's Lanczos reuses the request's basis.  This holds for
     :func:`_table`'s lambda_0..lambda_3 from the exact shares (NN 2, ND, DN and DD 1; 20
-    columns), which a verification reads, and for the merged lowest 4 of the sectors'
-    share/re-solve rule that :func:`sl_spectrum`'s lists use."""
+    columns), which a verification reads, and for the lowest 4 of the same shares sorted, as
+    :func:`sl_spectrum`'s lists merge them."""
     t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
     ls = (0, t.a, t.b, t.c_real, spectral.interlacing_l_max(t))
     solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048)
@@ -1123,7 +1171,9 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     past c: the four sectors' diagonals agree but at an end whose conditions differ, where the D
     end's entry exceeds the N end's by 2 p / h^2 s^2 > 0 (p at the end face, s = w^(-1/2) in the
     end cell), and their couplings are equal and nonzero, so no sector matrix splits.  From l to
-    l + 1 only the diagonal changes, and it rises: only the potential depends on l."""
+    l + 1 only the diagonal changes, and it rises: only the potential depends on l.  On the
+    full-periodic domain (grid / 4 cells, h = 2 pi / grid) and on the pi-domain of the other
+    symmetries (grid / 2 cells, h = pi / grid), whose lists take their shares by the theorem."""
     lapack = spectral.lapack
     dpttrf, seen = lapack.dpttrf, []
 
@@ -1132,25 +1182,29 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
         return dpttrf(d, e, **kwargs)
 
     monkeypatch.setattr(lapack, "dpttrf", recorded)
-    l_max, m, h = spectral.interlacing_l_max(t), 512, 2.0 * math.pi / 2048
-    for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
-        spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(l, s) for s in spectral._ALL_SECTORS])
-    assert len(seen) == l_max + 1
-    p, _, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
-    rise = 2.0 * p[[0, -1]] / h**2 / w[[1, -2]]  # at y = 0 and at y = pi/2
-    assert np.all(rise > 0.0)
-    for d, e in seen:
-        nn, nd, dn, dd = d.reshape(4, m)
-        couplings = e.reshape(4, m)
-        assert np.all(couplings[:, -1] == 0.0)  # between the sectors' blocks
-        assert np.all(couplings[:, :-1] != 0.0) and np.all(couplings[1:, :-1] == couplings[0, :-1])
-        assert np.array_equal(nn[1:-1], nd[1:-1]) and np.array_equal(nn[1:-1], dn[1:-1])
-        assert np.array_equal(nn[1:-1], dd[1:-1])
-        assert nd[0] == nn[0] and dd[0] == dn[0] and dn[-1] == nn[-1] and dd[-1] == nd[-1]
-        for upper, lower, end in ((dn, nn, 0), (dd, nd, 0), (nd, nn, -1), (dd, dn, -1)):
-            assert upper[end] - lower[end] == pytest.approx(rise[end], rel=1e-12)
-    for (d0, e0), (d1, e1) in zip(seen, seen[1:]):
-        assert np.all(d1 >= d0) and np.array_equal(e1, e0)
+    l_max = spectral.interlacing_l_max(t)
+    for sym in (Symmetry.FULL_PERIODIC, Symmetry.PI_PERIODIC):
+        seen.clear()
+        m, h = spectral._sector_cells(2048, sym), sym.domain_length / 2048
+        for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
+            spectral._factors(t, sym, 2048, [(l, s) for s in spectral._ALL_SECTORS])
+        assert len(seen) == l_max + 1
+        p, _, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
+        rise = 2.0 * p[[0, -1]] / h**2 / w[[1, -2]]  # at y = 0 and at y = pi/2
+        assert np.all(rise > 0.0)
+        for d, e in seen:
+            nn, nd, dn, dd = d.reshape(4, m)
+            couplings = e.reshape(4, m)
+            assert np.all(couplings[:, -1] == 0.0)  # between the sectors' blocks
+            assert np.all(couplings[:, :-1] != 0.0)
+            assert np.all(couplings[1:, :-1] == couplings[0, :-1])
+            assert np.array_equal(nn[1:-1], nd[1:-1]) and np.array_equal(nn[1:-1], dn[1:-1])
+            assert np.array_equal(nn[1:-1], dd[1:-1])
+            assert nd[0] == nn[0] and dd[0] == dn[0] and dn[-1] == nn[-1] and dd[-1] == nd[-1]
+            for upper, lower, end in ((dn, nn, 0), (dd, nd, 0), (nd, nn, -1), (dd, dn, -1)):
+                assert upper[end] - lower[end] == pytest.approx(rise[end], rel=1e-12)
+        for (d0, e0), (d1, e1) in zip(seen, seen[1:]):
+            assert np.all(d1 >= d0) and np.array_equal(e1, e0)
 
 
 def _beyond_suite():
@@ -1173,10 +1227,11 @@ def _assert_theorem_at_every_l(t, ls):
     share equal the lowest four of the union of the four sectors, each solved for 4, within the
     bar, and both strict gaps exceed the bar."""
     table = spectral._table(t, 2048, ls)
-    union = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 2048, ls,
-                                         spectral._ALL_SECTORS, 4)
+    alone = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 2048, ls, (s,), 4)
+             for s in spectral._ALL_SECTORS]
     bar = interlacing_check(t, 2048).bar
-    for l, ev in zip(ls, union):
+    for l, *spectra in zip(ls, *alone):
+        ev = np.sort(np.concatenate(spectra))[:4]
         lam, _ = table[l]
         assert np.all(np.abs(np.array(lam) - ev) <= bar)
         assert lam[1] - lam[0] > bar and lam[3] - lam[2] > bar

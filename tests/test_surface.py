@@ -26,7 +26,6 @@ from lawson import (
     expected_symmetry,
     extremal_index,
     immersion,
-    injectivity_scan,
     metric,
     symmetry_residual,
     validate,
@@ -560,31 +559,3 @@ class TestSymmetry:
             symmetry_residual(SUITE[0], Phi.PHI1, 8)
         with pytest.raises(ValueError, match="even"):
             symmetry_residual(SUITE[0], Phi.PHI1, 33)
-
-
-class TestInjectivity:
-    @pytest.mark.parametrize("abc", [(0, 0, 1), (1, 2, 3)])
-    def test_embedded_cases_have_positive_separation(self, abc):
-        t = validate(Case.GENERALIZED, *abc)
-        d = injectivity_scan(t, 32)
-        # crude floor: shortest grid edge under the metric, halved
-        co = coefficients(t)
-        y = np.linspace(0, 2 * math.pi, 512)
-        gxx, gyy = metric(t, y)
-        floor = 0.5 * (2 * math.pi / 32) * math.sqrt(min(np.min(gxx), np.min(gyy)))
-        assert d > 0
-        assert d > floor
-
-    @pytest.mark.parametrize("abc", [(0, 0, 1), (1, 2, 3), (2, 2, 3), (1, 2, 5)])
-    def test_minimum_equals_pdist(self, abc):
-        """The row-by-row numpy minimum is the minimum of scipy's pdist, bit for bit."""
-        from scipy.spatial.distance import pdist
-
-        t = validate(Case.GENERALIZED, *abc)
-        x = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-        pts = immersion(t, *np.meshgrid(x, x, indexing="ij")).reshape(6, -1).T
-        assert injectivity_scan(t, 32) == float(np.min(pdist(pts)))
-
-    def test_quotient_rejected(self):
-        with pytest.raises(InvalidTripleError, match="quotient"):
-            injectivity_scan(validate(Case.GENERALIZED, 1, 1, 2), 32)

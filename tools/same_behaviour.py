@@ -15,7 +15,9 @@ and tolerance string (the count's values hold ``n2`` and ``per_l``).
 ``--lists`` writes one ``sl_spectrum`` list of 8 per line: T_(1,2,3) at l = 1
 and T_(5,7,13) at l = 7 in every symmetry at grids 16384, 65536 and 131072,
 and the eigenvalue-list queries of the benchmark's ``deep`` workload for
-seeds 101-104 (grids 16384-131072).  ``--cli`` writes one record per
+seeds 101-104 (grids 16384-131072); then lists of 1, 3 and 13 of T_(5,7,13)
+at l = 7, grid 2048, in every symmetry, whose sectors' shares include 0 and
+differ (a list not of 8 carries its ``count``).  ``--cli`` writes one record per
 ``lawson`` command line: its argv, exit code, stdout, stderr and, for
 ``export``, the sha256 of the written file.  The command lines are the
 requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
@@ -101,21 +103,25 @@ def record(t, grid_n: int, deep: bool) -> dict:
 
 
 def list_queries() -> list[tuple]:
-    """(triple, l, symmetry, grid_n) of every list ``--lists`` writes, in order."""
+    """(triple, l, symmetry, grid_n, count) of every list ``--lists`` writes, in order."""
     fixed = [(validate(Case.GENERALIZED, 1, 2, 3), 1), (validate(Case.GENERALIZED, 5, 7, 13), 7)]
-    queries = [(t, l, sym, n) for t, l in fixed for sym in Symmetry for n in (16384, 65536, 131072)]
+    queries = [(t, l, sym, n, 8) for t, l in fixed for sym in Symmetry
+               for n in (16384, 65536, 131072)]
     for seed in range(101, 105):
         for op in Deep(seed, os.devnull).queries:
             a = op.args
             queries.append((validate(Case.GENERALIZED, *a["triple"][1:]), a["l"],
-                            Symmetry(a["symmetry"]), a["grid_n"]))
-    return queries
+                            Symmetry(a["symmetry"]), a["grid_n"], 8))
+    t = fixed[1][0]
+    return queries + [(t, 7, sym, 2048, count) for count in (1, 3, 13) for sym in Symmetry]
 
 
-def list_record(t, l: int, sym: Symmetry, grid_n: int) -> dict:
+def list_record(t, l: int, sym: Symmetry, grid_n: int, count: int) -> dict:
     out = {"triple": t.label(), "l": l, "symmetry": sym.value, "grid_n": grid_n}
+    if count != 8:
+        out["count"] = count
     try:
-        ev = sl_spectrum(sl_problem(t, l, sym), grid_n).eigenvalues
+        ev = sl_spectrum(sl_problem(t, l, sym), grid_n, count).eigenvalues
     except SpectralError as exc:
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
     return {**out, "eigenvalues": ev.tolist()}
@@ -237,7 +243,7 @@ def header() -> dict:
 
 def _key(record: dict) -> tuple:
     return tuple(tuple(v) if isinstance(v, list) else v
-                 for v in map(record.get, ("triple", "grid_n", "deep", "l", "symmetry", "argv")))
+                 for v in map(record.get, ("triple", "grid_n", "deep", "l", "symmetry", "count", "argv")))
 
 
 def _records(path: str) -> tuple[dict | None, dict]:
