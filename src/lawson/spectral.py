@@ -30,19 +30,19 @@ stencil (:func:`_stencil`):
     pi-periodic      NN + DD                odd-in-y     DD + DN
     pi-antiperiodic  ND + DN
 
-Each (l, sector) is factored as B - sigma I = L D L^T (LAPACK dpttrf), in place and all of a
-request's sectors in one call: their block-diagonal matrix has zero couplings, so each factor is
-bit for bit its own.  Only the potential q is formed per l, the rest of B once per request: the
-columns a list or a verification's spectra at one grid lack, which share one Lanczos basis and
-one start vector, white noise from a splitmix64 hash (:func:`_uniform`; no numpy.random).
-sigma + 1 is the floor l^2 / max P of B rounded down to a multiple of 16, so the
-wanted eigenvalues sit within a few times l + 16 of sigma at any l.  Lanczos on
-(B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
-reorthogonalized against the recurrence's two vectors, then once against the whole basis,
-which each thread keeps and reuses for lists of up to 8) solves each column once, for the
-sector's exact share of the union's lowest eigenvalues by the rank-one theorem (:func:`_shares`):
-lists, and the lambda_0..lambda_3 the checks read (:func:`interlacing_check`), memoized per
-(triple, grid) and l.  The minimality residual is separable, O(grid_n).
+Every spectrum comes from one request (:func:`_sector_eigenvalues`): per l, each sector's exact
+share of the union's lowest eigenvalues by the rank-one theorem (:func:`_shares`), ascending.
+Its (l, sector) columns of positive share are factored as B - sigma I = L D L^T (LAPACK dpttrf)
+in place by one call: their block-diagonal matrix has zero couplings, so each factor is bit for
+bit its own.  Only the potential q is formed per l, the rest of B once per request, and the
+columns share one Lanczos basis and one start vector, white noise from a splitmix64 hash
+(:func:`_uniform`; no numpy.random).  sigma + 1 is the floor l^2 / max P of B rounded down to a
+multiple of 16, so the wanted eigenvalues sit within a few times l + 16 of sigma at any l.
+Lanczos on (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
+reorthogonalized against the recurrence's two vectors, then once against the whole basis, which
+each thread keeps and reuses for lists of up to 8) solves each column once.  A list merges the
+sectors' shares; the checks read lambda_0..lambda_3 at the anchors' frequencies, one request per
+(triple, grid) kept in a memo (:func:`_table`).  The minimality residual is separable, O(grid_n).
 
 The count N(2) needs no y-grid.  With A = min(a, b), B = max(a, b), y taken from pi/2 when
 a > b and v = F(y | k^2), k^2 = (B^2 - A^2) / (c^2 - A^2), the metric is conformally flat,
@@ -117,10 +117,6 @@ class Symmetry(enum.Enum):
     PI_PERIODIC = "pi-periodic"            # [0, pi) cyclic
     PI_ANTIPERIODIC = "pi-antiperiodic"    # [0, pi), sign-flipped wraparound
 
-    @property
-    def domain_length(self) -> float:
-        return 2.0 * math.pi if self is Symmetry.FULL_PERIODIC else math.pi
-
 
 # Quarter-period sectors: end condition at y = 0, then at y = pi/2.
 _ALL_SECTORS = ("NN", "ND", "DN", "DD")
@@ -147,8 +143,7 @@ class SLProblem:
     symmetry: Symmetry = Symmetry.FULL_PERIODIC
 
     def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"l must be non-negative, got {self.l}")
+        _check_frequency(self.l)
 
 
 @dataclass(frozen=True)
@@ -162,10 +157,16 @@ def sl_coefficients(t: Triple, l: float, y: np.ndarray):
     p = sqrt(2P + Q) > 0, q = 2 l^2 / sqrt(2P + Q) >= 0,
     w = 2P / sqrt(2P + Q) > 0; all pi-periodic and even in y.
     """
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
+    _check_frequency(l)
     root, w = _flux_and_weight(t, y)
     return root, _potential(l, root), w
+
+
+def _check_frequency(l: float) -> None:
+    """A frequency must be a double: 0 <= l <= the largest one (not NaN, not infinite)."""
+    if not 0 <= l <= sys.float_info.max:
+        raise ValueError(f"l must be non-negative, got {l}" if l < 0 else
+                         f"l must be finite and at most {sys.float_info.max!r}, got {l}")
 
 
 def _flux_and_weight(t: Triple, y: np.ndarray):
@@ -185,7 +186,7 @@ sl_problem = SLProblem  # sl_problem(t, l[, symmetry]), full-periodic by default
 
 
 def _sector_cells(grid_n: int, sym: Symmetry) -> int:
-    parts = 4 if sym is Symmetry.FULL_PERIODIC else 2
+    parts = len(_SYMMETRY_SECTORS[sym])
     if grid_n < 256 or grid_n % parts:
         raise ValueError(
             f"grid_n must be >= 256 and divisible by {parts} on the {sym.value} domain "
@@ -219,7 +220,7 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     matrix of all columns in place: its zero couplings leave each block's factor bit for bit that
     of its own call."""
     m = _sector_cells(grid_n, sym)
-    h = sym.domain_length / grid_n
+    h = math.pi / (2 * m)  # 2 pi / grid_n on [0, 2 pi), pi / grid_n on a pi-domain: the same double
     # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
     p, w = _flux_and_weight(t, 0.5 * h * np.arange(2 * m + 1))
     pf, root, w = p[::2], p[1::2], w[1::2]
@@ -241,11 +242,12 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
 
 def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
              V: np.ndarray) -> np.ndarray:
-    """The ``k`` lowest eigenvalues of a sector's B from the factor of B - sigma I: Lanczos on
-    (B - sigma I)^-1 from the unit ``V[0]``, Ritz values theta of T_s by dstev.  Each step makes
-    two classical Gram-Schmidt passes, the first against the recurrence's two vectors, where the
-    large components of the new vector lie, the second against the whole basis: a step reads the
-    basis twice.  Twice is enough once the large components are gone (Giraud, Langou & Rozloznik,
+    """The ``k`` lowest eigenvalues of a sector's B, ascending, from the factor of B - sigma I:
+    Lanczos on (B - sigma I)^-1 from the unit ``V[0]``, Ritz values theta of T_s by dstev, the
+    largest k of them inverted in reverse, so no caller sorts.  Each step makes two classical
+    Gram-Schmidt passes, the first against the recurrence's two vectors, where the large
+    components of the new vector lie, the second against the whole basis: a step reads the basis
+    twice.  Twice is enough once the large components are gone (Giraud, Langou & Rozloznik,
     *Comput. Math. Appl.* 50, 2005; Parlett, *The Symmetric Eigenvalue Problem*, ch. 6); measured,
     the full pass removes at most 3.3e-12 of what the local one leaves (median 8.5e-15) over
     52,324 steps of lists at grids 16384-131072 and deep verifications at 2048, so no third pass
@@ -285,7 +287,7 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
             tests = ((b * abs(zi), min(th[i] - th[i - 1], th[i + 1] - th[i]), th[i])  # r, g, theta
                      for i, zi in zip(range(s + 1 - len(zs), s + 1), zs))
             if s == m or all(r * r < eps * theta_i * (g - r) for r, g, theta_i in tests):
-                return sigma + 1.0 / theta[-k:]
+                return sigma + 1.0 / theta[:-k - 1:-1]
         v /= b
     raise EigensolverError(f"Lanczos did not converge within {steps} steps at {where}")
 
@@ -332,23 +334,6 @@ def _start(m: int) -> np.ndarray:
     return v / blas.dnrm2(v)
 
 
-def _columns(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int):
-    """``(by_l, V)``: per l of ``ls`` each sector's :func:`_lanczos` arguments from one
-    :func:`_factors` call; this thread's basis (:func:`_basis`) for ``count`` eigenvalues a column."""
-    m = _sector_cells(grid_n, sym)
-    if not 1 <= count < m:
-        raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
-    columns = [(l, sector) for l in ls for sector in sectors]
-    (d, e), sigma = _factors(t, sym, grid_n, columns)
-    factors = [(_where(grid_n, sym, l, sector), d[i], e[i, :-1], sigma[i])
-               for i, (l, sector) in enumerate(columns)]
-    # The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
-    V = _basis(min(m, 8 * count + 64) + 1, m)
-    V[0] = _start(m)
-    n = len(sectors)
-    return [factors[i:i + n] for i in range(0, len(factors), n)], V
-
-
 @functools.lru_cache(maxsize=128)
 def _shares(sectors: tuple, count: int) -> tuple:
     """How many of the lowest ``count`` eigenvalues of the union of ``sectors`` each sector may
@@ -359,61 +344,69 @@ def _shares(sectors: tuple, count: int) -> tuple:
     max(0, i + 1 - r(Y, X)) eigenvalues of the union at or below it, and X's share is
     #{i : that bound < count}.  At count 4 the four sectors' shares are (2, 1, 1, 1), at count 8
     (3, 2, 2, 2); two sectors share 8 as (5, 4) (NN, DD) or (4, 4).  Kept per (sectors, count):
-    forming the shares of four takes about 50 us, and a verification reads them at each l."""
+    every request reads them once, and forming them anew takes 64-115 us, about 1% of a census
+    verification."""
     def below(x: str, i: int) -> int:
         return i + sum(max(0, i + 1 - sum(ends == ("D", "N") for ends in zip(y, x)))
                        for y in sectors if y != x)
     return tuple(sum(below(x, i) < count for i in range(count)) for x in sectors)
 
 
-def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors, count: int) -> list:
-    """The lowest ``count`` eigenvalues of the union of the sectors, ascending, at each l of ``ls``,
-    from one request's columns (:func:`_columns`): each sector solved once for its share
-    (:func:`_shares`), a sector of share 0 neither factored nor solved, merged, cut to ``count``."""
-    shares = {sector: k for sector, k in zip(sectors, _shares(sectors, count)) if k}
-    by_l, V = _columns(t, sym, grid_n, ls, tuple(shares), count)
-    merged = (np.concatenate([_lanczos(*f, k, V) for f, k in zip(at_l, shares.values())])
-              for at_l in by_l)
-    return [np.sort(ev)[:count] for ev in merged]
+def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors: tuple,
+                        count: int) -> list:
+    """Per l of ``ls``, one ascending array per sector of ``sectors``: the sector's share
+    (:func:`_shares`) of the lowest ``count`` eigenvalues of their union, empty for a share of 0.
+    One request: the columns of positive share factored by one :func:`_factors` call, each solved
+    once by :func:`_lanczos` from one start vector in this thread's basis (:func:`_basis`)."""
+    m = _sector_cells(grid_n, sym)
+    if not 1 <= count < m:
+        raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
+    shares = _shares(sectors, count)
+    wanted = [(l, sector, k) for l in ls for sector, k in zip(sectors, shares) if k]
+    (d, e), sigma = _factors(t, sym, grid_n, [(l, sector) for l, sector, _ in wanted])
+    # The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
+    V = _basis(min(m, 8 * count + 64) + 1, m)
+    V[0] = _start(m)
+    solved = iter([_lanczos(_where(grid_n, sym, l, sector), d[i], e[i, :-1], sigma[i], k, V)
+                   for i, (l, sector, k) in enumerate(wanted)])
+    return [[next(solved) if k else np.empty(0) for k in shares] for _ in ls]
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
     """Lowest ``count`` eigenvalues of the discretized pencil, ascending: the merged
     quarter-period sectors of the problem's symmetry.  ``count`` must be at least 1 and
     below the sector size."""
-    ev, = _sector_eigenvalues(problem.triple, problem.symmetry, grid_n, [problem.l],
-                              _SYMMETRY_SECTORS[problem.symmetry], count)
-    return SpectrumResult(eigenvalues=ev)
+    spectra, = _sector_eigenvalues(problem.triple, problem.symmetry, grid_n, [problem.l],
+                                   _SYMMETRY_SECTORS[problem.symmetry], count)
+    return SpectrumResult(eigenvalues=np.sort(np.concatenate(spectra))[:count])
+
+
+def _lambdas(spectra) -> tuple:
+    """``(lambda_0..lambda_3, their names)`` from NN, ND, DN and DD's shares of four (2, 1, 1, 1),
+    formed as the theorem of :func:`interlacing_check` orders them, not sorted, so that a violated
+    ordering shows as a gap that is not positive."""
+    (nn0, nn1), (nd,), (dn,), (dd,) = (ev.tolist() for ev in spectra)
+    lo, hi = sorted([(nd, "ND_0"), (dn, "DN_0")])
+    top = min((nn1, "NN_1"), (dd, "DD_0"))
+    return (nn0, lo[0], hi[0], top[0]), ("NN_0", lo[1], hi[1], top[1])
 
 
 @functools.lru_cache(maxsize=128)
-def _full(t: Triple, grid_n: int) -> dict:
-    """Memo of the canonical triple's full periodic lambda_0..lambda_3 at ``grid_n`` by l, as
-    :func:`_table` solves them: only these tuples.  No factor outlives its request; the Lanczos
-    basis of a list of up to 8 stays with its thread (:func:`_basis`)."""
-    return {}
-
-
-def _table(t: Triple, grid_n: int, ls) -> dict:
-    """:func:`_full` of ``t`` at ``grid_n`` once one request has solved the l of ``ls`` it lacks:
-    lambda_0..lambda_3 and their names from each sector's exact share of four (:func:`_shares`),
-    formed as the theorem of :func:`interlacing_check` orders them, not sorted, so that a violated
-    ordering shows as a gap that is not positive.  Every column wants eigenvalues that stand apart
-    in its sector, as :func:`_lanczos`'s stop test requires: ND, DN and DD one each, NN two, whose
-    NN_1 - NN_0 is at least the sum of the two strict gaps (at the anchors' frequencies of the
+def _table(t: Triple, grid_n: int) -> tuple:
+    """Rows ``(l, lambda_0..lambda_3, their names)`` (:func:`_lambdas`) of the canonical ``t``'s
+    full periodic spectra at ``grid_n``, at the anchors' frequencies c, max(a, b) and min(a, b) in
+    that order: one request that solves each distinct l once, memoized per (triple, grid), which
+    :func:`anchor_check` and :func:`interlacing_check` read.  No factor outlives the request; the
+    Lanczos basis stays with its thread (:func:`_basis`).  Every column wants eigenvalues that stand
+    apart in its sector, as :func:`_lanczos`'s stop test requires: ND, DN and DD one each, NN two,
+    whose NN_1 - NN_0 is at least the sum of the two strict gaps (at the anchors' frequencies of the
     census, c <= 30, grid 2048, measured: the sum >= 1.07e-2, NN_1 - NN_0 >= 4.0).
     tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
-    table = _full(t, grid_n)
-    missing = [l for l in dict.fromkeys(ls) if l not in table]
-    if missing:
-        by_l, V = _columns(t, Symmetry.FULL_PERIODIC, grid_n, missing, _ALL_SECTORS, 2)
-        for l, at_l in zip(missing, by_l):
-            (nn0, nn1), (nd,), (dn,), (dd,) = (sorted(_lanczos(*f, k, V).tolist())
-                                               for f, k in zip(at_l, _shares(_ALL_SECTORS, 4)))
-            lo, hi = sorted([(nd, "ND_0"), (dn, "DN_0")])
-            top = min((nn1, "NN_1"), (dd, "DD_0"))
-            table[l] = ((nn0, lo[0], hi[0], top[0]), ("NN_0", lo[1], hi[1], top[1]))
-    return table
+    ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
+    distinct = list(dict.fromkeys(ls))
+    solved = _sector_eigenvalues(t, Symmetry.FULL_PERIODIC, grid_n, distinct, _ALL_SECTORS, 4)
+    rows = dict(zip(distinct, map(_lambdas, solved)))
+    return tuple((l, *rows[l]) for l in ls)
 
 
 def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
@@ -424,13 +417,10 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
     Zero entries of the triple read their anchor at l = 0 at the same index; the boundary case
     reads lambda_0 at the real frequency c = sqrt(a^2 + b^2).  All three shrink at second order in
     the mesh down to the rounding floor :func:`anchor_floor`, below which a residual measures no
-    order.  The spectra are those of the canonical triple, from :func:`_table` (in a
-    verification, interlacing has solved them); ``grid_n`` must be divisible by 4.
+    order.  The spectra are the canonical triple's rows of :func:`_table`, which
+    :func:`interlacing_check` reads too; ``grid_n`` must be divisible by 4.
     """
-    t = canonicalize(t)
-    ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
-    ev = _table(t, grid_n, ls)
-    return tuple(abs(ev[l][0][i] - 2.0) for i, l in enumerate(ls))
+    return tuple(abs(lam[i] - 2.0) for i, (_, lam, _) in enumerate(_table(canonicalize(t), grid_n)))
 
 
 def _profile(which: int, amp: float, k2: float, y: np.ndarray):
@@ -704,9 +694,7 @@ def interlacing_check(t: Triple, grid_n: int = 2048) -> InterlacingReport:
     one, so a gap within gamma_28 G (:func:`_rounding`): the bar.  ``grid_n`` divisible by 4.
     """
     t = canonicalize(t)
-    ls = t.c_real, max(t.a, t.b), min(t.a, t.b)  # the anchors' request (:func:`anchor_check`)
-    ev = _table(t, grid_n, ls)
-    rows = [(l, *ev[l]) for l in ls]  # (l, lambda_0..lambda_3, their names)
+    rows = _table(t, grid_n)
     gaps = tuple(min((lam[i + 1] - lam[i], l, names[i + 1], names[i]) for l, lam, names in rows)
                  for i in (0, 2))
     bar = _rounding(t, grid_n, 28)

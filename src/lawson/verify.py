@@ -186,9 +186,9 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     """Run the full residual suite for one triple.
 
     ``deep`` doubles the spectral grids, measures anchor convergence orders, adds a third rung to
-    the minimality-residual ladder, and re-counts on the doubled grid.  Interlacing runs first and
-    is reported last: its one request solves c, max(a, b) and min(a, b) at ``grid_n`` for it and
-    the anchors.  Raises :class:`SpectralError` subclasses only for non-convergence; an
+    the minimality-residual ladder, and re-counts on the doubled grid.  The checks run in report
+    order; anchors and interlacing read one memoized request per grid, which solves c, max(a, b)
+    and min(a, b).  Raises :class:`SpectralError` subclasses only for non-convergence; an
     indeterminate count is reported in-band.
     """
     _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
@@ -199,10 +199,9 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     report.checks.append(_eq35_check(t))
     report.checks.append(_takahashi_check(t, deep))
     report.checks.append(_area_check(t))
-    interlacing = _interlacing_check(t, grid_n)
     report.checks.append(_anchor_check(t, grid_n, deep))
     report.checks.append(_symmetry_check(t))
     count, report.indeterminate = _count_check(t, grid_n, deep)
     report.checks.append(count)
-    report.checks.append(interlacing)
+    report.checks.append(_interlacing_check(t, grid_n))
     return report

@@ -219,6 +219,18 @@ class TestSpectrum:
         assert out == ""
         assert "count must be >= 1" in err and f"got {count}" in err
 
+    def test_frequency_beyond_the_largest_double_rejected(self, capsys):
+        """``--l 10**400`` is invalid input, not an OverflowError traceback from the solve's
+        float(l).  ``--l`` takes integers, so the parser refuses NaN and inf, also with exit 1."""
+        code, out, err = run(capsys, "spectrum", "5", "7", "13", "--l", str(10**400))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("invalid input: l must be finite") and "Traceback" not in err
+        for l in ("nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["spectrum", "5", "7", "13", "--l", l])
+            err = capsys.readouterr().err
+            assert exc.value.code == EXIT_INVALID and "invalid int value" in err
+
 
 class TestExport:
     def test_csv_rows_are_unit_norm(self, capsys, tmp_path):

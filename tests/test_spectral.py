@@ -70,6 +70,22 @@ class TestSelfAdjointCoefficients:
             sl_coefficients(t, -1, np.linspace(0, 2 * math.pi, 5))
         with pytest.raises(ValueError):  # q depends on l^2 alone: the problem refuses l < 0
             spectral.SLProblem(t, -1, Symmetry.ODD_Y)
+        with pytest.raises(ValueError, match=r"^l must be non-negative, got -1$"):
+            sl_problem(t, -1)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    def test_frequency_that_is_not_a_double_rejected(self, l):
+        """A NaN, infinite or unrepresentable l is a ValueError where the problem is made, not a
+        Lanczos run out of steps (NaN, inf) or an OverflowError from float(l) (10**400)."""
+        t = validate(Case.GENERALIZED, 5, 7, 13)
+        message = "non-negative" if l < 0 else "finite"
+        with pytest.raises(ValueError, match=f"^l must be {message}"):
+            sl_problem(t, l)
+        with pytest.raises(ValueError, match=f"^l must be {message}"):
+            spectral.SLProblem(t, l, Symmetry.EVEN_Y)
+        with pytest.raises(ValueError, match=f"^l must be {message}"):
+            sl_coefficients(t, l, np.linspace(0, 2 * math.pi, 5))
 
     def test_reduction_is_algebraically_exact(self):
         """-(p phi')' + q phi - lambda w phi == -w * (separated ODE residual).
@@ -186,8 +202,8 @@ def _dense_oracle(t, l, n, sym, count=12):
     [0, 2 pi) or [0, pi) with periodic corner entries, [0, pi) with sign-flipped
     (antiperiodic) corners, or [0, pi] with zero flux (even-in-y: an end loses its
     face) or zero value (odd-in-y: an end face doubles) at both ends, symmetrized
-    with W^(-1/2)."""
-    h = sym.domain_length / n
+    with W^(-1/2).  The cells are as wide as a sector's, pi / (2 m)."""
+    h = math.pi / (2 * spectral._sector_cells(n, sym))
     pf = sl_coefficients(t, l, h * np.arange(n + 1))[0]
     nodes = h * (np.arange(n) + 0.5)
     _, q, w = sl_coefficients(t, l, nodes)
@@ -283,7 +299,7 @@ def test_sector_solved_to_its_size_spans_it(monkeypatch):
     t = validate(Case.GENERALIZED, 1, 2, 3)
     for sector in spectral._ALL_SECTORS:
         steps.clear()
-        ev, = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 256, [1], (sector,), 63)
+        (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 256, [1], (sector,), 63)
         dense = np.linalg.eigvalsh(_dense_sector(t, 1, 256, sector))[:63]
         assert len(steps) == 64
         assert np.all(np.abs(ev - dense) <= 1e-11 * (1 + dense) ** 2)
@@ -305,7 +321,7 @@ def test_long_list_of_one_sector_within_the_step_cap():
     threads (420-450 under a residual test at eps theta), within the cap 8 count + 64, and
     its list matches ARPACK to 1e-11 relative (measured 1.5e-14)."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    ev, = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 16384, [1000], ("NN",), 90)
+    (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 16384, [1000], ("NN",), 90)
     oracle = _untrimmed_merge(sl_problem(t, 1000), 16384, 90, ("NN",))
     assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11
 
@@ -356,7 +372,7 @@ def test_near_degenerate_pairs_are_both_found(l, coupling):
     V = np.empty((len(d) + 1, len(d)))
     V[0] = spectral._start(len(d))
     for k in range(1, 9):
-        ev = np.sort(spectral._lanczos("the hand-built sector", ld, le, -1.0, k, V))
+        ev = spectral._lanczos("the hand-built sector", ld, le, -1.0, k, V)  # ascending
         assert np.max(np.abs(ev - dense[:k])) <= 1e-11
 
 
@@ -686,9 +702,9 @@ def test_no_sector_holds_more_of_a_list_than_its_share(sym):
 def test_clifford_closed_form_spectrum_at_fine_grid(sym, n, shift, l):
     """T_(0,0,1) has constant coefficients, so the discrete spectrum is known in
     closed form: 8 sin^2(pi k/n)/h^2 + 2 l^2, h = L/n, over integer k (periodic)
-    or half-integer k (antiperiodic).  Both grids have cell width 2 pi/131072
-    and sectors of 32768 cells, where LAPACK stebz missed by 3e-7."""
-    h = sym.domain_length / n
+    or half-integer k (antiperiodic).  Both grids have cell width h = pi / (2 m) = 2 pi/131072
+    and sectors of m = 32768 cells, where LAPACK stebz missed by 3e-7."""
+    h = math.pi / (2 * spectral._sector_cells(n, sym))
     k = np.arange(-8, 8) + shift
     exact = np.sort(8.0 * np.sin(math.pi * k / n) ** 2 / h**2 + 2.0 * l * l)[:8]
     ev = _spec(validate(Case.GENERALIZED, 0, 0, 1), l, sym, n=n)
@@ -715,7 +731,8 @@ def _dense_sector(t, l, n, sector, sym=Symmetry.FULL_PERIODIC):
     """The w^(-1/2)-symmetrized matrix of one quarter-period sector of the grid n on the
     symmetry's domain, assembled densely: m = n/4 cells of width 2 pi/n (full-periodic) or n/2
     of width pi/n on [0, pi/2]; an N end reflects evenly (no flux), a D end oddly (twice it)."""
-    h, m = sym.domain_length / n, spectral._sector_cells(n, sym)
+    m = spectral._sector_cells(n, sym)
+    h = math.pi / (2 * m)
     pf = sl_coefficients(t, l, h * np.arange(m + 1))[0]
     _, q, w = sl_coefficients(t, l, h * (np.arange(m) + 0.5))
     A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
@@ -770,25 +787,26 @@ def test_factors_equal_a_per_l_assembly(t, n):
 def test_a_request_solves_each_l_as_if_alone(abc):
     """An l's spectra are bit for bit the same solved alone or in one request with 0, the
     anchors and l_max, the real c of a Lawson pair included: the request's columns share one
-    dpttrf call, and every column's Lanczos reuses the request's basis.  This holds for
-    :func:`_table`'s lambda_0..lambda_3 from the exact shares (NN 2, ND, DN and DD 1; 20
-    columns), which a verification reads, and for the lowest 4 of the same shares sorted, as
-    :func:`sl_spectrum`'s lists merge them."""
+    dpttrf call, and every column's Lanczos reuses the request's basis.  Each l gives the four
+    sectors' shares of four (NN 2, ND, DN and DD 1; 20 columns), ascending, from which
+    :func:`_lambdas` forms lambda_0..lambda_3; the memo's rows at the anchors' frequencies are
+    those of each l solved alone."""
     t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
     ls = (0, t.a, t.b, t.c_real, spectral.interlacing_l_max(t))
     solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048)
     together = solve(ls, spectral._ALL_SECTORS, 4)
-    assert len(together) == 5
-    for l, ev in zip(ls, together):
-        alone, = solve([l], spectral._ALL_SECTORS, 4)
-        assert ev.tobytes() == alone.tobytes()
-    spectral._full.cache_clear()
-    table = dict(spectral._table(t, 2048, ls))
-    assert len(table) == len(set(ls))
-    for l in ls:
-        spectral._full.cache_clear()
-        assert spectral._table(t, 2048, [l])[l] == table[l]
-    spectral._full.cache_clear()
+    assert [[len(ev) for ev in spectra] for spectra in together] == [[2, 1, 1, 1]] * 5
+    alone = {}
+    for l, spectra in zip(ls, together):
+        alone[l], = solve([l], spectral._ALL_SECTORS, 4)
+        assert [ev.tobytes() for ev in spectra] == [ev.tobytes() for ev in alone[l]]
+        assert all(np.all(np.diff(ev) > 0) for ev in spectra)
+    spectral._table.cache_clear()
+    rows = spectral._table(t, 2048)
+    assert [l for l, *_ in rows] == [t.c_real, max(t.a, t.b), min(t.a, t.b)]
+    for l, lam, names in rows:
+        assert (lam, names) == spectral._lambdas(alone[l])
+    spectral._table.cache_clear()
 
 
 def _moduli(t):
@@ -839,7 +857,7 @@ def _list_counts(t, n, guard):
     by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
     counts = []
     for l in range(spectral.interlacing_l_max(t) + 1):
-        lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, [l], (s,), 8)[0]
+        lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, [l], (s,), 8)[0][0]
                  for s in by_parity[l % 2]]
         assert all(ev[-1] > 2.0 + guard for ev in lists)
         counts.append((l, sum(int(np.sum(ev < 2.0 - guard)) for ev in lists)))
@@ -943,7 +961,7 @@ def test_coefficients_evaluated_once_per_grid(monkeypatch):
         monkeypatch.setattr(module, "coefficients", coefficients_calls)
     per_triple = []
     for abc in ((5, 7, 13), (1, 2, 150)):
-        spectral._full.cache_clear()
+        spectral._table.cache_clear()
         calls.clear()
         lawson.verify.run_verification(validate(Case.GENERALIZED, *abc), 2048, deep=True)
         per_triple.append(len(calls))
@@ -1185,7 +1203,8 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     l_max = spectral.interlacing_l_max(t)
     for sym in (Symmetry.FULL_PERIODIC, Symmetry.PI_PERIODIC):
         seen.clear()
-        m, h = spectral._sector_cells(2048, sym), sym.domain_length / 2048
+        m = spectral._sector_cells(2048, sym)
+        h = math.pi / (2 * m)
         for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
             spectral._factors(t, sym, 2048, [(l, s) for s in spectral._ALL_SECTORS])
         assert len(seen) == l_max + 1
@@ -1224,15 +1243,15 @@ BEYOND_SUITE = _beyond_suite()
 
 def _assert_theorem_at_every_l(t, ls):
     """At every l of ``ls``, lambda_0..lambda_3 as the theorem forms them from each sector's
-    share equal the lowest four of the union of the four sectors, each solved for 4, within the
-    bar, and both strict gaps exceed the bar."""
-    table = spectral._table(t, 2048, ls)
-    alone = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 2048, ls, (s,), 4)
-             for s in spectral._ALL_SECTORS]
+    share (:func:`_lambdas`) equal the lowest four of the union of the four sectors, each solved
+    for 4, within the bar, and both strict gaps exceed the bar."""
+    solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048, ls)
+    shares = solve(spectral._ALL_SECTORS, 4)
+    alone = [[ev for ev, in solve((s,), 4)] for s in spectral._ALL_SECTORS]
     bar = interlacing_check(t, 2048).bar
-    for l, *spectra in zip(ls, *alone):
-        ev = np.sort(np.concatenate(spectra))[:4]
-        lam, _ = table[l]
+    for spectra, *whole in zip(shares, *alone):
+        ev = np.sort(np.concatenate(whole))[:4]
+        lam, _ = spectral._lambdas(spectra)
         assert np.all(np.abs(np.array(lam) - ev) <= bar)
         assert lam[1] - lam[0] > bar and lam[3] - lam[2] > bar
 
@@ -1293,7 +1312,7 @@ def test_interlacing_solves_only_the_anchors_frequencies(monkeypatch, case, para
 
     monkeypatch.setattr(spectral, "_factors", factored)
     monkeypatch.setattr(spectral, "_lanczos", recorded)
-    spectral._full.cache_clear()
+    spectral._table.cache_clear()
     report = interlacing_check(t, 2048)
     ls = (t.c_real, max(t.a, t.b), min(t.a, t.b))
     assert columns == [[(l, s) for l in ls for s in spectral._ALL_SECTORS]]
@@ -1312,17 +1331,40 @@ def test_a_gap_below_the_bar_fails_with_its_record():
     assert lower == "NN_0" and upper in ("ND_0", "DN_0")
 
 
+@pytest.mark.parametrize("abc,columns", [((5, 7, 13), 12), ((1, 1, 2), 8), ((0, 0, 1), 8)],
+                         ids=["T_(5,7,13)", "T_(1,1,2)", "T_(0,0,1)"])
+def test_checks_share_one_request_per_grid_in_either_order(monkeypatch, abc, columns):
+    """From an empty memo, anchors then interlacing and interlacing then anchors each make one
+    factoring call per grid, of the four sectors at each distinct anchor frequency: 12 columns
+    for T_(5,7,13), 8 where max(a, b) = min(a, b).  Both orders give the same values."""
+    t = validate(Case.GENERALIZED, *abc)
+    factors, calls, results = spectral._factors, [], []
+
+    def counted(t, sym, grid_n, cols):
+        calls.append((grid_n, len(cols)))
+        return factors(t, sym, grid_n, cols)
+
+    monkeypatch.setattr(spectral, "_factors", counted)
+    for order in ((anchor_check, interlacing_check), (interlacing_check, anchor_check)):
+        spectral._table.cache_clear()
+        calls.clear()
+        results.append({(check.__name__, n): check(t, n) for n in (1024, 2048) for check in order})
+        assert calls == [(1024, columns), (2048, columns)]
+    spectral._table.cache_clear()
+    assert results[0] == results[1]
+
+
 @pytest.mark.parametrize("scale,holds,margin", [(10.0, True, 0.1), (1.0, False, 1.0),
                                                  (-1.0, False, None)])
 def test_margin_is_the_bar_over_the_smaller_gap(monkeypatch, scale, holds, margin):
-    """On stand-in eigenvalues whose smallest gap, lambda_1 - lambda_0 at l = 2, is 10, 1 and -1
-    times the bar: the margin is bar / gap, below 1 only when the gap passes, and None when the
-    gap is not positive (crossed eigenvalues, whose bar / gap would read as a pass)."""
+    """On stand-in rows of the memo whose smallest gap, lambda_1 - lambda_0 at l = 2, is 10, 1
+    and -1 times the bar: the margin is bar / gap, below 1 only when the gap passes, and None when
+    the gap is not positive (crossed eigenvalues, whose bar / gap would read as a pass)."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
     bar, names = spectral._rounding(t, 2048, 28), ("NN_0", "DN_0", "ND_0", "NN_1")
-    memo = {l: ((0.0, 1.0, 2.0, 3.0), names) for l in (3.0, 1)}
-    memo[2] = ((0.0, scale * bar, 2.0, 3.0), names)
-    monkeypatch.setattr(spectral, "_full", lambda t, grid_n: memo)
+    rows = ((3.0, (0.0, 1.0, 2.0, 3.0), names), (2, (0.0, scale * bar, 2.0, 3.0), names),
+            (1, (0.0, 1.0, 2.0, 3.0), names))
+    monkeypatch.setattr(spectral, "_table", lambda t, grid_n: rows)
     report = interlacing_check(t, 2048)
     assert report.gaps == ((scale * bar, 2, "DN_0", "NN_0"), (1.0, 1, "NN_1", "ND_0"))
     assert report.bar == bar and report.holds is holds

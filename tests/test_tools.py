@@ -1,5 +1,5 @@
 """tools/same_behaviour.py --compare: exact on everything but floats, whose largest
-absolute and relative deltas it prints."""
+absolute and relative deltas it prints; tools/code_lines.py: the package's code lines."""
 
 import hashlib
 import json
@@ -10,6 +10,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
 
+import code_lines  # noqa: E402
 import same_behaviour  # noqa: E402
 
 
@@ -210,3 +211,35 @@ def test_compare_reads_the_floats_inside_stdout_by_delta(tmp_path, monkeypatch, 
     rewritten = {**verify, "stdout": json.dumps(integral, indent=2) + "\n"}
     assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", [rewritten, text])) == 0
     assert "max |delta| 1e-17  stdout.payload.checks[].values.k2" in capsys.readouterr().out
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path, capsys):
+    """A module, class and function docstring, a comment line and a blank line do not count; each
+    line of a statement spanning three lines does, and so does a line that ends in a comment or
+    holds a string that is not a docstring."""
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment does not hide the code
+
+
+class Shape:
+    """Class docstring."""
+
+    def area(self, r):
+        """Function docstring."""
+        # a comment line
+        return (math.pi
+                * r
+                * r)
+
+
+NAME = """not a
+docstring"""
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert code_lines.code_lines(source) == 1 + 2 + 3 + 2
+    assert code_lines.main([str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[0] == out[1].split()[0] == "8" and out[1].split()[1] == "total"
