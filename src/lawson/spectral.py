@@ -133,8 +133,8 @@ _SYMMETRY_SECTORS = {
 class SLProblem:
     """One separated eigenvalue problem: triple, frequency, sector.
 
-    ``l >= 0`` is an integer for spectra entering the eigenvalue count;
-    real values are admitted so the boundary-case anchor at
+    ``l >= 0``, at most the largest double (:func:`_check_frequency`), is an integer for spectra
+    entering the eigenvalue count; real values are admitted so the boundary-case anchor at
     l = sqrt(a^2+b^2) can be evaluated directly.
     """
 

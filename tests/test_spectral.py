@@ -638,7 +638,8 @@ def test_shares_of_the_rank_one_theorem():
 @pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
 def test_a_list_solves_each_column_once_at_its_share(monkeypatch, sym):
     """A list factors the (l, sector) columns of positive share only and makes one Lanczos call
-    per column, asked for exactly its share; a sector of share 0 is neither factored nor solved."""
+    per column, asked for exactly its share; a sector of share 0 is neither factored nor solved,
+    and the request gives it an empty array."""
     lanczos, factors = spectral._lanczos, spectral._factors
     asked, factored = [], []
 
@@ -660,6 +661,9 @@ def test_a_list_solves_each_column_once_at_its_share(monkeypatch, sym):
         solved = [(s, k) for s, k in zip(sectors, spectral._shares(sectors, count)) if k]
         assert factored == [(7, s) for s, _ in solved]
         assert asked == [k for _, k in solved]
+        spectra, = spectral._sector_eigenvalues(validate(Case.GENERALIZED, 5, 7, 13), sym, 1024,
+                                                [7], sectors, count)
+        assert tuple(map(len, spectra)) == spectral._shares(sectors, count)
 
 
 SHARE_TRIPLES = [validate(Case.GENERALIZED, 1, 2, 3), validate(Case.GENERALIZED, 5, 7, 13),
