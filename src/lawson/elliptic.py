@@ -10,7 +10,8 @@ continuation to k^2 < 0 available without any imaginary-modulus
 transformation: after the substitution t = sin(theta) the integrands
 stay real for every k^2 < 1.
 
-K is computed as pi / (2 agm(1, sqrt(1 - k^2))) and E by the classical
+K is computed as pi / (2 agm(1, k')), k' = sqrt(k'^2) with k'^2 = 1 - k^2
+carried by the :class:`Modulus` (DLMF 19.8), and E by the classical
 companion sum
 
     E = K (1 - sum_{n >= 0} 2^(n-1) c_n^2),   c_0^2 = k^2,
@@ -47,27 +48,36 @@ _AGM_MAX_ITER = 40
 
 @dataclass(frozen=True)
 class Modulus:
-    """Elliptic modulus, stored as k^2.
+    """Elliptic modulus, stored as k^2 and the complementary k'^2.
 
     k^2 is the primary representation because the negative values that a
     modulus picks up on non-canonical parameter orderings have no real k.
     For k^2 >= 0 the derived field ``k`` equals sqrt(k2); otherwise it is
-    NaN.
+    NaN.  k'^2 defaults to 1 - k^2; :meth:`from_ratio` forms it from
+    integers instead, so it stays positive where k^2 rounds to 1.
     """
 
     k2: float
+    kp2: float | None = None
     k: float = field(init=False)
 
     def __post_init__(self) -> None:
         k2 = float(self.k2)
-        if math.isnan(k2) or k2 > 1.0:
-            raise ValueError(f"modulus out of domain: k^2 = {k2!r} must be <= 1")
+        kp2 = 1.0 - k2 if self.kp2 is None else float(self.kp2)
+        if math.isnan(k2) or k2 > 1.0 or not kp2 >= 0.0:
+            raise ValueError(f"modulus out of domain: need k^2 = {k2!r} <= 1, k'^2 = {kp2!r} >= 0")
         object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "kp2", kp2)
         object.__setattr__(self, "k", math.sqrt(k2) if k2 >= 0.0 else math.nan)
 
     @classmethod
     def from_k(cls, k: float) -> "Modulus":
         return cls(k2=float(k) * float(k))
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int) -> "Modulus":
+        """k^2 = num / den and k'^2 = (den - num) / den from integers, one division each."""
+        return cls(k2=num / den, kp2=(den - num) / den)
 
 
 def _agm(a: float, b: float) -> tuple[float, list[float], list[float]]:
@@ -93,22 +103,22 @@ def agm(x: float, y: float) -> float:
 def complete_K(m: Modulus) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi/(2 agm(1, k')).
 
-    Diverges as k^2 -> 1, hence the strict domain k^2 < 1.
+    Diverges as k'^2 -> 0, hence the strict domain k'^2 > 0.
     """
-    if m.k2 >= 1.0:
-        raise ValueError(f"K(k) diverges for k^2 >= 1 (got k^2 = {m.k2!r})")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m.k2))[0])
+    if m.kp2 <= 0.0:
+        raise ValueError(f"K(k) diverges for k'^2 <= 0 (got k^2 = {m.k2!r}, k'^2 = {m.kp2!r})")
+    return math.pi / (2.0 * _agm(1.0, math.sqrt(m.kp2))[0])
 
 
 def complete_E(m: Modulus) -> float:
     """Complete elliptic integral of the second kind.
 
-    Defined on k^2 <= 1; E(1) = 1 exactly (the integrand degenerates to
-    cos(theta), outside the reach of the AGM recursion).
+    Defined on k'^2 >= 0; E = 1 exactly at k'^2 = 0 (the integrand degenerates
+    to cos(theta), outside the reach of the AGM recursion).
     """
-    if m.k2 == 1.0:
+    if m.kp2 == 0.0:
         return 1.0
-    limit, _, cn = _agm(1.0, math.sqrt(1.0 - m.k2))
+    limit, _, cn = _agm(1.0, math.sqrt(m.kp2))
     s = 0.5 * m.k2
     for n, c in enumerate(cn):
         s += 2.0**n * c * c

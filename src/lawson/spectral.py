@@ -131,11 +131,11 @@ _SYMMETRY_SECTORS = {
 
 @dataclass(frozen=True)
 class SLProblem:
-    """One separated eigenvalue problem: triple, frequency, sector.
+    """One separated eigenvalue problem of :func:`sl_spectrum`: triple, frequency, sector.
 
-    ``l >= 0``, at most the largest double (:func:`_check_frequency`), is an integer for spectra
-    entering the eigenvalue count; real values are admitted so the boundary-case anchor at
-    l = sqrt(a^2+b^2) can be evaluated directly.
+    ``l`` is any real from 0 to the largest double (:func:`_check_frequency`), not only the
+    integers of a Fourier mode in x.  Neither the count (:func:`count_N2`, on the Lame operator's
+    sectors) nor the anchors (:func:`_table`, which requests the sectors directly) go through it.
     """
 
     triple: Triple

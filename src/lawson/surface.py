@@ -39,7 +39,6 @@ surface) and 1 otherwise.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -338,9 +337,9 @@ def area_closed(t: Triple) -> tuple[float, float]:
     a2, b2, c2 = t.a * t.a, t.b * t.b, t.c_squared
     if t.case is Case.LAWSON:
         hi, lo = max(a2, b2), min(a2, b2)
-        s = 8.0 * math.pi * math.sqrt(hi) * complete_E(Modulus(k2=(hi - lo) / hi))
+        s = 8.0 * math.pi * math.sqrt(hi) * complete_E(Modulus.from_ratio(hi - lo, hi))
         return s, s / 2.0
-    m = Modulus(k2=(b2 - a2) / (c2 - a2))
+    m = Modulus.from_ratio(b2 - a2, c2 - a2)
     s = (4.0 * math.pi / math.sqrt(c2 - a2)) * (
         2.0 * (c2 - a2) * complete_E(m) - (c2 - a2 - b2) * complete_K(m)
     )
@@ -466,29 +465,17 @@ def expected_symmetry(t: Triple) -> Phi | None:
 
 
 def symmetry_residual(t: Triple, phi: Phi, n: int = 32) -> float:
-    """max over an n x n grid of |F(Phi(x, y)) - F(x, y)| in R^6.
+    """max over y = 2 pi j / n, j < n, of |F(Phi(x, y)) - F(x, y)| in R^6, the same at every x.
 
-    At most machine-zero when phi is the surface's identification,
-    order-one otherwise.  With n even, Phi maps the grid onto itself, so F
-    on the grid (:func:`_grid_image`) is compared with its permutation.
+    At most machine-zero when phi is the surface's identification, order-one otherwise.  Phi maps
+    (x, y) to (x + pi, psi(y)), which multiplies each pair (sin l x, cos l x) f(y) by (-1)^l, so
+    |F(Phi(x, y)) - F(x, y)|^2 = sum_i ((-1)^(l_i) f_i(psi(y)) - f_i(y))^2: the profiles f1, f2, f3
+    compared with their permutation, which with n even maps the y-grid onto itself.  On the Lawson
+    boundary f3 = 0, so a c that is not an integer needs no sign.
     """
     if n < 16 or n % 2:
         raise ValueError(f"n must be even and >= 16, got {n}")
-    F = _grid_image(t, n)
-    xi, yj = phi.apply(np.arange(n), np.arange(n), n // 2)
-    diff = F[:, xi % n][:, :, yj % n] - F
+    f = immersion(t, 0.0, 2.0 * math.pi * np.arange(n) / n)[1::2]  # cos rows at x = 0: f1, f2, f3
+    sign = np.array([[1 - 2 * (l % 2)] for l in (t.a, t.b, t.c or 0)])
+    diff = sign * f[:, phi.apply(0, np.arange(n), n // 2)[1] % n] - f
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_image(t: Triple, n: int) -> np.ndarray:
-    """F on the n x n grid of [0, 2 pi)^2, each phase l x_i = 2 pi (l i mod n) / n reduced exactly
-    for integer l: read-only and kept for the last (t, n), which every Phi of a check shares."""
-    i = np.arange(n)
-    profiles = immersion(t, 0.0, 2.0 * math.pi * i / n)[1::2]  # cos rows at x = 0: f1, f2, f3
-    phases = [2.0 * math.pi / n * (int(l) * i % n if float(l).is_integer() else l * i)
-              for l in (t.a, t.b, t.c_real)]
-    F = np.array([trig(x)[:, None] * f for x, f in zip(phases, profiles) for trig in (np.sin, np.cos)])
-    F.flags.writeable = False
-    return F
-

@@ -64,6 +64,12 @@ class TestClassify:
         assert math.isqrt(triple["c_squared"]) == 134234113
         assert list(triple) == ["case", "a", "b", "c", "c_squared"]
 
+    def test_modulus_rounding_to_one(self, capsys):
+        """k^2 = b^2 / c^2 rounds to 1.0 here; K and E read k'^2 = (2c - 1) / c^2 instead."""
+        code, out, err = run(capsys, "classify", "0", "72057594037927935", "72057594037927936")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["payload"]["topology"] == "klein-bottle"
+
     def test_wrong_arity(self, capsys):
         code, _, err = run(capsys, "classify", "1", "2")
         assert code == EXIT_INVALID

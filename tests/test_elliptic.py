@@ -7,6 +7,7 @@ produced by the oracle at tolerance 1e-13.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,3 +170,46 @@ class TestModulus:
         m = Modulus(k2)
         if k2 >= 0:
             assert m.k == math.sqrt(k2)
+
+    def test_from_ratio_forms_both_squares_from_integers(self):
+        m = Modulus.from_ratio(3, 4)
+        assert (m.k2, m.kp2, m.k) == (0.75, 0.25, math.sqrt(0.75))
+        assert Modulus(0.75).kp2 == 0.25  # the default 1 - k^2
+        with pytest.raises(ValueError):
+            Modulus(0.5, kp2=-1.0)
+
+
+# K at the modulus of tau_(a, b), k^2 = (a^2 - b^2) / a^2, by mpmath.ellipk at 45 digits.
+LAWSON_K = {
+    (2, 1): "2.156515647499643235438674998800322028864",
+    (19, 1): "4.333043363003263388766128694655507833612",
+    (188, 1): "6.622776096069287402508164323740985169027",
+    (1000, 1): "8.294051463615439985315519278799438212276",
+    (3000, 1): "9.392662161899649664919255854111906371256",
+    (10000, 1): "10.5966347570876603202555402974683259687",
+    (7, 3): "2.295999812210315689611361661648042040676",
+    (99, 70): "1.854117900461309638704504461934721488385",
+}
+
+
+class TestComplementaryModulus:
+    """K and E run the AGM from (1, k'), k'^2 formed from integers: 1 - k^2 in floats keeps
+    only the bits of k'^2 that survive k^2's rounding, and is 0 once k^2 rounds to 1."""
+
+    @pytest.mark.parametrize("bits", [20, 30, 40, 56])
+    def test_K_near_one_follows_its_logarithmic_asymptote(self, bits):
+        """k = (2^bits - 1) / 2^bits: K = ln(4/k') + O(k'^2 ln k') (DLMF 19.12.1).  At 56 bits
+        k^2 rounds to 1.0, where K from 1 - k^2 diverged."""
+        c = 2**bits
+        m = Modulus.from_ratio((c - 1) ** 2, c * c)
+        log = math.log(4.0) - 0.5 * math.log(m.kp2)
+        assert m.kp2 > 0.0
+        assert abs(complete_K(m) - log) <= m.kp2 * log + 4 * math.ulp(log)
+        assert abs(complete_E(m) - 1.0) <= m.kp2 * log + 4 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("ab", list(LAWSON_K), ids=[f"tau_{ab}" for ab in LAWSON_K])
+    def test_lawson_K_within_4_ulps_of_the_reference(self, ab):
+        """1 - k^2 in floats would put K 1087 ulps off at tau_(188,1)."""
+        a, b = ab
+        K = complete_K(Modulus.from_ratio(a * a - b * b, a * a))
+        assert abs(Fraction(K) - Fraction(LAWSON_K[ab])) <= 4 * Fraction(math.ulp(K))

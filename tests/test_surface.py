@@ -1,6 +1,7 @@
 """Family construction: validation, coefficients, metric, area, classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,6 +322,50 @@ class TestMetric:
         assert np.min(co.q + 2 * p) > 0
 
 
+# S of a sample from k^2 and 1 - k^2 in floats, as area_closed formed them before Modulus carried
+# k'^2 from integers.
+S_FROM_FLOAT_MODULI = [
+    ((0, 0, 1), 19.739208802178716),
+    ((0, 1, 2), 41.987050357708426),
+    ((1, 1, 2), 45.585750062112446),
+    ((1, 2, 3), 69.02331879430437),
+    ((1, 1, 4), 81.54626875535894),
+    ((1, 2, 4), 85.70733846144782),
+    ((0, 1, 3), 60.874315508715355),
+    ((1, 3, 4), 93.15192238524726),
+    ((2, 3, 6), 130.62477149223488),
+    ((1, 2, 5), 103.9131677662479),
+    ((3, 4, 6), 146.13266269499172),
+    ((5, 7, 13), 289.86630641073896),
+    ((12, 74, 77), 1939.3386317060576),
+    ((1, 2, 150), 2961.045823329799),
+    ((60, 80, 101), 2778.189603724934),
+    ((98, 835, 919), 22309.571091321286),
+    ((1, 2, 1500), 29608.82965261833),
+    ((1, 4, 5000), 98696.0607892226),
+    ((1, 1000, 1001), 25145.378134002098),
+    ((1, 1), 39.47841760435743),
+    ((2, 1), 60.87431550871536),
+    ((3, 1), 83.97410071541685),
+    ((171, 1), 4298.141735085682),
+    ((188, 1), 4725.364613299035),
+    ((300, 1), 7540.098414156877),
+    ((3000, 1), 75398.26093565157),
+]
+
+# S = 8 pi a E((a^2 - b^2) / a^2) of tau_(a, b) by mpmath.ellipe at 45 digits.
+LAWSON_S = {
+    (2, 1): "60.87431550871536886576080865900144210357",
+    (19, 1): "480.0579189450684801529535147463975533225",
+    (188, 1): "4725.364613299038283237214688030667459935",
+    (1000, 1): "25132.8391716686898634678769800702533377",
+    (3000, 1): "75398.260935651669683835264851123596037",
+    (10000, 1): "251327.4249749889052970551874283777199192",
+    (7, 3): "205.3701010656343322924350865247098158406",
+    (99, 70): "3360.529029185014700254774544619090014481",
+}
+
+
 class TestArea:
     def test_clifford_landmark(self):
         s, area = area_closed(validate(Case.GENERALIZED, 0, 0, 1))
@@ -384,6 +429,30 @@ class TestArea:
         assert abs(area_quadrature(t, 4096) - closed) / closed > 1e-8
         assert abs(area_quadrature(t) - closed) / closed <= 1e-14
         assert abs(closed - area) / area <= 1e-14
+
+    @pytest.mark.parametrize("abc,s", S_FROM_FLOAT_MODULI,
+                             ids=[str(abc) for abc, _ in S_FROM_FLOAT_MODULI])
+    def test_S_within_16_ulps_of_the_float_moduli(self, abc, s):
+        """S from k^2 and k'^2 = 1 - k^2 rounded in floats (``S_FROM_FLOAT_MODULI``) and from
+        both formed from integers differ by rounding: measured at most 8 ulps over the 193,547
+        generalized triples with c <= 120 and 10 over the 12,152 Lawson pairs with a <= 199."""
+        t = validate(Case.LAWSON, *abc) if len(abc) == 2 else validate(Case.GENERALIZED, *abc)
+        assert abs(area_closed(t)[0] - s) <= 16 * math.ulp(s)
+
+    @pytest.mark.parametrize("ab", list(LAWSON_S), ids=[f"tau_{ab}" for ab in LAWSON_S])
+    def test_lawson_S_within_16_ulps_of_the_reference(self, ab):
+        """S = 8 pi a E keeps E's companion-sum rounding, which grows as k -> 1 (measured at most
+        9.9 ulps over the Lawson pairs with a <= 199, before and after k'^2 came from integers)."""
+        s, _ = area_closed(validate(Case.LAWSON, *ab))
+        assert abs(Fraction(s) - Fraction(LAWSON_S[ab])) <= 16 * Fraction(math.ulp(s))
+
+    def test_modulus_rounding_to_one_classifies(self):
+        """T_(0, 2^56 - 1, 2^56): k^2 = b^2 / c^2 rounds to 1.0, k'^2 = (2c - 1) / c^2 does not."""
+        c = 2**56
+        t = validate(Case.GENERALIZED, 0, c - 1, c)
+        s, area = area_closed(t)
+        assert classify(t).area == area == s / 2
+        assert s == pytest.approx(8.0 * math.pi * (c - 1), rel=1e-15)  # 4 pi / c * 2 c^2 E, E -> 1
 
     def test_every_surface_up_to_c_30_keeps_4096_nodes(self):
         """Up to c = 30 the strip is wide: every generalized triple and Lawson pair there, in
@@ -500,6 +569,24 @@ class TestExtremalIndex:
             assert extremal_index(t) == extremal_index(reference)
 
 
+SYMMETRY_SET = SUITE + [validate(Case.GENERALIZED, 1, 2, 1500),
+                        validate(Case.GENERALIZED, 1, 4, 5000), validate(Case.LAWSON, 10**4, 1)]
+
+
+def _image_residual(t, phi, n):
+    """max |F(Phi p) - F(p)| over the n x n grid of [0, 2 pi)^2, F evaluated on the whole grid with
+    each integer phase l x_i = 2 pi (l i mod n) / n reduced exactly (f3 = 0 on the boundary, where
+    c is not stored)."""
+    i = np.arange(n)
+    profiles = immersion(t, 0.0, 2.0 * math.pi * i / n)[1::2]
+    phases = [2.0 * math.pi / n * (l * i % n) for l in (t.a, t.b, t.c or 0)]
+    F = np.array([trig(x)[:, None] * f for x, f in zip(phases, profiles)
+                  for trig in (np.sin, np.cos)])
+    xi, yj = phi.apply(i, i, n // 2)
+    diff = F[:, xi % n][:, :, yj % n] - F
+    return float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
+
+
 class TestSymmetry:
     @pytest.mark.parametrize(
         "case,params,phi",
@@ -524,8 +611,8 @@ class TestSymmetry:
         ids=SUITE_IDS + ["T_(1,2,1500)", "T_(1,4,5000)"],
     )
     def test_dichotomy(self, t):
-        """The match stays at roundoff for large c: unreduced phases c x lose
-        about c ulp (1.1e-12 at c = 1500, 2.7e-12 at c = 5000)."""
+        """The match stays at roundoff for large c: the residual compares the y-profiles alone and
+        forms no phase c x (measured 5.0e-16 at c = 1500 and 4.5e-16 at c = 5000)."""
         expected = expected_symmetry(t)
         for phi in Phi:
             r = symmetry_residual(t, phi, 32)
@@ -553,6 +640,14 @@ class TestSymmetry:
             klein = sc.topology is Topology.KLEIN_BOTTLE
             assert klein == (expected in (Phi.PHI1, Phi.PHI2)), t.label()
             assert (sc.covering_degree == 2) == (expected is not None), t.label()
+
+    @pytest.mark.parametrize("t", SYMMETRY_SET, ids=[t.label() for t in SYMMETRY_SET])
+    def test_profiles_give_the_residual_of_the_whole_image(self, t):
+        """The residual from the y-profiles equals the one of F on the n x n grid compared with
+        its permutation under Phi, within 1e-15, at every Phi and n = 32, 48."""
+        for n in (32, 48):
+            for phi in Phi:
+                assert abs(symmetry_residual(t, phi, n) - _image_residual(t, phi, n)) <= 1e-15
 
     def test_grid_precondition(self):
         with pytest.raises(ValueError):

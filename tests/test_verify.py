@@ -49,6 +49,24 @@ class TestRunVerification:
         count = next(c for c in report.checks if c.name == "count")
         assert count.values["n2_refined"] == count.values["n2"]
 
+    def test_indeterminate_recount_makes_the_report_indeterminate(self, monkeypatch):
+        """The doubled grid's recount is the evidence of "grid-stable": when its certificate
+        fails, the deep report is indeterminate, while the report at the grid alone is ok."""
+        count = verify.count_N2
+
+        def refined_fails(t, grid_n):
+            if grid_n == 4096:
+                raise IndeterminateCountError("indeterminate count; refine grid")
+            return count(t, grid_n)
+
+        monkeypatch.setattr(verify, "count_N2", refined_fails)
+        t = validate(Case.GENERALIZED, 1, 2, 3)
+        assert run_verification(t, grid_n=2048).status == "ok"
+        report = run_verification(t, grid_n=2048, deep=True)
+        assert report.status == "indeterminate"
+        check = next(c for c in report.checks if c.name == "count")
+        assert not check.passed and "indeterminate" in check.values["error"]
+
     def test_deep_anchor_at_its_rounding_floor_passes(self):
         """T_(1,1,5)'s lambda_0 anchor is exact on the grid: its residuals, 5.8e-11 at 2048 and
         2.3e-10 at 4096, are rounding, which grows as 1 / h^2.  They lie below the derived floors,
@@ -244,3 +262,16 @@ class TestRunVerification:
         forward = [render(t) for t in triples]
         backward = [render(t) for t in reversed(triples)]
         assert forward == backward[::-1]
+
+
+def test_count_does_not_depend_on_the_grid():
+    """count_N2's n2 and per_l are functions of the triple: the grid enters only the inertia
+    certificate.  Every seventh canonical surface of the census (c <= 30) counts the same at
+    grids 256 and 4096, and both certificates hold."""
+    generalized = [validate(Case.GENERALIZED, a, b, c) for c in range(1, 31) for b in range(c)
+                   for a in range(b + 1) if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
+    pairs = [validate(Case.LAWSON, a, b) for a in range(1, 31) for b in range(1, a + 1)
+             if a * a + b * b <= 900 and math.gcd(a, b) == 1]
+    for t in (generalized + pairs)[::7]:
+        coarse, fine = spectral.count_N2(t, 256), spectral.count_N2(t, 4096)
+        assert (coarse.n2, coarse.per_l_counts) == (fine.n2, fine.per_l_counts), t.label()
