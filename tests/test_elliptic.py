@@ -1,9 +1,10 @@
 """Elliptic-integral layer: AGM values against the quadrature oracle.
 
-The oracle (adaptive Gauss-Kronrod on the theta-substituted defining
-integrals) shares no code with the AGM evaluation; agreement between the
-two is the correctness argument.  Frozen reference digits below were
-produced by the oracle at tolerance 1e-13.
+The oracle (the periodic rectangle rule on the theta-substituted defining
+integrals, its node count from the strip of analyticity) shares no code
+with the AGM evaluation; agreement between the two is the correctness
+argument.  The periodic rule at 4096 nodes reproduces the frozen
+reference digits below within 4 ulps.
 """
 
 import math
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from lawson.elliptic import (
     Modulus,
-    adaptive_quadrature,
     agm,
     complete_E,
     complete_E_quadrature,
@@ -25,7 +25,7 @@ from lawson.elliptic import (
     landen_gap,
 )
 
-# Oracle-computed reference values (adaptive G7/K15, abs tol 1e-13).
+# Reference values, reproduced within 4 ulps by the periodic rectangle rule at 4096 nodes.
 K_HALF = 1.685750354812596
 E_HALF = 1.4674622093394272
 K_NEG_THIRD = 1.4599026317063393  # k^2 = -1/3, the non-canonical Klein-bottle modulus
@@ -125,10 +125,24 @@ class TestAgainstQuadratureOracle:
             assert complete_K(m) == pytest.approx(complete_K_quadrature(m), rel=1e-10)
             assert complete_E(m) == pytest.approx(complete_E_quadrature(m), rel=1e-10)
 
-    def test_quadrature_unit_panel(self):
-        # sanity of the oracle itself on a known smooth integral
-        assert adaptive_quadrature(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-13)
-        assert adaptive_quadrature(lambda t: t * t, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-14)
+    @pytest.mark.parametrize("k2,kp2", [(0.5, 0.5), (0.9, 0.1), (-1.0 / 3.0, 4.0 / 3.0),
+                                        (-100.0, 101.0), (0.0, 1.0), (1.0 - 1e-6, 1e-6),
+                                        (1.0 - 1e-8, 1e-8)])
+    def test_within_1e_13_of_the_agm(self, k2, kp2):
+        """k'^2 = 1e-6 and 1e-8 take 2^16 and 2^19 nodes; there the rule's K and E sit within
+        1.1e-14 and 4.4e-16 of the AGM (measured), since the carried k'^2 keeps
+        k'^2 + k^2 cos^2 theta from cancelling.  The old G7/K15 oracle was 1.8e-12 off at 1e-6."""
+        m = Modulus(k2, kp2)
+        assert complete_K_quadrature(m) == pytest.approx(complete_K(m), rel=1e-13)
+        assert complete_E_quadrature(m) == pytest.approx(complete_E(m), rel=1e-13)
+
+    def test_raises_where_the_node_cap_cannot_reach_rounding(self):
+        """At k'^2 = 1e-10 the strip half-width is 1e-5, and 2^20 nodes give n d = 10.5, not
+        ln(1 / u) = 36.7: the capped rule's K was 1.7e-6 off, so the oracle refuses."""
+        m = Modulus(1.0 - 1e-10, 1e-10)
+        for oracle in (complete_K_quadrature, complete_E_quadrature):
+            with pytest.raises(ValueError, match=r"2\^20 nodes at k'\^2 = 1e-10"):
+                oracle(m)
 
 
 class TestLandenGap:
