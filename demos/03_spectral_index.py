@@ -6,8 +6,10 @@ is extremal for the N(2)-th normalized eigenvalue functional, where
 N(2) counts eigenvalues strictly below 2.  The count is computed from
 scratch, sector filters and all, on the one Lame operator that every
 frequency shares in the conformal coordinate, and compared with the
-closed-form index; "gap" is how far that operator's next eigenvalue
-lies above the highest level the count compares with.
+closed-form index.  A sector counts at each l below its stop (the
+operator's edges, at l^2 < l_edge^2) and of the parity its symmetry
+admits; "gap" is how far that operator's next eigenvalue lies above
+the highest level the count compares with.
 """
 
 from lawson import (
@@ -58,10 +60,11 @@ for case, params in [
     t = validate(case, *params)
     j, functional, lam = extremal_index(t)
     report = count_N2(t, 2048)
-    per_l = ", ".join(f"l={l}:{n}" for l, n in report.per_l_counts)
+    stops = ", ".join(f"{s}:{stop}" for s, stop in report.stops.items())
+    even, odd = ("+".join(sectors) for sectors in report.sectors)
     flag = "agree" if report.agree else "MISMATCH"
     print(f"{t.label():>10}: closed-form j = {j:2d}, counted N(2) = {report.n2:2d}  [{flag}]")
-    print(f"            per-frequency counts: {per_l}  (gap {report.gap:.2f})")
+    print(f"            stops {stops}; even l in {even}, odd l in {odd}  (gap {report.gap:.2f})")
 
 print("\nOscillation orderings hold numerically:")
 for params in [(0, 0, 1), (1, 1, 2), (1, 2, 4)]:

@@ -545,10 +545,13 @@ def anchor_tolerance(grid_n: int) -> float:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Outcome of the independent eigenvalue count N(2) over l = 0 .. c, and its evidence."""
+    """Outcome of the independent eigenvalue count N(2) over l = 0 .. c, and its evidence: the
+    stop of each sector (NN, ND, DN, DD) and the sectors counted at even and odd l, from which
+    :func:`count_N2` forms n2."""
 
     n2: int
-    per_l_counts: tuple[tuple[int, int], ...]
+    stops: dict[str, int]
+    sectors: tuple[tuple[str, ...], tuple[str, ...]]
     gap: float
     edge_errors: tuple[float, float, float]
     cells: int
@@ -604,6 +607,15 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     a <= b and swapped when a > b.  The report gives the gap from E_0 to L's next eigenvalue, the
     three edge errors and m.  ``grid_n`` follows the y-grid's rule (:func:`_sector_cells`): at
     least 256 and divisible by 4.
+
+    The count is integer arithmetic on three stops: an edge counts in y's sector s at each
+    l < stops[s] = isqrt(l_edge^2 - 1) + 1 (0 for DD) whose parity admits s (``sectors``, by the
+    expected symmetry), each l >= 1 twice, so with no numpy and no work that grows with c
+
+        n2 = sum over p = 0, 1 and s in sectors[p] of 2 #{l = p mod 2 : l < stops[s]}
+             - [p = 0 and stops[s] > 0].
+
+    The count at each l follows exactly: count(l) = #{s in sectors[l mod 2] : l < stops[s]}.
     """
     m = _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
     t = canonicalize(t)
@@ -625,32 +637,25 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
         )
     # l_edge^2 of y's sectors: an edge counts at each l with l^2 < l_edge^2, l < stops[sector]
     stops = {s: math.isqrt(e - 1) + 1 if e else 0
-             for s, e in (("NN", c2), ("ND", t.b * t.b), ("DN", t.a * t.a))}
-    counts = np.zeros(interlacing_l_max(t), dtype=int)
-    for parity, sectors in enumerate(_COUNT_SECTORS[expected_symmetry(t)]):
-        for sector in sectors:
-            counts[parity:stops.get(sector, 0):2] += 1
-    per_l = tuple(enumerate(counts.tolist()))
-    n2 = 2 * sum(counts.tolist()) - per_l[0][1]
-    return CountReport(n2=n2, per_l_counts=per_l, gap=gap, edge_errors=errors, cells=m,
-                       j_closed=j_closed, agree=n2 == j_closed)
-
-
-def interlacing_l_max(t: Triple) -> int:
-    """One past c (floor c + 1): the end of :func:`count_N2`'s sum and of :func:`_rounding`'s l."""
-    return math.isqrt(t.c_squared) + 1
+             for s, e in (("NN", c2), ("ND", t.b * t.b), ("DN", t.a * t.a), ("DD", 0))}
+    sectors = _COUNT_SECTORS[expected_symmetry(t)]
+    n2 = sum(2 * len(range(p, stops[s], 2)) - (p == 0 and stops[s] > 0)
+             for p in (0, 1) for s in sectors[p])
+    return CountReport(n2=n2, stops=stops, sectors=sectors, gap=gap, edge_errors=errors,
+                       cells=m, j_closed=j_closed, agree=n2 == j_closed)
 
 
 def _rounding(t: Triple, grid_n: int, n: int) -> float:
     """gamma_n G for the canonical ``t`` (:func:`_gamma`): G = 3 max p / (h^2 min w)
-    + 2 l_max^2 / min P + 1 (:func:`interlacing_l_max`) bounds every partial result of a diagonal
-    entry of a sector matrix at ``grid_n`` and l <= l_max, which meets 7 roundings (q = 2 l^2 /
-    root, + flux, +- end, * s twice, + 1, - shift).  The couplings are at most G / 3, so a
-    Lanczos stop errs by at most eps (lambda - sigma) <= 5/3 eps G, within gamma_7 G."""
+    + 2 l_max^2 / min P + 1 bounds every partial result of a diagonal entry of a sector matrix
+    at ``grid_n`` and l <= l_max, which meets 7 roundings (q = 2 l^2 / root, + flux, +- end, * s
+    twice, + 1, - shift).  The couplings are at most G / 3, so a Lanczos stop errs by at most
+    eps (lambda - sigma) <= 5/3 eps G, within gamma_7 G."""
     co = coefficients(t)
     spread = abs(co.b_sq - co.a_sq)
     top, low = (co.c_sq + spread) / 2, (co.c_sq - spread) / 2  # max P, min P
-    h, l_max = 2.0 * math.pi / grid_n, interlacing_l_max(t)
+    # l_max = floor c + 1 lies above every l solved: the anchors' frequencies are at most c
+    h, l_max = 2.0 * math.pi / grid_n, math.isqrt(t.c_squared) + 1
     largest = (3.0 * math.sqrt((2 * top + co.q) * (2 * low + co.q)) / (2 * low * h * h)
                + 2 * l_max * l_max / low + 1.0)
     return _gamma(n) * largest

@@ -154,10 +154,11 @@ def _symmetry_check(t: Triple) -> CheckResult:
 def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]:
     """The count record, and whether the count was indeterminate.
 
-    n2 and per_l depend only on the triple: the grid enters :func:`count_N2` only through its
-    inertia certificate, which raises when it fails.  So "grid-stable" (``deep``) certifies that
-    the recount at 2 grid_n also passed its certificate; a recount that raises makes the report
-    indeterminate.  ``n2_refined`` records the recount's n2, equal to ``n2`` by construction.
+    n2, the stops and the sectors depend only on the triple: the grid enters :func:`count_N2`
+    only through its inertia certificate, which raises when it fails.  So "grid-stable"
+    (``deep``) certifies that the recount at 2 grid_n also passed its certificate; a recount that
+    raises makes the report indeterminate.  ``n2_refined`` records the recount's n2, equal to
+    ``n2`` by construction.
     """
     tolerance = "n2 == closed-form j" + (", grid-stable" if deep else "")
     try:
@@ -171,7 +172,8 @@ def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]
         "gap": report.gap,
         "edge_errors": list(report.edge_errors),
         "cells": report.cells,
-        "per_l": [list(pair) for pair in report.per_l_counts],
+        "stops": dict(report.stops),
+        "sectors": {"even_l": list(report.sectors[0]), "odd_l": list(report.sectors[1])},
     }
     if deep:
         values["n2_refined"] = refined.n2

@@ -1,5 +1,7 @@
 """Shared fixtures: the reference suite of surfaces exercised everywhere."""
 
+import math
+
 import pytest
 
 from lawson import Case, InvalidTripleError, Triple, validate
@@ -38,6 +40,13 @@ def build_suite() -> list[Triple]:
 
 SUITE = build_suite()
 SUITE_IDS = [t.label() for t in SUITE]
+
+
+def per_l_counts(report, t: Triple) -> tuple[tuple[int, int], ...]:
+    """The count's (l, count) at l = 0 .. floor c from its stops and parity sectors:
+    count(l) = #{s in sectors[l mod 2] : l < stops[s]}."""
+    return tuple((l, sum(l < report.stops[s] for s in report.sectors[l % 2]))
+                 for l in range(math.isqrt(t.c_squared) + 1))
 
 
 @pytest.fixture(scope="session")

@@ -144,6 +144,23 @@ class TestVerify:
         for order in anchors["values"]["orders"]:
             assert 1.8 <= order <= 2.2
 
+    def test_stdout_does_not_grow_with_c(self, capsys):
+        """The count record states three stops and the parity sectors, not c + 1 per-l pairs:
+        T_(1,2,1500)'s stdout stays under 10 KB (99,680 bytes with the pairs)."""
+        code, out, _ = run(capsys, "verify", "1", "2", "1500")
+        assert code == EXIT_OK and len(out.encode()) < 10_000
+
+    def test_text_rows_of_the_count(self, capsys):
+        """``--format text`` prints the count's stops one row each, and its parity sectors one row
+        per sector: dicts and lists, never a tuple's repr."""
+        code, out, _ = run(capsys, "verify", "1", "2", "3", "--format", "text")
+        rows = dict(re.findall(r"^  checks\.7\.values\.(\S+) +(.*)$", out, re.M))
+        assert code == EXIT_OK
+        assert {k: v for k, v in rows.items() if k.startswith("stops.")} == {
+            "stops.NN": "3", "stops.ND": "2", "stops.DN": "1", "stops.DD": "0"}
+        assert [rows[f"sectors.{p}.{i}"] for p in ("even_l", "odd_l") for i in range(4)] == [
+            "NN", "ND", "DN", "DD"] * 2
+
     def test_verify_klein_bottle(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "0", "2")
         assert code == EXIT_OK

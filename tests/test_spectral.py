@@ -21,6 +21,7 @@ from lawson import (
     Symmetry,
     Triple,
     anchor_check,
+    classify,
     coefficients,
     count_N2,
     eq35_residual,
@@ -35,7 +36,7 @@ from lawson import (
     takahashi_residual,
     validate,
 )
-from conftest import SUITE, SUITE_IDS
+from conftest import SUITE, SUITE_IDS, per_l_counts
 
 
 def _spec(t, l, sym=Symmetry.FULL_PERIODIC, n=1024, count=8):
@@ -796,7 +797,7 @@ def test_a_request_solves_each_l_as_if_alone(abc):
     :func:`_lambdas` forms lambda_0..lambda_3; the memo's rows at the anchors' frequencies are
     those of each l solved alone."""
     t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
-    ls = (0, t.a, t.b, t.c_real, spectral.interlacing_l_max(t))
+    ls = (0, t.a, t.b, t.c_real, math.isqrt(t.c_squared) + 1)
     solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048)
     together = solve(ls, spectral._ALL_SECTORS, 4)
     assert [[len(ev) for ev in spectra] for spectra in together] == [[2, 1, 1, 1]] * 5
@@ -860,12 +861,12 @@ def _list_counts(t, n, guard):
     counted sector of the y-grid, each list reaching past 2 + guard; none past c."""
     by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
     counts = []
-    for l in range(spectral.interlacing_l_max(t) + 1):
+    for l in range(math.isqrt(t.c_squared) + 2):
         lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, [l], (s,), 8)[0][0]
                  for s in by_parity[l % 2]]
         assert all(ev[-1] > 2.0 + guard for ev in lists)
         counts.append((l, sum(int(np.sum(ev < 2.0 - guard)) for ev in lists)))
-    assert counts.pop() == (spectral.interlacing_l_max(t), 0)
+    assert counts.pop() == (math.isqrt(t.c_squared) + 1, 0)
     return tuple(counts)
 
 
@@ -878,9 +879,10 @@ EDGE_CASES = [validate(Case.GENERALIZED, *abc) for abc in ((2, 4, 5), (0, 3, 5),
 @pytest.mark.parametrize("n", [2048, 4096])
 @pytest.mark.parametrize("t", SUITE + EDGE_CASES, ids=SUITE_IDS + [t.label() for t in EDGE_CASES])
 def test_inertia_counts_match_eigenvalue_lists(t, n):
-    """The integer rule of the count in v gives the per-l counts of the y-grid's Lanczos lists."""
+    """The integer rule of the count in v gives the per-l counts of the y-grid's Lanczos lists:
+    those its stops and parity sectors hold."""
     report = count_N2(t, n)
-    assert report.per_l_counts == _list_counts(t, n, spectral.anchor_tolerance(n))
+    assert per_l_counts(report, t) == _list_counts(t, n, spectral.anchor_tolerance(n))
 
 
 @pytest.mark.parametrize("l", [0, 1])
@@ -895,9 +897,10 @@ def test_clifford_inertia_count_at_fine_grid(l):
     n, m = 131072, 32768
     h_y = 2 * math.pi / n
     y_grid = 8.0 * np.sin(math.pi * np.arange(-4, 5) / n) ** 2 / h_y**2 + 2.0 * l * l
-    report = count_N2(validate(Case.GENERALIZED, 0, 0, 1), n)
-    assert report.per_l_counts[l] == (l, int(np.sum(y_grid < 2.0 - spectral.anchor_tolerance(n))))
-    assert report.per_l_counts[l][1] == 1 - l
+    t = validate(Case.GENERALIZED, 0, 0, 1)
+    report = count_N2(t, n)
+    below = int(np.sum(y_grid < 2.0 - spectral.anchor_tolerance(n)))
+    assert per_l_counts(report, t)[l] == (l, below) and below == 1 - l
     h = math.pi / 2 / m
     closed = lambda j: 4.0 * math.sin(math.pi * j / (2 * m)) ** 2 / h**2  # noqa: E731
     accuracy = 4 * np.finfo(float).eps * 4.0 / h**2
@@ -1124,10 +1127,14 @@ class TestCounting:
         assert report.j_closed == n2
 
     def test_count_report_structure(self):
-        """The report holds the per-l counts and the evidence for them: the gap from E_0 past the
-        guard, the three edge errors within it, and the cells of each of L's sectors."""
-        report = count_N2(validate(Case.GENERALIZED, 1, 2, 3), 2048)
-        assert report.per_l_counts == ((0, 3), (1, 2), (2, 1), (3, 0))
+        """The report holds the stops and parity sectors, which give the per-l counts, and the
+        evidence for them: the gap from E_0 past the guard, the three edge errors within it, and
+        the cells of each of L's sectors."""
+        t = validate(Case.GENERALIZED, 1, 2, 3)
+        report = count_N2(t, 2048)
+        assert report.stops == {"NN": 3, "ND": 2, "DN": 1, "DD": 0}
+        assert report.sectors == (spectral._ALL_SECTORS, spectral._ALL_SECTORS)
+        assert per_l_counts(report, t) == ((0, 3), (1, 2), (2, 1), (3, 0))
         guard = spectral.anchor_tolerance(2048)
         assert report.gap > guard and len(report.edge_errors) == 3
         assert max(report.edge_errors) <= guard
@@ -1148,13 +1155,25 @@ class TestCounting:
         (Case.GENERALIZED, (5, 7, 13), 14),
     ])
     def test_count_runs_to_c(self, case, params, l_max):
-        """The count sums l = 0 .. c (the last l below c when c is irrational), one less than the
-        interlacing range, also on Pythagorean Lawson pairs, whose c is an integer."""
+        """NN's edge c stops the count: l = 0 .. c, the last l below c when c is irrational, so
+        NN's stop is floor c + 1 (``l_max``), and one less at an integer c, that of a Pythagorean
+        Lawson pair or a generalized triple, where E_c equals the edge and does not count."""
         t = validate(case, *params)
         report = count_N2(t, 2048)
-        assert spectral.interlacing_l_max(t) == l_max
-        assert [l for l, _ in report.per_l_counts] == list(range(l_max))
+        exact = math.isqrt(t.c_squared) ** 2 == t.c_squared
+        assert max(report.stops.values()) == report.stops["NN"] == l_max - exact
+        assert not exact or per_l_counts(report, t)[-1] == (l_max - 1, 0)
         assert report.n2 == report.j_closed
+
+    @pytest.mark.parametrize("case,params", [(Case.LAWSON, (10**9, 1)),
+                                             (Case.GENERALIZED, (1, 2, 10**12))])
+    def test_count_at_a_huge_c_is_the_index(self, case, params):
+        """The count is integer arithmetic on its stops, so c = 10^9 and 10^12 count as fast as
+        c = 3 (a per-l array of c + 1 entries would take 7.45 GiB and 7.28 TiB)."""
+        t = validate(case, *params)
+        report = count_N2(t, 2048)
+        assert report.n2 == classify(t).j == report.j_closed
+        assert report.stops["NN"] == math.isqrt(t.c_squared - 1) + 1
 
     def test_grid_preconditions(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
@@ -1204,7 +1223,7 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
         return dpttrf(d, e, **kwargs)
 
     monkeypatch.setattr(lapack, "dpttrf", recorded)
-    l_max = spectral.interlacing_l_max(t)
+    l_max = math.isqrt(t.c_squared) + 1
     for sym in (Symmetry.FULL_PERIODIC, Symmetry.PI_PERIODIC):
         seen.clear()
         m = spectral._sector_cells(2048, sym)
@@ -1267,7 +1286,7 @@ def test_brackets_agree_with_every_l_sweep(t):
     min(NN_1, DD_0), hold on a sweep of every l = 0..l_max: what the check reads at the anchors'
     frequencies holds at every l of the count's range and one past it, and the check passes."""
     t = spectral.canonicalize(t)
-    _assert_theorem_at_every_l(t, range(spectral.interlacing_l_max(t) + 1))
+    _assert_theorem_at_every_l(t, range(math.isqrt(t.c_squared) + 2))
     assert interlacing_check(t, 2048).holds
 
 
@@ -1292,7 +1311,8 @@ def test_interlacing_bar_is_the_rounding_of_a_difference(t):
     y = np.linspace(0.0, math.pi / 2, 4097)
     p, _, w = sl_coefficients(t, 0, y)
     P = coefficients(t).P(y)
-    G = 3.0 * p.max() / (h * h * w.min()) + 2.0 * spectral.interlacing_l_max(t) ** 2 / P.min() + 1
+    l_max = math.isqrt(t.c_squared) + 1
+    G = 3.0 * p.max() / (h * h * w.min()) + 2.0 * l_max**2 / P.min() + 1
     report = interlacing_check(t, 2048)
     assert report.bar == pytest.approx(28 * u / (1 - 28 * u) * G, rel=1e-12)
     assert report.bar == pytest.approx(2.0 * spectral.anchor_floor(t, 2048), rel=1e-13)

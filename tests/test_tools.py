@@ -119,7 +119,7 @@ def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
 
 
 def test_count_records_hold_the_count_or_its_error(tmp_path, monkeypatch, capsys):
-    """--counts writes n2, per_l, gap, edge errors and cells of each count, or its error;
+    """--counts writes n2, stops, sectors, gap, edge errors and cells of each count, or its error;
     --compare keys the records by triple and grid and flags a changed count."""
     from lawson import Case, IndeterminateCountError, validate
 
@@ -129,8 +129,10 @@ def test_count_records_hold_the_count_or_its_error(tmp_path, monkeypatch, capsys
     assert len(set(queries)) == len(queries) == 12
     t = validate(Case.GENERALIZED, 1, 2, 3)
     counted = json.loads(json.dumps(same_behaviour.count_record(t, 2048)))
-    assert counted["n2"] == 9 and counted["per_l"] == [[0, 3], [1, 2], [2, 1], [3, 0]]
-    assert set(counted) == {"triple", "grid_n", "n2", "per_l", "gap", "edge_errors", "cells"}
+    assert counted["n2"] == 9 and counted["stops"] == {"NN": 3, "ND": 2, "DN": 1, "DD": 0}
+    assert counted["sectors"] == [["NN", "ND", "DN", "DD"]] * 2
+    assert set(counted) == {"triple", "grid_n", "n2", "stops", "sectors", "gap", "edge_errors",
+                            "cells"}
     assert counted["cells"] == 512 and len(counted["edge_errors"]) == 3
 
     def indeterminate(t, grid_n):

@@ -265,13 +265,14 @@ class TestRunVerification:
 
 
 def test_count_does_not_depend_on_the_grid():
-    """count_N2's n2 and per_l are functions of the triple: the grid enters only the inertia
-    certificate.  Every seventh canonical surface of the census (c <= 30) counts the same at
-    grids 256 and 4096, and both certificates hold."""
+    """count_N2's n2, stops and sectors are functions of the triple: the grid enters only the
+    inertia certificate.  Every seventh canonical surface of the census (c <= 30) counts the same
+    at grids 256 and 4096, and both certificates hold."""
     generalized = [validate(Case.GENERALIZED, a, b, c) for c in range(1, 31) for b in range(c)
                    for a in range(b + 1) if a * a + b * b < c * c and math.gcd(a, b, c) == 1]
     pairs = [validate(Case.LAWSON, a, b) for a in range(1, 31) for b in range(1, a + 1)
              if a * a + b * b <= 900 and math.gcd(a, b) == 1]
     for t in (generalized + pairs)[::7]:
         coarse, fine = spectral.count_N2(t, 256), spectral.count_N2(t, 4096)
-        assert (coarse.n2, coarse.per_l_counts) == (fine.n2, fine.per_l_counts), t.label()
+        assert ((coarse.n2, coarse.stops, coarse.sectors)
+                == (fine.n2, fine.stops, fine.sectors)), t.label()

@@ -11,7 +11,7 @@ The set has 1204 triples: the test suite's reference surfaces
 (``tests/conftest.py``), every third canonical generalized triple with
 c <= 30 and every other canonical Lawson pair with c <= 30.  Each line is
 one ``run_verification`` report: status, and per check its verdict, values
-and tolerance string (the count's values hold ``n2`` and ``per_l``).
+and tolerance string (the count's values hold ``n2``, ``stops`` and ``sectors``).
 ``--lists`` writes one ``sl_spectrum`` list of 8 per line: T_(1,2,3) at l = 1
 and T_(5,7,13) at l = 7 in every symmetry at grids 16384, 65536 and 131072,
 and the eigenvalue-list queries of the benchmark's ``deep`` workload for
@@ -24,14 +24,14 @@ requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
 --points`` at edge counts, ``--format text`` variants, a failing ``verify`` and
 rejected inputs of each error path; each runs through ``lawson.cli.main``
 in a temporary working directory, which receives the exports.  ``--counts``
-writes one ``count_N2`` per line, its ``n2``, ``per_l``, ``gap``, ``edge_errors``
-and ``cells`` or its error, above the census range and at fine grids:
+writes one ``count_N2`` per line, its ``n2``, ``stops``, ``sectors``, ``gap``,
+``edge_errors`` and ``cells`` or its error, above the census range and at fine grids:
 T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13) at 16384 and 32768,
 and at 2048 T_(98,835,919), tau_(300,1), T_(1,2,1500), T_(2,1531,2871),
 T_(1,1000,1001) and tau_(1000,1).  Run it in two
 checkouts with the same arguments, then ``--compare`` the outputs: every
-value that is not a float (status, verdicts, tolerance strings, ``n2``,
-``per_l``, errors, exit codes, stderr) must be equal, and the largest
+value that is not a float (status, verdicts, tolerance strings, ``n2``, stops,
+sectors, errors, exit codes, stderr) must be equal, and the largest
 |difference| of each float field is printed, absolute and relative to
 max(1, |old value|).  A stdout is equal but for its numbers: the text around
 them must match, a JSON stdout is then compared as its parsed values (keys,
@@ -144,8 +144,8 @@ def count_record(t, grid_n: int) -> dict:
         report = count_N2(t, grid_n)
     except SpectralError as exc:
         return {**out, "error": f"{type(exc).__name__}: {exc}"}
-    return {**out, "n2": report.n2, "per_l": report.per_l_counts, "gap": report.gap,
-            "edge_errors": report.edge_errors, "cells": report.cells}
+    return {**out, "n2": report.n2, "stops": report.stops, "sectors": report.sectors,
+            "gap": report.gap, "edge_errors": report.edge_errors, "cells": report.cells}
 
 
 def cli_invocations() -> list[list[str]]:
