@@ -302,7 +302,7 @@ def cmd_table(args) -> int:
                 "note": note,
             }
         )
-    s012, _ = area_closed(validate(Case.GENERALIZED, 0, 1, 2))
+    s012 = rows[2]["S"]  # the maximal Klein bottle's row
     bipolar = 12.0 * math.pi * complete_E(Modulus.from_k(2.0 * math.sqrt(2.0) / 3.0))
     residual = abs(s012 - bipolar) / s012
     k_half = Modulus.from_k(0.5)

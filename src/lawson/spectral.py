@@ -256,7 +256,7 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     then below eps theta, sound while the wanted eigenvalues stand apart in their sector, as a
     verification's do (:func:`_table`).  A list now wants only its sectors' shares, and measured,
     its wanted eigenvalues stand apart too: the smallest gap between two of one sector is 4.33
-    (0.63 of the larger less sigma) over the 157 lists of ``tools/same_behaviour.py --lists`` and
+    (0.63 of the larger less sigma) over the 157 list records of ``tools/same_behaviour.py`` and
     4.0 (0.14) over the test suite's, but no theorem bounds it.  The rows of ``V`` hold the basis
     and cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m
     steps.  alpha, beta and both tests run on Python floats: the IEEE operations of numpy

@@ -8,6 +8,8 @@ import os
 import re
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
 
 import code_lines  # noqa: E402
@@ -85,9 +87,9 @@ def test_compare_keys_no_report_by_the_header_and_notes_a_change(tmp_path, capsy
 
 
 def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
-    """--cli runs the benchmark's cli requests of seeds 101-104 and edge cases once each; a record
-    holds the exit code, stdout, stderr and an export's sha256, and --compare flags any byte
-    change."""
+    """The command-line records run the benchmark's cli requests of seeds 101-104 and edge cases
+    once each; a record holds the exit code, stdout, stderr and an export's sha256, and --compare
+    flags any byte change."""
     from perfbench.workloads import Cli
 
     argvs = same_behaviour.cli_invocations()
@@ -119,8 +121,8 @@ def test_cli_records_are_keyed_by_argv(tmp_path, monkeypatch, capsys):
 
 
 def test_count_records_hold_the_count_or_its_error(tmp_path, monkeypatch, capsys):
-    """--counts writes n2, stops, sectors, gap, edge errors and cells of each count, or its error;
-    --compare keys the records by triple and grid and flags a changed count."""
+    """A count record holds n2, stops, sectors, gap, edge errors and cells of each count, or its
+    error; --compare keys the records by triple and grid and flags a changed count."""
     from lawson import Case, IndeterminateCountError, validate
 
     queries = [(t.label(), n) for t, n in same_behaviour.count_queries()]
@@ -169,6 +171,60 @@ def test_compare_lists_a_key_only_one_side_has_once_per_field(tmp_path, capsys):
                     [{**report(n), "error": "EigensolverError"} for n in (1024, 2048)]):
         assert same_behaviour.compare(old, _write(tmp_path / "new.jsonl", changed)) == 1
         assert "DIFFERS" in capsys.readouterr().out
+
+
+def test_compare_still_diffs_the_shared_fields_of_a_record_whose_fields_change(tmp_path, capsys):
+    """A record that trades per_l for stops is listed with both field sets, and its n2 and gap,
+    which both sides have, are still compared."""
+    old = {"triple": "T_(1,2,3)", "grid_n": 2048, "n2": 5, "per_l": [[0, 3], [1, 2]], "gap": 1.0}
+    new = {"triple": "T_(1,2,3)", "grid_n": 2048, "n2": 6, "stops": {"NN": 3}, "gap": 1.5}
+    assert same_behaviour.compare(_write(tmp_path / "old.jsonl", [old]),
+                                  _write(tmp_path / "new.jsonl", [new])) == 1
+    out = capsys.readouterr().out
+    assert ("DIFFERS ('T_(1,2,3)', 2048, None, None, None, None, None): fields "
+            "['gap', 'grid_n', 'n2', 'per_l', 'triple'] != "
+            "['gap', 'grid_n', 'n2', 'stops', 'triple']") in out
+    assert "DIFFERS ('T_(1,2,3)', 2048, None, None, None, None, None) n2: 5 != 6" in out
+    assert "max |delta| 0.5  gap" in out
+
+
+def test_a_key_that_two_records_of_one_output_share_is_an_error(tmp_path):
+    """One output holds four kinds of record: a repeated key raises, naming the file and the key;
+    the header does not count."""
+    header = same_behaviour.header()
+    listed = {"triple": "T_(1,2,3)", "l": 1, "symmetry": "full-periodic", "grid_n": 16384,
+              "eigenvalues": [1.5, 2.5]}
+    once = _write(tmp_path / "once.jsonl", [header, listed, header])
+    assert same_behaviour.compare(once, once) == 0
+    twice = _write(tmp_path / "twice.jsonl", [header, listed, {**listed, "eigenvalues": [1.5]}])
+    with pytest.raises(ValueError, match=r"twice\.jsonl: two records have the key "
+                                         r"\('T_\(1,2,3\)', 16384, None, 1, 'full-periodic'"):
+        same_behaviour.compare(once, twice)
+
+
+def test_one_run_writes_every_kind_of_record_in_order(monkeypatch, capsys):
+    """With one item of each kind, a run writes the header, the command line, the count, the list
+    and the report at grids 2048 and 4096, plain and deep, each under its own key."""
+    from lawson import Case, Symmetry, classify, validate
+
+    t = validate(Case.GENERALIZED, 0, 0, 1)
+    monkeypatch.setattr(same_behaviour, "cli_invocations", lambda: [["classify", "1", "0", "2"]])
+    monkeypatch.setattr(same_behaviour, "count_queries", lambda: [(t, 2048)])
+    monkeypatch.setattr(same_behaviour, "list_queries",
+                        lambda: [(t, 1, Symmetry.FULL_PERIODIC, 2048, 8)])
+    monkeypatch.setattr(same_behaviour, "triple_set", lambda: [t])
+    cwd = os.getcwd()
+    assert same_behaviour.main([]) == 0
+    assert os.getcwd() == cwd
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert list(lines[0]) == ["header"]
+    assert lines[1]["argv"] == ["classify", "1", "0", "2"] and lines[1]["exit"] == 0
+    assert lines[2]["n2"] == classify(t).j and "l" not in lines[2]
+    assert lines[3]["l"] == 1 and len(lines[3]["eigenvalues"]) == 8
+    assert [(r["grid_n"], r["deep"], r["status"]) for r in lines[4:]] == [
+        (2048, False, "ok"), (2048, True, "ok"), (4096, False, "ok"), (4096, True, "ok")]
+    keys = [same_behaviour._key(r) for r in lines[1:]]
+    assert len(set(keys)) == len(keys) == 7
 
 
 def _last_digits_moved(stdout):

@@ -1,51 +1,52 @@
-"""Write every verification report of a fixed triple set, or a fixed set of
-eigenvalue lists, as JSONL; compare two such files.
+"""Write every record that keeps lawson's behaviour fixed as JSONL; compare two such files.
 
-    PYTHONPATH=src python3 tools/same_behaviour.py --grid 2048 [--deep] > reports.jsonl
-    PYTHONPATH=src python3 tools/same_behaviour.py --lists > lists.jsonl
-    PYTHONPATH=src python3 tools/same_behaviour.py --cli > cli.jsonl
-    PYTHONPATH=src python3 tools/same_behaviour.py --counts > counts.jsonl
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/same_behaviour.py > run.jsonl
     PYTHONPATH=src python3 tools/same_behaviour.py --compare old.jsonl new.jsonl
 
-The set has 1204 triples: the test suite's reference surfaces
-(``tests/conftest.py``), every third canonical generalized triple with
-c <= 30 and every other canonical Lawson pair with c <= 30.  Each line is
-one ``run_verification`` report: status, and per check its verdict, values
-and tolerance string (the count's values hold ``n2``, ``stops`` and ``sectors``).
-``--lists`` writes one ``sl_spectrum`` list of 8 per line: T_(1,2,3) at l = 1
-and T_(5,7,13) at l = 7 in every symmetry at grids 16384, 65536 and 131072,
-and the eigenvalue-list queries of the benchmark's ``deep`` workload for
-seeds 101-104 (grids 16384-131072); then lists of 1, 3 and 13 of T_(5,7,13)
-at l = 7, grid 2048, in every symmetry, whose sectors' shares include 0 and
-differ (a list not of 8 carries its ``count``).  ``--cli`` writes one record per
-``lawson`` command line: its argv, exit code, stdout, stderr and, for
-``export``, the sha256 of the written file.  The command lines are the
+A run writes a header and then, in this order, 61 command-line records, 12
+counts, 157 eigenvalue lists and 4816 verification reports.  A command-line
+record holds a ``lawson`` command line's argv, exit code, stdout, stderr and,
+for ``export``, the sha256 of the written file.  The command lines are the
 requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
 --points`` at edge counts, ``--format text`` variants, a failing ``verify`` and
-rejected inputs of each error path; each runs through ``lawson.cli.main``
-in a temporary working directory, which receives the exports.  ``--counts``
-writes one ``count_N2`` per line, its ``n2``, ``stops``, ``sectors``, ``gap``,
-``edge_errors`` and ``cells`` or its error, above the census range and at fine grids:
-T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13) at 16384 and 32768,
-and at 2048 T_(98,835,919), tau_(300,1), T_(1,2,1500), T_(2,1531,2871),
-T_(1,1000,1001) and tau_(1000,1).  Run it in two
-checkouts with the same arguments, then ``--compare`` the outputs: every
-value that is not a float (status, verdicts, tolerance strings, ``n2``, stops,
-sectors, errors, exit codes, stderr) must be equal, and the largest
-|difference| of each float field is printed, absolute and relative to
-max(1, |old value|).  A stdout is equal but for its numbers: the text around
-them must match, a JSON stdout is then compared as its parsed values (keys,
-strings, integers and booleans exactly), and in text output two integers must
-be equal while a pair with a float counts as the float field ``stdout``.  A key
-nested in a record that only one side has is listed as ADDED or DROPPED, once
-per field (list items share one) with the number of records that have it.  The
-exit status is 1 when a record, a record's own fields or a non-float value that
-both sides have differs; a list that changes length differs.
+rejected inputs of each error path; each runs through ``lawson.cli.main`` in a
+temporary working directory, which receives the exports.  They come first, so
+the commands start with a cold memo and Lanczos basis, as a fresh process
+does.  A count record holds one ``count_N2``'s ``n2``, ``stops``, ``sectors``,
+``gap``, ``edge_errors`` and ``cells`` or its error, above the census range
+and at fine grids: T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13)
+at 16384 and 32768, and at 2048 T_(98,835,919), tau_(300,1), T_(1,2,1500),
+T_(2,1531,2871), T_(1,1000,1001) and tau_(1000,1).  A list record holds one
+``sl_spectrum`` list of 8: T_(1,2,3) at l = 1 and T_(5,7,13) at l = 7 in every
+symmetry at grids 16384, 65536 and 131072, and the eigenvalue-list queries of
+the benchmark's ``deep`` workload for seeds 101-104 (grids 16384-131072); then
+lists of 1, 3 and 13 of T_(5,7,13) at l = 7, grid 2048, in every symmetry,
+whose sectors' shares include 0 and differ (a list not of 8 carries its
+``count``).  A report is one ``run_verification`` of the 1204-triple set at
+grids 2048 and 4096, plain and deep: status, and per check its verdict, values
+and tolerance string.  The set holds the test suite's reference surfaces
+(``tests/conftest.py``), every third canonical generalized triple with
+c <= 30 and every other canonical Lawson pair with c <= 30.
+
+Run it in two checkouts, then ``--compare`` the outputs: every value that is
+not a float (status, verdicts, tolerance strings, ``n2``, stops, sectors,
+errors, exit codes, stderr) must be equal, and the largest |difference| of
+each float field is printed, absolute and relative to max(1, |old value|).  A
+stdout is equal but for its numbers: the text around them must match, a JSON
+stdout is then compared as its parsed values (keys, strings, integers and
+booleans exactly), and in text output two integers must be equal while a pair
+with a float counts as the float field ``stdout``.  A key nested in a record
+that only one side has is listed as ADDED or DROPPED, once per field (list
+items share one) with the number of records that have it.  A record whose own
+fields change is listed with both field sets, and the fields both sides have
+are still compared.  The exit status is 1 when a record, a record's own fields
+or a non-float value that both sides have differs; a list that changes length
+differs.  A key that two records of one file share is an error.
 
 The first line of each output is a header record of the BLAS thread settings
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``; null when
 unset) and ``os.cpu_count()``: eigenvalue lists are byte-identical across runs
-only at a fixed BLAS thread count.  ``--compare`` keys no report by it and
+only at a fixed BLAS thread count.  ``--compare`` keys no record by it and
 prints a note when the two headers differ.
 """
 
@@ -103,7 +104,7 @@ def record(t, grid_n: int, deep: bool) -> dict:
 
 
 def list_queries() -> list[tuple]:
-    """(triple, l, symmetry, grid_n, count) of every list ``--lists`` writes, in order."""
+    """(triple, l, symmetry, grid_n, count) of every list record, in order."""
     fixed = [(validate(Case.GENERALIZED, 1, 2, 3), 1), (validate(Case.GENERALIZED, 5, 7, 13), 7)]
     queries = [(t, l, sym, n, 8) for t, l in fixed for sym in Symmetry
                for n in (16384, 65536, 131072)]
@@ -128,7 +129,7 @@ def list_record(t, l: int, sym: Symmetry, grid_n: int, count: int) -> dict:
 
 
 def count_queries() -> list[tuple]:
-    """(triple, grid_n) of every count ``--counts`` writes, in order."""
+    """(triple, grid_n) of every count record, in order."""
     large = [(Case.GENERALIZED, (1, 2, 150)), (Case.GENERALIZED, (60, 80, 101))]
     queries = [(validate(case, *abc), n) for case, abc in large for n in (2048, 4096)]
     queries += [(validate(Case.GENERALIZED, 5, 7, 13), n) for n in (16384, 32768)]
@@ -149,7 +150,7 @@ def count_record(t, grid_n: int) -> dict:
 
 
 def cli_invocations() -> list[list[str]]:
-    """argv of every command line ``--cli`` runs, in order; exports write to the working directory."""
+    """argv of every command-line record, in order; exports write to the working directory."""
     argvs = [op.args["argv"] for seed in range(101, 105) for op in Cli(seed, "").requests]
     argvs += [["landen", "--points", n] for n in ("-3", "0", "1", "2", "3", "7", "1000")]
     text = (["classify", "1", "0", "2"], ["classify", "--lawson", "3", "1"], ["table"], ["landen"],
@@ -247,12 +248,15 @@ def _key(record: dict) -> tuple:
 
 
 def _records(path: str) -> tuple[dict | None, dict]:
-    """(header, reports by key) of an output; the header is None in one written without it."""
+    """(header, records by key) of an output; the header is None in one written without it.
+    Two records with one key raise ValueError."""
     environment, records = None, {}
     with open(path, encoding="utf-8") as fh:
         for r in map(json.loads, fh):
             if "header" in r:
                 environment = r["header"]
+            elif _key(r) in records:
+                raise ValueError(f"{path}: two records have the key {_key(r)}")
             else:
                 records[_key(r)] = r
     return environment, records
@@ -268,7 +272,6 @@ def compare(old_path: str, new_path: str) -> int:
     for key in sorted(old.keys() & new.keys(), key=str):
         if old[key].keys() != new[key].keys():  # such as an error in place of a result
             bad.append(f"{key}: fields {sorted(old[key])} != {sorted(new[key])}")
-            continue
         for kind, path, x, y in _diff(old[key], new[key]):
             field = re.sub(r"\[\d+\]", "[]", path)
             if kind == "float":
@@ -294,36 +297,29 @@ def compare(old_path: str, new_path: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--grid", type=int, default=2048, help="grid_n of every verification")
-    parser.add_argument("--deep", action="store_true", help="run the deep verifications")
-    parser.add_argument("--lists", action="store_true", help="write eigenvalue lists instead")
-    parser.add_argument("--cli", action="store_true", help="write command-line outputs instead")
-    parser.add_argument("--counts", action="store_true", help="write eigenvalue counts instead")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two outputs")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    print(json.dumps(header(), sort_keys=True), flush=True)
-    if args.lists:
-        for query in list_queries():
-            print(json.dumps(list_record(*query), sort_keys=True), flush=True)
-        return 0
-    if args.counts:
-        for query in count_queries():
-            print(json.dumps(count_record(*query), sort_keys=True), flush=True)
-        return 0
-    if args.cli:
-        cwd = os.getcwd()
-        with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)
-            try:
-                for argv in cli_invocations():
-                    print(json.dumps(cli_record(argv), sort_keys=True), flush=True)
-            finally:
-                os.chdir(cwd)
-        return 0
-    for t in triple_set():
-        print(json.dumps(record(t, args.grid, args.deep), sort_keys=True), flush=True)
+
+    def write(records):
+        for r in records:
+            print(json.dumps(r, sort_keys=True), flush=True)
+
+    write([header()])
+    # The commands run first, so they start with a cold memo and Lanczos basis, as a process does.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            write(map(cli_record, cli_invocations()))
+        finally:
+            os.chdir(cwd)
+    write(count_record(*query) for query in count_queries())
+    write(list_record(*query) for query in list_queries())
+    triples = triple_set()
+    write(record(t, grid_n, deep) for grid_n in (2048, 4096) for deep in (False, True)
+          for t in triples)
     return 0
 
 
