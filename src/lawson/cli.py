@@ -21,7 +21,7 @@ from ._lazy import np
 from .elliptic import Modulus, complete_E, complete_K, landen_gap
 from .errors import InvalidTripleError, SpectralError
 from .spectral import Symmetry, sl_problem, sl_spectrum
-from .surface import Case, Triple, area_closed, classify, immersion, validate
+from .surface import Case, Triple, classify, immersion, validate
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -159,15 +159,14 @@ def _parse_triple(args) -> Triple:
 def cmd_classify(args) -> int:
     t = _parse_triple(args)
     sc = classify(t)
-    s, area = area_closed(t)
     payload = {
         "topology": sc.topology.value,
         "subcase": sc.subcase.value,
         "covering_degree": sc.covering_degree,
         "j": sc.j,
         "functional": sc.functional.value,
-        "S": s,
-        "area": area,
+        "S": sc.area * sc.covering_degree,
+        "area": sc.area,
         "lambda": sc.lambda_value,
     }
     return _respond("classify", t, payload, args.format, {}, "ok")
@@ -290,7 +289,6 @@ def cmd_table(args) -> int:
     ]:
         t = validate(case, a, b, c)
         sc = classify(t)
-        s, _ = area_closed(t)
         rows.append(
             {
                 "surface": t.label(),
@@ -298,7 +296,7 @@ def cmd_table(args) -> int:
                 "subcase": sc.subcase.value,
                 "j": sc.j,
                 "lambda": sc.lambda_value,
-                "S": s,
+                "S": sc.area * sc.covering_degree,
                 "note": note,
             }
         )

@@ -26,7 +26,7 @@ periodic rectangle rule on
     K = (1/4) integral_0^{2 pi} dtheta / sqrt(k'^2 + k^2 cos^2 theta),
 
 and E likewise, with its node count from the integrand's strip of
-analyticity (:func:`_periodic_nodes`, which the area quadrature uses too).
+analyticity (:func:`_strip`, :func:`_periodic_nodes`), which the area quadrature shares.
 """
 
 from __future__ import annotations
@@ -154,27 +154,31 @@ _STRIP = -math.log(math.ulp(1.0) / 2)  # n d at which e^(-n d) is the unit round
 _NODE_CAP = 2**20  # 8 MB per array of nodes
 
 
+def _strip(m: Modulus) -> float:
+    """Half-width d of the strip |Im theta| < d free of zeros of 1 - k^2 sin^2(theta): sinh d =
+    sqrt(k'^2 / k^2) for k^2 > 0 and 1 / sqrt(-k^2) for k^2 < 0, accurate near k = 1 from the
+    carried k'^2; inf at k^2 = 0, where it is constant."""
+    if m.k2 == 0.0:
+        return math.inf
+    return math.asinh(math.sqrt(m.kp2 / m.k2) if m.k2 > 0.0 else 1.0 / math.sqrt(-m.k2))
+
+
 def _periodic_nodes(d: float) -> int:
-    """Nodes of the rectangle rule for a periodic integrand analytic in the strip |Im| < d: the
-    least power of two n >= 4096 with n d >= ln(1 / u), at most 2^20.  The rule then errs by
-    O(e^(-n d)) (Trefethen & Weideman, *SIAM Rev.* 56, 2014, Thm. 3.2), here pushed to rounding;
-    the cap binds from d < 3.5e-5 on."""
-    return min(_NODE_CAP, max(4096, 2 ** math.ceil(math.log2(_STRIP / d))))
+    """Nodes of the rectangle rule for a periodic integrand analytic in the strip |Im| < d
+    (:func:`_strip`): the least power of two n >= 4096 with n d >= ln(1 / u), at most 2^20; 4096
+    at d = inf.  The rule then errs by O(e^(-n d)) (Trefethen & Weideman, *SIAM Rev.* 56, 2014,
+    Thm. 3.2), here pushed to rounding; the cap binds from d < 3.5e-5 on."""
+    return min(_NODE_CAP, 2 ** math.ceil(math.log2(max(_STRIP / d, 4096.0))))
 
 
 def _radicand(m: Modulus):
     """k'^2 + k^2 cos^2(theta) = 1 - k^2 sin^2(theta) at the rule's n equispaced theta in
-    [0, 2 pi), from the carried k'^2, so nothing cancels near k = 1.  It vanishes at
-    Im theta = d with sinh d = sqrt(k'^2 / k^2) for k^2 > 0 and 1 / sqrt(-k^2) for k^2 < 0; at
-    k^2 = 0 it is constant.  Raises ``ValueError`` where even 2^20 nodes leave n d < ln(1 / u),
-    below k'^2 ~ 1.2e-9."""
-    n = 4096
-    if m.k2 != 0.0:
-        d = math.asinh(math.sqrt(m.kp2 / m.k2) if m.k2 > 0.0 else 1.0 / math.sqrt(-m.k2))
-        if d * _NODE_CAP < _STRIP:
-            raise ValueError(f"the periodic rule needs more than 2^20 nodes at k'^2 = {m.kp2!r}")
-        n = _periodic_nodes(d)
-    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    [0, 2 pi) for the strip of ``m``.  Raises ``ValueError`` where even 2^20 nodes leave
+    n d < ln(1 / u), below k'^2 ~ 1.2e-9."""
+    d = _strip(m)
+    if d * _NODE_CAP < _STRIP:
+        raise ValueError(f"the periodic rule needs more than 2^20 nodes at k'^2 = {m.kp2!r}")
+    theta = np.linspace(0.0, 2.0 * math.pi, _periodic_nodes(d), endpoint=False)
     return m.kp2 + m.k2 * np.cos(theta) ** 2
 
 

@@ -75,11 +75,12 @@ import threading
 from dataclasses import dataclass
 
 from ._lazy import blas, lapack, np
-from .elliptic import _agm
+from .elliptic import Modulus, _agm
 from .errors import EigensolverError, IndeterminateCountError
 from .surface import (
     Phi,
     Triple,
+    _modulus,
     canonicalize,
     coefficients,
     expected_symmetry,
@@ -570,21 +571,21 @@ _COUNT_SECTORS = {
 }
 
 
-def _lame_sectors(k2: float, kp2: float, m: int, below: float) -> list:
-    """Eigenvalues of L in its sectors NN, ND, DN, DD on ``m`` cells of [0, K], k'^2 = 1 - k^2,
+def _lame_sectors(mod: Modulus, m: int, below: float) -> list:
+    """Eigenvalues of L of modulus ``mod`` in its sectors NN, ND, DN, DD on ``m`` cells of [0, K],
     each ascending: all below ``below`` (>= 1 + k^2) and DD's lowest, under (pi / K)^2 + 2 k^2 by
     the Rayleigh quotient of sin(pi v / K).  :func:`_stencil` with p = w = 1, whose scalings by 1
     are exact, makes each sector tridiagonal.  sn at the cell centres descends from the AGM of
     (1, k') by Landen (DLMF 22.20(ii)): phi_N = 2^N a_N v, phi_(n-1) =
     (phi_n + arcsin(c_n / a_n sin phi_n)) / 2, sn v = sin phi_0, the limit as a_N so that sn K = 1.
     One dstebz call bisects the four blocks of one matrix on Sturm counts (L >= 0)."""
-    limit, an, cn = _agm(1.0, math.sqrt(kp2))
+    limit, an, cn = _agm(1.0, math.sqrt(mod.kp2))
     h = math.pi / (2.0 * limit) / m
     phi = (2.0 ** len(an) * limit * h) * (np.arange(m) + 0.5)
     for a, c in zip(an[::-1], cn[::-1]):
         phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi)))
     d, e = np.zeros((2, 4, m))
-    d += 2.0 * k2 * np.sin(phi) ** 2
+    d += 2.0 * mod.k2 * np.sin(phi) ** 2
     _stencil(d, e, np.ones(m + 1), np.ones(m), h, _ALL_SECTORS)
     found, w, block, _, info = lapack.dstebz(d.reshape(-1), e.reshape(-1)[:-1], 1, -1.0,
                                              below + (2.0 * limit) ** 2, 0, 0, 0.0, b"B")
@@ -598,22 +599,24 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
 
     N(2) = #{lambda_i(0) < 2} + 2 sum_{l >= 1} #{lambda_i(l) < 2} over the sector-filtered
     separated spectra (each l >= 1 profile yields the two eigenfunctions phi sin(lx), phi cos(lx)),
-    that is the eigenvalues of the Lame operator L below E_l (module docstring).  On L's sectors,
-    m = grid_n / 4 cells (:func:`_lame_sectors`), the inertia at E_0 + g must be (1, 1, 1, 0) in
-    (NN, ND, DN, DD) and those three eigenvalues within g of k^2, 1 and 1 + k^2, with g the
-    anchors' tolerance (:func:`anchor_tolerance`), else :class:`IndeterminateCountError`.  Then
-    only the edges count, each at the l with l^2 < l_edge^2, and the sum ends at l = c.  In y, ND
-    carries cos y at frequency b and DN sin y at a: v's ND and DN (l_edge = B, A) are y's when
-    a <= b and swapped when a > b.  The report gives the gap from E_0 to L's next eigenvalue, the
-    three edge errors and m.  ``grid_n`` follows the y-grid's rule (:func:`_sector_cells`): at
-    least 256 and divisible by 4.
+    that is the eigenvalues of the Lame operator L of the surface's modulus below E_l (module
+    docstring).  On L's sectors, m = grid_n / 4 cells (:func:`_lame_sectors`), the inertia at
+    E_0 + g must be (1, 1, 1, 0) in (NN, ND, DN, DD) and those three eigenvalues within g of k^2,
+    1 and 1 + k^2, with g the anchors' tolerance (:func:`anchor_tolerance`), else
+    :class:`IndeterminateCountError`.  Then only the edges count, each at the l with
+    l^2 < l_edge^2, and the sum ends at l = c.  In y, ND carries cos y at frequency b and DN sin y
+    at a: v's ND and DN (l_edge = B, A) are y's when a <= b and swapped when a > b.  The report
+    gives the gap from E_0 to L's next eigenvalue, the three edge errors and m.  ``grid_n``
+    follows the y-grid's rule (:func:`_sector_cells`): at least 256 and divisible by 4.
 
     The count is integer arithmetic on three stops: an edge counts in y's sector s at each
     l < stops[s] = isqrt(l_edge^2 - 1) + 1 (0 for DD) whose parity admits s (``sectors``, by the
     expected symmetry), each l >= 1 twice, so with no numpy and no work that grows with c
 
         n2 = sum over p = 0, 1 and s in sectors[p] of 2 #{l = p mod 2 : l < stops[s]}
-             - [p = 0 and stops[s] > 0].
+             - [p = 0 and stops[s] > 0],
+
+    each # formed as max(0, (stops[s] - p + 1) // 2) in Python integers, of no size limit.
 
     The count at each l follows exactly: count(l) = #{s in sectors[l mod 2] : l < stops[s]}.
     """
@@ -621,12 +624,12 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     t = canonicalize(t)
     j_closed, _, _ = extremal_index(t)
     a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2
-    c2 = t.c_squared
-    k2, e0 = (b2 - a2) / (c2 - a2), (c2 + b2 - a2) / (c2 - a2)
-    g = anchor_tolerance(grid_n)
-    nn, nd, dn, dd = _lame_sectors(k2, (c2 - b2) / (c2 - a2), m, e0 + g)
+    c2, mod = t.c_squared, _modulus(t)
+    e0, g = (c2 + b2 - a2) / (c2 - a2), anchor_tolerance(grid_n)
+    nn, nd, dn, dd = _lame_sectors(mod, m, e0 + g)
     inertia = tuple(int(np.sum(ev < e0 + g)) for ev in (nn, nd, dn, dd))
-    errors = tuple(float(abs(ev[0] - edge)) for ev, edge in ((nn, k2), (nd, 1.0), (dn, 1.0 + k2)))
+    errors = tuple(float(abs(ev[0] - edge))
+                   for ev, edge in ((nn, mod.k2), (nd, 1.0), (dn, 1.0 + mod.k2)))
     gap = float(np.concatenate([nn[1:], nd[1:], dn[1:], dd]).min()) - e0
     if inertia != (1, 1, 1, 0) or max(errors) > g:
         raise IndeterminateCountError(
@@ -639,7 +642,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     stops = {s: math.isqrt(e - 1) + 1 if e else 0
              for s, e in (("NN", c2), ("ND", t.b * t.b), ("DN", t.a * t.a), ("DD", 0))}
     sectors = _COUNT_SECTORS[expected_symmetry(t)]
-    n2 = sum(2 * len(range(p, stops[s], 2)) - (p == 0 and stops[s] > 0)
+    n2 = sum(2 * max(0, (stops[s] - p + 1) // 2) - (p == 0 and stops[s] > 0)
              for p in (0, 1) for s in sectors[p])
     return CountReport(n2=n2, stops=stops, sectors=sectors, gap=gap, edge_errors=errors,
                        cells=m, j_closed=j_closed, agree=n2 == j_closed)
@@ -650,13 +653,15 @@ def _rounding(t: Triple, grid_n: int, n: int) -> float:
     + 2 l_max^2 / min P + 1 bounds every partial result of a diagonal entry of a sector matrix
     at ``grid_n`` and l <= l_max, which meets 7 roundings (q = 2 l^2 / root, + flux, +- end, * s
     twice, + 1, - shift).  The couplings are at most G / 3, so a Lanczos stop errs by at most
-    eps (lambda - sigma) <= 5/3 eps G, within gamma_7 G."""
-    co = coefficients(t)
-    spread = abs(co.b_sq - co.a_sq)
-    top, low = (co.c_sq + spread) / 2, (co.c_sq - spread) / 2  # max P, min P
+    eps (lambda - sigma) <= 5/3 eps G, within gamma_7 G.  p and w rise with P, so max p / min w =
+    sqrt(c^2 - A^2) sqrt(c^2 - B^2) / min P, each root taken before the product: finite for every
+    c^2 < 2^1020."""
+    a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2
+    c2 = t.c_squared
+    low = (c2 - b2 + a2) / 2  # min P
     # l_max = floor c + 1 lies above every l solved: the anchors' frequencies are at most c
-    h, l_max = 2.0 * math.pi / grid_n, math.isqrt(t.c_squared) + 1
-    largest = (3.0 * math.sqrt((2 * top + co.q) * (2 * low + co.q)) / (2 * low * h * h)
+    h, l_max = 2.0 * math.pi / grid_n, math.isqrt(c2) + 1
+    largest = (3.0 * math.sqrt(c2 - a2) * math.sqrt(c2 - b2) / (low * h * h)
                + 2 * l_max * l_max / low + 1.0)
     return _gamma(n) * largest
 

@@ -26,10 +26,10 @@ The induced metric is diagonal,
 and the total area of the 2 pi-periodic parameter torus has the closed
 form
 
-    S = 4 pi / sqrt(c^2 - a^2) * (2 (c^2 - a^2) E(k) - Q K(k)),
-    k^2 = (b^2 - a^2) / (c^2 - a^2),
+    S = 4 pi / sqrt(c^2 - A^2) * (2 (c^2 - A^2) E(k) - Q K(k)),
+    k^2 = (B^2 - A^2) / (c^2 - A^2),   A = min(a, b),  B = max(a, b),
 
-(Lawson boundary: S = 8 pi a E(sqrt(a^2 - b^2) / a) for a >= b).  The
+which on the Lawson boundary Q = 0 is S = 8 pi B E(k).  The
 surface area is S divided by the covering degree of the parameter torus
 over the image, which is 2 exactly when a half-period deck
 transformation survives (subcases I and II below, and every Lawson
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from ._lazy import np
-from .elliptic import Modulus, _periodic_nodes, complete_E, complete_K
+from .elliptic import Modulus, _periodic_nodes, _strip, complete_E, complete_K
 from .errors import DegenerateTripleError, InvalidTripleError, NotInFamilyError
 
 __all__ = [
@@ -201,12 +201,14 @@ def validate(case: Case | str, a: int, b: int, c: int | None = None) -> Triple:
 def canonicalize(t: Triple) -> Triple:
     """Gcd-reduce and order the triple canonically.  Idempotent.
 
-    The ordering uses the a <-> b isometry of the family: generalized
-    triples are ordered a <= b (so the area modulus k^2 >= 0), Lawson
-    pairs a >= b (so the functional-value modulus sqrt(a^2 - b^2)/a is
-    real).  One rule covers both cases: divide by d = gcd(a, b, c), c
-    counting as 0 for a Lawson pair, and sort (a, b) descending on the
-    boundary and ascending otherwise.
+    The ordering uses the a <-> b isometry of the family.  It picks no
+    area modulus (:func:`_modulus` sorts a and b itself); it fixes the
+    label and the sign of the y-profiles' k^2 (``Coefficients.k2``):
+    generalized triples are ordered a <= b (k^2 >= 0), Lawson pairs
+    a >= b (k^2 <= 0, the paper's tau_(a,b)).  One rule covers both
+    cases: divide by d = gcd(a, b, c), c counting as 0 for a Lawson
+    pair, and sort (a, b) descending on the boundary and ascending
+    otherwise.
     """
     d = gcd(t.a, t.b, t.c or 0)
     a, b = sorted((t.a // d, t.b // d), reverse=t.case is Case.LAWSON)
@@ -327,21 +329,21 @@ def _topology(t: Triple) -> Topology:
     return Topology.KLEIN_BOTTLE if _parity_class(t) is Subcase.I else Topology.TORUS
 
 
-def area_closed(t: Triple) -> tuple[float, float]:
-    """Closed-form (S, area): the parameter-torus area and the surface area.
+def _modulus(t: Triple) -> Modulus:
+    """k^2 = (B^2 - A^2) / (c^2 - A^2) and k'^2 = (c^2 - B^2) / (c^2 - A^2) from integers, A =
+    min(a, b), B = max(a, b): Q + 2P = 2 (c^2 - A^2) (1 - k^2 sin^2 y), y from pi/2 if a > b."""
+    lo, hi = sorted((t.a * t.a, t.b * t.b))
+    return Modulus.from_ratio(hi - lo, t.c_squared - lo)
 
-    Works for either a/b ordering; a non-canonical generalized ordering
-    routes through the negative-k^2 continuation of K and E and returns
-    the same value (S is symmetric in a and b).
-    """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c_squared
-    if t.case is Case.LAWSON:
-        hi, lo = max(a2, b2), min(a2, b2)
-        s = 8.0 * math.pi * math.sqrt(hi) * complete_E(Modulus.from_ratio(hi - lo, hi))
-        return s, s / 2.0
-    m = Modulus.from_ratio(b2 - a2, c2 - a2)
+
+def area_closed(t: Triple) -> tuple[float, float]:
+    """Closed-form (S, area): the parameter-torus area and the surface area, by the module
+    docstring's one formula over the surface's modulus (:func:`_modulus`), in either order of a
+    and b; Q = 0 makes it 8 pi B E on the Lawson boundary."""
+    a2, c2 = min(t.a, t.b) ** 2, t.c_squared
+    m = _modulus(t)
     s = (4.0 * math.pi / math.sqrt(c2 - a2)) * (
-        2.0 * (c2 - a2) * complete_E(m) - (c2 - a2 - b2) * complete_K(m)
+        2.0 * (c2 - a2) * complete_E(m) - (c2 - t.a * t.a - t.b * t.b) * complete_K(m)
     )
     return s, s / _covering_degree(t)
 
@@ -367,18 +369,10 @@ def area_quadrature(t: Triple, n: int | None = None) -> float:
 
 
 def _area_nodes(t: Triple) -> int:
-    """Nodes of :func:`area_quadrature`, by :func:`lawson.elliptic._periodic_nodes` (the least power
-    of two n >= 4096 with n d >= ln(1 / u), at most 2^20).  The integrand is analytic in the strip
-    |Im y| < d, d = arccosh(R) / 2 with R = (2 c^2 - a^2 - b^2) / |b^2 - a^2| > 1, where
-    Q + 2P = 2 c^2 - a^2 - b^2 + (b^2 - a^2) cos 2y vanishes.  R - 1 = 2 (c^2 - max(a^2, b^2)) /
-    |b^2 - a^2| is formed from integers, so d stays accurate as it falls to 0 on a thin surface
-    (d ~ 1/a on tau_(a,1)).  Every surface with c <= 30 takes 4096; past the cap, from
-    d < 3.5e-5 on, the rule stops refining.  a = b has a constant integrand."""
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c_squared
-    if a2 == b2:
-        return 4096
-    x = 2 * (c2 - max(a2, b2)) / abs(b2 - a2)
-    return _periodic_nodes(0.5 * math.log1p(x + math.sqrt(x * (2.0 + x))))  # arccosh(1 + x) / 2
+    """Nodes of :func:`area_quadrature`: :func:`lawson.elliptic._periodic_nodes` of the strip of
+    1 - k^2 sin^2 y (:func:`lawson.elliptic._strip`) for the surface's modulus, as Q + 2P is
+    (:func:`_modulus`): d ~ 1/a on a thin tau_(a,1), 4096 nodes for a = b and every c <= 30."""
+    return _periodic_nodes(_strip(_modulus(t)))
 
 
 def extremal_index(t: Triple) -> tuple[int, Functional, float]:

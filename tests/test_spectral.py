@@ -18,6 +18,7 @@ from lawson import (
     Case,
     EigensolverError,
     IndeterminateCountError,
+    Modulus,
     Symmetry,
     Triple,
     anchor_check,
@@ -844,16 +845,16 @@ def test_inertia_count_matches_dense_eigenvalues(t, n):
     eigenvalues, at E_0 and below the lowest, and its values match them to 1e-10 relative to the
     norm: sn and K of the count's AGM and Landen descent agree with scipy.special's."""
     k2, kp2, e0 = _moduli(t)
-    m = n // 4
+    m, mod = n // 4, Modulus(k2, kp2)
     dense = {s: np.linalg.eigvalsh(_dense_lame_sector(k2, m, s)) for s in spectral._ALL_SECTORS}
     for x in [e0, *sorted({(ev[j] + ev[j + 1]) / 2 for ev in dense.values() for j in range(3)}),
               -0.5]:
-        got = spectral._lame_sectors(k2, kp2, m, x)
+        got = spectral._lame_sectors(mod, m, x)
         for sector, ev in zip(spectral._ALL_SECTORS, got):
             want = dense[sector]
             assert np.sum(ev < x) == np.searchsorted(want, x)
             assert np.all(np.abs(ev - want[:len(ev)]) <= 1e-10 * (4.0 * m * m + 2.0))
-    assert [len(ev) for ev in spectral._lame_sectors(k2, kp2, m, e0)][3] >= 1  # DD's lowest
+    assert [len(ev) for ev in spectral._lame_sectors(mod, m, e0)][3] >= 1  # DD's lowest
 
 
 def _list_counts(t, n, guard):
@@ -1166,10 +1167,13 @@ class TestCounting:
         assert report.n2 == report.j_closed
 
     @pytest.mark.parametrize("case,params", [(Case.LAWSON, (10**9, 1)),
-                                             (Case.GENERALIZED, (1, 2, 10**12))])
+                                             (Case.GENERALIZED, (1, 2, 10**12)),
+                                             (Case.GENERALIZED, (1, 2, 2**64 - 1)),
+                                             (Case.GENERALIZED, (1, 2, 2**64 + 1))])
     def test_count_at_a_huge_c_is_the_index(self, case, params):
         """The count is integer arithmetic on its stops, so c = 10^9 and 10^12 count as fast as
-        c = 3 (a per-l array of c + 1 entries would take 7.45 GiB and 7.28 TiB)."""
+        c = 3 (a per-l array of c + 1 entries would take 7.45 GiB and 7.28 TiB), and past
+        c = 2^63, where the length of a range of l overflowed."""
         t = validate(case, *params)
         report = count_N2(t, 2048)
         assert report.n2 == classify(t).j == report.j_closed

@@ -1,5 +1,6 @@
 """Family construction: validation, coefficients, metric, area, classification."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from lawson import (
     symmetry_residual,
     validate,
 )
+from lawson.elliptic import _strip
 from conftest import SUITE, SUITE_IDS
 
 
@@ -388,11 +390,13 @@ class TestArea:
         assert area == pytest.approx(s / 2.0, rel=1e-15)
 
     def test_order_invariance_via_negative_continuation(self):
-        # S is symmetric in a, b; the (1, 0, 2) ordering routes through
-        # K and E at k^2 = -1/3 and must land on the same value.
+        # S is symmetric in a, b; area_closed sorts a and b, so the (1, 0, 2)
+        # ordering lands on the same value bit for bit.  K and E at its
+        # negative continuation, k^2 = -1/3, stay checked by test_elliptic's
+        # K_NEG_THIRD.
         s_canonical, _ = area_closed(validate(Case.GENERALIZED, 0, 1, 2))
         s_swapped, _ = area_closed(Triple(Case.GENERALIZED, 1, 0, 2))
-        assert s_swapped == pytest.approx(s_canonical, rel=1e-13)
+        assert s_swapped == s_canonical
 
     def test_lawson_value(self):
         from lawson.elliptic import Modulus, complete_E
@@ -453,6 +457,25 @@ class TestArea:
         s, area = area_closed(t)
         assert classify(t).area == area == s / 2
         assert s == pytest.approx(8.0 * math.pi * (c - 1), rel=1e-15)  # 4 pi / c * 2 c^2 E, E -> 1
+
+    @pytest.mark.parametrize("t", [Triple(Case.GENERALIZED, 1, 2, 3),
+                                   Triple(Case.GENERALIZED, 5, 7, 13),
+                                   Triple(Case.GENERALIZED, 7, 5, 13), Triple(Case.LAWSON, 3, 1),
+                                   Triple(Case.LAWSON, 1000, 1),
+                                   Triple(Case.GENERALIZED, 98, 835, 919)],
+                             ids=["T_(1,2,3)", "T_(5,7,13)", "T_(7,5,13)", "tau_(3,1)",
+                                  "tau_(1000,1)", "T_(98,835,919)"])
+    def test_the_nodes_strip_is_the_area_integrands(self, t):
+        """The strip of the surface's modulus (:func:`lawson.elliptic._strip`), which sets the
+        area's nodes, ends where the integrand's Q + 2P = c^2 + Q + (b^2 - a^2) cos 2y vanishes:
+        at y = x + i d with x = 0 (a > b) or pi/2 (a < b), in either order of a and b.  Measured
+        at most 1.1e-16 of its scale 2 (c^2 - A^2)."""
+        co = coefficients(t)
+        d = _strip(surface._modulus(t))
+        at = [co.c_sq + co.q + (co.b_sq - co.a_sq) * cmath.cos(2.0 * complex(x, d))
+              for x in (0.0, math.pi / 2)]
+        scale = 2 * (co.c_sq - min(co.a_sq, co.b_sq))
+        assert min(abs(v) for v in at) / scale <= 4 * math.ulp(1.0)
 
     def test_every_surface_up_to_c_30_keeps_4096_nodes(self):
         """Up to c = 30 the strip is wide: every generalized triple and Lawson pair there, in

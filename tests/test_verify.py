@@ -169,6 +169,25 @@ class TestRunVerification:
         assert count.passed and not indeterminate
         assert count.values["n2"] == count.values["j_closed"]
 
+    @pytest.mark.parametrize("abc", [(1, 2, 2**64 - 1), (1, 2, 10**77), (1, 2, 2**509),
+                                     (10**15, 10**15 + 1, 2 * 10**15)],
+                             ids=["T_(1,2,2^64-1)", "T_(1,2,10^77)", "T_(1,2,2^509)",
+                                  "T_(10^15,10^15+1,2*10^15)"])
+    def test_every_check_but_minimality_passes_at_a_huge_c(self, monkeypatch, abc):
+        """Every check but the minimality residual, whose ladder grows with c, passes at grid
+        2048 up to c = 2^509, near the c^2 < 2^1020 bound: the count's stops are Python integers,
+        not the length of a range (at most 2^63 - 1), the area's nodes come from the strip of
+        the surface's modulus, with no c^2-sized square, and the interlacing bar roots each
+        c^2-sized factor before their product, which overflows from c = 2^256 on.  Left for a
+        form of P of positive terms, since P(0) = b^2 cancels in c^2 + (b^2 - a^2) once
+        a^2 + b^2 >= 2^53: tau_(10^9,1) and tau_(2^300,3)."""
+        monkeypatch.setattr(verify, "_takahashi_check", lambda t, deep: verify.CheckResult(
+            "laplace_eigenfunction", True, {}, "not run"))
+        report = run_verification(validate(Case.GENERALIZED, *abc), grid_n=2048)
+        assert [c.name for c in report.checks] == EXPECTED_CHECKS
+        assert [c.name for c in report.checks if not c.passed] == []
+        assert not report.indeterminate
+
     def test_lawson_pairs_pass_lame(self):
         """Every Lawson pair with a^2 + b^2 <= 900, tau_(300,1) and tau_(1000,1) pass lame under its
         rounding bound; 22 of the pairs (k^2 <= -100) failed the former absolute 1e-12."""
