@@ -40,9 +40,12 @@ columns share one Lanczos basis and one start vector, white noise from a splitmi
 multiple of 16, so the wanted eigenvalues sit within a few times l + 16 of sigma at any l.
 Lanczos on (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
 reorthogonalized against the recurrence's two vectors, then once against the whole basis, which
-each thread keeps and reuses for lists of up to 8) solves each column once.  A list merges the
-sectors' shares; the checks read lambda_0..lambda_3 at the anchors' frequencies, one request per
-(triple, grid) kept in a memo (:func:`_table`).  The minimality residual is separable, O(grid_n).
+each thread keeps and reuses for lists of up to 8) solves each column once.  A request's answer
+depends on its arguments alone (triple, symmetry, grid, the l, sectors, count), so each is solved
+at most once per process: a memo of the 128 most recently used requests keeps their eigenvalues,
+read-only, and no factor or basis.  A list merges the sectors' shares into a fresh array; the
+checks read lambda_0..lambda_3 at the anchors' frequencies, one request per (triple, grid)
+(:func:`_table`), whichever check asks first.  The minimality residual is separable, O(grid_n).
 
 The count N(2) needs no y-grid.  With A = min(a, b), B = max(a, b), y taken from pi/2 when
 a > b and v = F(y | k^2), k^2 = (B^2 - A^2) / (c^2 - A^2), the metric is conformally flat,
@@ -353,12 +356,15 @@ def _shares(sectors: tuple, count: int) -> tuple:
     return tuple(sum(below(x, i) < count for i in range(count)) for x in sectors)
 
 
-def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors: tuple,
-                        count: int) -> list:
-    """Per l of ``ls``, one ascending array per sector of ``sectors``: the sector's share
+@functools.lru_cache(maxsize=128)
+def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls: tuple, sectors: tuple,
+                        count: int) -> tuple:
+    """Per l of the tuple ``ls``, one ascending array per sector of ``sectors``: the sector's share
     (:func:`_shares`) of the lowest ``count`` eigenvalues of their union, empty for a share of 0.
     One request: the columns of positive share factored by one :func:`_factors` call, each solved
-    once by :func:`_lanczos` from one start vector in this thread's basis (:func:`_basis`)."""
+    once by :func:`_lanczos` from one start vector in this thread's basis (:func:`_basis`).  The
+    answer is a function of the arguments alone, so it is memoized per request, 128 of them: the
+    memo holds these read-only eigenvalue arrays only, never a factor or a basis."""
     m = _sector_cells(grid_n, sym)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
@@ -370,14 +376,17 @@ def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls, sectors: tupl
     V[0] = _start(m)
     solved = iter([_lanczos(_where(grid_n, sym, l, sector), d[i], e[i, :-1], sigma[i], k, V)
                    for i, (l, sector, k) in enumerate(wanted)])
-    return [[next(solved) if k else np.empty(0) for k in shares] for _ in ls]
+    spectra = tuple(tuple(next(solved) if k else np.empty(0) for k in shares) for _ in ls)
+    for ev in (ev for per_l in spectra for ev in per_l):
+        ev.flags.writeable = False
+    return spectra
 
 
 def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResult:
     """Lowest ``count`` eigenvalues of the discretized pencil, ascending: the merged
     quarter-period sectors of the problem's symmetry.  ``count`` must be at least 1 and
     below the sector size."""
-    spectra, = _sector_eigenvalues(problem.triple, problem.symmetry, grid_n, [problem.l],
+    spectra, = _sector_eigenvalues(problem.triple, problem.symmetry, grid_n, (problem.l,),
                                    _SYMMETRY_SECTORS[problem.symmetry], count)
     return SpectrumResult(eigenvalues=np.sort(np.concatenate(spectra))[:count])
 
@@ -392,19 +401,18 @@ def _lambdas(spectra) -> tuple:
     return (nn0, lo[0], hi[0], top[0]), ("NN_0", lo[1], hi[1], top[1])
 
 
-@functools.lru_cache(maxsize=128)
 def _table(t: Triple, grid_n: int) -> tuple:
     """Rows ``(l, lambda_0..lambda_3, their names)`` (:func:`_lambdas`) of the canonical ``t``'s
     full periodic spectra at ``grid_n``, at the anchors' frequencies c, max(a, b) and min(a, b) in
-    that order: one request that solves each distinct l once, memoized per (triple, grid), which
-    :func:`anchor_check` and :func:`interlacing_check` read.  No factor outlives the request; the
-    Lanczos basis stays with its thread (:func:`_basis`).  Every column wants eigenvalues that stand
-    apart in its sector, as :func:`_lanczos`'s stop test requires: ND, DN and DD one each, NN two,
-    whose NN_1 - NN_0 is at least the sum of the two strict gaps (at the anchors' frequencies of the
-    census, c <= 30, grid 2048, measured: the sum >= 1.07e-2, NN_1 - NN_0 >= 4.0).
-    tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
+    that order, which :func:`anchor_check` and :func:`interlacing_check` read: one memoized
+    request (:func:`_sector_eigenvalues`) that solves each distinct l once, for whichever check
+    asks first; the rows are formed anew from it on every call.  Every column wants eigenvalues
+    that stand apart in its sector, as :func:`_lanczos`'s stop test requires: ND, DN and DD one
+    each, NN two, whose NN_1 - NN_0 is at least the sum of the two strict gaps (at the anchors'
+    frequencies of the census, c <= 30, grid 2048, measured: the sum >= 1.07e-2, NN_1 - NN_0 >=
+    4.0).  tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
     ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
-    distinct = list(dict.fromkeys(ls))
+    distinct = tuple(dict.fromkeys(ls))
     solved = _sector_eigenvalues(t, Symmetry.FULL_PERIODIC, grid_n, distinct, _ALL_SECTORS, 4)
     rows = dict(zip(distinct, map(_lambdas, solved)))
     return tuple((l, *rows[l]) for l in ls)

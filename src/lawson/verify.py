@@ -194,8 +194,10 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     ``deep`` doubles the spectral grids, measures anchor convergence orders, adds a third rung to
     the minimality-residual ladder, and re-counts on the doubled grid.  The checks run in report
     order; anchors and interlacing read one memoized request per grid, which solves c, max(a, b)
-    and min(a, b).  Raises :class:`SpectralError` subclasses only for non-convergence; an
-    indeterminate count is reported in-band.
+    and min(a, b) once in the process, for whichever check asks first (the memo of
+    :func:`lawson.spectral._sector_eigenvalues`, which lists read too).  Raises
+    :class:`SpectralError` subclasses only for non-convergence; an indeterminate count is
+    reported in-band.
     """
     _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
     t = canonicalize(t)

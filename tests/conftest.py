@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lawson import Case, InvalidTripleError, Triple, validate
+from lawson import Case, InvalidTripleError, Triple, spectral, validate
 
 # Candidate parameters; the builder drops anything inadmissible.
 _GENERALIZED_CANDIDATES = [
@@ -52,3 +52,10 @@ def per_l_counts(report, t: Triple) -> tuple[tuple[int, int], ...]:
 @pytest.fixture(scope="session")
 def suite():
     return SUITE
+
+
+@pytest.fixture(autouse=True)
+def cold_spectral_memo():
+    """Every test starts from an empty memo of spectral requests, so a test that counts solves
+    counts its own and none that an earlier test left in the memo."""
+    spectral._sector_eigenvalues.cache_clear()

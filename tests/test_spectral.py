@@ -44,6 +44,13 @@ def _spec(t, l, sym=Symmetry.FULL_PERIODIC, n=1024, count=8):
     return sl_spectrum(sl_problem(t, l, sym), n, count=count).eigenvalues
 
 
+def _cold_spec(*args):
+    """:func:`_spec` solved anew: the memo of spectral requests is emptied first, so tests of the
+    solver's own state (its basis, threads, a fork) run Lanczos on every call."""
+    spectral._sector_eigenvalues.cache_clear()
+    return _spec(*args)
+
+
 class TestSelfAdjointCoefficients:
     def test_clifford_constant_problem(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
@@ -301,7 +308,7 @@ def test_sector_solved_to_its_size_spans_it(monkeypatch):
     t = validate(Case.GENERALIZED, 1, 2, 3)
     for sector in spectral._ALL_SECTORS:
         steps.clear()
-        (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 256, [1], (sector,), 63)
+        (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 256, (1,), (sector,), 63)
         dense = np.linalg.eigvalsh(_dense_sector(t, 1, 256, sector))[:63]
         assert len(steps) == 64
         assert np.all(np.abs(ev - dense) <= 1e-11 * (1 + dense) ** 2)
@@ -323,7 +330,7 @@ def test_long_list_of_one_sector_within_the_step_cap():
     threads (420-450 under a residual test at eps theta), within the cap 8 count + 64, and
     its list matches ARPACK to 1e-11 relative (measured 1.5e-14)."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 16384, [1000], ("NN",), 90)
+    (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 16384, (1000,), ("NN",), 90)
     oracle = _untrimmed_merge(sl_problem(t, 1000), 16384, 90, ("NN",))
     assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11
 
@@ -487,7 +494,7 @@ def test_a_thread_reuses_its_basis_and_grows_it_only_when_needed():
     def requests():
         lists, bases = [], []
         for abc, l, sym, n, count in queries:
-            lists.append(_spec(validate(Case.GENERALIZED, *abc), l, sym, n, count).tobytes())
+            lists.append(_cold_spec(validate(Case.GENERALIZED, *abc), l, sym, n, count).tobytes())
             bases.append(spectral._THREAD.basis)
         return lists, bases
 
@@ -521,7 +528,7 @@ def test_threads_solving_at_once_get_the_serial_lists():
         l, sym, n = queries[i]
         start.wait(timeout=60)
         for _ in range(3):
-            results[i].append(_spec(t, l, sym, n).tobytes())
+            results[i].append(_cold_spec(t, l, sym, n).tobytes())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -535,6 +542,64 @@ def test_threads_solving_at_once_get_the_serial_lists():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[ev] * 3 for ev in serial]
+
+
+def test_threads_making_one_cold_request_at_once_get_the_serial_list():
+    """Four threads make the same request at once into an empty memo, with the interpreter
+    switching threads every microsecond: each gets bit for bit the list that one thread solves
+    alone, and the memo ends with that one request."""
+    query = (validate(Case.GENERALIZED, 5, 7, 13), 3, Symmetry.FULL_PERIODIC, 16384)
+    serial = _spec(*query).tobytes()
+    spectral._sector_eigenvalues.cache_clear()
+    start, results = threading.Barrier(4), [None] * 4
+
+    def solve(i):
+        start.wait(timeout=60)
+        results[i] = _spec(*query).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 4
+    assert spectral._sector_eigenvalues.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
+def test_a_repeated_list_is_read_from_the_memo(monkeypatch, sym):
+    """A second identical list makes no Lanczos call, and its values are bit for bit those of a
+    solve after the memo is emptied.  A caller's list is its own array: writing into it leaves the
+    next answer as it was, and the memo's arrays are read-only."""
+    lanczos, calls = spectral._lanczos, []
+
+    def counted(*args):
+        calls.append(1)
+        return lanczos(*args)
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    problem = sl_problem(validate(Case.GENERALIZED, 5, 7, 13), 7, sym)
+    first = sl_spectrum(problem, 2048).eigenvalues
+    solved = len(calls)
+    second = sl_spectrum(problem, 2048).eigenvalues
+    assert solved == len(spectral._SYMMETRY_SECTORS[sym]) and len(calls) == solved
+    spectral._sector_eigenvalues.cache_clear()
+    fresh = sl_spectrum(problem, 2048).eigenvalues
+    assert len(calls) == 2 * solved
+    assert second.tobytes() == first.tobytes() == fresh.tobytes()
+    fresh[:] = second[:] = -1.0
+    assert sl_spectrum(problem, 2048).eigenvalues.tobytes() == first.tobytes()
+    memo, = spectral._sector_eigenvalues(problem.triple, sym, 2048, (7,),
+                                         spectral._SYMMETRY_SECTORS[sym], 8)
+    assert len(calls) == 2 * solved and not any(ev.flags.writeable for ev in memo)
+    with pytest.raises(ValueError, match="read-only"):
+        memo[0][0] = 0.0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -555,7 +620,7 @@ def test_a_forked_child_and_its_parent_solving_at_once_get_the_serial_lists():
         try:
             os.close(go_w)
             os.read(go_r, 1)
-            data = b"".join(_spec(t, *queries[1]).tobytes() for _ in range(5))
+            data = b"".join(_cold_spec(t, *queries[1]).tobytes() for _ in range(5))
             os.write(out_w, data)
             status = 0
         finally:
@@ -563,7 +628,7 @@ def test_a_forked_child_and_its_parent_solving_at_once_get_the_serial_lists():
     try:
         os.close(out_w)
         os.write(go_w, b"x")
-        mine = [_spec(t, *queries[0]).tobytes() for _ in range(5)]
+        mine = [_cold_spec(t, *queries[0]).tobytes() for _ in range(5)]
         child = b""
         while chunk := os.read(out_r, 4096):
             child += chunk
@@ -664,7 +729,7 @@ def test_a_list_solves_each_column_once_at_its_share(monkeypatch, sym):
         assert factored == [(7, s) for s, _ in solved]
         assert asked == [k for _, k in solved]
         spectra, = spectral._sector_eigenvalues(validate(Case.GENERALIZED, 5, 7, 13), sym, 1024,
-                                                [7], sectors, count)
+                                                (7,), sectors, count)
         assert tuple(map(len, spectra)) == spectral._shares(sectors, count)
 
 
@@ -804,15 +869,13 @@ def test_a_request_solves_each_l_as_if_alone(abc):
     assert [[len(ev) for ev in spectra] for spectra in together] == [[2, 1, 1, 1]] * 5
     alone = {}
     for l, spectra in zip(ls, together):
-        alone[l], = solve([l], spectral._ALL_SECTORS, 4)
+        alone[l], = solve((l,), spectral._ALL_SECTORS, 4)
         assert [ev.tobytes() for ev in spectra] == [ev.tobytes() for ev in alone[l]]
         assert all(np.all(np.diff(ev) > 0) for ev in spectra)
-    spectral._table.cache_clear()
     rows = spectral._table(t, 2048)
     assert [l for l, *_ in rows] == [t.c_real, max(t.a, t.b), min(t.a, t.b)]
     for l, lam, names in rows:
         assert (lam, names) == spectral._lambdas(alone[l])
-    spectral._table.cache_clear()
 
 
 def _moduli(t):
@@ -863,7 +926,7 @@ def _list_counts(t, n, guard):
     by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
     counts = []
     for l in range(math.isqrt(t.c_squared) + 2):
-        lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, [l], (s,), 8)[0][0]
+        lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, (l,), (s,), 8)[0][0]
                  for s in by_parity[l % 2]]
         assert all(ev[-1] > 2.0 + guard for ev in lists)
         counts.append((l, sum(int(np.sum(ev < 2.0 - guard)) for ev in lists)))
@@ -969,7 +1032,6 @@ def test_coefficients_evaluated_once_per_grid(monkeypatch):
         monkeypatch.setattr(module, "coefficients", coefficients_calls)
     per_triple = []
     for abc in ((5, 7, 13), (1, 2, 150)):
-        spectral._table.cache_clear()
         calls.clear()
         lawson.verify.run_verification(validate(Case.GENERALIZED, *abc), 2048, deep=True)
         per_triple.append(len(calls))
@@ -1272,7 +1334,8 @@ def _assert_theorem_at_every_l(t, ls):
     """At every l of ``ls``, lambda_0..lambda_3 as the theorem forms them from each sector's
     share (:func:`_lambdas`) equal the lowest four of the union of the four sectors, each solved
     for 4, within the bar, and both strict gaps exceed the bar."""
-    solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048, ls)
+    solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048,
+                              tuple(ls))
     shares = solve(spectral._ALL_SECTORS, 4)
     alone = [[ev for ev, in solve((s,), 4)] for s in spectral._ALL_SECTORS]
     bar = interlacing_check(t, 2048).bar
@@ -1340,7 +1403,6 @@ def test_interlacing_solves_only_the_anchors_frequencies(monkeypatch, case, para
 
     monkeypatch.setattr(spectral, "_factors", factored)
     monkeypatch.setattr(spectral, "_lanczos", recorded)
-    spectral._table.cache_clear()
     report = interlacing_check(t, 2048)
     ls = (t.c_real, max(t.a, t.b), min(t.a, t.b))
     assert columns == [[(l, s) for l in ls for s in spectral._ALL_SECTORS]]
@@ -1374,11 +1436,10 @@ def test_checks_share_one_request_per_grid_in_either_order(monkeypatch, abc, col
 
     monkeypatch.setattr(spectral, "_factors", counted)
     for order in ((anchor_check, interlacing_check), (interlacing_check, anchor_check)):
-        spectral._table.cache_clear()
+        spectral._sector_eigenvalues.cache_clear()
         calls.clear()
         results.append({(check.__name__, n): check(t, n) for n in (1024, 2048) for check in order})
         assert calls == [(1024, columns), (2048, columns)]
-    spectral._table.cache_clear()
     assert results[0] == results[1]
 
 

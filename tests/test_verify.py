@@ -118,7 +118,6 @@ class TestRunVerification:
 
         monkeypatch.setattr(spectral, "_lanczos", recorded)
         monkeypatch.setattr(spectral, "_factors", factored_once)
-        spectral._table.cache_clear()
         report = run_verification(validate(Case.GENERALIZED, 5, 7, 13), grid_n=2048, deep=True)
         assert report.status == "ok"
         calls = [(*column, k) for column, k in zip(columns, asked, strict=True)]
@@ -277,7 +276,6 @@ class TestRunVerification:
             return render_json({"status": report.status, "tolerances": report.tolerances(),
                                 "checks": [[c.name, c.passed, c.values] for c in report.checks]})
 
-        spectral._table.cache_clear()
         forward = [render(t) for t in triples]
         backward = [render(t) for t in reversed(triples)]
         assert forward == backward[::-1]

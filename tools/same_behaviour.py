@@ -11,8 +11,9 @@ requests of the benchmark's ``cli`` workload for seeds 101-104, ``landen
 --points`` at edge counts, ``--format text`` variants, a failing ``verify`` and
 rejected inputs of each error path; each runs through ``lawson.cli.main`` in a
 temporary working directory, which receives the exports.  They come first, so
-the commands start with a cold memo and Lanczos basis, as a fresh process
-does.  A count record holds one ``count_N2``'s ``n2``, ``stops``, ``sectors``,
+the commands start, as a fresh process does, with an empty memo of spectral
+requests (it holds eigenvalues only, never a factor or a basis) and no Lanczos
+basis; later records may read what they left in the memo.  A count record holds one ``count_N2``'s ``n2``, ``stops``, ``sectors``,
 ``gap``, ``edge_errors`` and ``cells`` or its error, above the census range
 and at fine grids: T_(1,2,150) and T_(60,80,101) at 2048 and 4096, T_(5,7,13)
 at 16384 and 32768, and at 2048 T_(98,835,919), tau_(300,1), T_(1,2,1500),
@@ -307,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(r, sort_keys=True), flush=True)
 
     write([header()])
-    # The commands run first, so they start with a cold memo and Lanczos basis, as a process does.
+    # The commands run first, so they start as a process does: no spectral request memoized yet
+    # (the memo holds eigenvalues only) and no Lanczos basis.
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
