@@ -372,7 +372,8 @@ def build_parser() -> _Parser:
     add_format(p)
     p.add_argument("--l", type=int, default=0, help="separation frequency (default 0)")
     p.add_argument("--symmetry", choices=sorted(_SYMMETRY_NAMES), default="full")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                   help="cells of the whole y-circle; at least 256, divisible by 4")
     p.add_argument("--count", type=int, default=8, help="number of eigenvalues")
     p.set_defaults(func=cmd_spectrum)
 

@@ -19,12 +19,14 @@ positive diagonal weight, so eigenvalues are real and variationally
 ordered, which the interlacing theorem and Weyl's inequality require.
 
 p, q and w depend on y only through cos 2y, so they are even about
-y = 0 and y = pi/2.  With both axes on cell faces (grid_n at least 256
-and divisible by 4 on [0, 2 pi), by 2 on a pi-domain), each spectrum is
-exactly a union of quarter-period sectors: symmetric tridiagonal problems
-on [0, pi/2] named by their end conditions at 0 and pi/2, N (even
-reflection, zero flux) or D (odd reflection, zero value), all from one
-stencil (:func:`_stencil`):
+y = 0 and y = pi/2.  grid_n counts the cells of the whole y-circle
+[0, 2 pi), each 2 pi / grid_n wide, for every symmetry; with both axes on
+cell faces (grid_n at least 256 and divisible by 4), each spectrum is
+exactly a union of quarter-period sectors of grid_n / 4 cells: symmetric
+tridiagonal problems on [0, pi/2] named by their end conditions at 0 and
+pi/2, N (even reflection, zero flux) or D (odd reflection, zero value),
+all from one stencil (:func:`_stencil`), so the lists of the five
+symmetries at one grid split one spectrum:
 
     full-periodic    NN + ND + DN + DD      even-in-y    NN + ND
     pi-periodic      NN + DD                odd-in-y     DD + DN
@@ -41,7 +43,7 @@ multiple of 16, so the wanted eigenvalues sit within a few times l + 16 of sigma
 Lanczos on (B - sigma I)^-1 over the factor (dpttrs, dstev; stopped by a gap bound; each step
 reorthogonalized against the recurrence's two vectors, then once against the whole basis, which
 each thread keeps and reuses for lists of up to 8) solves each column once.  A request's answer
-depends on its arguments alone (triple, symmetry, grid, the l, sectors, count), so each is solved
+depends on its arguments alone (triple, grid, the l, sectors, count), so each is solved
 at most once per process: a memo of the 128 most recently used requests keeps their eigenvalues,
 read-only, and no factor or basis.  A list merges the sectors' shares into a fresh array; the
 checks read lambda_0..lambda_3 at the anchors' frequencies, one request per (triple, grid)
@@ -113,13 +115,13 @@ _START_SEED = 20260808  # of the Lanczos start vector (:func:`_start`): byte-sta
 
 
 class Symmetry(enum.Enum):
-    """Boundary condition / sector of the y-circle."""
+    """A parity subspace of the functions on the y-circle [0, 2 pi): a union of sectors."""
 
-    FULL_PERIODIC = "full-periodic"        # [0, 2 pi) cyclic
-    EVEN_Y = "even-in-y"                   # [0, pi], zero flux at both ends
-    ODD_Y = "odd-in-y"                     # [0, pi], zero value at both ends
-    PI_PERIODIC = "pi-periodic"            # [0, pi) cyclic
-    PI_ANTIPERIODIC = "pi-antiperiodic"    # [0, pi), sign-flipped wraparound
+    FULL_PERIODIC = "full-periodic"        # every phi
+    EVEN_Y = "even-in-y"                   # phi(-y) = phi(y)
+    ODD_Y = "odd-in-y"                     # phi(-y) = -phi(y)
+    PI_PERIODIC = "pi-periodic"            # phi(y + pi) = phi(y)
+    PI_ANTIPERIODIC = "pi-antiperiodic"    # phi(y + pi) = -phi(y)
 
 
 # Quarter-period sectors: end condition at y = 0, then at y = pi/2.
@@ -189,18 +191,17 @@ def _potential(l: float, root: np.ndarray) -> np.ndarray:
 sl_problem = SLProblem  # sl_problem(t, l[, symmetry]), full-periodic by default
 
 
-def _sector_cells(grid_n: int, sym: Symmetry) -> int:
-    parts = len(_SYMMETRY_SECTORS[sym])
-    if grid_n < 256 or grid_n % parts:
+def _sector_cells(grid_n: int) -> int:
+    """The cells of a sector, grid_n / 4: the one grid rule of every spectral entry point."""
+    if grid_n < 256 or grid_n % 4:
         raise ValueError(
-            f"grid_n must be >= 256 and divisible by {parts} on the {sym.value} domain "
-            f"(y = pi/2 must be a cell face), got {grid_n}"
-        )
-    return grid_n // parts
+            f"grid_n must be >= 256 and divisible by 4 (y = pi/2 must be a cell face), "
+            f"got {grid_n}")
+    return grid_n // 4
 
 
-def _where(grid_n: int, sym: Symmetry, l: float, sector: str) -> str:
-    return f"grid_n={grid_n} (l={l}, {sym.value}, sector {sector})"
+def _where(grid_n: int, l: float, sector: str) -> str:
+    return f"grid_n={grid_n} (l={l}, sector {sector})"
 
 
 def _stencil(d: np.ndarray, e: np.ndarray, pf: np.ndarray, s: np.ndarray, h: float, sectors):
@@ -215,16 +216,16 @@ def _stencil(d: np.ndarray, e: np.ndarray, pf: np.ndarray, s: np.ndarray, h: flo
     e[:, :-1] = -pf[1:-1] / h**2 * s[:-1] * s[1:]
 
 
-def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
-    """``(F, sigma)`` for the ``(l, sector)`` columns on [0, pi/2], cells as wide as ``grid_n`` on
-    the domain: dpttrf's B - sigma I = L D L^T of column i has pivots ``F[0, i]`` and the
+def _factors(t: Triple, grid_n: int, columns):
+    """``(F, sigma)`` for the ``(l, sector)`` columns on [0, pi/2], grid_n / 4 cells of width
+    2 pi / grid_n: dpttrf's B - sigma I = L D L^T of column i has pivots ``F[0, i]`` and the
     subdiagonal of L in ``F[1, i, :-1]``, B the w^(-1/2)-symmetrized matrix.  sigma + 1 is B's
     floor min q/w = l^2 / max P rounded down to a multiple of 16 (0 at l <= c + 1, as
     max P >= c^2 / 2): an exact shift of B + I.  One dpttrf call factors the block-diagonal
     matrix of all columns in place: its zero couplings leave each block's factor bit for bit that
     of its own call."""
-    m = _sector_cells(grid_n, sym)
-    h = math.pi / (2 * m)  # 2 pi / grid_n on [0, 2 pi), pi / grid_n on a pi-domain: the same double
+    m = _sector_cells(grid_n)
+    h = math.pi / (2 * m)  # 2 pi / grid_n, the same double
     # Only q depends on l: the rest is built once.  Faces at even, cell centres at odd indices.
     p, w = _flux_and_weight(t, 0.5 * h * np.arange(2 * m + 1))
     pf, root, w = p[::2], p[1::2], w[1::2]
@@ -240,7 +241,7 @@ def _factors(t: Triple, sym: Symmetry, grid_n: int, columns):
     if info:
         l, sector = columns[(info - 1) // m]
         raise EigensolverError(
-            f"B - sigma I is not positive definite at {_where(grid_n, sym, l, sector)}")
+            f"B - sigma I is not positive definite at {_where(grid_n, l, sector)}")
     return F, shift - 1.0
 
 
@@ -259,11 +260,11 @@ def _lanczos(where: str, ld: np.ndarray, le: np.ndarray, sigma: float, k: int,
     r^2 < eps theta (g - r), never at g <= r: its error bound r^2 / (g - r) (Parlett, ch. 11) is
     then below eps theta, sound while the wanted eigenvalues stand apart in their sector, as a
     verification's do (:func:`_table`).  A list now wants only its sectors' shares, and measured,
-    its wanted eigenvalues stand apart too: the smallest gap between two of one sector is 4.33
-    (0.63 of the larger less sigma) over the 157 list records of ``tools/same_behaviour.py`` and
-    4.0 (0.14) over the test suite's, but no theorem bounds it.  The rows of ``V`` hold the basis
-    and cap the steps; tests run from step 12, thin out past 32 (dstev is O(s^3)), end at m
-    steps.  alpha, beta and both tests run on Python floats: the IEEE operations of numpy
+    its wanted eigenvalues stand apart too: the smallest gap between two of one sector is 4.33, and
+    the smallest relative to the larger less sigma 0.28, over the 157 list records of
+    ``tools/same_behaviour.py``, and 4.0 and 0.050 over the test suite's, but no theorem bounds
+    it.  The rows of ``V`` hold the basis and cap the steps; tests run from step 12, thin out past
+    32 (dstev is O(s^3)), end at m steps.  alpha, beta and both tests run on Python floats: the IEEE operations of numpy
     scalars, at less overhead per step."""
     # Positional, as f2py parses them faster than keywords: dpttrs(d, e, b, overwrite_b) and
     # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans[, overwrite_y]).
@@ -357,24 +358,23 @@ def _shares(sectors: tuple, count: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=128)
-def _sector_eigenvalues(t: Triple, sym: Symmetry, grid_n: int, ls: tuple, sectors: tuple,
-                        count: int) -> tuple:
+def _sector_eigenvalues(t: Triple, grid_n: int, ls: tuple, sectors: tuple, count: int) -> tuple:
     """Per l of the tuple ``ls``, one ascending array per sector of ``sectors``: the sector's share
     (:func:`_shares`) of the lowest ``count`` eigenvalues of their union, empty for a share of 0.
     One request: the columns of positive share factored by one :func:`_factors` call, each solved
     once by :func:`_lanczos` from one start vector in this thread's basis (:func:`_basis`).  The
     answer is a function of the arguments alone, so it is memoized per request, 128 of them: the
     memo holds these read-only eigenvalue arrays only, never a factor or a basis."""
-    m = _sector_cells(grid_n, sym)
+    m = _sector_cells(grid_n)
     if not 1 <= count < m:
         raise ValueError(f"count must be >= 1 and smaller than the sector size {m}, got {count}")
     shares = _shares(sectors, count)
     wanted = [(l, sector, k) for l in ls for sector, k in zip(sectors, shares) if k]
-    (d, e), sigma = _factors(t, sym, grid_n, [(l, sector) for l, sector, _ in wanted])
+    (d, e), sigma = _factors(t, grid_n, [(l, sector) for l, sector, _ in wanted])
     # The steps grow with count, not l: measured <= 4 count + 8 for l <= 10^7.
     V = _basis(min(m, 8 * count + 64) + 1, m)
     V[0] = _start(m)
-    solved = iter([_lanczos(_where(grid_n, sym, l, sector), d[i], e[i, :-1], sigma[i], k, V)
+    solved = iter([_lanczos(_where(grid_n, l, sector), d[i], e[i, :-1], sigma[i], k, V)
                    for i, (l, sector, k) in enumerate(wanted)])
     spectra = tuple(tuple(next(solved) if k else np.empty(0) for k in shares) for _ in ls)
     for ev in (ev for per_l in spectra for ev in per_l):
@@ -386,7 +386,7 @@ def sl_spectrum(problem: SLProblem, grid_n: int, count: int = 8) -> SpectrumResu
     """Lowest ``count`` eigenvalues of the discretized pencil, ascending: the merged
     quarter-period sectors of the problem's symmetry.  ``count`` must be at least 1 and
     below the sector size."""
-    spectra, = _sector_eigenvalues(problem.triple, problem.symmetry, grid_n, (problem.l,),
+    spectra, = _sector_eigenvalues(problem.triple, grid_n, (problem.l,),
                                    _SYMMETRY_SECTORS[problem.symmetry], count)
     return SpectrumResult(eigenvalues=np.sort(np.concatenate(spectra))[:count])
 
@@ -413,7 +413,7 @@ def _table(t: Triple, grid_n: int) -> tuple:
     4.0).  tau_(a,1)'s near-degenerate lambda_0, lambda_1 lie in two."""
     ls = t.c_real, max(t.a, t.b), min(t.a, t.b)
     distinct = tuple(dict.fromkeys(ls))
-    solved = _sector_eigenvalues(t, Symmetry.FULL_PERIODIC, grid_n, distinct, _ALL_SECTORS, 4)
+    solved = _sector_eigenvalues(t, grid_n, distinct, _ALL_SECTORS, 4)
     rows = dict(zip(distinct, map(_lambdas, solved)))
     return tuple((l, *rows[l]) for l in ls)
 
@@ -628,7 +628,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
 
     The count at each l follows exactly: count(l) = #{s in sectors[l mod 2] : l < stops[s]}.
     """
-    m = _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
+    m = _sector_cells(grid_n)
     t = canonicalize(t)
     j_closed, _, _ = extremal_index(t)
     a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .errors import SpectralError
 from .spectral import (
-    Symmetry,
     _sector_cells,
     _uniform,
     anchor_check,
@@ -199,7 +198,7 @@ def run_verification(t: Triple, grid_n: int = 2048, deep: bool = False) -> Verif
     :class:`SpectralError` subclasses only for non-convergence; an indeterminate count is
     reported in-band.
     """
-    _sector_cells(grid_n, Symmetry.FULL_PERIODIC)
+    _sector_cells(grid_n)
     t = canonicalize(t)
     report = VerificationReport(triple=t, grid_n=grid_n, deep=deep)
     report.checks.append(_unit_norm_check(t))

@@ -1,6 +1,7 @@
 """Spectral layer: self-adjoint reduction, discrete spectra, residuals, counting."""
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -178,41 +179,40 @@ class TestDiscreteSpectra:
             sl_spectrum(sl_problem(t, 0), 128)
         with pytest.raises(ValueError, match="divisible by 4"):
             sl_spectrum(sl_problem(t, 0), 1030)
-        with pytest.raises(ValueError, match="divisible by 2"):
-            sl_spectrum(sl_problem(t, 0, Symmetry.EVEN_Y), 1029)
+        with pytest.raises(ValueError, match="divisible by 4"):  # one rule for every symmetry
+            sl_spectrum(sl_problem(t, 0, Symmetry.EVEN_Y), 1030)
+
+    @staticmethod
+    def _assert_split(halves):
+        """At one grid the lists of ``halves``, merged, are the full-periodic list of the same
+        count to 1e-13 max(1, |lambda|): every symmetry's sectors have grid / 4 cells of width
+        2 pi / grid, so the two lists split one spectrum and differ from it only by the Lanczos
+        stops of shares of different sizes (measured <= 9.5e-15 over 576 cases, 293 bit for bit
+        equal)."""
+        for abc in ((5, 7, 13), (1, 2, 3), (1, 1, 2), (0, 1, 2), (2, 3, 4), (98, 835, 919)):
+            t = validate(Case.GENERALIZED, *abc)
+            for n, l, count in itertools.product((256, 2048, 16384), (0, 1, 7, 40), (1, 3, 8, 13)):
+                full = _spec(t, l, Symmetry.FULL_PERIODIC, n=n, count=count)
+                merged = np.sort(np.concatenate([_spec(t, l, s, n, count) for s in halves]))[:count]
+                assert np.all(np.abs(merged - full) <= 1e-13 * np.maximum(1.0, np.abs(full)))
 
     def test_sector_union_reassembles_full_spectrum(self):
-        """Subcase II sectors: pi-periodic + pi-antiperiodic = full periodic.
-
-        Cell-centered grids make the decomposition exact at the discrete
-        level (half-shift commutes with the matrix), so the merged sector
-        spectra reproduce the full ones to solver accuracy.
-        """
-        t = validate(Case.GENERALIZED, 1, 1, 2)
-        for l in (0, 1, 2):
-            full = _spec(t, l, Symmetry.FULL_PERIODIC, n=1024, count=12)
-            per = _spec(t, l, Symmetry.PI_PERIODIC, n=512, count=8)
-            anti = _spec(t, l, Symmetry.PI_ANTIPERIODIC, n=512, count=8)
-            merged = np.sort(np.concatenate([per, anti]))[: len(full)]
-            assert merged == pytest.approx(full, abs=1e-6)
+        """pi-periodic + pi-antiperiodic = full periodic, at one grid."""
+        self._assert_split((Symmetry.PI_PERIODIC, Symmetry.PI_ANTIPERIODIC))
 
     def test_reflection_sectors_reassemble_full_spectrum(self):
-        t = validate(Case.GENERALIZED, 1, 2, 4)  # odd first entry: y -> -y symmetry
-        for l in (0, 1):
-            full = _spec(t, l, Symmetry.FULL_PERIODIC, n=1024, count=12)
-            even = _spec(t, l, Symmetry.EVEN_Y, n=512, count=8)
-            odd = _spec(t, l, Symmetry.ODD_Y, n=512, count=8)
-            merged = np.sort(np.concatenate([even, odd]))[: len(full)]
-            assert merged == pytest.approx(full, abs=1e-6)
+        """even-in-y + odd-in-y = full periodic, at one grid."""
+        self._assert_split((Symmetry.EVEN_Y, Symmetry.ODD_Y))
 
 
 def _dense_oracle(t, l, n, sym, count=12):
-    """Lowest ``count`` eigenvalues of the whole-domain matrix of n cells, assembled densely:
-    [0, 2 pi) or [0, pi) with periodic corner entries, [0, pi) with sign-flipped
-    (antiperiodic) corners, or [0, pi] with zero flux (even-in-y: an end loses its
-    face) or zero value (odd-in-y: an end face doubles) at both ends, symmetrized
-    with W^(-1/2).  The cells are as wide as a sector's, pi / (2 m)."""
-    h = math.pi / (2 * spectral._sector_cells(n, sym))
+    """Lowest ``count`` eigenvalues of the whole-domain matrix of the grid n, assembled densely:
+    n cells of [0, 2 pi) with periodic corner entries, or n/2 cells of [0, pi) with periodic or
+    sign-flipped (antiperiodic) corners, or of [0, pi] with zero flux (even-in-y: an end loses
+    its face) or zero value (odd-in-y: an end face doubles) at both ends, symmetrized with
+    W^(-1/2).  Every cell is 2 pi / n wide, as a sector's are."""
+    h = math.pi / (2 * spectral._sector_cells(n))
+    n = n if sym is Symmetry.FULL_PERIODIC else n // 2  # the domain's cells
     pf = sl_coefficients(t, l, h * np.arange(n + 1))[0]
     nodes = h * (np.arange(n) + 0.5)
     _, q, w = sl_coefficients(t, l, nodes)
@@ -257,12 +257,11 @@ def _untrimmed_merge(problem, n, count, sectors=None):
     from scipy.linalg.lapack import dpttrs
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    m = spectral._sector_cells(n, problem.symmetry)
+    m = spectral._sector_cells(n)
     v0 = spectral._start(m)
     spectra = []
     sectors = sectors or spectral._SYMMETRY_SECTORS[problem.symmetry]
-    (d, e), sigmas = spectral._factors(problem.triple, problem.symmetry, n,
-                                       [(problem.l, s) for s in sectors])
+    (d, e), sigmas = spectral._factors(problem.triple, n, [(problem.l, s) for s in sectors])
     for ld, le, sigma in zip(d, e[:, :-1], sigmas):
         op = LinearOperator((m, m), matvec=lambda x: dpttrs(ld, le, x)[0], dtype=float)
         spectra.append(eigsh(op, count, sigma=sigma, which="LM", v0=v0, OPinv=op,
@@ -284,11 +283,11 @@ def test_lanczos_lists_match_arpack(sym, n, count):
 
 @pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
 def test_list_of_all_but_one_eigenvalue(sym):
-    """count = m - 1 at grid 256 (sectors of m = 64 or 128 cells) against the dense matrix.
+    """count = m - 1 at grid 256 (sectors of m = 64 cells) against the dense matrix.
     Shift-invert resolves theta = 1/(1 + lambda) to a multiple of eps, so lambda to about
     eps (1 + lambda)^2; the bar 1e-10 (1 + lambda)^2 (measured <= 1e-11 (1 + lambda)^2) also
     covers eigvalsh's eps ||B|| ~ 4e-12 at lambda ~ 0."""
-    t, m = validate(Case.GENERALIZED, 1, 2, 3), spectral._sector_cells(256, sym)
+    t, m = validate(Case.GENERALIZED, 1, 2, 3), spectral._sector_cells(256)
     for l in (0, 1):
         ev, dense = _spec(t, l, sym, n=256, count=m - 1), _dense_oracle(t, l, 256, sym, m - 1)
         assert np.all(np.abs(ev - dense) <= 1e-10 * (1 + dense) ** 2)
@@ -308,7 +307,7 @@ def test_sector_solved_to_its_size_spans_it(monkeypatch):
     t = validate(Case.GENERALIZED, 1, 2, 3)
     for sector in spectral._ALL_SECTORS:
         steps.clear()
-        (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 256, (1,), (sector,), 63)
+        (ev,), = spectral._sector_eigenvalues(t, 256, (1,), (sector,), 63)
         dense = np.linalg.eigvalsh(_dense_sector(t, 1, 256, sector))[:63]
         assert len(steps) == 64
         assert np.all(np.abs(ev - dense) <= 1e-11 * (1 + dense) ** 2)
@@ -330,7 +329,7 @@ def test_long_list_of_one_sector_within_the_step_cap():
     threads (420-450 under a residual test at eps theta), within the cap 8 count + 64, and
     its list matches ARPACK to 1e-11 relative (measured 1.5e-14)."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    (ev,), = spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, 16384, (1000,), ("NN",), 90)
+    (ev,), = spectral._sector_eigenvalues(t, 16384, (1000,), ("NN",), 90)
     oracle = _untrimmed_merge(sl_problem(t, 1000), 16384, 90, ("NN",))
     assert np.max(np.abs(ev - oracle) / oracle) <= 1e-11
 
@@ -422,7 +421,7 @@ def test_a_list_starts_every_column_from_the_pinned_start_vector(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lanczos", recorded)
     _spec(validate(Case.GENERALIZED, 1, 2, 3), 1, Symmetry.FULL_PERIODIC, n=2048)
-    m = spectral._sector_cells(2048, Symmetry.FULL_PERIODIC)
+    m = spectral._sector_cells(2048)
     u = np.array(_splitmix64(spectral._START_SEED, m)) - 0.5
     assert len(starts) >= 4 and all(np.array_equal(v, starts[0]) for v in starts)
     assert [float(v).hex() for v in starts[0][:3]] == [
@@ -433,28 +432,28 @@ def test_a_list_starts_every_column_from_the_pinned_start_vector(monkeypatch):
 def test_breakdown_and_step_cap_raise_naming_the_sector(monkeypatch):
     """A basis of 4 rows allows 3 steps, too few for 2 eigenvalues of a 512-cell sector; a
     sector whose op is the identity (unit pivots, no coupling) makes the Krylov space invariant
-    at step 1.  Both errors name grid, l, symmetry and sector."""
+    at step 1.  Both errors name grid, l and sector."""
     t = validate(Case.GENERALIZED, 1, 2, 3)
-    (d, e), sigma = spectral._factors(t, Symmetry.FULL_PERIODIC, 2048, [(2, "DN")])
-    where = spectral._where(2048, Symmetry.FULL_PERIODIC, 2, "DN")
-    message = r"did not converge within 3 steps at grid_n=2048 \(l=2, full-periodic, sector DN\)"
+    (d, e), sigma = spectral._factors(t, 2048, [(2, "DN")])
+    where = spectral._where(2048, 2, "DN")
+    message = r"did not converge within 3 steps at grid_n=2048 \(l=2, sector DN\)"
     with pytest.raises(EigensolverError, match=message):
         spectral._lanczos(where, d[0], e[0, :-1], sigma[0], 2, np.full((4, 512), 512**-0.5))
     factors = spectral._factors
 
-    def identity(t, sym, grid_n, columns):
-        F, sigma = factors(t, sym, grid_n, columns)
+    def identity(t, grid_n, columns):
+        F, sigma = factors(t, grid_n, columns)
         F[0], F[1] = 1.0, 0.0
         return F, sigma
 
     monkeypatch.setattr(spectral, "_factors", identity)
-    message = r"broke down after 1 steps at grid_n=1024 \(l=2, odd-in-y, sector DD\)"
+    message = r"broke down after 1 steps at grid_n=1024 \(l=2, sector DD\)"
     with pytest.raises(EigensolverError, match=message):
         _spec(t, 2, Symmetry.ODD_Y, n=1024)
 
 
 def test_basis_of_a_list_at_the_finest_grid_is_orthonormal(monkeypatch):
-    """T_(1,2,3) at l = 1, even in y, grid 131072 (two sectors of 65536 cells): the rows each
+    """T_(1,2,3) at l = 1, even in y, grid 262144 (two sectors of 65536 cells): the rows each
     sector's Lanczos used, one per dpttrs step, satisfy max |V V^T - I| <= 1e-13 (measured
     6.7e-16).  One full Gram-Schmidt pass without the local one reads 4.1e-12, the local pass
     alone 0.98."""
@@ -474,7 +473,7 @@ def test_basis_of_a_list_at_the_finest_grid_is_orthonormal(monkeypatch):
 
     monkeypatch.setattr(lapack, "dpttrs", counted)
     monkeypatch.setattr(spectral, "_lanczos", checked)
-    _spec(validate(Case.GENERALIZED, 1, 2, 3), 1, Symmetry.EVEN_Y, n=131072)
+    _spec(validate(Case.GENERALIZED, 1, 2, 3), 1, Symmetry.EVEN_Y, n=262144)
     assert len(worst) == 2
     assert max(worst) <= 1e-13
 
@@ -595,8 +594,8 @@ def test_a_repeated_list_is_read_from_the_memo(monkeypatch, sym):
     assert second.tobytes() == first.tobytes() == fresh.tobytes()
     fresh[:] = second[:] = -1.0
     assert sl_spectrum(problem, 2048).eigenvalues.tobytes() == first.tobytes()
-    memo, = spectral._sector_eigenvalues(problem.triple, sym, 2048, (7,),
-                                         spectral._SYMMETRY_SECTORS[sym], 8)
+    sectors = spectral._SYMMETRY_SECTORS[sym]
+    memo, = spectral._sector_eigenvalues(problem.triple, 2048, (7,), sectors, 8)
     assert len(calls) == 2 * solved and not any(ev.flags.writeable for ev in memo)
     with pytest.raises(ValueError, match="read-only"):
         memo[0][0] = 0.0
@@ -714,9 +713,9 @@ def test_a_list_solves_each_column_once_at_its_share(monkeypatch, sym):
         asked.append(k)
         return lanczos(where, ld, le, sigma, k, basis)
 
-    def recorded_factors(t, symmetry, grid_n, columns):
+    def recorded_factors(t, grid_n, columns):
         factored.extend(columns)
-        return factors(t, symmetry, grid_n, columns)
+        return factors(t, grid_n, columns)
 
     monkeypatch.setattr(spectral, "_lanczos", recorded)
     monkeypatch.setattr(spectral, "_factors", recorded_factors)
@@ -728,8 +727,8 @@ def test_a_list_solves_each_column_once_at_its_share(monkeypatch, sym):
         solved = [(s, k) for s, k in zip(sectors, spectral._shares(sectors, count)) if k]
         assert factored == [(7, s) for s, _ in solved]
         assert asked == [k for _, k in solved]
-        spectra, = spectral._sector_eigenvalues(validate(Case.GENERALIZED, 5, 7, 13), sym, 1024,
-                                                (7,), sectors, count)
+        spectra, = spectral._sector_eigenvalues(validate(Case.GENERALIZED, 5, 7, 13), 1024, (7,),
+                                                sectors, count)
         assert tuple(map(len, spectra)) == spectral._shares(sectors, count)
 
 
@@ -739,7 +738,7 @@ SHARE_TRIPLES = [validate(Case.GENERALIZED, 1, 2, 3), validate(Case.GENERALIZED,
 
 @pytest.mark.parametrize("sym", list(Symmetry), ids=lambda s: s.value)
 def test_no_sector_holds_more_of_a_list_than_its_share(sym):
-    """Against the dense sector matrices at grid 256 (m = 64 or 128 cells), for counts 1..24 at
+    """Against the dense sector matrices at grid 256 (m = 64 cells), for counts 1..24 at
     l = 0, 1, 7, 40: no sector holds more of the union's lowest ``count`` than its share, and each
     sector holds all of its share in some list, so a share lowered by one fails.  A sector holds
     the eigenvalues below the union's next one less a rounding band of 64 eps max |lambda|: at
@@ -749,7 +748,7 @@ def test_no_sector_holds_more_of_a_list_than_its_share(sym):
     reached = set()
     for t in SHARE_TRIPLES:
         for l in (0, 1, 7, 40):
-            dense = [np.linalg.eigvalsh(_dense_sector(t, l, 256, s, sym)) for s in sectors]
+            dense = [np.linalg.eigvalsh(_dense_sector(t, l, 256, s)) for s in sectors]
             band = 64 * sys.float_info.epsilon * max(np.max(np.abs(ev)) for ev in dense)
             union = np.sort(np.concatenate(dense))
             for count in range(1, 25):
@@ -767,17 +766,19 @@ def test_no_sector_holds_more_of_a_list_than_its_share(sym):
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize(
     "sym,n,shift",
-    [(Symmetry.FULL_PERIODIC, 131072, 0.0), (Symmetry.PI_ANTIPERIODIC, 65536, 0.5)],
+    [(Symmetry.FULL_PERIODIC, 131072, 0.0), (Symmetry.PI_ANTIPERIODIC, 131072, 0.5)],
     ids=["full", "anti"],
 )
 def test_clifford_closed_form_spectrum_at_fine_grid(sym, n, shift, l):
     """T_(0,0,1) has constant coefficients, so the discrete spectrum is known in
-    closed form: 8 sin^2(pi k/n)/h^2 + 2 l^2, h = L/n, over integer k (periodic)
-    or half-integer k (antiperiodic).  Both grids have cell width h = pi / (2 m) = 2 pi/131072
-    and sectors of m = 32768 cells, where LAPACK stebz missed by 3e-7."""
-    h = math.pi / (2 * spectral._sector_cells(n, sym))
+    closed form: 8 sin^2(pi k/N)/h^2 + 2 l^2 on the N = L/h cells of the domain, over integer k
+    (periodic, N = n on [0, 2 pi)) or half-integer k (antiperiodic, N = n/2 on [0, pi)).  Both
+    have cell width h = pi / (2 m) = 2 pi/131072 and sectors of m = 32768 cells, where LAPACK
+    stebz missed by 3e-7."""
+    h = math.pi / (2 * spectral._sector_cells(n))
+    cells = n if sym is Symmetry.FULL_PERIODIC else n // 2
     k = np.arange(-8, 8) + shift
-    exact = np.sort(8.0 * np.sin(math.pi * k / n) ** 2 / h**2 + 2.0 * l * l)[:8]
+    exact = np.sort(8.0 * np.sin(math.pi * k / cells) ** 2 / h**2 + 2.0 * l * l)[:8]
     ev = _spec(validate(Case.GENERALIZED, 0, 0, 1), l, sym, n=n)
     assert np.max(np.abs(ev - exact)) <= 1e-9
 
@@ -794,15 +795,15 @@ def test_failed_factor_raises_before_iterating(monkeypatch):
 
     monkeypatch.setattr(spectral, "_flux_and_weight", indefinite)
     monkeypatch.setattr(spectral.lapack, "dpttrs", lambda *a, **k: pytest.fail("dpttrs ran"))
-    with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, full-periodic, sector NN\)"):
+    with pytest.raises(EigensolverError, match=r"grid_n=1024 \(l=2, sector NN\)"):
         _spec(validate(Case.GENERALIZED, 1, 2, 3), 2, n=1024)
 
 
-def _dense_sector(t, l, n, sector, sym=Symmetry.FULL_PERIODIC):
-    """The w^(-1/2)-symmetrized matrix of one quarter-period sector of the grid n on the
-    symmetry's domain, assembled densely: m = n/4 cells of width 2 pi/n (full-periodic) or n/2
-    of width pi/n on [0, pi/2]; an N end reflects evenly (no flux), a D end oddly (twice it)."""
-    m = spectral._sector_cells(n, sym)
+def _dense_sector(t, l, n, sector):
+    """The w^(-1/2)-symmetrized matrix of one quarter-period sector of the grid n, assembled
+    densely: m = n/4 cells of width 2 pi/n on [0, pi/2]; an N end reflects evenly (no flux), a D
+    end oddly (twice it)."""
+    m = spectral._sector_cells(n)
     h = math.pi / (2 * m)
     pf = sl_coefficients(t, l, h * np.arange(m + 1))[0]
     _, q, w = sl_coefficients(t, l, h * (np.arange(m) + 0.5))
@@ -845,7 +846,7 @@ def test_factors_equal_a_per_l_assembly(t, n):
     matrix equals its own factor."""
     ls = sorted({0, 1, math.floor(t.c_real), 4 * math.floor(t.c_real) + 4, t.c_real})
     columns = [(l, sector) for l in ls for sector in spectral._ALL_SECTORS]
-    (d, e), sigma = spectral._factors(t, Symmetry.FULL_PERIODIC, n, columns)
+    (d, e), sigma = spectral._factors(t, n, columns)
     want = [f for l in ls for f in _per_l_factors(t, l, n, spectral._ALL_SECTORS)]
     assert len(d) == len(e) == len(sigma) == len(want) == 4 * len(ls)
     assert sigma[-1] >= 15.0
@@ -864,7 +865,7 @@ def test_a_request_solves_each_l_as_if_alone(abc):
     those of each l solved alone."""
     t = validate(Case.LAWSON if len(abc) == 2 else Case.GENERALIZED, *abc)
     ls = (0, t.a, t.b, t.c_real, math.isqrt(t.c_squared) + 1)
-    solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048)
+    solve = functools.partial(spectral._sector_eigenvalues, t, 2048)
     together = solve(ls, spectral._ALL_SECTORS, 4)
     assert [[len(ev) for ev in spectra] for spectra in together] == [[2, 1, 1, 1]] * 5
     alone = {}
@@ -926,7 +927,7 @@ def _list_counts(t, n, guard):
     by_parity = spectral._COUNT_SECTORS[expected_symmetry(t)]
     counts = []
     for l in range(math.isqrt(t.c_squared) + 2):
-        lists = [spectral._sector_eigenvalues(t, Symmetry.FULL_PERIODIC, n, (l,), (s,), 8)[0][0]
+        lists = [spectral._sector_eigenvalues(t, n, (l,), (s,), 8)[0][0]
                  for s in by_parity[l % 2]]
         assert all(ev[-1] > 2.0 + guard for ev in lists)
         counts.append((l, sum(int(np.sum(ev < 2.0 - guard)) for ev in lists)))
@@ -1278,9 +1279,9 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     past c: the four sectors' diagonals agree but at an end whose conditions differ, where the D
     end's entry exceeds the N end's by 2 p / h^2 s^2 > 0 (p at the end face, s = w^(-1/2) in the
     end cell), and their couplings are equal and nonzero, so no sector matrix splits.  From l to
-    l + 1 only the diagonal changes, and it rises: only the potential depends on l.  On the
-    full-periodic domain (grid / 4 cells, h = 2 pi / grid) and on the pi-domain of the other
-    symmetries (grid / 2 cells, h = pi / grid), whose lists take their shares by the theorem."""
+    l + 1 only the diagonal changes, and it rises: only the potential depends on l.  On the one
+    grid of every symmetry (grid / 4 cells, h = 2 pi / grid), whose lists take their shares by the
+    theorem."""
     lapack = spectral.lapack
     dpttrf, seen = lapack.dpttrf, []
 
@@ -1290,29 +1291,27 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
 
     monkeypatch.setattr(lapack, "dpttrf", recorded)
     l_max = math.isqrt(t.c_squared) + 1
-    for sym in (Symmetry.FULL_PERIODIC, Symmetry.PI_PERIODIC):
-        seen.clear()
-        m = spectral._sector_cells(2048, sym)
-        h = math.pi / (2 * m)
-        for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
-            spectral._factors(t, sym, 2048, [(l, s) for s in spectral._ALL_SECTORS])
-        assert len(seen) == l_max + 1
-        p, _, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
-        rise = 2.0 * p[[0, -1]] / h**2 / w[[1, -2]]  # at y = 0 and at y = pi/2
-        assert np.all(rise > 0.0)
-        for d, e in seen:
-            nn, nd, dn, dd = d.reshape(4, m)
-            couplings = e.reshape(4, m)
-            assert np.all(couplings[:, -1] == 0.0)  # between the sectors' blocks
-            assert np.all(couplings[:, :-1] != 0.0)
-            assert np.all(couplings[1:, :-1] == couplings[0, :-1])
-            assert np.array_equal(nn[1:-1], nd[1:-1]) and np.array_equal(nn[1:-1], dn[1:-1])
-            assert np.array_equal(nn[1:-1], dd[1:-1])
-            assert nd[0] == nn[0] and dd[0] == dn[0] and dn[-1] == nn[-1] and dd[-1] == nd[-1]
-            for upper, lower, end in ((dn, nn, 0), (dd, nd, 0), (nd, nn, -1), (dd, dn, -1)):
-                assert upper[end] - lower[end] == pytest.approx(rise[end], rel=1e-12)
-        for (d0, e0), (d1, e1) in zip(seen, seen[1:]):
-            assert np.all(d1 >= d0) and np.array_equal(e1, e0)
+    m = spectral._sector_cells(2048)
+    h = math.pi / (2 * m)
+    for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
+        spectral._factors(t, 2048, [(l, s) for s in spectral._ALL_SECTORS])
+    assert len(seen) == l_max + 1
+    p, _, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
+    rise = 2.0 * p[[0, -1]] / h**2 / w[[1, -2]]  # at y = 0 and at y = pi/2
+    assert np.all(rise > 0.0)
+    for d, e in seen:
+        nn, nd, dn, dd = d.reshape(4, m)
+        couplings = e.reshape(4, m)
+        assert np.all(couplings[:, -1] == 0.0)  # between the sectors' blocks
+        assert np.all(couplings[:, :-1] != 0.0)
+        assert np.all(couplings[1:, :-1] == couplings[0, :-1])
+        assert np.array_equal(nn[1:-1], nd[1:-1]) and np.array_equal(nn[1:-1], dn[1:-1])
+        assert np.array_equal(nn[1:-1], dd[1:-1])
+        assert nd[0] == nn[0] and dd[0] == dn[0] and dn[-1] == nn[-1] and dd[-1] == nd[-1]
+        for upper, lower, end in ((dn, nn, 0), (dd, nd, 0), (nd, nn, -1), (dd, dn, -1)):
+            assert upper[end] - lower[end] == pytest.approx(rise[end], rel=1e-12)
+    for (d0, e0), (d1, e1) in zip(seen, seen[1:]):
+        assert np.all(d1 >= d0) and np.array_equal(e1, e0)
 
 
 def _beyond_suite():
@@ -1334,8 +1333,7 @@ def _assert_theorem_at_every_l(t, ls):
     """At every l of ``ls``, lambda_0..lambda_3 as the theorem forms them from each sector's
     share (:func:`_lambdas`) equal the lowest four of the union of the four sectors, each solved
     for 4, within the bar, and both strict gaps exceed the bar."""
-    solve = functools.partial(spectral._sector_eigenvalues, t, Symmetry.FULL_PERIODIC, 2048,
-                              tuple(ls))
+    solve = functools.partial(spectral._sector_eigenvalues, t, 2048, tuple(ls))
     shares = solve(spectral._ALL_SECTORS, 4)
     alone = [[ev for ev, in solve((s,), 4)] for s in spectral._ALL_SECTORS]
     bar = interlacing_check(t, 2048).bar
@@ -1393,9 +1391,9 @@ def test_interlacing_solves_only_the_anchors_frequencies(monkeypatch, case, para
     t = spectral.canonicalize(validate(case, *params))
     factors, lanczos, columns, asked = spectral._factors, spectral._lanczos, [], []
 
-    def factored(t, sym, grid_n, cols):
+    def factored(t, grid_n, cols):
         columns.append(list(cols))
-        return factors(t, sym, grid_n, cols)
+        return factors(t, grid_n, cols)
 
     def recorded(where, ld, le, sigma, k, V):
         asked.append(k)
@@ -1430,9 +1428,9 @@ def test_checks_share_one_request_per_grid_in_either_order(monkeypatch, abc, col
     t = validate(Case.GENERALIZED, *abc)
     factors, calls, results = spectral._factors, [], []
 
-    def counted(t, sym, grid_n, cols):
+    def counted(t, grid_n, cols):
         calls.append((grid_n, len(cols)))
-        return factors(t, sym, grid_n, cols)
+        return factors(t, grid_n, cols)
 
     monkeypatch.setattr(spectral, "_factors", counted)
     for order in ((anchor_check, interlacing_check), (interlacing_check, anchor_check)):

@@ -111,10 +111,10 @@ class TestRunVerification:
             asked.append(k)
             return lanczos(where, ld, le, sigma, k, basis)
 
-        def factored_once(t, sym, grid_n, cols):
+        def factored_once(t, grid_n, cols):
             factored.append(grid_n)
             columns.extend((grid_n, l, sector) for l, sector in cols)
-            return factors(t, sym, grid_n, cols)
+            return factors(t, grid_n, cols)
 
         monkeypatch.setattr(spectral, "_lanczos", recorded)
         monkeypatch.setattr(spectral, "_factors", factored_once)
