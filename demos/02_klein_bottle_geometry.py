@@ -16,7 +16,6 @@ import numpy as np
 
 from lawson import (
     Case,
-    Phi,
     Triple,
     area_closed,
     canonicalize,
@@ -51,8 +50,7 @@ print(f"\nUnit-sphere residual over 2000 random points: "
       f"{np.max(np.abs(np.sum(F * F, axis=0) - 1.0)):.2e}")
 
 print("\nHalf-period identifications (residual of F(Phi(x,y)) = F(x,y)):")
-for phi in Phi:
-    r = symmetry_residual(t, phi, 32)
+for phi, r in symmetry_residual(t, 32).items():
     verdict = "<- the Klein bottle identification" if r < 1e-12 else ""
     print(f"  {phi.value}: {r:.3e} {verdict}")
 

@@ -103,7 +103,6 @@ __all__ = [
     "count_N2",
     "eq35_residual",
     "interlacing_check",
-    "lame_bound",
     "lame_residual",
     "sl_coefficients",
     "sl_problem",
@@ -432,86 +431,73 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
     return tuple(abs(lam[i] - 2.0) for i, (_, lam, _) in enumerate(_table(canonicalize(t), grid_n)))
 
 
-def _profile(which: int, amp: float, k2: float, y: np.ndarray):
-    """``(sin y, cos y, (phi, phi', phi''))`` of ``amp`` times the profile selected by ``which``:
-    1: sin y, 2: cos y, 3: sqrt(1 - k^2 sin^2 y)."""
+def _profiles(amps, k2: float, y: np.ndarray):
+    """``(sin y, cos y, profiles)``: ``(phi, phi', phi'')`` of a1 sin y, a2 cos y and
+    a3 sqrt(1 - k^2 sin^2 y), in that order, for ``amps`` = (a1, a2, a3).  Each amplitude is the
+    first factor of its products (a3 * u, -a3 * k^2 * ...), which fixes the rounding of the
+    separated-ODE residuals."""
+    a1, a2, a3 = amps
     s, c = np.sin(y), np.cos(y)
-    if which == 1:
-        return s, c, (amp * s, amp * c, -amp * s)
-    if which == 2:
-        return s, c, (amp * c, -amp * s, -amp * c)
     u = np.sqrt(1.0 - k2 * s * s)
-    d2 = -amp * k2 * (np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u**3
-    return s, c, (amp * u, -amp * k2 * s * c / u, d2)
+    d2 = -a3 * k2 * (np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u**3
+    return s, c, ((a1 * s, a1 * c, -a1 * s), (a2 * c, -a2 * s, -a2 * c),
+                  (a3 * u, -a3 * k2 * s * c / u, d2))
 
 
-def eq35_residual(t: Triple, which: int) -> float:
-    """Residual of the separated ODE at lambda = 2 for one amplitude profile.
+def eq35_residual(t: Triple) -> tuple[float, float, float]:
+    """Residuals of the separated ODE at lambda = 2 for the three amplitude profiles.
 
-    Substitutes, with analytic derivatives, the profile selected by
-    ``which`` (1: c1 sin y, 2: c2 cos y, 3: c3 sqrt(1 - k^2 sin^2 y)) at
-    its own frequency (l = a, b, c) and returns max |residual| over a
-    1024-point grid.  This identity is the machine-checkable statement
-    that all six immersion components are eigenfunctions with eigenvalue
-    2, i.e. that the surface is minimal in the unit sphere.
+    Substitutes, with analytic derivatives, c1 sin y at l = a, c2 cos y at
+    l = b and c3 sqrt(1 - k^2 sin^2 y) at l = c, and returns each one's
+    max |residual| over one 1024-point grid, in that order.  This identity
+    is the machine-checkable statement that all six immersion components
+    are eigenfunctions with eigenvalue 2, i.e. that the surface is minimal
+    in the unit sphere.
     """
-    if which not in (1, 2, 3):
-        raise ValueError(f"which must be 1, 2 or 3, got {which}")
     co = coefficients(t)
-    amp, l2 = ((co.c1, co.a_sq), (co.c2, co.b_sq), (co.c3, co.c_sq))[which - 1]
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    _, _, (phi, dphi, d2phi) = _profile(which, amp, co.k2, y)
+    _, _, profiles = _profiles((co.c1, co.c2, co.c3), co.k2, y)
     p = co.P(y)
-    res = (1.0 + co.q / (2.0 * p)) * d2phi + co.P_prime(y) / (2.0 * p) * dphi
-    res += (2.0 - float(l2) / p) * phi
-    return float(np.max(np.abs(res)))
+    second, first = 1.0 + co.q / (2.0 * p), co.P_prime(y) / (2.0 * p)
+    return tuple(float(np.max(np.abs(second * d2phi + first * dphi + (2.0 - float(l2) / p) * phi)))
+                 for (phi, dphi, d2phi), l2 in zip(profiles, (co.a_sq, co.b_sq, co.c_sq)))
 
 
-@functools.lru_cache(maxsize=3)
-def _lame_terms(k2: float, h_index: int):
-    """The Lame residual of one solution on the 1024-point grid, and its sum of |terms| there:
-    read-only and kept for the last three (k^2, h_index), which :func:`lame_residual` and
-    :func:`lame_bound` of one k^2 share."""
-    if h_index not in (0, 1, 2):
-        raise ValueError(f"h_index must be 0, 1 or 2, got {h_index}")
-    if not k2 < 1.0:
-        raise ValueError(f"k^2 must be < 1, got {k2!r}")
-    y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    s, c, (phi, dphi, d2phi) = _profile(3 - h_index, 1.0, k2, y)
-    h = (k2, 1.0, 1.0 + k2)[h_index]
-    res = (1.0 - k2 * s * s) * d2phi - k2 * s * c * dphi + (h - 2.0 * k2 * s * s) * phi
-    size = abs(k2)
-    if h_index == 0:  # dn's phi'' = -k^2 (cos 2y u^2 + k^2 s^2 c^2) / u^3 holds a sum of its own
-        d2phi = size * (np.abs(np.cos(2.0 * y)) * phi * phi + size * s * s * c * c) / phi**3
-    terms = ((1.0 + size * s * s) * np.abs(d2phi) + np.abs(k2 * s * c * dphi)
-             + (abs(h) + 2.0 * size * s * s) * np.abs(phi))
-    res.flags.writeable = terms.flags.writeable = False
-    return res, terms
-
-
-def lame_residual(k2: float, h_index: int) -> float:
-    """Residual of the degree-one trigonometric Lame equation
+def lame_residual(k2: float) -> tuple[tuple[float, float, float], float]:
+    """Residuals of the degree-one trigonometric Lame equation
 
         (1 - k^2 sin^2 y) phi'' - k^2 sin y cos y phi' + (h - 2 k^2 sin^2 y) phi = 0
 
-    for its three classical solutions, selected by ``h_index``:
-    0: sqrt(1 - k^2 sin^2 y) at h = k^2; 1: cos y at h = 1;
-    2: sin y at h = 1 + k^2.  Max |residual| over a 1024-point grid.
+    for its three classical solutions, and the rounding bound they must meet.  The residuals are
+    max |residual| over one 1024-point grid of sqrt(1 - k^2 sin^2 y) at h = k^2, cos y at h = 1
+    and sin y at h = 1 + k^2, in that order.
+
+    The bound is gamma_36 max sum |terms| over the grid and the three solutions: the exact
+    residual is 0, so the computed one is rounding error (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 3.1, 3.3).  Its terms are the monomials in k^2, h, s = sin y,
+    c = cos y, cos 2y and u^(+-1) (u = dn); sum |terms| evaluates it on absolute values, each
+    difference a sum.  A term meets at most 36 relative errors of eps / 2: 15 roundings (dn's
+    (1 - k^2 s^2) phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and 9 from u, which
+    enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the error of
+    1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2) (:func:`_gamma`): C = gamma_36 / eps, about 18.
+    Measured: residual <= 1.1 eps max sum |terms| for k^2 in [-1e4, 1 - 1e-10].
     """
-    return float(np.max(np.abs(_lame_terms(k2, h_index)[0])))
-
-
-def lame_bound(k2: float) -> float:
-    """gamma_36 max sum |terms| of :func:`lame_residual` at ``k2`` over the grid and the three
-    solutions: the exact residual is 0, so the computed one is rounding error (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, sec. 3.1, 3.3).  Its terms are the monomials in k^2,
-    h, s = sin y, c = cos y, cos 2y and u^(+-1) (u = dn); sum |terms| evaluates it on absolute
-    values, each difference a sum.  A term meets at most 36 relative errors of eps / 2: 15
-    roundings (dn's (1 - k^2 s^2) phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and
-    9 from u, which enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the
-    error of 1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2) (:func:`_gamma`): C = gamma_36 / eps,
-    about 18.  Measured: residual <= 1.1 eps max sum |terms| for k^2 in [-1e4, 1 - 1e-10]."""
-    return _gamma(36) * max(float(np.max(_lame_terms(k2, i)[1])) for i in (0, 1, 2))
+    if not k2 < 1.0:
+        raise ValueError(f"k^2 must be < 1, got {k2!r}")
+    y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    s, c, (sn, cs, dn) = _profiles((1.0, 1.0, 1.0), k2, y)
+    size, u = abs(k2), dn[0]
+    # dn's phi'' = -k^2 (cos 2y u^2 + k^2 s^2 c^2) / u^3 holds a sum of its own
+    dn_sum = size * (np.abs(np.cos(2.0 * y)) * u * u + size * s * s * c * c) / u**3
+    lead, ksc, pot = 1.0 - k2 * s * s, k2 * s * c, 2.0 * k2 * s * s
+    lead_sum, pot_sum = 1.0 + size * s * s, 2.0 * size * s * s
+    residuals, sums = [], []
+    for h, (phi, dphi, d2phi), d2_sum in ((k2, dn, dn_sum), (1.0, cs, cs[2]),
+                                          (1.0 + k2, sn, sn[2])):
+        residuals.append(float(np.max(np.abs(lead * d2phi - ksc * dphi + (h - pot) * phi))))
+        terms = lead_sum * np.abs(d2_sum) + np.abs(ksc * dphi) + (abs(h) + pot_sum) * np.abs(phi)
+        sums.append(float(np.max(terms)))
+    return tuple(residuals), _gamma(36) * max(sums)
 
 
 def _gamma(n: int) -> float:

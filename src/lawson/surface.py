@@ -453,18 +453,22 @@ def expected_symmetry(t: Triple) -> Phi | None:
     return Phi.PHI3 if parity is Subcase.II else None
 
 
-def symmetry_residual(t: Triple, phi: Phi, n: int = 32) -> float:
-    """max over y = 2 pi j / n, j < n, of |F(Phi(x, y)) - F(x, y)| in R^6, the same at every x.
+def symmetry_residual(t: Triple, n: int = 32) -> dict[Phi, float]:
+    """``{Phi: residual}``: max over y = 2 pi j / n, j < n, of |F(Phi(x, y)) - F(x, y)| in R^6 for
+    each half-period map, the same at every x.
 
-    At most machine-zero when phi is the surface's identification, order-one otherwise.  Phi maps
-    (x, y) to (x + pi, psi(y)), which multiplies each pair (sin l x, cos l x) f(y) by (-1)^l, so
-    |F(Phi(x, y)) - F(x, y)|^2 = sum_i ((-1)^(l_i) f_i(psi(y)) - f_i(y))^2: the profiles f1, f2, f3
-    compared with their permutation, which with n even maps the y-grid onto itself.  On the Lawson
-    boundary f3 = 0, so a c that is not an integer needs no sign.
+    At most machine-zero for the surface's identification, order-one otherwise.  Phi maps (x, y) to
+    (x + pi, psi(y)), which multiplies each pair (sin l x, cos l x) f(y) by (-1)^l, so
+    |F(Phi(x, y)) - F(x, y)|^2 = sum_i ((-1)^(l_i) f_i(psi(y)) - f_i(y))^2: the profiles f1, f2, f3,
+    from one :func:`immersion` call, compared with their permutation, which with n even maps the
+    y-grid onto itself.  On the Lawson boundary f3 = 0, so a c that is not an integer needs no sign.
     """
     if n < 16 or n % 2:
         raise ValueError(f"n must be even and >= 16, got {n}")
     f = immersion(t, 0.0, 2.0 * math.pi * np.arange(n) / n)[1::2]  # cos rows at x = 0: f1, f2, f3
     sign = np.array([[1 - 2 * (l % 2)] for l in (t.a, t.b, t.c or 0)])
-    diff = sign * f[:, phi.apply(0, np.arange(n), n // 2)[1] % n] - f
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
+    residuals = {}
+    for phi in Phi:
+        diff = sign * f[:, phi.apply(0, np.arange(n), n // 2)[1] % n] - f
+        residuals[phi] = float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
+    return residuals

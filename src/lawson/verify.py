@@ -5,7 +5,9 @@ the Laplace-eigenfunction (minimality) residual with its convergence
 ratio, the closed-form-vs-quadrature area comparison, the anchor
 eigenvalues, the symmetry dichotomy, the eigenvalue count against the
 closed-form index, and the oscillation-order checks into a single
-pass/fail report.  The spectral grid follows the sector rule of
+pass/fail report.  The Lame, separated-ODE and symmetry checks each make
+one call, which returns all three components and, for Lame, their
+rounding bound.  The spectral grid follows the sector rule of
 :mod:`lawson.spectral` (at least 256, divisible by 4), and the spectral
 checks read their bars from there: the anchors' tolerance and rounding
 floors, and interlacing's rounding bar.
@@ -27,12 +29,10 @@ from .spectral import (
     count_N2,
     eq35_residual,
     interlacing_check,
-    lame_bound,
     lame_residual,
     takahashi_residual,
 )
 from .surface import (
-    Phi,
     Triple,
     area_closed,
     area_quadrature,
@@ -93,12 +93,13 @@ def _unit_norm_check(t: Triple) -> CheckResult:
 
 def _lame_check(t: Triple) -> CheckResult:
     k2 = coefficients(t).k2
-    res = {f"h_index_{i}": lame_residual(k2, i) for i in (0, 1, 2)}
-    return _at_most("lame", {"k2": k2, **res}, max(res.values()), lame_bound(k2))
+    residuals, bound = lame_residual(k2)
+    res = {f"h_index_{i}": r for i, r in enumerate(residuals)}
+    return _at_most("lame", {"k2": k2, **res}, max(residuals), bound)
 
 
 def _eq35_check(t: Triple) -> CheckResult:
-    res = {f"component_{i}": eq35_residual(t, i) for i in (1, 2, 3)}
+    res = {f"component_{i}": r for i, r in enumerate(eq35_residual(t), 1)}
     return _at_most("separated_ode", res, max(res.values()), _EQ35_TOL)
 
 
@@ -141,7 +142,7 @@ def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
 
 def _symmetry_check(t: Triple) -> CheckResult:
     expected = expected_symmetry(t)
-    res = {phi: symmetry_residual(t, phi, 32) for phi in Phi}
+    res = symmetry_residual(t)
     ok = all(r <= _SYM_MATCH_TOL if phi is expected else r >= _SYM_REJECT_FLOOR
              for phi, r in res.items())
     values = {phi.value: r for phi, r in res.items()}

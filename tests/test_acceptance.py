@@ -126,7 +126,7 @@ def test_criterion_4_minimality_certificate():
     worst_ratio_lo, worst_ratio_hi = math.inf, 0.0
     for t in SUITE:
         for which in (1, 2, 3):
-            worst_ode = max(worst_ode, eq35_residual(t, which))
+            worst_ode = max(worst_ode, eq35_residual(t)[which - 1])
         r = [takahashi_residual(t, n) for n in (128, 256, 512)]
         for i in range(2):
             ratio = r[i] / r[i + 1]
@@ -187,7 +187,7 @@ def test_criterion_7_topology_and_symmetry_dichotomy():
     for t in SUITE:
         expected = expected_symmetry(t)
         for phi in Phi:
-            r = symmetry_residual(t, phi, 32)
+            r = symmetry_residual(t, 32)[phi]
             if phi is expected and r > 1e-12:
                 failures.append(f"{t.label()}: matching {phi.value} residual {r:.2e}")
             if phi is not expected and r < 0.1:

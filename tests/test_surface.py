@@ -638,7 +638,7 @@ class TestSymmetry:
         forms no phase c x (measured 5.0e-16 at c = 1500 and 4.5e-16 at c = 5000)."""
         expected = expected_symmetry(t)
         for phi in Phi:
-            r = symmetry_residual(t, phi, 32)
+            r = symmetry_residual(t, 32)[phi]
             if phi is expected:
                 assert r <= 1e-12
             else:
@@ -657,7 +657,7 @@ class TestSymmetry:
         for t in triples + pairs:
             expected = expected_symmetry(t)
             for phi in Phi:
-                r = symmetry_residual(t, phi, 32)
+                r = symmetry_residual(t, 32)[phi]
                 assert r <= 1e-12 if phi is expected else r >= 0.1, (t.label(), phi)
             sc = classify(t)
             klein = sc.topology is Topology.KLEIN_BOTTLE
@@ -670,10 +670,10 @@ class TestSymmetry:
         its permutation under Phi, within 1e-15, at every Phi and n = 32, 48."""
         for n in (32, 48):
             for phi in Phi:
-                assert abs(symmetry_residual(t, phi, n) - _image_residual(t, phi, n)) <= 1e-15
+                assert abs(symmetry_residual(t, n)[phi] - _image_residual(t, phi, n)) <= 1e-15
 
     def test_grid_precondition(self):
         with pytest.raises(ValueError):
-            symmetry_residual(SUITE[0], Phi.PHI1, 8)
+            symmetry_residual(SUITE[0], 8)
         with pytest.raises(ValueError, match="even"):
-            symmetry_residual(SUITE[0], Phi.PHI1, 33)
+            symmetry_residual(SUITE[0], 33)

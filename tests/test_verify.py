@@ -6,6 +6,7 @@ import random
 import pytest
 
 import lawson.spectral as spectral
+import lawson.surface as surface
 import lawson.verify as verify
 from lawson import Case, IndeterminateCountError, anchor_check, run_verification, validate
 from lawson.cli import render_json
@@ -128,6 +129,26 @@ class TestRunVerification:
         assert {l for n, l, *_ in calls if n == 4096} == {5, 7, 13}
         assert [n for n, *_ in calls] == [2048] * 12 + [4096] * 12
         assert factored == [2048, 4096]
+
+    def test_one_evaluation_per_closed_form_check(self, monkeypatch):
+        """The separated-ODE and Lame checks each form the three profiles once, and the symmetry
+        check reads one immersion for all three half-period maps.  ``lawson.surface.immersion``
+        is read there by ``symmetry_residual`` alone (unit_norm calls ``verify``'s own name)."""
+        calls = {"_profiles": 0, "immersion": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(spectral, "_profiles")
+        counted(surface, "immersion")
+        report = run_verification(validate(Case.GENERALIZED, 1, 2, 3), grid_n=2048)
+        assert report.status == "ok"
+        assert calls == {"_profiles": 2, "immersion": 1}
 
     @pytest.mark.parametrize(
         "abc,deep,rungs",
