@@ -15,8 +15,8 @@ the highest level the count compares with.
 from lawson import (
     Case,
     anchor_check,
+    classify,
     count_N2,
-    extremal_index,
     interlacing_check,
     sl_problem,
     sl_spectrum,
@@ -36,7 +36,7 @@ print("\nAnchor eigenvalues: three copies of 2 in the separated spectra")
 print("-" * 64)
 for params in [(0, 1, 2), (1, 2, 3)]:
     t = validate(Case.GENERALIZED, *params)
-    r = anchor_check(t, 2048)
+    r = anchor_check(t, 2048)[0]
     print(f"{t.label()}: |lambda_0(c)-2| = {r[0]:.2e}, "
           f"|lambda_1(max)-2| = {r[1]:.2e}, |lambda_2(min)-2| = {r[2]:.2e}")
 
@@ -58,7 +58,7 @@ for case, params in [
     (Case.LAWSON, (3, 1)),
 ]:
     t = validate(case, *params)
-    j, functional, lam = extremal_index(t)
+    j = classify(t).j
     report = count_N2(t, 2048)
     stops = ", ".join(f"{s}:{stop}" for s, stop in report.stops.items())
     even, odd = ("+".join(sectors) for sectors in report.sectors)

@@ -32,13 +32,12 @@ analyticity (:func:`_strip`, :func:`_periodic_nodes`), which the area quadrature
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._lazy import np
 
 __all__ = [
     "Modulus",
-    "agm",
     "complete_E",
     "complete_E_quadrature",
     "complete_K",
@@ -55,14 +54,12 @@ class Modulus:
 
     k^2 is the primary representation because the negative values that a
     modulus picks up on non-canonical parameter orderings have no real k.
-    For k^2 >= 0 the derived field ``k`` equals sqrt(k2); otherwise it is
-    NaN.  k'^2 defaults to 1 - k^2; :meth:`from_ratio` forms it from
-    integers instead, so it stays positive where k^2 rounds to 1.
+    k'^2 defaults to 1 - k^2; :meth:`from_ratio` forms it from integers
+    instead, so it stays positive where k^2 rounds to 1.
     """
 
     k2: float
     kp2: float | None = None
-    k: float = field(init=False)
 
     def __post_init__(self) -> None:
         k2 = float(self.k2)
@@ -71,7 +68,6 @@ class Modulus:
             raise ValueError(f"modulus out of domain: need k^2 = {k2!r} <= 1, k'^2 = {kp2!r} >= 0")
         object.__setattr__(self, "k2", k2)
         object.__setattr__(self, "kp2", kp2)
-        object.__setattr__(self, "k", math.sqrt(k2) if k2 >= 0.0 else math.nan)
 
     @classmethod
     def from_k(cls, k: float) -> "Modulus":
@@ -94,13 +90,6 @@ def _agm(a: float, b: float) -> tuple[float, list[float], list[float]]:
         if abs(cn[-1]) <= 1e-17 * a:
             break
     return 0.5 * (a + b), an, cn
-
-
-def agm(x: float, y: float) -> float:
-    """Common limit of the arithmetic-geometric mean iteration (quadratically convergent)."""
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"agm requires positive arguments, got ({x!r}, {y!r})")
-    return _agm(float(x), float(y))[0]
 
 
 def complete_K(m: Modulus) -> float:

@@ -64,9 +64,9 @@ from their files on first use (:mod:`lawson._lazy`): scipy's package imports nev
 Three eigenvalues equal 2 exactly in the continuum: the amplitude
 profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
 lambda = 2 at l = a, b, c respectively, and oscillation counting places
-them at lambda_1(max(a,b)), lambda_2(min(a,b)), lambda_0(c).  Their
-residuals on the grid are bounded by :func:`anchor_tolerance`, and their
-rounding by :func:`anchor_floor`.
+them at lambda_1(max(a,b)), lambda_2(min(a,b)), lambda_0(c).
+:func:`anchor_check` returns their residuals on the grid with the bound
+they must meet (:func:`anchor_tolerance`) and their rounding floor.
 """
 
 from __future__ import annotations
@@ -85,11 +85,11 @@ from .errors import EigensolverError, IndeterminateCountError
 from .surface import (
     Phi,
     Triple,
+    _index,
     _modulus,
     canonicalize,
     coefficients,
     expected_symmetry,
-    extremal_index,
     immersion,
 )
 
@@ -417,18 +417,26 @@ def _table(t: Triple, grid_n: int) -> tuple:
     return tuple((l, *rows[l]) for l in ls)
 
 
-def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[float, float, float]:
-    """Residuals of the three exact-2 eigenvalues in full periodic spectra:
+def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[tuple[float, float, float], float, float]:
+    """``(residuals, tolerance, floor)`` of the three exact-2 eigenvalues in full periodic spectra.
+
+    The residuals are
 
         |lambda_0(c) - 2|, |lambda_1(max(a,b)) - 2|, |lambda_2(min(a,b)) - 2|.
 
     Zero entries of the triple read their anchor at l = 0 at the same index; the boundary case
     reads lambda_0 at the real frequency c = sqrt(a^2 + b^2).  All three shrink at second order in
-    the mesh down to the rounding floor :func:`anchor_floor`, below which a residual measures no
-    order.  The spectra are the canonical triple's rows of :func:`_table`, which
-    :func:`interlacing_check` reads too; ``grid_n`` must be divisible by 4.
+    the mesh, each at most ``tolerance`` (:func:`anchor_tolerance`), down to the rounding
+    ``floor``, below which a residual measures no order.  The floor is gamma_14 G at ``grid_n``
+    (:func:`_rounding`): how far rounding may move a computed full periodic eigenvalue from the
+    grid's exact one, one matrix's 7 roundings of an entry and one Lanczos stop, whose gamma_7 G
+    leaves room for a row's two couplings (4 roundings each), by Weyl; not the factor's rounding.
+    The spectra are the canonical triple's rows of :func:`_table`, which :func:`interlacing_check`
+    reads too; ``grid_n`` must be divisible by 4.
     """
-    return tuple(abs(lam[i] - 2.0) for i, (_, lam, _) in enumerate(_table(canonicalize(t), grid_n)))
+    t = canonicalize(t)
+    residuals = tuple(abs(lam[i] - 2.0) for i, (_, lam, _) in enumerate(_table(t, grid_n)))
+    return residuals, anchor_tolerance(grid_n), _rounding(t, grid_n, 14)
 
 
 def _profiles(amps, k2: float, y: np.ndarray):
@@ -527,7 +535,8 @@ def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
     pf, worst = p[1::2], 0.0
     for l, f in zip((t.a, t.b, t.c_real), immersion(t, 0.0, y[::2])[1::2]):  # cos rows: f1, f2, f3
         q = _potential(2.0 * abs(math.sin(0.5 * l * h)) / h, p[::2])
-        flux = (pf * (np.roll(f, -1) - f) - np.roll(pf, 1) * (f - np.roll(f, 1))) / h**2
+        face = pf * np.diff(f, append=f[:1])  # p (f' at the face y + h/2), times h
+        flux = np.diff(face, prepend=face[-1:]) / h**2
         worst = max(worst, float(np.max(np.abs((q * f - flux) / w[::2] - 2.0 * f))))
     return worst
 
@@ -616,7 +625,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     """
     m = _sector_cells(grid_n)
     t = canonicalize(t)
-    j_closed, _, _ = extremal_index(t)
+    j_closed = _index(t)
     a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2
     c2, mod = t.c_squared, _modulus(t)
     e0, g = (c2 + b2 - a2) / (c2 - a2), anchor_tolerance(grid_n)
@@ -660,14 +669,6 @@ def _rounding(t: Triple, grid_n: int, n: int) -> float:
     return _gamma(n) * largest
 
 
-def anchor_floor(t: Triple, grid_n: int) -> float:
-    """gamma_14 G at ``grid_n`` (:func:`_rounding`): how far rounding may move a computed full
-    periodic eigenvalue from the grid's exact one, so an anchor residual at or below it measures no
-    order: one matrix's 7 roundings of an entry and one Lanczos stop, whose gamma_7 G leaves room
-    for a row's two couplings (4 roundings each), by Weyl; not the factor's rounding."""
-    return _rounding(canonicalize(t), grid_n, 14)
-
-
 @dataclass(frozen=True)
 class InterlacingReport:
     """Outcome of :func:`interlacing_check`: the smallest lambda_1 - lambda_0 and lambda_3 -
@@ -694,8 +695,9 @@ def interlacing_check(t: Triple, grid_n: int = 2048) -> InterlacingReport:
         lambda_0 = NN_0 < min(ND_0, DN_0) = lambda_1 <= lambda_2 = max(ND_0, DN_0)
                  < min(NN_1, DD_0) = lambda_3.
 
-    Each computed eigenvalue lies within :func:`anchor_floor`'s gamma_14 G of the grid's exact
-    one, so a gap within gamma_28 G (:func:`_rounding`): the bar.  ``grid_n`` divisible by 4.
+    Each computed eigenvalue lies within the anchors' rounding floor gamma_14 G
+    (:func:`anchor_check`) of the grid's exact one, so a gap within gamma_28 G (:func:`_rounding`):
+    the bar.  ``grid_n`` divisible by 4.
     """
     t = canonicalize(t)
     rows = _table(t, grid_n)

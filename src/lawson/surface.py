@@ -62,7 +62,6 @@ __all__ = [
     "classify",
     "coefficients",
     "expected_symmetry",
-    "extremal_index",
     "immersion",
     "metric",
     "symmetry_residual",
@@ -169,10 +168,6 @@ class Triple:
     def c_real(self) -> float:
         """The third frequency as a real number (sqrt(a^2 + b^2) on the boundary)."""
         return math.sqrt(self.c_squared) if self.case is Case.LAWSON else float(self.c)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self == canonicalize(self)
 
     def label(self) -> str:
         if self.case is Case.LAWSON:
@@ -375,39 +370,12 @@ def _area_nodes(t: Triple) -> int:
     return _periodic_nodes(_strip(_modulus(t)))
 
 
-def extremal_index(t: Triple) -> tuple[int, Functional, float]:
-    """Index j, functional type, and value Lambda_j of the induced metric.
-
-    The induced metric is extremal for the j-th normalized eigenvalue
-    functional on the torus or Klein bottle; Lambda_j = 2 * area always
-    (the coordinate functions are eigenfunctions with eigenvalue 2 on the
-    unit sphere).  The paper's closed forms:
-
-      Lawson pair (a >= b):  j = 2 floor(sqrt(a^2+b^2)/2) + a + b - 1,
-                             Lambda_j = 8 pi a E(sqrt(a^2-b^2)/a) = S;
-      subcase I:   j = a + b + c - 3, or b + c - 2 when one of a, b is 0;
-      subcase II:  j = a + b + c - 3;
-      subcase III: j = 2(a + b + c) - 3, with the zero-entry family at
-                   2(b + c) - 2 and the Clifford triple (0, 0, 1) at 1.
-
-    One rule reproduces the generalized rows: j = m (a + b + c) - 3 plus
-    the number of zeros among a, b, with m = 2 in subcase III and 1
-    otherwise.  The Lawson floor is taken exactly, as isqrt(a^2 + b^2) // 2.
-
-    Lambda_j equals S in subcases I and II (and Lawson) and 2 S in
-    subcase III, consistently with Lambda_j = 2 * area.
-    """
-    t = canonicalize(t)
-    _, area = area_closed(t)
+def _index(t: Triple) -> int:
+    """The extremal index j of the canonical ``t`` (:func:`classify`), in Python integers."""
     if t.case is Case.LAWSON:
-        j = 2 * (math.isqrt(t.c_squared) // 2) + t.a + t.b - 1
-    else:
-        m = 2 if _subcase(t) is Subcase.III else 1
-        j = m * (t.a + t.b + t.c) - 3 + (t.a, t.b).count(0)
-    functional = (
-        Functional.KLEIN if _topology(t) is Topology.KLEIN_BOTTLE else Functional.TORUS
-    )
-    return j, functional, 2.0 * area
+        return 2 * (math.isqrt(t.c_squared) // 2) + t.a + t.b - 1
+    m = 2 if _subcase(t) is Subcase.III else 1
+    return m * (t.a + t.b + t.c) - 3 + (t.a, t.b).count(0)
 
 
 @dataclass(frozen=True)
@@ -424,17 +392,40 @@ class SurfaceClass:
 
 
 def classify(t: Triple) -> SurfaceClass:
-    """Full classification; canonicalizes internally."""
+    """Full classification; canonicalizes internally.
+
+    The induced metric is extremal for the j-th normalized eigenvalue
+    functional on the torus or Klein bottle (``functional`` by the
+    topology); Lambda_j = 2 * area always (the coordinate functions are
+    eigenfunctions with eigenvalue 2 on the unit sphere).  The paper's
+    closed forms:
+
+      Lawson pair (a >= b):  j = 2 floor(sqrt(a^2+b^2)/2) + a + b - 1,
+                             Lambda_j = 8 pi a E(sqrt(a^2-b^2)/a) = S;
+      subcase I:   j = a + b + c - 3, or b + c - 2 when one of a, b is 0;
+      subcase II:  j = a + b + c - 3;
+      subcase III: j = 2(a + b + c) - 3, with the zero-entry family at
+                   2(b + c) - 2 and the Clifford triple (0, 0, 1) at 1.
+
+    One rule (:func:`_index`) reproduces the generalized rows: j =
+    m (a + b + c) - 3 plus the number of zeros among a, b, with m = 2 in
+    subcase III and 1 otherwise.  The Lawson floor is taken exactly, as
+    isqrt(a^2 + b^2) // 2.
+
+    Lambda_j equals S in subcases I and II (and Lawson) and 2 S in
+    subcase III, consistently with Lambda_j = 2 * area.
+    """
     t = canonicalize(t)
-    j, functional, lam = extremal_index(t)
+    _, area = area_closed(t)
+    topology = _topology(t)
     return SurfaceClass(
-        topology=_topology(t),
+        topology=topology,
         subcase=_subcase(t),
         covering_degree=_covering_degree(t),
-        area=lam / 2.0,
-        j=j,
-        functional=functional,
-        lambda_value=lam,
+        area=area,
+        j=_index(t),
+        functional=Functional.KLEIN if topology is Topology.KLEIN_BOTTLE else Functional.TORUS,
+        lambda_value=2.0 * area,
     )
 
 

@@ -8,9 +8,9 @@ closed-form index, and the oscillation-order checks into a single
 pass/fail report.  The Lame, separated-ODE and symmetry checks each make
 one call, which returns all three components and, for Lame, their
 rounding bound.  The spectral grid follows the sector rule of
-:mod:`lawson.spectral` (at least 256, divisible by 4), and the spectral
-checks read their bars from there: the anchors' tolerance and rounding
-floors, and interlacing's rounding bar.
+:mod:`lawson.spectral` (at least 256, divisible by 4), and each spectral
+check makes one call per grid, which returns its bars with its values:
+the anchors' tolerance and rounding floor, and interlacing's rounding bar.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .spectral import (
     _sector_cells,
     _uniform,
     anchor_check,
-    anchor_floor,
-    anchor_tolerance,
     count_N2,
     eq35_residual,
     interlacing_check,
@@ -126,13 +124,12 @@ def _area_check(t: Triple) -> CheckResult:
 
 
 def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
-    tol = anchor_tolerance(grid_n)
-    res = anchor_check(t, grid_n)
+    res, tol, floor = anchor_check(t, grid_n)
     values = dict(zip(("lambda0_at_c", "lambda1_at_max", "lambda2_at_min"), res))
     passed = all(r <= tol for r in res)
     if deep:
-        fine = anchor_check(t, 2 * grid_n)
-        values["floors"] = floors = [anchor_floor(t, grid_n), anchor_floor(t, 2 * grid_n)]
+        fine, _, fine_floor = anchor_check(t, 2 * grid_n)
+        values["floors"] = floors = [floor, fine_floor]
         values["orders"] = orders = [math.log2(r1 / r2) for r1, r2 in zip(res, fine)
                                      if r1 > floors[0] and r2 > floors[1]]
         passed = passed and all(1.8 <= o <= 2.2 for o in orders)

@@ -25,7 +25,6 @@ from lawson import (
     count_N2,
     eq35_residual,
     expected_symmetry,
-    extremal_index,
     interlacing_check,
     landen_gap,
     metric,
@@ -111,7 +110,8 @@ def test_criterion_3_landmark_values():
     y = np.linspace(0, 2 * math.pi, 101)
     gxx, gyy = metric(equilateral, y)
     ok &= np.max(np.abs(gxx - 2.0)) <= 1e-14 and np.max(np.abs(gyy - 2 / 3)) <= 1e-14
-    j, _, lam = extremal_index(equilateral)
+    sc = classify(equilateral)
+    j, lam = sc.j, sc.lambda_value
     ok &= j == 1 and abs(lam - 8 * math.pi**2 / math.sqrt(3)) / lam <= 1e-12
     _criterion(
         3,
@@ -165,8 +165,8 @@ def test_criterion_6_anchor_eigenvalues():
     worst = 0.0
     bad_orders = []
     for t in SUITE:
-        coarse = anchor_check(t, 2048)
-        fine = anchor_check(t, 4096)
+        coarse = anchor_check(t, 2048)[0]
+        fine = anchor_check(t, 4096)[0]
         worst = max(worst, *fine)
         for rc, rf in zip(coarse, fine):
             if rc > _EXACT_FLOOR and rf > _EXACT_FLOOR:

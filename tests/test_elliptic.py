@@ -12,12 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lawson.elliptic import (
     Modulus,
-    agm,
     complete_E,
     complete_E_quadrature,
     complete_K,
@@ -30,28 +27,6 @@ K_HALF = 1.685750354812596
 E_HALF = 1.4674622093394272
 K_NEG_THIRD = 1.4599026317063393  # k^2 = -1/3, the non-canonical Klein-bottle modulus
 E_NEG_THIRD = 1.6944794031754422
-
-
-class TestAgm:
-    def test_fixed_point_at_one(self):
-        assert agm(1.0, 1.0) == 1.0
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_equal_arguments_are_fixed(self, x):
-        assert agm(x, x) == pytest.approx(x, rel=1e-15)
-
-    @pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0), (1.0, -3.0)])
-    def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError):
-            agm(*bad)
-
-    def test_matches_quadrature_of_first_kind_integral(self):
-        # agm(1, k') = pi / (2 K(k)) with K from the independent oracle
-        k = 0.5
-        oracle = complete_K_quadrature(Modulus.from_k(k))
-        assert agm(1.0, math.sqrt(1.0 - k * k)) == pytest.approx(
-            math.pi / (2.0 * oracle), rel=1e-13
-        )
 
 
 class TestCompleteK:
@@ -172,22 +147,10 @@ class TestModulus:
     def test_from_k(self):
         m = Modulus.from_k(0.5)
         assert m.k2 == 0.25
-        assert m.k == 0.5
-
-    def test_negative_k2_has_no_real_k(self):
-        m = Modulus(k2=-0.5)
-        assert math.isnan(m.k)
-
-    @given(st.floats(min_value=-5.0, max_value=0.999999))
-    @settings(max_examples=50)
-    def test_k_consistency(self, k2):
-        m = Modulus(k2)
-        if k2 >= 0:
-            assert m.k == math.sqrt(k2)
 
     def test_from_ratio_forms_both_squares_from_integers(self):
         m = Modulus.from_ratio(3, 4)
-        assert (m.k2, m.kp2, m.k) == (0.75, 0.25, math.sqrt(0.75))
+        assert (m.k2, m.kp2) == (0.75, 0.25)
         assert Modulus(0.75).kp2 == 0.25  # the default 1 - k^2
         with pytest.raises(ValueError):
             Modulus(0.5, kp2=-1.0)

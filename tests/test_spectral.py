@@ -1038,27 +1038,41 @@ def test_coefficients_evaluated_once_per_grid(monkeypatch):
     assert per_triple[0] == per_triple[1]
 
 
+@pytest.mark.parametrize("t", [validate(Case.GENERALIZED, 1, 2, 3),
+                               validate(Case.GENERALIZED, 0, 1, 2), validate(Case.LAWSON, 3, 1)],
+                         ids=["T_(1,2,3)", "T_(0,1,2)", "tau_(3,1)"])
+def test_count_computes_no_area(monkeypatch, t):
+    """The count compares with the closed-form index, an integer rule: it evaluates no area."""
+    import lawson.surface
+
+    calls, area_closed = [], lawson.surface.area_closed
+    monkeypatch.setattr(lawson.surface, "area_closed",
+                        lambda *args: calls.append(1) or area_closed(*args))
+    assert count_N2(t, 2048).agree
+    assert calls == []
+
+
 class TestAnchors:
     def test_clifford_ground_anchor_is_exact(self):
         # l = c = 1 with constant ground profile: the discretization is exact
-        r0, r1, r2 = anchor_check(validate(Case.GENERALIZED, 0, 0, 1), 1024)
+        r0, r1, r2 = anchor_check(validate(Case.GENERALIZED, 0, 0, 1), 1024)[0]
         assert r0 <= 1e-10
         assert r1 <= 1e-4
         assert r2 <= 1e-4
 
     @pytest.mark.parametrize("abc", [(1, 1, 2), (1, 2, 4)])
     def test_generalized_anchors(self, abc):
-        res = anchor_check(validate(Case.GENERALIZED, *abc), 4096)
+        res = anchor_check(validate(Case.GENERALIZED, *abc), 4096)[0]
         assert max(res) <= 1e-4
 
     def test_lawson_anchor_at_real_frequency(self):
-        res = anchor_check(validate(Case.LAWSON, 2, 1), 2048)
+        res = anchor_check(validate(Case.LAWSON, 2, 1), 2048)[0]
         assert max(res) <= 1e-4
 
     @pytest.mark.parametrize("params", [(1, 2, 3), (0, 1, 2)])
     def test_second_order_over_three_doublings(self, params):
         t = validate(Case.GENERALIZED, *params)
-        ladder = [anchor_check(t, n) for n in (512, 1024, 2048, 4096)]
+        ladder = [anchor_check(t, n)[0] for n in (512, 1024, 2048, 4096)]
         for coarse, fine in zip(ladder, ladder[1:]):
             for rc, rf in zip(coarse, fine):
                 if rc > 1e-11 and rf > 1e-11:  # skip anchors converged to roundoff
@@ -1361,7 +1375,7 @@ def test_brackets_agree_with_every_l_sweep_below_the_anchors(abc, l_max):
 
 @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
 def test_interlacing_bar_is_the_rounding_of_a_difference(t):
-    """The bar is gamma_28 G, u = 2^-53: two eigenvalues, each within anchor_floor's gamma_14 G,
+    """The bar is gamma_28 G, u = 2^-53: two eigenvalues, each within the anchors' floor gamma_14 G,
     with G = 3 max p / (h^2 min w) + 2 l_max^2 / min P + 1 read off the coefficients, whose
     extremes lie at y = 0 and y = pi/2."""
     t = spectral.canonicalize(t)
@@ -1373,7 +1387,7 @@ def test_interlacing_bar_is_the_rounding_of_a_difference(t):
     G = 3.0 * p.max() / (h * h * w.min()) + 2.0 * l_max**2 / P.min() + 1
     report = interlacing_check(t, 2048)
     assert report.bar == pytest.approx(28 * u / (1 - 28 * u) * G, rel=1e-12)
-    assert report.bar == pytest.approx(2.0 * spectral.anchor_floor(t, 2048), rel=1e-13)
+    assert report.bar == pytest.approx(2.0 * anchor_check(t, 2048)[2], rel=1e-13)
 
 
 @pytest.mark.parametrize("case,params", [(Case.GENERALIZED, (1, 2, 150)), (Case.LAWSON, (1000, 1))])

@@ -26,7 +26,6 @@ from lawson import (
     classify,
     coefficients,
     expected_symmetry,
-    extremal_index,
     immersion,
     metric,
     symmetry_residual,
@@ -131,7 +130,6 @@ class TestCanonicalize:
     def test_idempotent(self, abc):
         t = validate(Case.GENERALIZED, *abc)
         assert canonicalize(t) == t
-        assert t.is_canonical
 
     def test_gcd_ignores_zeros(self):
         # (0, 0, 3) reduces by gcd 3, not by zero-gcd accidents
@@ -148,8 +146,8 @@ class TestCanonicalize:
     )
     @settings(max_examples=200)
     def test_canonical_form_is_a_fixed_point(self, raw, scale, swap):
-        """Scaled and reordered entries canonicalize to one fixed point, and is_canonical agrees
-        with the gcd-and-order rule on the raw triple and on its canonical form."""
+        """Scaled and reordered entries canonicalize to one fixed point, and being that fixed point
+        agrees with the gcd-and-order rule on the raw triple and on its canonical form."""
         case, a, b, c = raw
         if swap:
             a, b = b, a
@@ -157,8 +155,8 @@ class TestCanonicalize:
         u = canonicalize(t)
         assert canonicalize(u) == u
         assert u == canonicalize(Triple(case, a, b, c))
-        assert u.is_canonical and gcd_and_order(u)
-        assert t.is_canonical == gcd_and_order(t)
+        assert gcd_and_order(u)
+        assert (t == canonicalize(t)) == gcd_and_order(t)
 
 
 class TestCoefficients:
@@ -549,7 +547,7 @@ class TestExtremalIndex:
         ],
     )
     def test_closed_forms(self, case, params, j):
-        assert extremal_index(validate(case, *params))[0] == j
+        assert classify(validate(case, *params)).j == j
 
     def test_one_rule_matches_the_paper_table(self):
         """Every canonical generalized triple with c <= 60 and every canonical Lawson pair with
@@ -560,24 +558,24 @@ class TestExtremalIndex:
                  if math.gcd(a, b) == 1 and a * a + b * b <= 3600]
         for params in triples + pairs:
             case = Case.GENERALIZED if len(params) == 3 else Case.LAWSON
-            assert extremal_index(Triple(case, *params))[0] == paper_index(*params), params
+            assert classify(Triple(case, *params)).j == paper_index(*params), params
 
     def test_clifford_value(self):
-        j, functional, lam = extremal_index(validate(Case.GENERALIZED, 0, 0, 1))
-        assert j == 1
-        assert functional is Functional.TORUS
-        assert lam == pytest.approx(4.0 * math.pi**2, rel=1e-12)
+        sc = classify(validate(Case.GENERALIZED, 0, 0, 1))
+        assert sc.j == 1
+        assert sc.functional is Functional.TORUS
+        assert sc.lambda_value == pytest.approx(4.0 * math.pi**2, rel=1e-12)
 
     def test_lawson_clifford_value(self):
-        j, _, lam = extremal_index(validate(Case.LAWSON, 1, 1))
-        assert j == 1
-        assert lam == pytest.approx(4.0 * math.pi**2, rel=1e-12)
+        sc = classify(validate(Case.LAWSON, 1, 1))
+        assert sc.j == 1
+        assert sc.lambda_value == pytest.approx(4.0 * math.pi**2, rel=1e-12)
 
     def test_klein_functional(self):
-        _, functional, lam = extremal_index(validate(Case.GENERALIZED, 0, 1, 2))
-        assert functional is Functional.KLEIN
+        sc = classify(validate(Case.GENERALIZED, 0, 1, 2))
+        assert sc.functional is Functional.KLEIN
         s, _ = area_closed(validate(Case.GENERALIZED, 0, 1, 2))
-        assert lam == pytest.approx(s, rel=1e-15)
+        assert sc.lambda_value == pytest.approx(s, rel=1e-15)
 
     @given(generalized_triples(), st.integers(1, 3))
     @settings(max_examples=40)
@@ -589,7 +587,7 @@ class TestExtremalIndex:
             t = validate(Case.GENERALIZED, *variant)
             assert t == reference
             assert area_closed(t) == area_closed(reference)
-            assert extremal_index(t) == extremal_index(reference)
+            assert classify(t) == classify(reference)
 
 
 SYMMETRY_SET = SUITE + [validate(Case.GENERALIZED, 1, 2, 1500),

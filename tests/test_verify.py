@@ -75,9 +75,8 @@ class TestRunVerification:
         t = validate(Case.GENERALIZED, 1, 1, 5)
         report = run_verification(t, grid_n=2048, deep=True)
         anchors = next(c for c in report.checks if c.name == "anchors")
-        assert anchors.values["floors"] == [spectral.anchor_floor(t, 2048),
-                                            spectral.anchor_floor(t, 4096)]
-        coarse, fine = anchor_check(t, 2048), anchor_check(t, 4096)
+        assert anchors.values["floors"] == [anchor_check(t, 2048)[2], anchor_check(t, 4096)[2]]
+        coarse, fine = anchor_check(t, 2048)[0], anchor_check(t, 4096)[0]
         assert coarse[0] <= anchors.values["floors"][0] and fine[0] <= anchors.values["floors"][1]
         assert len(anchors.values["orders"]) == 2
         assert anchors.passed and report.status == "ok"
@@ -88,7 +87,7 @@ class TestRunVerification:
         t = validate(Case.GENERALIZED, 5, 7, 13)
         anchors = verify._anchor_check(t, 2048, deep=True)
         floors = anchors.values["floors"]
-        for r1, r2 in zip(anchor_check(t, 2048)[1:], anchor_check(t, 4096)[1:]):
+        for r1, r2 in zip(anchor_check(t, 2048)[0][1:], anchor_check(t, 4096)[0][1:]):
             assert r1 > floors[0] and r2 > floors[1]
         assert len(anchors.values["orders"]) >= 2
         assert anchors.passed
