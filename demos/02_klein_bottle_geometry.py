@@ -50,7 +50,7 @@ print(f"\nUnit-sphere residual over 2000 random points: "
       f"{np.max(np.abs(np.sum(F * F, axis=0) - 1.0)):.2e}")
 
 print("\nHalf-period identifications (residual of F(Phi(x,y)) = F(x,y)):")
-for phi, r in symmetry_residual(t, 32).items():
+for phi, r in symmetry_residual(t).items():
     verdict = "<- the Klein bottle identification" if r < 1e-12 else ""
     print(f"  {phi.value}: {r:.3e} {verdict}")
 

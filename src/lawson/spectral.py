@@ -66,7 +66,7 @@ profiles sin y, cos y, c3 sqrt(1 - k^2 sin^2 y) solve (*) with
 lambda = 2 at l = a, b, c respectively, and oscillation counting places
 them at lambda_1(max(a,b)), lambda_2(min(a,b)), lambda_0(c).
 :func:`anchor_check` returns their residuals on the grid with the bound
-they must meet (:func:`anchor_tolerance`) and their rounding floor.
+they must meet (:func:`_anchor_tolerance`) and their rounding floor.
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[tuple[float, float, flo
 
     Zero entries of the triple read their anchor at l = 0 at the same index; the boundary case
     reads lambda_0 at the real frequency c = sqrt(a^2 + b^2).  All three shrink at second order in
-    the mesh, each at most ``tolerance`` (:func:`anchor_tolerance`), down to the rounding
+    the mesh, each at most ``tolerance`` (:func:`_anchor_tolerance`), down to the rounding
     ``floor``, below which a residual measures no order.  The floor is gamma_14 G at ``grid_n``
     (:func:`_rounding`): how far rounding may move a computed full periodic eigenvalue from the
     grid's exact one, one matrix's 7 roundings of an entry and one Lanczos stop, whose gamma_7 G
@@ -436,7 +436,7 @@ def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[tuple[float, float, flo
     """
     t = canonicalize(t)
     residuals = tuple(abs(lam[i] - 2.0) for i, (_, lam, _) in enumerate(_table(t, grid_n)))
-    return residuals, anchor_tolerance(grid_n), _rounding(t, grid_n, 14)
+    return residuals, _anchor_tolerance(grid_n), _rounding(t, grid_n, 14)
 
 
 def _profiles(amps, k2: float, y: np.ndarray):
@@ -541,7 +541,7 @@ def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
     return worst
 
 
-def anchor_tolerance(grid_n: int) -> float:
+def _anchor_tolerance(grid_n: int) -> float:
     """The bound on the anchors' residuals at ``grid_n``, stated at grid 4096 and scaled as
     (4096 / grid_n)^2 below it (second order); also the guard of :func:`count_N2`."""
     return 1e-4 * max(1.0, (4096.0 / grid_n) ** 2)
@@ -605,7 +605,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     that is the eigenvalues of the Lame operator L of the surface's modulus below E_l (module
     docstring).  On L's sectors, m = grid_n / 4 cells (:func:`_lame_sectors`), the inertia at
     E_0 + g must be (1, 1, 1, 0) in (NN, ND, DN, DD) and those three eigenvalues within g of k^2,
-    1 and 1 + k^2, with g the anchors' tolerance (:func:`anchor_tolerance`), else
+    1 and 1 + k^2, with g the anchors' tolerance (:func:`_anchor_tolerance`), else
     :class:`IndeterminateCountError`.  Then only the edges count, each at the l with
     l^2 < l_edge^2, and the sum ends at l = c.  In y, ND carries cos y at frequency b and DN sin y
     at a: v's ND and DN (l_edge = B, A) are y's when a <= b and swapped when a > b.  The report
@@ -628,7 +628,7 @@ def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
     j_closed = _index(t)
     a2, b2 = sorted((t.a * t.a, t.b * t.b))  # A^2, B^2
     c2, mod = t.c_squared, _modulus(t)
-    e0, g = (c2 + b2 - a2) / (c2 - a2), anchor_tolerance(grid_n)
+    e0, g = (c2 + b2 - a2) / (c2 - a2), _anchor_tolerance(grid_n)
     nn, nd, dn, dd = _lame_sectors(mod, m, e0 + g)
     inertia = tuple(int(np.sum(ev < e0 + g)) for ev in (nn, nd, dn, dd))
     errors = tuple(float(abs(ev[0] - edge))

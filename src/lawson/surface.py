@@ -31,9 +31,9 @@ form
 
 which on the Lawson boundary Q = 0 is S = 8 pi B E(k).  The
 surface area is S divided by the covering degree of the parameter torus
-over the image, which is 2 exactly when a half-period deck
-transformation survives (subcases I and II below, and every Lawson
-surface) and 1 otherwise.
+over the image, which is 2 exactly when the immersion carries a
+half-period deck map (``_half_period_map``: subcases I and II below, and
+every canonical Lawson pair) and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ class Phi(enum.Enum):
     PHI2 = "phi2"  # (x, y) -> (x + pi, -y)
     PHI3 = "phi3"  # (x, y) -> (x + pi, y + pi)
 
-    def apply(self, x, y, half=math.pi):
-        """The map on points, or on grid indices with ``half`` the index of pi."""
+    def apply(self, x, y, half):
+        """The map on points with ``half`` = pi, or on grid indices with ``half`` the index of
+        pi."""
         if self is Phi.PHI1:
             return x + half, half - y
         if self is Phi.PHI2:
@@ -218,7 +219,13 @@ class Coefficients:
     denominators are formed in integer arithmetic and divided once.
     ``q`` is the integer Q = c^2 - a^2 - b^2 (zero exactly on the Lawson
     boundary) and ``P`` evaluates the metric coefficient
-    (c^2 + (b^2 - a^2) cos 2y) / 2.
+    (c^2 + (b^2 - a^2) cos 2y) / 2 as (c^2 - a^2)(1 - k^2 sin^2 y) - Q/2,
+    since Q + 2P = 2 (c^2 - a^2)(1 - k^2 sin^2 y) with the stored-order
+    ``k2``.  Both terms are non-negative and P >= Q/2, so the one
+    subtraction loses at most a factor of 2; on the Lawson boundary Q = 0
+    and P(0) = b^2 exactly at any size, where the cos 2y form takes b^2 as
+    (a^2 + b^2) - (a^2 - b^2) and reads 0 once a^2 + b^2 >= 2^53.  At
+    a = b it is c^2/2 as before, so interlacing ties stay ties.
     """
 
     c1_sq: float
@@ -243,7 +250,8 @@ class Coefficients:
         return math.sqrt(self.c3_sq)
 
     def P(self, y):
-        return 0.5 * (self.c_sq + (self.b_sq - self.a_sq) * np.cos(2.0 * np.asarray(y)))
+        s = np.sin(np.asarray(y))
+        return (self.c_sq - self.a_sq) * (1.0 - self.k2 * s * s) - 0.5 * self.q
 
     def P_prime(self, y):
         return -(self.b_sq - self.a_sq) * np.sin(2.0 * np.asarray(y))
@@ -302,26 +310,31 @@ def metric(t: Triple, y):
     return p, 2.0 * p / (co.q + 2.0 * p)
 
 
-def _covering_degree(t: Triple) -> int:
-    return 1 if _subcase(t) is Subcase.III else 2
+_HALF_PERIOD_MAPS = {(0, 1): Phi.PHI1, (1, 0): Phi.PHI2, (1, 1): Phi.PHI3}
 
 
-def _parity_class(t: Triple) -> Subcase:
-    """Subcase I, II or III by the parities; a Lawson pair behaves as one with c even."""
-    if t.case is Case.LAWSON or t.c % 2 == 0:
-        if t.a % 2 == 1 and t.b % 2 == 1:
-            return Subcase.II
-        if (t.a + t.b) % 2 == 1:
-            return Subcase.I
-    return Subcase.III
+def _half_period_map(t: Triple) -> Phi | None:
+    """The half-period deck map the immersion of ``t`` carries, by the parities of the triple as
+    given, a Lawson pair counting as one with c even: none for c odd or a and b both even, else
+    phi1 for (a, b) = (even, odd), phi2 for (odd, even), phi3 for (odd, odd).  The family's one
+    parity rule: the subcase, the topology (phi1 and phi2 reverse orientation: a Klein bottle),
+    the covering degree (2 with a map) and the index's factor m (2 without one) read it."""
+    return None if (t.c or 0) % 2 else _HALF_PERIOD_MAPS.get((t.a % 2, t.b % 2))
+
+
+_SUBCASE = {Phi.PHI1: Subcase.I, Phi.PHI2: Subcase.I, Phi.PHI3: Subcase.II, None: Subcase.III}
 
 
 def _subcase(t: Triple) -> Subcase:
-    return Subcase.LAWSON if t.case is Case.LAWSON else _parity_class(t)
+    return Subcase.LAWSON if t.case is Case.LAWSON else _SUBCASE[_half_period_map(t)]
 
 
 def _topology(t: Triple) -> Topology:
-    return Topology.KLEIN_BOTTLE if _parity_class(t) is Subcase.I else Topology.TORUS
+    return Topology.KLEIN_BOTTLE if _half_period_map(t) in (Phi.PHI1, Phi.PHI2) else Topology.TORUS
+
+
+def _covering_degree(t: Triple) -> int:
+    return 1 if _half_period_map(t) is None else 2
 
 
 def _modulus(t: Triple) -> Modulus:
@@ -371,10 +384,11 @@ def _area_nodes(t: Triple) -> int:
 
 
 def _index(t: Triple) -> int:
-    """The extremal index j of the canonical ``t`` (:func:`classify`), in Python integers."""
+    """The extremal index j of the canonical ``t`` (:func:`classify`), in Python integers; the
+    factor m is 2 exactly when the triple carries no half-period map."""
     if t.case is Case.LAWSON:
         return 2 * (math.isqrt(t.c_squared) // 2) + t.a + t.b - 1
-    m = 2 if _subcase(t) is Subcase.III else 1
+    m = 2 if _half_period_map(t) is None else 1
     return m * (t.a + t.b + t.c) - 3 + (t.a, t.b).count(0)
 
 
@@ -412,6 +426,10 @@ def classify(t: Triple) -> SurfaceClass:
     subcase III and 1 otherwise.  The Lawson floor is taken exactly, as
     isqrt(a^2 + b^2) // 2.
 
+    The subcase, the topology, the covering degree and m all read the
+    half-period deck map (:func:`_half_period_map`): subcase I is phi1 or
+    phi2, which reverse orientation (the Klein bottles), II is phi3 and
+    III has none; a map makes the covering degree 2 and m = 1.  So
     Lambda_j equals S in subcases I and II (and Lawson) and 2 S in
     subcase III, consistently with Lambda_j = 2 * area.
     """
@@ -430,32 +448,24 @@ def classify(t: Triple) -> SurfaceClass:
 
 
 def expected_symmetry(t: Triple) -> Phi | None:
-    """Which half-period identification the surface carries, if any.
-
-    Determined by the parities of the canonical triple: the a-even
-    member of subcase I carries (x + pi, pi - y), the a-odd member
-    (x + pi, -y); subcase II carries (x + pi, y + pi); subcase III none.
-    Lawson pairs follow the same parity rules with c playing no role.
-    """
-    t = canonicalize(t)
-    parity = _parity_class(t)
-    if parity is Subcase.I:
-        return Phi.PHI1 if t.a % 2 == 0 else Phi.PHI2
-    return Phi.PHI3 if parity is Subcase.II else None
+    """Which half-period identification the surface carries, if any: :func:`_half_period_map` of
+    the canonical triple.  The a-even member of subcase I carries (x + pi, pi - y), the a-odd
+    member (x + pi, -y); subcase II carries (x + pi, y + pi); subcase III none.  Lawson pairs
+    follow the same parity rules with c playing no role."""
+    return _half_period_map(canonicalize(t))
 
 
-def symmetry_residual(t: Triple, n: int = 32) -> dict[Phi, float]:
-    """``{Phi: residual}``: max over y = 2 pi j / n, j < n, of |F(Phi(x, y)) - F(x, y)| in R^6 for
-    each half-period map, the same at every x.
+def symmetry_residual(t: Triple) -> dict[Phi, float]:
+    """``{Phi: residual}``: max over y = 2 pi j / 32, j < 32, of |F(Phi(x, y)) - F(x, y)| in R^6
+    for each half-period map, the same at every x.
 
     At most machine-zero for the surface's identification, order-one otherwise.  Phi maps (x, y) to
     (x + pi, psi(y)), which multiplies each pair (sin l x, cos l x) f(y) by (-1)^l, so
     |F(Phi(x, y)) - F(x, y)|^2 = sum_i ((-1)^(l_i) f_i(psi(y)) - f_i(y))^2: the profiles f1, f2, f3,
-    from one :func:`immersion` call, compared with their permutation, which with n even maps the
-    y-grid onto itself.  On the Lawson boundary f3 = 0, so a c that is not an integer needs no sign.
+    from one :func:`immersion` call, compared with their permutation, which maps the even y-grid
+    onto itself.  On the Lawson boundary f3 = 0, so a c that is not an integer needs no sign.
     """
-    if n < 16 or n % 2:
-        raise ValueError(f"n must be even and >= 16, got {n}")
+    n = 32
     f = immersion(t, 0.0, 2.0 * math.pi * np.arange(n) / n)[1::2]  # cos rows at x = 0: f1, f2, f3
     sign = np.array([[1 - 2 * (l % 2)] for l in (t.a, t.b, t.c or 0)])
     residuals = {}

@@ -187,7 +187,7 @@ def test_criterion_7_topology_and_symmetry_dichotomy():
     for t in SUITE:
         expected = expected_symmetry(t)
         for phi in Phi:
-            r = symmetry_residual(t, 32)[phi]
+            r = symmetry_residual(t)[phi]
             if phi is expected and r > 1e-12:
                 failures.append(f"{t.label()}: matching {phi.value} residual {r:.2e}")
             if phi is not expected and r < 0.1:

@@ -113,3 +113,17 @@ done.set()
 print(status)
 """
     assert _run(code) == "0"
+
+
+def test_without_the_extension_files_the_public_scipy_modules_serve():
+    """With no file of an extension suffix to be found, lapack and blas load scipy.linalg.lapack
+    and .blas, and T_(1,2,3)'s list at l = 1, grid 2048, is bit for bit the file-loaded one."""
+    start = f"import sys, importlib.machinery; sys.path.insert(0, {SRC!r}); import lawson, numpy; "
+    solve = ("t = lawson.validate(lawson.Case.GENERALIZED, 1, 2, 3); "
+             "ev = lawson.sl_spectrum(lawson.SLProblem(t, 1), 2048).eigenvalues; "
+             "print('scipy.linalg' in sys.modules, ev.tobytes().hex())")
+    no_files = "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']; "
+    loaded = _run(start + solve).split()
+    fallback = _run(start + no_files + solve)
+    assert loaded[0] == "False"
+    assert fallback.split() == ["True", loaded[1]]

@@ -946,7 +946,7 @@ def test_inertia_counts_match_eigenvalue_lists(t, n):
     """The integer rule of the count in v gives the per-l counts of the y-grid's Lanczos lists:
     those its stops and parity sectors hold."""
     report = count_N2(t, n)
-    assert per_l_counts(report, t) == _list_counts(t, n, spectral.anchor_tolerance(n))
+    assert per_l_counts(report, t) == _list_counts(t, n, spectral._anchor_tolerance(n))
 
 
 @pytest.mark.parametrize("l", [0, 1])
@@ -963,7 +963,7 @@ def test_clifford_inertia_count_at_fine_grid(l):
     y_grid = 8.0 * np.sin(math.pi * np.arange(-4, 5) / n) ** 2 / h_y**2 + 2.0 * l * l
     t = validate(Case.GENERALIZED, 0, 0, 1)
     report = count_N2(t, n)
-    below = int(np.sum(y_grid < 2.0 - spectral.anchor_tolerance(n)))
+    below = int(np.sum(y_grid < 2.0 - spectral._anchor_tolerance(n)))
     assert per_l_counts(report, t)[l] == (l, below) and below == 1 - l
     h = math.pi / 2 / m
     closed = lambda j: 4.0 * math.sin(math.pi * j / (2 * m)) ** 2 / h**2  # noqa: E731
@@ -1005,7 +1005,7 @@ def test_guard_outside_the_evidence_is_indeterminate(monkeypatch, guard, message
     t = validate(Case.GENERALIZED, 3, 4, 6)
     report = count_N2(t, 2048)
     assert 1e-9 < max(report.edge_errors) < 1e-6 and 2.0 < report.gap < 2.5
-    monkeypatch.setattr(spectral, "anchor_tolerance", lambda grid_n: guard)
+    monkeypatch.setattr(spectral, "_anchor_tolerance", lambda grid_n: guard)
     with pytest.raises(IndeterminateCountError, match=message):
         count_N2(t, 2048)
 
@@ -1206,7 +1206,7 @@ class TestCounting:
         assert report.stops == {"NN": 3, "ND": 2, "DN": 1, "DD": 0}
         assert report.sectors == (spectral._ALL_SECTORS, spectral._ALL_SECTORS)
         assert per_l_counts(report, t) == ((0, 3), (1, 2), (2, 1), (3, 0))
-        guard = spectral.anchor_tolerance(2048)
+        guard = spectral._anchor_tolerance(2048)
         assert report.gap > guard and len(report.edge_errors) == 3
         assert max(report.edge_errors) <= guard
         assert report.cells == 512

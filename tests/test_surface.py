@@ -636,7 +636,7 @@ class TestSymmetry:
         forms no phase c x (measured 5.0e-16 at c = 1500 and 4.5e-16 at c = 5000)."""
         expected = expected_symmetry(t)
         for phi in Phi:
-            r = symmetry_residual(t, 32)[phi]
+            r = symmetry_residual(t)[phi]
             if phi is expected:
                 assert r <= 1e-12
             else:
@@ -655,7 +655,7 @@ class TestSymmetry:
         for t in triples + pairs:
             expected = expected_symmetry(t)
             for phi in Phi:
-                r = symmetry_residual(t, 32)[phi]
+                r = symmetry_residual(t)[phi]
                 assert r <= 1e-12 if phi is expected else r >= 0.1, (t.label(), phi)
             sc = classify(t)
             klein = sc.topology is Topology.KLEIN_BOTTLE
@@ -664,14 +664,7 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("t", SYMMETRY_SET, ids=[t.label() for t in SYMMETRY_SET])
     def test_profiles_give_the_residual_of_the_whole_image(self, t):
-        """The residual from the y-profiles equals the one of F on the n x n grid compared with
-        its permutation under Phi, within 1e-15, at every Phi and n = 32, 48."""
-        for n in (32, 48):
-            for phi in Phi:
-                assert abs(symmetry_residual(t, n)[phi] - _image_residual(t, phi, n)) <= 1e-15
-
-    def test_grid_precondition(self):
-        with pytest.raises(ValueError):
-            symmetry_residual(SUITE[0], 8)
-        with pytest.raises(ValueError, match="even"):
-            symmetry_residual(SUITE[0], 33)
+        """The residual from the y-profiles equals the one of F on the 32 x 32 grid compared with
+        its permutation under Phi, within 1e-15, at every Phi."""
+        for phi in Phi:
+            assert abs(symmetry_residual(t)[phi] - _image_residual(t, phi, 32)) <= 1e-15
