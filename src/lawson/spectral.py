@@ -104,7 +104,6 @@ __all__ = [
     "eq35_residual",
     "interlacing_check",
     "lame_residual",
-    "sl_coefficients",
     "sl_problem",
     "sl_spectrum",
     "takahashi_residual",
@@ -156,17 +155,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray  # ascending
 
 
-def sl_coefficients(t: Triple, l: float, y: np.ndarray):
-    """Self-adjoint coefficients (p, q, w) for frequency l at the points y.
-
-    p = sqrt(2P + Q) > 0, q = 2 l^2 / sqrt(2P + Q) >= 0,
-    w = 2P / sqrt(2P + Q) > 0; all pi-periodic and even in y.
-    """
-    _check_frequency(l)
-    root, w = _flux_and_weight(t, y)
-    return root, _potential(l, root), w
-
-
 def _check_frequency(l: float) -> None:
     """A frequency must be a double: 0 <= l <= the largest one (not NaN, not infinite)."""
     if not 0 <= l <= sys.float_info.max:
@@ -175,7 +163,8 @@ def _check_frequency(l: float) -> None:
 
 
 def _flux_and_weight(t: Triple, y: np.ndarray):
-    """(p, w) of :func:`sl_coefficients`: the coefficients that do not depend on l."""
+    """(p, w) of the pencil at the points y: p = sqrt(2P + Q) > 0 and w = 2P / sqrt(2P + Q) > 0,
+    the coefficients that do not depend on l, both pi-periodic and even in y."""
     co = coefficients(t)
     P = co.P(y)
     root = np.sqrt(2.0 * P + co.q)
@@ -231,7 +220,7 @@ def _factors(t: Triple, grid_n: int, columns):
     ls = np.array([float(l) for l, _ in columns])
     F = np.zeros((2, len(columns), m))
     d, e = F
-    np.divide((2.0 * (ls * ls))[:, None], root, out=d)  # q, as _potential(l, root) gives it
+    np.divide((2.0 * (ls * ls))[:, None], root, out=d)  # q = 2 l^2 / p, bit for bit _potential
     shift = 16.0 * np.floor(np.min(d / w, axis=1) / 16.0)
     _stencil(d, e, pf, 1.0 / np.sqrt(w), h, [sector for _, sector in columns])
     d += 1.0
@@ -417,7 +406,7 @@ def _table(t: Triple, grid_n: int) -> tuple:
     return tuple((l, *rows[l]) for l in ls)
 
 
-def anchor_check(t: Triple, grid_n: int = 4096) -> tuple[tuple[float, float, float], float, float]:
+def anchor_check(t: Triple, grid_n: int) -> tuple[tuple[float, float, float], float, float]:
     """``(residuals, tolerance, floor)`` of the three exact-2 eigenvalues in full periodic spectra.
 
     The residuals are
@@ -443,11 +432,13 @@ def _profiles(amps, k2: float, y: np.ndarray):
     """``(sin y, cos y, profiles)``: ``(phi, phi', phi'')`` of a1 sin y, a2 cos y and
     a3 sqrt(1 - k^2 sin^2 y), in that order, for ``amps`` = (a1, a2, a3).  Each amplitude is the
     first factor of its products (a3 * u, -a3 * k^2 * ...), which fixes the rounding of the
-    separated-ODE residuals."""
+    separated-ODE residuals.  The third phi'' divides its bracket, at most 1 + |k^2| in size, by u
+    three times before the factor k^2: for k^2 <= 0, u >= 1 and no partial result exceeds
+    2 max(1, |k^2|) in size, so it is finite at every |k^2| < 2^1020 a triple admits."""
     a1, a2, a3 = amps
     s, c = np.sin(y), np.cos(y)
     u = np.sqrt(1.0 - k2 * s * s)
-    d2 = -a3 * k2 * (np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u**3
+    d2 = -a3 * k2 * ((np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u / u / u)
     return s, c, ((a1 * s, a1 * c, -a1 * s), (a2 * c, -a2 * s, -a2 * c),
                   (a3 * u, -a3 * k2 * s * c / u, d2))
 
@@ -478,34 +469,39 @@ def lame_residual(k2: float) -> tuple[tuple[float, float, float], float]:
 
     for its three classical solutions, and the rounding bound they must meet.  The residuals are
     max |residual| over one 1024-point grid of sqrt(1 - k^2 sin^2 y) at h = k^2, cos y at h = 1
-    and sin y at h = 1 + k^2, in that order.
+    and sin y at h = 1 + k^2, in that order, of the equation divided by K = max(1, |k^2|): each
+    coefficient is then at most 3 in size, so no term overflows at any k^2 a triple admits
+    (:func:`_profiles`), and dividing by 1 is exact.
 
-    The bound is gamma_36 max sum |terms| over the grid and the three solutions: the exact
+    The bound is gamma_37 max sum |terms| over the grid and the three solutions: the exact
     residual is 0, so the computed one is rounding error (Higham, *Accuracy and Stability of
     Numerical Algorithms*, sec. 3.1, 3.3).  Its terms are the monomials in k^2, h, s = sin y,
-    c = cos y, cos 2y and u^(+-1) (u = dn); sum |terms| evaluates it on absolute values, each
-    difference a sum.  A term meets at most 36 relative errors of eps / 2: 15 roundings (dn's
-    (1 - k^2 s^2) phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and 9 from u, which
-    enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the error of
-    1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2) (:func:`_gamma`): C = gamma_36 / eps, about 18.
-    Measured: residual <= 1.1 eps max sum |terms| for k^2 in [-1e4, 1 - 1e-10].
+    c = cos y, cos 2y and u^(+-1) (u = dn), over K; sum |terms| evaluates them on absolute values,
+    each difference a sum.  A term meets at most 37 relative errors of eps / 2: 16 roundings
+    (dn's (1 - k^2 s^2) / K phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and 9
+    from u, which enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the
+    error of 1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2) (:func:`_gamma`): C = gamma_37 / eps,
+    about 18.5.  Measured: residual <= 1.2 eps max sum |terms| over 400 k^2 from -1e306 to
+    1 - 1e-10.
     """
     if not k2 < 1.0:
         raise ValueError(f"k^2 must be < 1, got {k2!r}")
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     s, c, (sn, cs, dn) = _profiles((1.0, 1.0, 1.0), k2, y)
-    size, u = abs(k2), dn[0]
+    size, scale, u = abs(k2), max(1.0, abs(k2)), dn[0]
     # dn's phi'' = -k^2 (cos 2y u^2 + k^2 s^2 c^2) / u^3 holds a sum of its own
-    dn_sum = size * (np.abs(np.cos(2.0 * y)) * u * u + size * s * s * c * c) / u**3
-    lead, ksc, pot = 1.0 - k2 * s * s, k2 * s * c, 2.0 * k2 * s * s
-    lead_sum, pot_sum = 1.0 + size * s * s, 2.0 * size * s * s
+    dn_sum = size * ((np.abs(np.cos(2.0 * y)) * u * u + size * s * s * c * c) / u / u / u)
+    lead, ksc, pot = (1.0 - k2 * s * s) / scale, k2 * s * c / scale, 2.0 * k2 * s * s
+    lead_sum, pot_sum = (1.0 + size * s * s) / scale, 2.0 * size * s * s
     residuals, sums = [], []
     for h, (phi, dphi, d2phi), d2_sum in ((k2, dn, dn_sum), (1.0, cs, cs[2]),
                                           (1.0 + k2, sn, sn[2])):
-        residuals.append(float(np.max(np.abs(lead * d2phi - ksc * dphi + (h - pot) * phi))))
-        terms = lead_sum * np.abs(d2_sum) + np.abs(ksc * dphi) + (abs(h) + pot_sum) * np.abs(phi)
+        lame = lead * d2phi - ksc * dphi + (h - pot) / scale * phi
+        residuals.append(float(np.max(np.abs(lame))))
+        terms = (lead_sum * np.abs(d2_sum) + np.abs(ksc * dphi)
+                 + (abs(h) + pot_sum) / scale * np.abs(phi))
         sums.append(float(np.max(terms)))
-    return tuple(residuals), _gamma(36) * max(sums)
+    return tuple(residuals), _gamma(37) * max(sums)
 
 
 def _gamma(n: int) -> float:
@@ -515,7 +511,7 @@ def _gamma(n: int) -> float:
     return n * u / (1 - n * u)
 
 
-def takahashi_residual(t: Triple, grid_n: int = 256) -> float:
+def takahashi_residual(t: Triple, grid_n: int) -> float:
     """max |Delta_h F^i - 2 F^i| over a periodic grid_n x grid_n grid.
 
     The Laplace-Beltrami operator -(1/P) d_xx - (1/w) d_y p d_y (five-point
@@ -597,7 +593,7 @@ def _lame_sectors(mod: Modulus, m: int, below: float) -> list:
     return [w[:found][block[:found] == i] for i in (1, 2, 3, 4)]
 
 
-def count_N2(t: Triple, grid_n: int = 2048) -> CountReport:
+def count_N2(t: Triple, grid_n: int) -> CountReport:
     """Count Laplace eigenvalues below 2 and compare with the closed-form index.
 
     N(2) = #{lambda_i(0) < 2} + 2 sum_{l >= 1} #{lambda_i(l) < 2} over the sector-filtered
@@ -681,7 +677,7 @@ class InterlacingReport:
     margin: float | None
 
 
-def interlacing_check(t: Triple, grid_n: int = 2048) -> InterlacingReport:
+def interlacing_check(t: Triple, grid_n: int) -> InterlacingReport:
     """The strict oscillation gaps lambda_1 - lambda_0 and lambda_3 - lambda_2 of the full periodic
     spectrum at the anchors' frequencies c, max(a, b) and min(a, b), against a rounding bar.
 

@@ -31,9 +31,10 @@ form
 
 which on the Lawson boundary Q = 0 is S = 8 pi B E(k).  The
 surface area is S divided by the covering degree of the parameter torus
-over the image, which is 2 exactly when the immersion carries a
-half-period deck map (``_half_period_map``: subcases I and II below, and
-every canonical Lawson pair) and 1 otherwise.
+over the image: d = gcd(a, b, c) (c counting as 0 for a Lawson pair),
+since x -> x + 2 pi / d is a deck map, times 2 when the reduced triple
+carries a half-period deck map (``_half_period_map``: subcases I and II
+below, and every canonical Lawson pair) and times 1 otherwise.
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ class Triple:
 
     Direct construction accepts any admissible ordering (the coefficient
     formulas are order-sensitive, and the non-canonical orderings are
-    legitimate descriptions of the same surface).  ``validate`` and
+    legitimate descriptions of the same surface) and any common divisor
+    d > 1, which describes the reduced triple's surface, covered d times
+    more often by the parameter torus (``_covering_degree``).  ``validate`` and
     ``canonicalize`` produce the canonical representative: gcd-reduced,
     generalized case ordered a <= b, Lawson case ordered a >= b.
     c^2 (a^2 + b^2 for a Lawson pair) must be below 2^1020: the closed
@@ -314,12 +317,14 @@ _HALF_PERIOD_MAPS = {(0, 1): Phi.PHI1, (1, 0): Phi.PHI2, (1, 1): Phi.PHI3}
 
 
 def _half_period_map(t: Triple) -> Phi | None:
-    """The half-period deck map the immersion of ``t`` carries, by the parities of the triple as
-    given, a Lawson pair counting as one with c even: none for c odd or a and b both even, else
-    phi1 for (a, b) = (even, odd), phi2 for (odd, even), phi3 for (odd, odd).  The family's one
-    parity rule: the subcase, the topology (phi1 and phi2 reverse orientation: a Klein bottle),
-    the covering degree (2 with a map) and the index's factor m (2 without one) read it."""
-    return None if (t.c or 0) % 2 else _HALF_PERIOD_MAPS.get((t.a % 2, t.b % 2))
+    """The half-period deck map the immersion of ``t`` carries, by the parities of the gcd-reduced
+    triple in the order given, a Lawson pair counting as one with c even: none for c odd or a and
+    b both even, else phi1 for (a, b) = (even, odd), phi2 for (odd, even), phi3 for (odd, odd).
+    The family's one parity rule: the subcase, the topology (phi1 and phi2 reverse orientation: a
+    Klein bottle), the covering degree (2 with a map) and the index's factor m (2 without one)
+    read it."""
+    d = gcd(t.a, t.b, t.c or 0)
+    return None if (t.c or 0) // d % 2 else _HALF_PERIOD_MAPS.get((t.a // d % 2, t.b // d % 2))
 
 
 _SUBCASE = {Phi.PHI1: Subcase.I, Phi.PHI2: Subcase.I, Phi.PHI3: Subcase.II, None: Subcase.III}
@@ -334,7 +339,9 @@ def _topology(t: Triple) -> Topology:
 
 
 def _covering_degree(t: Triple) -> int:
-    return 1 if _half_period_map(t) is None else 2
+    """gcd(a, b, c), c counting as 0 for a Lawson pair, times 2 if the reduced triple carries a
+    half-period map."""
+    return gcd(t.a, t.b, t.c or 0) * (1 if _half_period_map(t) is None else 2)
 
 
 def _modulus(t: Triple) -> Modulus:
@@ -356,18 +363,16 @@ def area_closed(t: Triple) -> tuple[float, float]:
     return s, s / _covering_degree(t)
 
 
-def area_quadrature(t: Triple, n: int | None = None) -> float:
+def area_quadrature(t: Triple) -> float:
     """Quadrature oracle for the area.
 
     Integrates the area element sqrt(g_xx g_yy) = P sqrt(2/(Q + 2P)) over
-    the periodic y-circle with an n-node rectangle rule (spectrally
-    accurate for this smooth periodic integrand) and multiplies by the
-    2 pi extent in x; divides by the covering degree.  ``n`` defaults to
-    :func:`_area_nodes`.
+    the periodic y-circle with a rectangle rule on the nodes of the strip
+    rule alone (:func:`_area_nodes`; spectrally accurate for this
+    integrand, analytic in that strip) and multiplies by the 2 pi extent
+    in x; divides by the covering degree.
     """
-    n = _area_nodes(t) if n is None else n
-    if n < 64:
-        raise ValueError(f"n must be >= 64, got {n}")
+    n = _area_nodes(t)
     co = coefficients(t)
     y = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     p = co.P(y)

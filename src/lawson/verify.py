@@ -78,8 +78,9 @@ class VerificationReport:
 
 
 def _at_most(name: str, values: dict, worst: float, tol: float, kind: str = "") -> CheckResult:
-    """The check ``name`` passes when its worst value is at most ``tol``."""
-    return CheckResult(name, worst <= tol, values, f"{kind}<= {tol:g}")
+    """The check ``name`` passes when its worst value is at most ``tol`` and ``tol`` is finite: a
+    bound that overflowed bounds nothing."""
+    return CheckResult(name, worst <= tol < math.inf, values, f"{kind}<= {tol:g}")
 
 
 def _unit_norm_check(t: Triple) -> CheckResult:

@@ -103,8 +103,8 @@ def test_criterion_3_landmark_values():
     s2, _ = area_closed(equilateral)
     ok = abs(s1 - 2 * math.pi**2) / (2 * math.pi**2) <= 1e-12
     ok &= abs(s2 - 8 * math.pi**2 / math.sqrt(3)) / (8 * math.pi**2 / math.sqrt(3)) <= 1e-12
-    q1 = area_quadrature(clifford, 4096) * 1  # degree 1: area == S
-    q2 = area_quadrature(equilateral, 4096) * 2  # degree 2: S = 2 * area
+    q1 = area_quadrature(clifford) * 1  # degree 1: area == S
+    q2 = area_quadrature(equilateral) * 2  # degree 2: S = 2 * area
     ok &= abs(q1 - s1) / s1 <= 1e-8
     ok &= abs(q2 - s2) / s2 <= 1e-8
     y = np.linspace(0, 2 * math.pi, 101)

@@ -31,7 +31,6 @@ from lawson import (
     immersion,
     interlacing_check,
     lame_residual,
-    sl_coefficients,
     sl_problem,
     sl_spectrum,
     takahashi_residual,
@@ -55,28 +54,27 @@ class TestSelfAdjointCoefficients:
     def test_clifford_constant_problem(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
         y = np.linspace(0, 2 * math.pi, 11)
-        p, q, w = sl_coefficients(t, 0, y)
+        p, w = spectral._flux_and_weight(t, y)
+        q = spectral._potential(0, p)
         assert p == pytest.approx(np.full_like(y, math.sqrt(2.0)), abs=1e-15)
         assert q == pytest.approx(np.zeros_like(y), abs=0)
         assert w == pytest.approx(np.full_like(y, 1.0 / math.sqrt(2.0)), abs=1e-15)
 
     @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
     def test_zero_frequency_has_no_potential(self, t):
-        _, q, _ = sl_coefficients(t, 0, np.linspace(0, 7, 23))
-        assert np.all(q == 0.0)
+        p, _ = spectral._flux_and_weight(t, np.linspace(0, 7, 23))
+        assert np.all(spectral._potential(0, p) == 0.0)
 
     def test_lawson_weight_equals_stiffness(self):
         t = validate(Case.LAWSON, 3, 1)
         y = np.linspace(0, 2 * math.pi, 29)
-        p, _, w = sl_coefficients(t, 2, y)
+        p, w = spectral._flux_and_weight(t, y)
         assert p == pytest.approx(w, rel=1e-15)
 
     def test_negative_frequency_rejected(self):
         t = validate(Case.GENERALIZED, 1, 2, 3)
         with pytest.raises(ValueError):
             sl_problem(t, -1)
-        with pytest.raises(ValueError):
-            sl_coefficients(t, -1, np.linspace(0, 2 * math.pi, 5))
         with pytest.raises(ValueError):  # q depends on l^2 alone: the problem refuses l < 0
             spectral.SLProblem(t, -1, Symmetry.ODD_Y)
         with pytest.raises(ValueError, match=r"^l must be non-negative, got -1$"):
@@ -93,8 +91,6 @@ class TestSelfAdjointCoefficients:
             sl_problem(t, l)
         with pytest.raises(ValueError, match=f"^l must be {message}"):
             spectral.SLProblem(t, l, Symmetry.EVEN_Y)
-        with pytest.raises(ValueError, match=f"^l must be {message}"):
-            sl_coefficients(t, l, np.linspace(0, 2 * math.pi, 5))
 
     def test_reduction_is_algebraically_exact(self):
         """-(p phi')' + q phi - lambda w phi == -w * (separated ODE residual).
@@ -212,9 +208,9 @@ def _dense_oracle(t, l, n, sym, count=12):
     W^(-1/2).  Every cell is 2 pi / n wide, as a sector's are."""
     h = math.pi / (2 * spectral._sector_cells(n))
     n = n if sym is Symmetry.FULL_PERIODIC else n // 2  # the domain's cells
-    pf = sl_coefficients(t, l, h * np.arange(n + 1))[0]
-    nodes = h * (np.arange(n) + 0.5)
-    _, q, w = sl_coefficients(t, l, nodes)
+    pf, _ = spectral._flux_and_weight(t, h * np.arange(n + 1))
+    root, w = spectral._flux_and_weight(t, h * (np.arange(n) + 0.5))
+    q = spectral._potential(l, root)
     A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
     i = np.arange(n - 1)
     A[i, i + 1] = A[i + 1, i] = -pf[1:n] / h**2
@@ -804,8 +800,9 @@ def _dense_sector(t, l, n, sector):
     end oddly (twice it)."""
     m = spectral._sector_cells(n)
     h = math.pi / (2 * m)
-    pf = sl_coefficients(t, l, h * np.arange(m + 1))[0]
-    _, q, w = sl_coefficients(t, l, h * (np.arange(m) + 0.5))
+    pf, _ = spectral._flux_and_weight(t, h * np.arange(m + 1))
+    root, w = spectral._flux_and_weight(t, h * (np.arange(m) + 0.5))
+    q = spectral._potential(l, root)
     A = np.diag((pf[:-1] + pf[1:]) / h**2 + q)
     A[0, 0] += (1.0 if sector[0] == "D" else -1.0) * pf[0] / h**2
     A[-1, -1] += (1.0 if sector[1] == "D" else -1.0) * pf[m] / h**2
@@ -821,7 +818,8 @@ def _per_l_factors(t, l, n, sectors):
     from scipy.linalg.lapack import dpttrf
 
     m, h = n // 4, 2 * math.pi / n
-    p, q, w = sl_coefficients(t, l, 0.5 * h * np.arange(2 * m + 1))
+    p, w = spectral._flux_and_weight(t, 0.5 * h * np.arange(2 * m + 1))
+    q = spectral._potential(l, p)
     pf = p[::2]
     main = (pf[:-1] + pf[1:]) / h**2 + q[1::2]
     s = 1.0 / np.sqrt(w[1::2])
@@ -1023,7 +1021,7 @@ def test_coefficients_evaluated_once_per_grid(monkeypatch):
 
     t = validate(Case.GENERALIZED, 1, 2, 150)
     count_N2(t, 2048)
-    monkeypatch.setattr(spectral, "sl_coefficients", counted(spectral.sl_coefficients))
+    monkeypatch.setattr(spectral, "_flux_and_weight", counted(spectral._flux_and_weight))
     count_N2(t, 2048)
     assert len(calls) == 0
     monkeypatch.undo()
@@ -1112,7 +1110,7 @@ class TestLameResidual:
 
     @pytest.mark.parametrize("k2", [-1e4, -181.25, -100.0, -2.0, 0.0, 0.3, 0.998, 1.0 - 1e-10])
     def test_residual_within_its_rounding_bound(self, k2):
-        """The residual is rounding error below gamma_36 max sum |terms| at every modulus, also
+        """The residual is rounding error below gamma_37 max sum |terms| at every modulus, also
         where it exceeds the former absolute 1e-12 (tau_(27,2) has k^2 = -181.25 and 1.36e-12)."""
         residuals, bound = lame_residual(k2)
         assert all(residuals[i] <= bound for i in (0, 1, 2))
@@ -1261,6 +1259,9 @@ class TestCounting:
             anchor_check(t, 1030)
         with pytest.raises(ValueError, match="divisible by 4"):
             interlacing_check(t, 1030)
+        for check in (anchor_check, interlacing_check, count_N2, takahashi_residual):
+            with pytest.raises(TypeError):  # the caller states the grid: no default
+                check(t)
 
 
 class TestInterlacing:
@@ -1303,7 +1304,7 @@ def test_assembled_diagonal_is_monotone_in_l(t, monkeypatch):
     for l in range(l_max + 1):  # one dpttrf call factors the four sectors of an l
         spectral._factors(t, 2048, [(l, s) for s in spectral._ALL_SECTORS])
     assert len(seen) == l_max + 1
-    p, _, w = sl_coefficients(t, 0, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
+    p, w = spectral._flux_and_weight(t, 0.5 * h * np.arange(2 * m + 1))  # faces even, centres odd
     rise = 2.0 * p[[0, -1]] / h**2 / w[[1, -2]]  # at y = 0 and at y = pi/2
     assert np.all(rise > 0.0)
     for d, e in seen:
@@ -1381,7 +1382,7 @@ def test_interlacing_bar_is_the_rounding_of_a_difference(t):
     t = spectral.canonicalize(t)
     h, u = 2.0 * math.pi / 2048, 2.0**-53
     y = np.linspace(0.0, math.pi / 2, 4097)
-    p, _, w = sl_coefficients(t, 0, y)
+    p, w = spectral._flux_and_weight(t, y)
     P = coefficients(t).P(y)
     l_max = math.isqrt(t.c_squared) + 1
     G = 3.0 * p.max() / (h * h * w.min()) + 2.0 * l_max**2 / P.min() + 1

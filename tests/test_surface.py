@@ -406,21 +406,44 @@ class TestArea:
 
     def test_quadrature_trapezoid_exact_for_clifford(self):
         t = validate(Case.GENERALIZED, 0, 0, 1)
-        assert area_quadrature(t, 64) == pytest.approx(2.0 * math.pi**2, rel=1e-12)
+        assert area_quadrature(t) == pytest.approx(2.0 * math.pi**2, rel=1e-12)
 
     @pytest.mark.parametrize("t", SUITE, ids=SUITE_IDS)
     def test_oracle_agreement(self, t):
         _, closed = area_closed(t)
-        quad = area_quadrature(t, 4096)
+        quad = area_quadrature(t)
         assert abs(closed - quad) / closed <= 1e-8
 
-    def test_grid_precondition(self):
-        with pytest.raises(ValueError):
-            area_quadrature(SUITE[0], 32)
+    @pytest.mark.parametrize("t,reduced", [
+        (Triple(Case.GENERALIZED, 2, 4, 6), validate(Case.GENERALIZED, 1, 2, 3)),
+        (Triple(Case.LAWSON, 4, 2), validate(Case.LAWSON, 2, 1)),
+        (Triple(Case.GENERALIZED, 2, 0, 4), validate(Case.GENERALIZED, 0, 1, 2)),
+        (Triple(Case.GENERALIZED, 3, 6, 9), validate(Case.GENERALIZED, 1, 2, 3)),
+        (Triple(Case.LAWSON, 9, 3), validate(Case.LAWSON, 3, 1)),
+    ], ids=["T_(2,4,6)", "tau_(4,2)", "T_(2,0,4)", "T_(3,6,9)", "tau_(9,3)"])
+    def test_a_common_divisor_covers_the_reduced_surface(self, t, reduced):
+        """A triple with gcd d describes its reduced triple's surface, covered d times more often by
+        the parameter torus (x -> x + 2 pi / d): both area functions give that surface's area."""
+        _, area = area_closed(reduced)
+        assert area_closed(t)[1] == pytest.approx(area, rel=1e-15)
+        assert area_quadrature(t) == pytest.approx(area, rel=1e-15)
+
+    def test_nodes_come_from_the_strip_rule_alone(self):
+        """The rectangle rule on :func:`_area_nodes`'s nodes, which no caller can change."""
+        for t in SUITE:
+            n = surface._area_nodes(t)
+            co = coefficients(t)
+            p = co.P(2.0 * math.pi * np.arange(n) / n)
+            cover = 4.0 * math.pi**2 / n * float(np.sum(p * np.sqrt(2.0 / (co.q + 2.0 * p))))
+            degree = classify(t).covering_degree
+            assert area_quadrature(t) == pytest.approx(cover / degree, rel=1e-14)
+            with pytest.raises(TypeError):
+                area_quadrature(t, 64)
 
     @pytest.mark.parametrize("a,area,nodes", [(3000, 37699.1304678258348, 131072),
                                               (10**4, 125663.712487494453, 524288)])
-    def test_thin_lawson_surfaces_get_the_nodes_their_strip_needs(self, a, area, nodes):
+    def test_thin_lawson_surfaces_get_the_nodes_their_strip_needs(self, monkeypatch, a, area,
+                                                                   nodes):
         """tau_(a,1) is analytic only within d ~ 1/a of the real axis: 4096 nodes err by 6.0e-8
         and 1.4e-7 relative, above the area check's 1e-8, while the derived count reaches
         rounding (measured 1.2e-15 and 3.5e-16) against the closed form and its value by mpmath
@@ -428,8 +451,9 @@ class TestArea:
         t = validate(Case.LAWSON, a, 1)
         _, closed = area_closed(t)
         assert surface._area_nodes(t) == nodes
-        assert abs(area_quadrature(t, 4096) - closed) / closed > 1e-8
         assert abs(area_quadrature(t) - closed) / closed <= 1e-14
+        monkeypatch.setattr(surface, "_area_nodes", lambda t: 4096)
+        assert abs(area_quadrature(t) - closed) / closed > 1e-8
         assert abs(closed - area) / area <= 1e-14
 
     @pytest.mark.parametrize("abc,s", S_FROM_FLOAT_MODULI,

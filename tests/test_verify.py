@@ -238,6 +238,23 @@ class TestRunVerification:
         failing = [ab for ab in pairs if not verify._lame_check(validate(Case.LAWSON, *ab)).passed]
         assert len(pairs) == 215 and failing == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a,b", [(2**300, 3), (2**509, 1)],
+                             ids=["tau_(2^300,3)", "tau_(2^509,1)"])
+    def test_lame_is_finite_at_every_admissible_modulus(self, a, b):
+        """k^2 = -4.6e179 and -2.8e306: the residuals and their bound stay finite and the check
+        passes, where k^2 times the bracket of dn'', or the unscaled equation, would overflow."""
+        check = verify._lame_check(validate(Case.LAWSON, a, b))
+        assert all(math.isfinite(v) for v in check.values.values())
+        assert check.passed
+
+    def test_an_overflowed_bound_bounds_nothing(self):
+        """A check passes only a finite value against a finite bound: inf <= inf fails."""
+        assert not verify._at_most("lame", {}, math.inf, math.inf).passed
+        assert not verify._at_most("lame", {}, 1.0, math.inf).passed
+        assert not verify._at_most("lame", {}, math.nan, 1.0).passed
+        assert verify._at_most("lame", {}, 1.0, 1.0).passed
+
     @pytest.mark.parametrize("deep", [False, True])
     def test_indeterminate_count_states_the_answered_tolerance(self, monkeypatch, deep):
         t = validate(Case.GENERALIZED, 1, 2, 3)
