@@ -49,10 +49,10 @@ F = immersion(t, x, y)
 print(f"\nUnit-sphere residual over 2000 random points: "
       f"{np.max(np.abs(np.sum(F * F, axis=0) - 1.0)):.2e}")
 
-print("\nHalf-period identifications (residual of F(Phi(x,y)) = F(x,y)):")
-for phi, r in symmetry_residual(t).items():
-    verdict = "<- the Klein bottle identification" if r < 1e-12 else ""
-    print(f"  {phi.value}: {r:.3e} {verdict}")
+print("\nHalf-period identifications (residual of F(Phi(x,y)) = F(x,y), and its closed form):")
+for phi, (r, closed, _) in symmetry_residual(t).items():
+    verdict = "<- the Klein bottle identification" if closed == 0.0 else ""
+    print(f"  {phi.value}: {r:.3e} (closed form {closed:.3e}) {verdict}")
 
 # A mesh for inspection: project onto coordinates 2, 3, 5 of R^6.
 path = os.path.join(tempfile.gettempdir(), "klein_bottle_012.obj")

@@ -2,8 +2,9 @@
 
 Subcommands: classify, verify, spectrum, export, table, landen.
 Output is a deterministic JSON envelope by default (stable key order,
-floats at 17 significant digits); ``--format text`` prints the payload
-and the tolerances as aligned dotted-path rows instead.
+floats as the shortest string that reads back as the same double);
+``--format text`` prints the payload and the tolerances as aligned
+dotted-path rows instead.
 
 Exit codes: 0 ok, 1 invalid input, 2 verification failure, 3 numerical
 non-convergence; a closed stdout keeps the code of the verdict.
@@ -12,8 +13,8 @@ non-convergence; a closed stdout keeps the code of the verdict.
 from __future__ import annotations
 
 import argparse
+import json
 import math
-import numbers
 import os
 import sys
 
@@ -52,44 +53,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID_INPUT)
 
 
-# ---------------------------------------------------------------------------
-# Deterministic serialization: floats always at 17 significant digits.
-# ---------------------------------------------------------------------------
-
-
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite float in output: {x!r}")
-    return format(x, ".17g")
-
-
-# JSON string escapes: backslash, quote and the control characters U+0000-U+001F.
-_JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{i: f"\\u{i:04x}" for i in range(32)}}
-
-
-def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {render_json(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):  # numpy registers its integer and float scalars
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    return '"' + str(obj).translate(_JSON_ESCAPES) + '"'
+def render_json(obj) -> str:
+    """The envelope as indented JSON: key order kept, floats as the shortest string that reads
+    back as the same double, numpy scalars as their Python values; a non-finite float raises
+    ValueError."""
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False,
+                      default=lambda o: o.item())
 
 
 def _triple_record(t: Triple) -> dict:
@@ -133,11 +102,10 @@ def _respond(command: str, t: Triple | None, payload: dict, fmt: str, tolerances
 
 
 def _text_value(v) -> str:
+    v = v.item() if hasattr(v, "item") else v  # a numpy scalar as its Python value
     if isinstance(v, bool):
         return "yes" if v else "no"
-    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
-        return _fmt_float(float(v))
-    return str(v)
+    return json.dumps(v, allow_nan=False) if isinstance(v, float) else str(v)  # as the envelope
 
 
 def _parse_triple(args) -> Triple:
@@ -201,10 +169,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _fmt_lines(template: str, rows: np.ndarray) -> str:
-    """``template % row`` for each row of a 2-D array, one line each: a ``%.17g`` field prints
-    what :func:`_fmt_float` prints, and a non-finite value raises its ValueError."""
+    """``template % row`` for each row of a 2-D array, one line each; a non-finite value raises
+    ValueError."""
     if not np.all(np.isfinite(rows)):
-        _fmt_float(float(rows[~np.isfinite(rows)][0]))  # raises
+        raise ValueError(f"non-finite float in output: {float(rows[~np.isfinite(rows)][0])!r}")
     return "".join(template % row for row in map(tuple, rows.tolist()))
 
 

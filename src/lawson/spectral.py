@@ -85,6 +85,8 @@ from .errors import EigensolverError, IndeterminateCountError
 from .surface import (
     Phi,
     Triple,
+    _dn2,
+    _gamma,
     _index,
     _modulus,
     canonicalize,
@@ -428,16 +430,19 @@ def anchor_check(t: Triple, grid_n: int) -> tuple[tuple[float, float, float], fl
     return residuals, _anchor_tolerance(grid_n), _rounding(t, grid_n, 14)
 
 
-def _profiles(amps, k2: float, y: np.ndarray):
+def _profiles(amps, mod: Modulus, y: np.ndarray):
     """``(sin y, cos y, profiles)``: ``(phi, phi', phi'')`` of a1 sin y, a2 cos y and
-    a3 sqrt(1 - k^2 sin^2 y), in that order, for ``amps`` = (a1, a2, a3).  Each amplitude is the
-    first factor of its products (a3 * u, -a3 * k^2 * ...), which fixes the rounding of the
-    separated-ODE residuals.  The third phi'' divides its bracket, at most 1 + |k^2| in size, by u
-    three times before the factor k^2: for k^2 <= 0, u >= 1 and no partial result exceeds
-    2 max(1, |k^2|) in size, so it is finite at every |k^2| < 2^1020 a triple admits."""
+    a3 u, u = sqrt(1 - k^2 sin^2 y), in that order, for ``amps`` = (a1, a2, a3).  Each amplitude is
+    the first factor of its products (a3 * u, -a3 * k^2 * ...), which fixes the rounding of the
+    separated-ODE residuals.  u^2 comes from non-negative terms with the carried k'^2
+    (:func:`lawson.surface._dn2`), so u >= sqrt(k'^2) > 0 also where k^2 rounds to 1.  The
+    third phi'' divides its bracket, at most 1 + |k^2| in size, by u three times before the
+    factor k^2: for k^2 <= 0, u >= 1 and no partial result exceeds 2 max(1, |k^2|) in size, so it
+    is finite at every |k^2| < 2^1020 a triple admits."""
     a1, a2, a3 = amps
+    k2 = mod.k2
     s, c = np.sin(y), np.cos(y)
-    u = np.sqrt(1.0 - k2 * s * s)
+    u = np.sqrt(_dn2(k2, mod.kp2, y))
     d2 = -a3 * k2 * ((np.cos(2.0 * y) * u * u + k2 * s * s * c * c) / u / u / u)
     return s, c, ((a1 * s, a1 * c, -a1 * s), (a2 * c, -a2 * s, -a2 * c),
                   (a3 * u, -a3 * k2 * s * c / u, d2))
@@ -447,22 +452,23 @@ def eq35_residual(t: Triple) -> tuple[float, float, float]:
     """Residuals of the separated ODE at lambda = 2 for the three amplitude profiles.
 
     Substitutes, with analytic derivatives, c1 sin y at l = a, c2 cos y at
-    l = b and c3 sqrt(1 - k^2 sin^2 y) at l = c, and returns each one's
-    max |residual| over one 1024-point grid, in that order.  This identity
+    l = b and c3 sqrt(1 - k^2 sin^2 y) at l = c (k^2 and k'^2 in the stored
+    order, from integers), and returns each one's max |residual| over one
+    1024-point grid, in that order.  This identity
     is the machine-checkable statement that all six immersion components
     are eigenfunctions with eigenvalue 2, i.e. that the surface is minimal
     in the unit sphere.
     """
     co = coefficients(t)
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    _, _, profiles = _profiles((co.c1, co.c2, co.c3), co.k2, y)
+    _, _, profiles = _profiles((co.c1, co.c2, co.c3), Modulus(co.k2, co.kp2), y)
     p = co.P(y)
     second, first = 1.0 + co.q / (2.0 * p), co.P_prime(y) / (2.0 * p)
     return tuple(float(np.max(np.abs(second * d2phi + first * dphi + (2.0 - float(l2) / p) * phi)))
                  for (phi, dphi, d2phi), l2 in zip(profiles, (co.a_sq, co.b_sq, co.c_sq)))
 
 
-def lame_residual(k2: float) -> tuple[tuple[float, float, float], float]:
+def lame_residual(mod: Modulus) -> tuple[tuple[float, float, float], float]:
     """Residuals of the degree-one trigonometric Lame equation
 
         (1 - k^2 sin^2 y) phi'' - k^2 sin y cos y phi' + (h - 2 k^2 sin^2 y) phi = 0
@@ -479,15 +485,19 @@ def lame_residual(k2: float) -> tuple[tuple[float, float, float], float]:
     c = cos y, cos 2y and u^(+-1) (u = dn), over K; sum |terms| evaluates them on absolute values,
     each difference a sum.  A term meets at most 37 relative errors of eps / 2: 16 roundings
     (dn's (1 - k^2 s^2) / K phi''), 2 for each of up to six s, c, cos 2y (one ulp each), and 9
-    from u, which enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'', so it carries the
-    error of 1 - k^2 s^2, within gamma_9 (1 + |k^2| s^2) (:func:`_gamma`): C = gamma_37 / eps,
-    about 18.5.  Measured: residual <= 1.2 eps max sum |terms| over 400 k^2 from -1e306 to
-    1 - 1e-10.
+    from u, which enters dn's residual only as ((1 - k^2 s^2) - u^2) phi'': u^2 is k'^2 + k^2 c^2
+    or 1 - k^2 s^2 (:func:`_profiles`), the rounded k'^2 or k^2, one product, the sum, the root
+    and its square, within gamma_9 (1 + |k^2| s^2) of 1 - k^2 s^2 (:func:`_gamma`): C = gamma_37 /
+    eps, about 18.5.  Measured: residual <= 1.2 eps max sum |terms| over 400 k^2 from
+    -1e306 to 1 - 1e-10.  ``mod`` carries k'^2 > 0 (:class:`lawson.elliptic.Modulus`, whose
+    k'^2 from integers stays positive where k^2 rounds to 1); k'^2 = 0 is no Lame equation of
+    this form (its leading coefficient vanishes at y = pi/2) and raises ``ValueError``.
     """
-    if not k2 < 1.0:
-        raise ValueError(f"k^2 must be < 1, got {k2!r}")
+    if not mod.kp2 > 0.0:
+        raise ValueError(f"k'^2 must be > 0, got {mod.kp2!r}")
+    k2 = mod.k2
     y = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
-    s, c, (sn, cs, dn) = _profiles((1.0, 1.0, 1.0), k2, y)
+    s, c, (sn, cs, dn) = _profiles((1.0, 1.0, 1.0), mod, y)
     size, scale, u = abs(k2), max(1.0, abs(k2)), dn[0]
     # dn's phi'' = -k^2 (cos 2y u^2 + k^2 s^2 c^2) / u^3 holds a sum of its own
     dn_sum = size * ((np.abs(np.cos(2.0 * y)) * u * u + size * s * s * c * c) / u / u / u)
@@ -502,13 +512,6 @@ def lame_residual(k2: float) -> tuple[tuple[float, float, float], float]:
                  + (abs(h) + pot_sum) / scale * np.abs(phi))
         sums.append(float(np.max(terms)))
     return tuple(residuals), _gamma(37) * max(sums)
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), u = eps / 2, bounds n compounded roundings (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, sec. 3.1)."""
-    u = sys.float_info.epsilon / 2
-    return n * u / (1 - n * u)
 
 
 def takahashi_residual(t: Triple, grid_n: int) -> float:

@@ -8,12 +8,14 @@ A surface of the family is the image of the doubly periodic map
 
     f1 = c1 sin(y),  f2 = c2 cos(y),  f3 = c3 sqrt(1 - k^2 sin^2 y),
 
-with integer frequencies.  Two regimes are admissible: the generalized
-case c^2 > a^2 + b^2, and the boundary case c^2 = a^2 + b^2 (the
-classical tau-surfaces of Lawson, where f3 vanishes identically and the
-image lies in an equatorial S^3).
+with integer frequencies; 1 - k^2 sin^2 y is summed from non-negative terms
+(``_dn2``), as k'^2 + k^2 cos^2 y for k^2 >= 0, with k'^2 from integers, so
+it stays exact to rounding where k^2 rounds to 1.  Two regimes are
+admissible: the generalized case c^2 > a^2 + b^2, and the boundary case
+c^2 = a^2 + b^2 (the classical tau-surfaces of Lawson, where f3 vanishes
+identically and the image lies in an equatorial S^3).
 
-The squared amplitudes c1^2, c2^2, c3^2 and the modulus k^2 are fixed
+The squared amplitudes c1^2, c2^2, c3^2 and the moduli k^2, k'^2 are fixed
 rational functions of (a^2, b^2, c^2); they are computed here in exact
 integer arithmetic with a single final division, so quantities such as
 c2^2 = 5/8 are bit-reproducible.
@@ -21,7 +23,8 @@ c2^2 = 5/8 are bit-reproducible.
 The induced metric is diagonal,
 
     g = P(y) dx^2 + 2 P(y) / (Q + 2 P(y)) dy^2,
-    P(y) = (c^2 + (b^2 - a^2) cos 2y) / 2,   Q = c^2 - a^2 - b^2,
+    P(y) = (c^2 + (b^2 - a^2) cos 2y) / 2 = (c^2 - a^2)(1 - k^2 sin^2 y) - Q/2,
+    Q = c^2 - a^2 - b^2,
 
 and the total area of the 2 pi-periodic parameter torus has the closed
 form
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -218,23 +222,28 @@ def canonicalize(t: Triple) -> Triple:
 class Coefficients:
     """Squared immersion amplitudes and metric data of a triple.
 
-    All four rationals are exact to the last bit: numerators and
+    All five rationals are exact to the last bit: numerators and
     denominators are formed in integer arithmetic and divided once.
     ``q`` is the integer Q = c^2 - a^2 - b^2 (zero exactly on the Lawson
-    boundary) and ``P`` evaluates the metric coefficient
-    (c^2 + (b^2 - a^2) cos 2y) / 2 as (c^2 - a^2)(1 - k^2 sin^2 y) - Q/2,
-    since Q + 2P = 2 (c^2 - a^2)(1 - k^2 sin^2 y) with the stored-order
-    ``k2``.  Both terms are non-negative and P >= Q/2, so the one
-    subtraction loses at most a factor of 2; on the Lawson boundary Q = 0
-    and P(0) = b^2 exactly at any size, where the cos 2y form takes b^2 as
-    (a^2 + b^2) - (a^2 - b^2) and reads 0 once a^2 + b^2 >= 2^53.  At
-    a = b it is c^2/2 as before, so interlacing ties stay ties.
+    boundary), ``k2`` and ``kp2`` are k^2 = (b^2 - a^2) / (c^2 - a^2) and
+    k'^2 = (c^2 - b^2) / (c^2 - a^2) in the stored order, and ``P``
+    evaluates the metric coefficient (c^2 + (b^2 - a^2) cos 2y) / 2 as
+    (c^2 - a^2)(1 - k^2 sin^2 y) - Q/2, since Q + 2P =
+    2 (c^2 - a^2)(1 - k^2 sin^2 y), with the bracket from non-negative
+    terms (:func:`_dn2`).  P >= Q/2, so the one subtraction loses at most a
+    factor of 2.  On the Lawson boundary Q = 0 and P(0) = b^2 exactly at any
+    size, where the cos 2y form reads 0 once a^2 + b^2 >= 2^53; and
+    P(pi/2) = (c^2 + a^2 - b^2)/2 stays exact to rounding where k^2 rounds
+    to 1, where the bracket 1 - k^2 sin^2 y from the rounded k^2 read
+    P(pi/2) 4.4e-9 relative too high on T_(0, 10^8, 10^8 + 1).  At a = b it
+    is c^2/2 exactly, so interlacing ties stay ties.
     """
 
     c1_sq: float
     c2_sq: float
     c3_sq: float
     k2: float
+    kp2: float
     q: int
     a_sq: int
     b_sq: int
@@ -253,15 +262,25 @@ class Coefficients:
         return math.sqrt(self.c3_sq)
 
     def P(self, y):
-        s = np.sin(np.asarray(y))
-        return (self.c_sq - self.a_sq) * (1.0 - self.k2 * s * s) - 0.5 * self.q
+        return (self.c_sq - self.a_sq) * _dn2(self.k2, self.kp2, y) - 0.5 * self.q
 
     def P_prime(self, y):
         return -(self.b_sq - self.a_sq) * np.sin(2.0 * np.asarray(y))
 
 
+def _dn2(k2: float, kp2: float, y):
+    """1 - k^2 sin^2 y from non-negative terms: k'^2 + k^2 cos^2 y for k^2 >= 0, exact to
+    rounding where k^2 rounds to 1 as long as k'^2 comes from integers, and 1 - k^2 sin^2 y for
+    k^2 < 0, exact to rounding at any size of k^2; both read 1 at k^2 = 0 exactly."""
+    if k2 >= 0.0:
+        c = np.cos(y)
+        return kp2 + k2 * c * c
+    s = np.sin(y)
+    return 1.0 - k2 * s * s
+
+
 def coefficients(t: Triple) -> Coefficients:
-    """Amplitudes (c1^2, c2^2, c3^2) and modulus k^2 of the triple.
+    """Amplitudes (c1^2, c2^2, c3^2) and moduli k^2, k'^2 of the triple.
 
     The formulas are applied to the triple in its stored order; for a > b the modulus k^2 comes
     out negative, which is admissible everywhere downstream.  Denominators cannot vanish: the
@@ -276,6 +295,7 @@ def coefficients(t: Triple) -> Coefficients:
         c2_sq=(a2 + c2 - b2) / (2 * (c2 - b2)),
         c3_sq=(c2 - a2 - b2) / (2 * (c2 - b2)),
         k2=(b2 - a2) / (c2 - a2),
+        kp2=(c2 - b2) / (c2 - a2),
         q=c2 - a2 - b2,
         a_sq=a2,
         b_sq=b2,
@@ -295,7 +315,7 @@ def immersion(t: Triple, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     f1 = co.c1 * np.sin(y)
     f2 = co.c2 * np.cos(y)
-    f3 = co.c3 * np.sqrt(1.0 - co.k2 * np.sin(y) ** 2)
+    f3 = co.c3 * np.sqrt(_dn2(co.k2, co.kp2, y))
     a, b, c = t.a, t.b, t.c_real
     return np.stack([np.sin(a * x) * f1, np.cos(a * x) * f1, np.sin(b * x) * f2,
                      np.cos(b * x) * f2, np.sin(c * x) * f3, np.cos(c * x) * f3])
@@ -313,18 +333,27 @@ def metric(t: Triple, y):
     return p, 2.0 * p / (co.q + 2.0 * p)
 
 
-_HALF_PERIOD_MAPS = {(0, 1): Phi.PHI1, (1, 0): Phi.PHI2, (1, 1): Phi.PHI3}
+# f_i(psi(y)) = sign * f_i(y) for the profiles (f1, f2, f3) under the y-part psi of each map
+_PSI_SIGNS = {Phi.PHI1: (1, -1, 1), Phi.PHI2: (-1, 1, 1), Phi.PHI3: (-1, -1, 1)}
+
+
+def _flip_set(freqs: tuple[int, int, int], phi: Phi) -> set[int]:
+    """The profiles i = 1, 2, 3 whose pair (sin l_i x, cos l_i x) f_i(y) ``phi`` negates, for the
+    frequencies ``freqs`` (c as 0 for a Lawson pair): those where (-1)^(l_i) times f_i's psi-sign
+    is -1.  |F(phi(x, y)) - F(x, y)|^2 = 4 sum of f_i(y)^2 over it, at every x."""
+    return {i for i, l, sign in zip((1, 2, 3), freqs, _PSI_SIGNS[phi]) if l % 2 != (sign < 0)}
 
 
 def _half_period_map(t: Triple) -> Phi | None:
-    """The half-period deck map the immersion of ``t`` carries, by the parities of the gcd-reduced
-    triple in the order given, a Lawson pair counting as one with c even: none for c odd or a and
-    b both even, else phi1 for (a, b) = (even, odd), phi2 for (odd, even), phi3 for (odd, odd).
-    The family's one parity rule: the subcase, the topology (phi1 and phi2 reverse orientation: a
-    Klein bottle), the covering degree (2 with a map) and the index's factor m (2 without one)
-    read it."""
+    """The half-period deck map the immersion of ``t`` carries: the map whose flip set
+    (:func:`_flip_set`) on the gcd-reduced triple in the order given is empty, a Lawson pair
+    counting as one with c even; none for c odd or a and b both even, else phi1 for (a, b) =
+    (even, odd), phi2 for (odd, even), phi3 for (odd, odd).  The family's one parity rule: the
+    subcase, the topology (phi1 and phi2 reverse orientation: a Klein bottle), the covering degree
+    (2 with a map), the index's factor m (2 without one) and the symmetry check read it."""
     d = gcd(t.a, t.b, t.c or 0)
-    return None if (t.c or 0) // d % 2 else _HALF_PERIOD_MAPS.get((t.a // d % 2, t.b // d % 2))
+    reduced = (t.a // d, t.b // d, (t.c or 0) // d)
+    return next((phi for phi in Phi if not _flip_set(reduced, phi)), None)
 
 
 _SUBCASE = {Phi.PHI1: Subcase.I, Phi.PHI2: Subcase.I, Phi.PHI3: Subcase.II, None: Subcase.III}
@@ -460,21 +489,54 @@ def expected_symmetry(t: Triple) -> Phi | None:
     return _half_period_map(canonicalize(t))
 
 
-def symmetry_residual(t: Triple) -> dict[Phi, float]:
-    """``{Phi: residual}``: max over y = 2 pi j / 32, j < 32, of |F(Phi(x, y)) - F(x, y)| in R^6
-    for each half-period map, the same at every x.
+def symmetry_residual(t: Triple) -> dict[Phi, tuple[float, float, float]]:
+    """``{Phi: (residual, closed_form, bound)}`` for each half-period map: the residual is the
+    max over y = 2 pi j / 32, j < 32, of |F(Phi(x, y)) - F(x, y)| in R^6, the same at every x; the
+    closed form is its exact value; the bound is what rounding may put between the two.
 
-    At most machine-zero for the surface's identification, order-one otherwise.  Phi maps (x, y) to
-    (x + pi, psi(y)), which multiplies each pair (sin l x, cos l x) f(y) by (-1)^l, so
-    |F(Phi(x, y)) - F(x, y)|^2 = sum_i ((-1)^(l_i) f_i(psi(y)) - f_i(y))^2: the profiles f1, f2, f3,
-    from one :func:`immersion` call, compared with their permutation, which maps the even y-grid
-    onto itself.  On the Lawson boundary f3 = 0, so a c that is not an integer needs no sign.
+    Phi maps (x, y) to (x + pi, psi(y)), which multiplies each pair (sin l x, cos l x) f(y) by
+    (-1)^l, so |F(Phi(x, y)) - F(x, y)|^2 = sum_i ((-1)^(l_i) f_i(psi(y)) - f_i(y))^2: the
+    residual compares the profiles f1, f2, f3, from one :func:`immersion` call, with their
+    permutation, which maps the even y-grid onto itself.  Each f_i is even or odd under psi
+    (``_PSI_SIGNS``), so the sum is 4 sum f_i(y)^2 over the flip set F (:func:`_flip_set`) of the
+    frequencies in the order given, which is linear in sin^2 y: its maximum lies at y = 0 or
+    pi/2, both on the grid, and the closed form is 2 sqrt(max(S(0), S(pi/2))),
+    S(0) = [2 in F] c2^2 + [3 in F] c3^2 and S(pi/2) = [1 in F] c1^2 + [3 in F] c3^2 k'^2.  It is
+    0 exactly for the empty flip set, the map the surface carries (:func:`expected_symmetry` of
+    a canonical triple), and positive for every other map, as c1^2 and c2^2 are (both at least
+    1/2), and c3^2 where Q > 0 (at least 1 / (2 c^2) > 2^-1021, no underflow); on the Lawson
+    boundary f3 = 0 and 3 is in no flip set.
+
+    The bound is gamma_8 closed_form + 2 sqrt(3) gamma_22 (:func:`_gamma`, u = eps / 2).  On the
+    unit sphere |f_i| <= 1 and |f_i'| <= 1.  A computed profile value errs relative to |f_i| by at
+    most 8 u (f3's: 1.5 u from c3 = sqrt(c3^2), 5 u from the root of :func:`_dn2`, whose two
+    non-negative terms carry at most 7 u and their sum u more, and u from the product; a sine or
+    cosine counts one ulp), and by 4 pi u from its grid point, two roundings of a y below 2 pi: so by at most
+    gamma_21 in all.  A difference of two, with its subtraction of size <= 2, errs by
+    2 gamma_22, the norm of three by 2 sqrt(3) gamma_22, and its squares, sum and root add
+    gamma_4 of the residual; the closed form carries 4 roundings.  Measured: the residual is
+    within 3.9 eps of the closed form on every canonical triple with c <= 200.
     """
     n = 32
     f = immersion(t, 0.0, 2.0 * math.pi * np.arange(n) / n)[1::2]  # cos rows at x = 0: f1, f2, f3
-    sign = np.array([[1 - 2 * (l % 2)] for l in (t.a, t.b, t.c or 0)])
-    residuals = {}
+    freqs = (t.a, t.b, t.c or 0)
+    sign = np.array([[1 - 2 * (l % 2)] for l in freqs])
+    co = coefficients(t)
+    floor = 2.0 * math.sqrt(3.0) * _gamma(22)
+    out = {}
     for phi in Phi:
         diff = sign * f[:, phi.apply(0, np.arange(n), n // 2)[1] % n] - f
-        residuals[phi] = float(np.max(np.sqrt(np.sum(diff * diff, axis=0))))
-    return residuals
+        flips = _flip_set(freqs, phi)
+        s0 = (2 in flips) * co.c2_sq + (3 in flips) * co.c3_sq
+        s1 = (1 in flips) * co.c1_sq + (3 in flips) * co.c3_sq * co.kp2
+        closed = 2.0 * math.sqrt(max(s0, s1))
+        out[phi] = (float(np.max(np.sqrt(np.sum(diff * diff, axis=0)))), closed,
+                    _gamma(8) * closed + floor)
+    return out
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = eps / 2, bounds n compounded roundings (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 3.1)."""
+    u = sys.float_info.epsilon / 2
+    return n * u / (1 - n * u)

@@ -3,11 +3,12 @@
 Bundles the unit-norm identity, the Lame and separated-ODE residuals,
 the Laplace-eigenfunction (minimality) residual with its convergence
 ratio, the closed-form-vs-quadrature area comparison, the anchor
-eigenvalues, the symmetry dichotomy, the eigenvalue count against the
-closed-form index, and the oscillation-order checks into a single
-pass/fail report.  The Lame, separated-ODE and symmetry checks each make
-one call, which returns all three components and, for Lame, their
-rounding bound.  The spectral grid follows the sector rule of
+eigenvalues, the half-period symmetry residuals against their closed
+forms, the eigenvalue count against the closed-form index, and the
+oscillation-order checks into a single pass/fail report.  The Lame,
+separated-ODE and symmetry checks each make one call, which returns all
+three components and, for Lame and symmetry, their rounding bounds.
+The spectral grid follows the sector rule of
 :mod:`lawson.spectral` (at least 256, divisible by 4), and each spectral
 check makes one call per grid, which returns its bars with its values:
 the anchors' tolerance and rounding floor, and interlacing's rounding bar.
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
+from .elliptic import Modulus
 from .errors import SpectralError
 from .spectral import (
     _sector_cells,
@@ -47,8 +49,6 @@ _UNIT_NORM_TOL = 1e-12
 _EQ35_TOL = 1e-10
 _AREA_TOL = 1e-8
 _RATIO_RANGE = (3.2, 4.8)   # second-order convergence: factor 4 within 20%
-_SYM_MATCH_TOL = 1e-12
-_SYM_REJECT_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ def _unit_norm_check(t: Triple) -> CheckResult:
 
 
 def _lame_check(t: Triple) -> CheckResult:
-    k2 = coefficients(t).k2
-    residuals, bound = lame_residual(k2)
+    co = coefficients(t)
+    residuals, bound = lame_residual(Modulus(co.k2, co.kp2))
     res = {f"h_index_{i}": r for i, r in enumerate(residuals)}
-    return _at_most("lame", {"k2": k2, **res}, max(residuals), bound)
+    return _at_most("lame", {"k2": co.k2, **res}, max(residuals), bound)
 
 
 def _eq35_check(t: Triple) -> CheckResult:
@@ -139,14 +139,18 @@ def _anchor_check(t: Triple, grid_n: int, deep: bool) -> CheckResult:
 
 
 def _symmetry_check(t: Triple) -> CheckResult:
+    """Each map's sampled residual equals its closed form within the rounding bound; the closed
+    form is 0 for the expected map alone, and positive, from the integers, for every other."""
     expected = expected_symmetry(t)
     res = symmetry_residual(t)
-    ok = all(r <= _SYM_MATCH_TOL if phi is expected else r >= _SYM_REJECT_FLOOR
-             for phi, r in res.items())
-    values = {phi.value: r for phi, r in res.items()}
+    ok = all(abs(r - closed) <= bound and (closed == 0.0) == (phi is expected)
+             for phi, (r, closed, bound) in res.items())
+    values = {}
+    for phi, (r, closed, _) in res.items():
+        values[phi.value], values[f"{phi.value}_closed_form"] = r, closed
     values["expected"] = expected.value if expected else "none"
     return CheckResult("symmetry", ok, values,
-                       f"match <= {_SYM_MATCH_TOL:g}, others >= {_SYM_REJECT_FLOOR:g}")
+                       "|residual - closed form| <= gamma_8 closed form + 2 sqrt(3) gamma_22")
 
 
 def _count_check(t: Triple, grid_n: int, deep: bool) -> tuple[CheckResult, bool]:

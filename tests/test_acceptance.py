@@ -186,12 +186,11 @@ def test_criterion_7_topology_and_symmetry_dichotomy():
     failures = []
     for t in SUITE:
         expected = expected_symmetry(t)
-        for phi in Phi:
-            r = symmetry_residual(t)[phi]
-            if phi is expected and r > 1e-12:
-                failures.append(f"{t.label()}: matching {phi.value} residual {r:.2e}")
-            if phi is not expected and r < 0.1:
-                failures.append(f"{t.label()}: {phi.value} residual {r:.2e} not rejected")
+        for phi, (r, closed, bound) in symmetry_residual(t).items():
+            if (closed == 0.0) != (phi is expected):
+                failures.append(f"{t.label()}: {phi.value} closed form {closed:.2e}")
+            if abs(r - closed) > bound:
+                failures.append(f"{t.label()}: {phi.value} residual {r:.2e} against {closed:.2e}")
     topo = {
         "tau_(2,1)": Topology.KLEIN_BOTTLE,
         "tau_(1,1)": Topology.TORUS,

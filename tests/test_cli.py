@@ -109,6 +109,21 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "1", "0", "2"),
+        ("classify", "--lawson", "3", "1"),
+        ("verify", "1", "1", "2"),
+        ("spectrum", "1", "2", "3", "--l", "1", "--count", "3"),
+        ("table",),
+        ("landen", "--points", "7"),
+        ("export", "0", "1", "2", "--nx", "2", "--ny", "2", "--out", "{tmp}/a\tb.csv"),
+    ])
+    def test_stdout_is_standard_json(self, capsys, tmp_path, argv):
+        """Every JSON stdout is the standard library's indented rendering of what it parses to:
+        floats at the shortest round-tripping digits, strings escaped as json escapes them."""
+        _, out, _ = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
     def test_float_formatting_17_significant_digits(self, capsys):
         _, out, _ = run(capsys, "classify", "0", "1", "2")
         env = json.loads(out)
@@ -161,6 +176,14 @@ class TestVerify:
             "stops.NN": "3", "stops.ND": "2", "stops.DN": "1", "stops.DD": "0"}
         assert [rows[f"sectors.{p}.{i}"] for p in ("even_l", "odd_l") for i in range(4)] == [
             "NN", "ND", "DN", "DD"] * 2
+
+    def test_near_boundary_triple_verifies(self, capsys):
+        """T_(34,53,63) (Q = 4) exits 0: its phi1 residual, 2 c3 = 0.083, equals its closed form
+        and the map is no symmetry; the former floor of 0.1 failed it."""
+        code, out, _ = run(capsys, "verify", "34", "53", "63")
+        assert code == EXIT_OK
+        symmetry = next(c for c in json.loads(out)["payload"]["checks"] if c["name"] == "symmetry")
+        assert symmetry["values"]["phi1"] == pytest.approx(0.083, abs=1e-3)
 
     def test_verify_klein_bottle(self, capsys):
         code, out, _ = run(capsys, "verify", "1", "0", "2")
@@ -381,12 +404,13 @@ class TestExport:
         assert sizes == [1024, 1024, 256]
 
     def test_control_characters_in_the_path_are_escaped(self, capsys, tmp_path):
-        out_file = tmp_path / "a\tb\nc.csv"
+        out_file = tmp_path / "a\tb\nc\x01d\x1f.csv"
         code, out, _ = run(capsys, "export", "0", "1", "2", "--nx", "4", "--ny", "4",
                            "--out", str(out_file))
         assert code == EXIT_OK
-        assert "\\u0009" in out and "\\u000a" in out
         assert json.loads(out)["payload"]["file"] == str(out_file)
+        assert not re.search("[\x00-\x09\x0b-\x1f]", out)  # only the envelope's own newlines
+        assert out.count("\n") == len(json.dumps(json.loads(out), indent=2).splitlines())
         assert out_file.exists()
 
     def test_non_finite_value_raises(self):
@@ -443,6 +467,17 @@ class TestLanden:
         assert payload["max_abs_gap"] == gaps[worst]
         assert payload["argmax_k"] == float(ks[worst])
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_non_finite_value_exits_1(self, capsys, monkeypatch, fmt):
+        """No NaN reaches stdout: the envelope's json.dumps, and the text rows' own, raise
+        json's ValueError, which main answers with exit 1."""
+        monkeypatch.setattr(lawson.cli, "landen_gap", lambda k: math.nan)
+        code, out, err = run(capsys, "landen", "--points", "3", "--format", fmt)
+        assert code == EXIT_INVALID
+        assert "nan" not in out.lower()
+        assert out == "" or fmt == "text"  # text rows print until the first non-finite one
+        assert err.startswith("invalid input: Out of range float values are not JSON compliant")
+
     def test_argmax_is_the_first_maximum(self, capsys, monkeypatch):
         ks = np.linspace(0.0, 0.99, 7)
         gap = {float(ks[2]): -1.0, float(ks[5]): 1.0}
@@ -456,10 +491,10 @@ class TestLanden:
 
 @pytest.mark.parametrize("value, json_text, text", [
     (np.int64(-7), "-7", "-7"), (np.int32(7), "7", "7"), (np.uint8(255), "255", "255"),
-    (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
+    (np.float64(0.1), "0.1", "0.1"),
     (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
     (np.float16(0.1), "0.0999755859375", "0.0999755859375"),
-    (np.bool_(True), '"True"', "True"),  # np.bool_ is no bool: the string of its str()
+    (np.bool_(True), "true", "yes"),  # np.bool_ is no bool: it prints as its Python value
 ])
 def test_numpy_scalars_render_as_python_numbers(value, json_text, text):
     assert lawson.cli.render_json(value) == json_text

@@ -1095,30 +1095,30 @@ class TestSeparatedOdeResidual:
 class TestLameResidual:
     @pytest.mark.parametrize("h_index", [0, 1, 2])
     def test_harmonic_limit(self, h_index):
-        assert lame_residual(0.0)[0][h_index] <= 1e-15
+        assert lame_residual(Modulus(0.0))[0][h_index] <= 1e-15
 
     def test_half_modulus_dn_branch(self):
-        assert lame_residual(0.5)[0][0] <= 1e-12
+        assert lame_residual(Modulus(0.5))[0][0] <= 1e-12
 
     def test_negative_modulus_sn_branch(self):
-        assert lame_residual(-1.0 / 3.0)[0][2] <= 1e-12
+        assert lame_residual(Modulus(-1.0 / 3.0))[0][2] <= 1e-12
 
     @pytest.mark.parametrize("k2", [-2.0, -0.5, 0.3, 0.9])
     @pytest.mark.parametrize("h_index", [0, 1, 2])
     def test_sweep(self, k2, h_index):
-        assert lame_residual(k2)[0][h_index] <= 1e-12
+        assert lame_residual(Modulus(k2))[0][h_index] <= 1e-12
 
     @pytest.mark.parametrize("k2", [-1e4, -181.25, -100.0, -2.0, 0.0, 0.3, 0.998, 1.0 - 1e-10])
     def test_residual_within_its_rounding_bound(self, k2):
         """The residual is rounding error below gamma_37 max sum |terms| at every modulus, also
         where it exceeds the former absolute 1e-12 (tau_(27,2) has k^2 = -181.25 and 1.36e-12)."""
-        residuals, bound = lame_residual(k2)
+        residuals, bound = lame_residual(Modulus(k2))
         assert all(residuals[i] <= bound for i in (0, 1, 2))
         assert bound <= 1e-7 * max(1.0, k2 * k2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            lame_residual(1.0)
+            lame_residual(Modulus(1.0))
 
 
 class TestTakahashiResidual:

@@ -656,15 +656,14 @@ class TestSymmetry:
         ids=SUITE_IDS + ["T_(1,2,1500)", "T_(1,4,5000)"],
     )
     def test_dichotomy(self, t):
-        """The match stays at roundoff for large c: the residual compares the y-profiles alone and
-        forms no phase c x (measured 5.0e-16 at c = 1500 and 4.5e-16 at c = 5000)."""
+        """Each residual equals its closed form within its rounding bound, and the closed form is
+        0 for the expected map alone; the match stays at roundoff for large c: the residual
+        compares the y-profiles alone and forms no phase c x (measured 5.0e-16 at c = 1500 and
+        4.5e-16 at c = 5000)."""
         expected = expected_symmetry(t)
-        for phi in Phi:
-            r = symmetry_residual(t)[phi]
-            if phi is expected:
-                assert r <= 1e-12
-            else:
-                assert r >= 0.1
+        for phi, (r, closed, bound) in symmetry_residual(t).items():
+            assert abs(r - closed) <= bound <= 1e-14 + 1e-15 * closed
+            assert (closed == 0.0) == (phi is expected)
 
     def test_parity_table_matches_the_immersion(self):
         """On every canonical generalized triple with c <= 20 and every canonical Lawson pair with
@@ -678,9 +677,9 @@ class TestSymmetry:
         assert (len(triples), len(pairs)) == (1033, 96)
         for t in triples + pairs:
             expected = expected_symmetry(t)
-            for phi in Phi:
-                r = symmetry_residual(t)[phi]
-                assert r <= 1e-12 if phi is expected else r >= 0.1, (t.label(), phi)
+            for phi, (r, closed, bound) in symmetry_residual(t).items():
+                assert abs(r - closed) <= bound, (t.label(), phi)
+                assert (closed == 0.0) == (phi is expected), (t.label(), phi)
             sc = classify(t)
             klein = sc.topology is Topology.KLEIN_BOTTLE
             assert klein == (expected in (Phi.PHI1, Phi.PHI2)), t.label()
@@ -691,4 +690,4 @@ class TestSymmetry:
         """The residual from the y-profiles equals the one of F on the 32 x 32 grid compared with
         its permutation under Phi, within 1e-15, at every Phi."""
         for phi in Phi:
-            assert abs(symmetry_residual(t)[phi] - _image_residual(t, phi, 32)) <= 1e-15
+            assert abs(symmetry_residual(t)[phi][0] - _image_residual(t, phi, 32)) <= 1e-15

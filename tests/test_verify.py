@@ -248,6 +248,36 @@ class TestRunVerification:
         assert all(math.isfinite(v) for v in check.values.values())
         assert check.passed
 
+    @pytest.mark.parametrize("n", [10**7, 10**8], ids=["n=10^7", "n=10^8"])
+    def test_separated_ode_reads_the_exact_kp2(self, n):
+        """On T_(0, n, n + 1), k'^2 = (2n + 1) / (n + 1)^2 comes from the integers into P and the
+        profiles, so component_1, whose terms are at most 2 in size, stays at rounding; from the
+        rounded k^2 it read 3.0e-10 and 4.4e-9, above the 1e-10 bar."""
+        check = verify._eq35_check(validate(Case.GENERALIZED, 0, n, n + 1))
+        assert check.values["component_1"] <= 1e-15
+        assert check.passed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_k2_rounding_to_one_keeps_lame_and_area_finite(self):
+        """On T_(0, 2^56 - 1, 2^56) k^2 rounds to 1.0 while k'^2 = 2^-55 + ... is carried: lame
+        and area pass with no RuntimeWarning, where lame raised on k^2 = 1.0 and the area's
+        integrand divided by zero."""
+        t = validate(Case.GENERALIZED, 0, 2**56 - 1, 2**56)
+        assert verify._lame_check(t).passed
+        assert verify._area_check(t).passed
+
+    @pytest.mark.parametrize("m", [101, 10**4 + 1, 2**100 + 1], ids=["m=101", "m=10^4+1", "m=2^100+1"])
+    def test_symmetry_near_the_lawson_boundary(self, m):
+        """T_(2m, m^2, m^2 + 2) has Q = 4 and c odd: phi1 flips f3 alone, so its residual is
+        2 c3 = sqrt(2 / (m^2 + 1)), 0.014 at m = 101 and 1.1e-30 at m = 2^100 + 1, below rounding
+        there.  It is no symmetry all the same (c3^2 > 0 from the integers), and the check passes,
+        where the former floor of 0.1 on the other maps' residuals failed it."""
+        check = verify._symmetry_check(validate(Case.GENERALIZED, 2 * m, m * m, m * m + 2))
+        assert check.passed
+        assert check.values["expected"] == "none"
+        assert check.values["phi1_closed_form"] == pytest.approx(math.sqrt(2 / (m * m + 1)),
+                                                                 rel=1e-15)
+
     def test_an_overflowed_bound_bounds_nothing(self):
         """A check passes only a finite value against a finite bound: inf <= inf fails."""
         assert not verify._at_most("lame", {}, math.inf, math.inf).passed
